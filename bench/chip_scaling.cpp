@@ -77,9 +77,10 @@ int main(int argc, char **argv) {
   std::printf("Whole-chip scaling: %s, %llu packets, seed %llu\n",
               App.c_str(), (unsigned long long)Packets,
               (unsigned long long)Seed);
-  std::printf("%8s | %4s | %10s %8s %8s | %10s %10s | %8s %8s | %6s\n",
+  std::printf("%8s | %4s | %10s %8s %8s | %10s %10s | %8s %8s | %6s | %7s "
+              "%6s\n",
               "exec", "MEs", "cycles", "Mbps", "wall-s", "sdram-st",
-              "scr-st", "in-hw", "reord", "util0");
+              "scr-st", "in-hw", "reord", "util0", "ev/pkt", "ns/ev");
 
   // Both execution models sweep the same ME counts. The simulated
   // schedule is identical by construction (chip_test locks whole-report
@@ -131,13 +132,18 @@ int main(int argc, char **argv) {
         InHw += formatf("%s%u", M ? "," : "", R.Chip.InputRings[M].HighWater);
       }
       InHw += "]";
+      // Event-kernel work: events per retired packet, and whole-run wall
+      // nanoseconds per event (host time, like wall_seconds).
+      double EvPerPkt = R.Chip.eventsPerPacket();
+      double NsPerEv = R.Chip.nsPerEvent(R.Base.WallSeconds);
       std::printf(
-          "%8s | %4u | %10llu %8.1f %8.3f | %10llu %10llu | %8u %8u | %5.2f\n",
+          "%8s | %4u | %10llu %8.1f %8.3f | %10llu %10llu | %8u %8u | %5.2f "
+          "| %7.1f %6.1f\n",
           Threaded ? "threaded" : "interp", Mes,
           (unsigned long long)R.Chip.FinalCycles, R.GoodputMbps,
           R.Base.WallSeconds, (unsigned long long)R.Chip.Sdram.StallCycles,
           (unsigned long long)R.Chip.Scratch.StallCycles, MaxInHw,
-          R.Chip.ReorderHighWater, R.Chip.utilization(0));
+          R.Chip.ReorderHighWater, R.Chip.utilization(0), EvPerPkt, NsPerEv);
 
       Json += formatf(
           "%s{\"app\":\"%s\",\"packets\":%llu,\"seed\":%llu,"
@@ -150,6 +156,8 @@ int main(int argc, char **argv) {
           "\"reorder_high_water\":%u,\"tail_packets\":%llu,"
           "\"lockups_injected\":%llu,\"packets_recovered\":%llu,"
           "\"lockup_drops\":%llu,\"backpressure_drops\":%llu,"
+          "\"events\":%llu,\"noop_me_runs\":%llu,"
+          "\"events_per_packet\":%.2f,\"ns_per_event\":%.2f,"
           "\"trace_hash\":\"%016llx\"}",
           First ? "" : ",", App.c_str(), (unsigned long long)Packets,
           (unsigned long long)Seed, Threaded ? "threaded" : "interp",
@@ -165,7 +173,9 @@ int main(int argc, char **argv) {
           (unsigned long long)R.Chip.Recovery.PacketsRecovered,
           (unsigned long long)R.Chip.Recovery.LockupDrops,
           (unsigned long long)R.Chip.Recovery.BackpressureDrops,
-          (unsigned long long)R.Chip.TraceHash);
+          (unsigned long long)R.Chip.events(),
+          (unsigned long long)R.Chip.NoopMeRuns,
+          EvPerPkt, NsPerEv, (unsigned long long)R.Chip.TraceHash);
       First = false;
       if (Threaded && Mes == 6 && R.Base.WallSeconds > 0)
         SixMeRatio = InterpWall[Mes] / R.Base.WallSeconds;

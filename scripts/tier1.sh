@@ -208,6 +208,15 @@ if [ "$SOAK_RC" -ne 5 ]; then
   exit 1
 fi
 
+# Benchmark correctness gate: a short chip-nat pass of the repository
+# benchmark at its held-out seed. Every exact field it records — the
+# chip trace hash, the SDRAM image hash, checkpoint.bytes, cycle and
+# stall counts — must match perfbench/spec.json, and a mid-run snapshot
+# must restore and re-save byte-identically; any drift exits nonzero.
+echo "== perfbench chip-nat correctness gate (seed 7, 5 s) =="
+(cd "$ROOT" && CARGO_TARGET_DIR="$BUILD/bench" timeout 900 \
+  python3 perfbench/run.py --workload chip-nat --seed 7 --seconds 5 --trace 0)
+
 # ASan+UBSan pass over the degradation ladder and the support layer: the
 # fault-injection paths (LU repair, refactorize-on-drift, incumbent
 # salvage, baseline fallback) are exactly where stale pointers and
@@ -220,9 +229,13 @@ cmake -B "$SAN_BUILD" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
 cmake --build "$SAN_BUILD" -j"$JOBS" --target degradation_test support_test \
-  chip_fault_test
+  chip_fault_test event_queue_test
 timeout 900 "$SAN_BUILD/tests/degradation_test"
 timeout 120 "$SAN_BUILD/tests/support_test"
+# The event wheel's bucket lists, free list, and overflow migration are
+# index arithmetic over pooled nodes: out-of-bounds or stale-node reuse
+# shows up here first.
+timeout 300 "$SAN_BUILD/tests/event_queue_test"
 # The supervisor's abort/restart path frees and rebuilds per-packet
 # state (slot scrub, re-DMA, spill-window erase) — exactly where
 # use-after-free would hide.

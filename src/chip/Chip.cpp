@@ -5,10 +5,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Event-driven kernel. Everything runs on one OS thread off a priority
-// queue ordered by (time, insertion order), so a run is a deterministic
-// function of (params, programs, base memory, packet stream). The moving
-// parts:
+// Event-driven kernel. Everything runs on one OS thread off an event
+// queue that pops in (time, insertion order) — a timing wheel, O(1) per
+// event (chip/EventQueue.h) — so a run is a deterministic function of
+// (params, programs, base memory, packet stream). The moving parts:
 //
 //   RX agent      pulls packets from the source, allocates an SDRAM slot,
 //                 scrubs it, rebases pointer args into it, DMAs the packet
@@ -34,6 +34,7 @@
 
 #include "chip/Chip.h"
 
+#include "chip/EventQueue.h"
 #include "fastpath/Segment.h"
 #include "sim/ExecContext.h"
 #include "support/StringUtils.h"
@@ -42,7 +43,6 @@
 #include <cassert>
 #include <deque>
 #include <map>
-#include <queue>
 #include <set>
 
 using namespace nova;
@@ -148,34 +148,6 @@ struct Channel {
   }
 };
 
-enum class Ev : uint8_t {
-  MeRun,
-  CtxResume,
-  RxStep,
-  TxPopDone,
-  SupTick,     ///< supervisor watchdog scan + RX backpressure check
-  CtxRestart,  ///< backoff expired: restore packet state, requeue
-  BrownoutEnd, ///< SDRAM issue bandwidth recovers
-  RingUnstall  ///< a ring-stall window ended; wake parked producers
-};
-
-struct Event {
-  uint64_t Time = 0;
-  uint64_t Order = 0; ///< insertion order: total determinism on time ties
-  Ev K = Ev::MeRun;
-  unsigned Me = 0;
-  unsigned Ctx = 0;
-  uint64_t A = 0;
-};
-
-struct EventAfter {
-  bool operator()(const Event &X, const Event &Y) const {
-    if (X.Time != Y.Time)
-      return X.Time > Y.Time;
-    return X.Order > Y.Order;
-  }
-};
-
 /// Where a context is in its packet loop (each context has at most one
 /// outstanding event, so the phase disambiguates CtxResume).
 enum class CtxPh : uint8_t {
@@ -193,6 +165,8 @@ enum class CtxPh : uint8_t {
   RestartWait ///< aborted by the supervisor; CtxRestart pending (backoff)
 };
 
+struct InFlightRec;
+
 /// One hardware context: either a resumable interpreter or a resumable
 /// fast-path segment executor, behind the same yield contract. Which one
 /// is live is a chip-wide choice (ChipParams::Exec), so a plain bool
@@ -203,6 +177,9 @@ struct HwCtx {
   bool Threaded = false;
   CtxPh Ph = CtxPh::ParkedRing;
   uint64_t CurSeq = 0;
+  /// CurSeq's in-flight record, resolved once when the context pops the
+  /// descriptor (std::map nodes stay put until TX pops the packet).
+  InFlightRec *Rec = nullptr;
   uint64_t WedgeTime = 0; ///< when the lost completion was issued
 
   void reset(const std::vector<uint32_t> &Args) {
@@ -404,15 +381,7 @@ struct Chip::Impl {
   bool RxStuck = false;          ///< parked on uniformly-full rings
   uint64_t RxStuckSince = 0;
 
-  /// The event queue with its container exposed: the heap vector is a
-  /// deterministic function of the run and is a valid heap verbatim, so
-  /// checkpointing saves and restores it as-is.
-  struct ExposedQ
-      : std::priority_queue<Event, std::vector<Event>, EventAfter> {
-    std::vector<Event> &raw() { return c; }
-    const std::vector<Event> &raw() const { return c; }
-  };
-  ExposedQ Q;
+  EventQueue Q;
   uint64_t OrderCtr = 0;
   uint64_t LastTime = 0;
   bool Ran = false;
@@ -498,7 +467,7 @@ struct Chip::Impl {
 
   void sched(uint64_t T, Ev K, unsigned Me = 0, unsigned Ctx = 0,
              uint64_t A = 0) {
-    Q.push({T, ++OrderCtr, K, Me, Ctx, A});
+    Q.push(T, ++OrderCtr, K, Me, Ctx, A);
   }
 
   Channel &chan(MemSpace S) {
@@ -769,6 +738,7 @@ struct Chip::Impl {
       return;
     }
     Cx.CurSeq = Rg.pop(T);
+    Cx.Rec = &InFlight.at(Cx.CurSeq);
     wakeRxIfRingFreed(Me, T);
     Cx.Ph = CtxPh::PopWait;
     sched(ScratchCh.submit(T), Ev::CtxResume, Me, C);
@@ -819,13 +789,15 @@ struct Chip::Impl {
 
   void onMeRun(unsigned Me, uint64_t T) {
     MeState &M = Mes[Me];
-    if (M.FreeAt > T || M.Ready.empty())
+    if (M.FreeAt > T || M.Ready.empty()) {
+      ++St.NoopMeRuns;
       return; // still busy, or a duplicate wakeup already served
+    }
     unsigned C = M.Ready.front();
     M.Ready.pop_front();
     HwCtx &Cx = M.Ctx[C];
 
-    InFlightRec &Rec = InFlight.at(Cx.CurSeq);
+    InFlightRec &Rec = *Cx.Rec;
     if (Cx.Ph == CtxPh::StartReady) {
       Rec.Me = Me;
       Rec.Ctx = C;
@@ -990,7 +962,7 @@ struct Chip::Impl {
         ++RS.LockupsDetected;
         Cx.abort();
         ++RS.CtxResets;
-        InFlightRec &Rec = InFlight.at(Cx.CurSeq);
+        InFlightRec &Rec = *Cx.Rec;
         if (Rec.Attempts - 1 >= C.MaxRetries) {
           // Retries exhausted: declare the packet dead and push the
           // typed drop through the normal TX path so retirement stays
@@ -1055,7 +1027,7 @@ struct Chip::Impl {
   void onCtxRestart(unsigned Me, unsigned C, uint64_t T) {
     HwCtx &Cx = Mes[Me].Ctx[C];
     assert(Cx.Ph == CtxPh::RestartWait && "CtxRestart in unexpected phase");
-    InFlightRec &Rec = InFlight.at(Cx.CurSeq);
+    InFlightRec &Rec = *Cx.Rec;
     ++Rec.Attempts;
     if (Rec.Tail)
       Rec.PrivMem = std::make_unique<sim::Memory>(BaseImage);
@@ -1156,9 +1128,11 @@ struct Chip::Impl {
     W.b(RxStuck);
     W.u64(RxStuckSince);
     Mem.saveState(W);
-    const std::vector<Event> &H = Q.raw();
-    W.u64(H.size());
-    for (const Event &E : H) {
+    // Pending events in (Time, Order) order: the canonical sequence,
+    // independent of how the queue lays them out.
+    const std::vector<Event> Pending = Q.sorted();
+    W.u64(Pending.size());
+    for (const Event &E : Pending) {
       W.u64(E.Time);
       W.u64(E.Order);
       W.u8(static_cast<uint8_t>(E.K));
@@ -1246,7 +1220,7 @@ struct Chip::Impl {
     RxStuck = R.b();
     RxStuckSince = R.u64();
     Mem.restoreState(R);
-    Q.raw().clear();
+    std::vector<Event> Pending;
     uint64_t NQ = R.u64();
     for (uint64_t I = 0; I != NQ && !R.failed(); ++I) {
       Event E;
@@ -1256,8 +1230,9 @@ struct Chip::Impl {
       E.Me = R.u32();
       E.Ctx = R.u32();
       E.A = R.u64();
-      Q.raw().push_back(E);
+      Pending.push_back(E);
     }
+    Q.assign(std::move(Pending));
     OrderCtr = R.u64();
     LastTime = R.u64();
     St.PacketsDispatched = R.u64();
@@ -1271,6 +1246,11 @@ struct Chip::Impl {
     St.ReorderHighWater = R.u32();
     St.RxDmaTransactions = R.u64();
     RetireFold = R.u64();
+    for (MeState &M : Mes)
+      for (HwCtx &Cx : M.Ctx) {
+        auto It = InFlight.find(Cx.CurSeq);
+        Cx.Rec = It == InFlight.end() ? nullptr : &It->second;
+      }
     LastHookRetired = St.PacketsRetired;
     Restored = true;
   }
@@ -1289,9 +1269,9 @@ struct Chip::Impl {
     }
 
     while (!Q.empty()) {
-      Event E = Q.top();
-      Q.pop();
+      Event E = Q.pop();
       LastTime = std::max(LastTime, E.Time);
+      ++St.EventsByKind[static_cast<unsigned>(E.K)];
       switch (E.K) {
       case Ev::MeRun:
         onMeRun(E.Me, E.Time);

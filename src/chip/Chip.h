@@ -16,7 +16,7 @@
 /// cross-engine memory contention is a measured quantity (stall cycles),
 /// not an assumption.
 ///
-/// The simulation is discrete-event on a single OS thread: a priority
+/// The simulation is discrete-event on a single OS thread: an event
 /// queue ordered by (time, insertion sequence) makes every run with the
 /// same inputs bit-identical — same RunStats, same ring traces, same
 /// final SDRAM image. Context swap is non-preemptive and happens only at
@@ -50,11 +50,13 @@
 #define CHIP_CHIP_H
 
 #include "alloc/Allocated.h"
+#include "chip/EventQueue.h"
 #include "chip/Ring.h"
 #include "chip/Supervisor.h"
 #include "sim/Simulator.h"
 #include "support/Status.h"
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -189,6 +191,29 @@ struct ChipRunStats {
   /// True if the event queue drained with work still in flight (a
   /// scheduler bug; tests assert it stays false).
   bool Deadlock = false;
+
+  /// Kernel work counters: events processed per Ev kind, and MeRun pops
+  /// that found the engine busy or its ready queue empty. They measure
+  /// host work, not the simulation — never serialized into snapshots
+  /// (a resumed run counts only its own events) and never folded into a
+  /// trace hash.
+  std::array<uint64_t, NumEventKinds> EventsByKind{};
+  uint64_t NoopMeRuns = 0;
+  uint64_t events() const {
+    uint64_t N = 0;
+    for (uint64_t V : EventsByKind)
+      N += V;
+    return N;
+  }
+  /// Events per retired packet (0 before any retirement).
+  double eventsPerPacket() const {
+    return PacketsRetired ? double(events()) / double(PacketsRetired) : 0;
+  }
+  /// Host nanoseconds per event over \p WallSeconds of run time.
+  double nsPerEvent(double WallSeconds) const {
+    uint64_t N = events();
+    return N ? WallSeconds * 1e9 / double(N) : 0;
+  }
 
   /// Fraction of chip time ME \p Me spent executing instructions.
   double utilization(unsigned Me) const {

@@ -40,6 +40,7 @@
 
 #include "support/BinIO.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -145,6 +146,8 @@ public:
   /// Removes every entry with Lo <= address < HiExclusive (a 64-bit bound
   /// so callers can express "to the end of the address space").
   void eraseRange(uint32_t Lo, uint64_t HiExclusive) {
+    if (HiExclusive <= Lo)
+      return;
     uint64_t DenseHi = HiExclusive < DenseBound ? HiExclusive : DenseBound;
     for (uint64_t A = Lo; A < DenseHi;) {
       size_t PI = static_cast<size_t>(A) >> PageShift;
@@ -156,15 +159,18 @@ public:
         A = PageEnd;
         continue;
       }
+      // Clear presence 64 words at a time: [A, Stop) within this page,
+      // as a run of bitmap words with partial masks at either end.
       uint64_t Stop = PageEnd < DenseHi ? PageEnd : DenseHi;
-      for (; A < Stop; ++A) {
+      while (A < Stop) {
         uint32_t Slot = static_cast<uint32_t>(A) & PageMask;
+        unsigned Lo64 = Slot & 63;
+        uint64_t Span = std::min<uint64_t>(64 - Lo64, Stop - A);
+        uint64_t Bits = (Span == 64 ? ~0ull : (1ull << Span) - 1) << Lo64;
         uint64_t &W = Pg->Present[Slot >> 6];
-        uint64_t Bit = 1ull << (Slot & 63);
-        if (W & Bit) {
-          W &= ~Bit;
-          --Count;
-        }
+        Count -= static_cast<size_t>(__builtin_popcountll(W & Bits));
+        W &= ~Bits;
+        A += Span;
       }
     }
     if (HiExclusive > DenseBound) {

@@ -284,6 +284,13 @@ ChipSoakReport soak::runChipSoak(const AppHarness &App,
 // Reporting
 //===----------------------------------------------------------------------===//
 
+void soak::stabilize(ChipSoakReport &R) {
+  R.Base.WallSeconds = 0;
+  R.Base.TranslateSeconds = 0;
+  R.Chip.EventsByKind = {};
+  R.Chip.NoopMeRuns = 0;
+}
+
 std::string soak::chipReportJson(const ChipSoakReport &R) {
   if (!R.Setup.ok()) {
     return formatf("{\"app\":\"%s\",\"chip_setup_error\":\"%s\"}",
@@ -336,6 +343,17 @@ std::string soak::chipReportJson(const ChipSoakReport &R) {
   J += formatf("\"trace_hash\":\"%016llx\",\"image_hash\":\"%016llx\",",
                (unsigned long long)C.TraceHash,
                (unsigned long long)R.ImageHash);
+  J += formatf("\"kernel\":{\"events\":%llu,\"events_per_packet\":%.2f,"
+               "\"ns_per_event\":%.2f,\"noop_me_runs\":%llu,"
+               "\"events_by_kind\":{",
+               (unsigned long long)C.events(), C.eventsPerPacket(),
+               C.nsPerEvent(R.Base.WallSeconds),
+               (unsigned long long)C.NoopMeRuns);
+  for (unsigned K = 0; K != chip::NumEventKinds; ++K)
+    J += formatf("%s\"%s\":%llu", K ? "," : "",
+                 chip::evName(static_cast<chip::Ev>(K)),
+                 (unsigned long long)C.EventsByKind[K]);
+  J += "}},";
   const chip::RecoveryStats &RS = C.Recovery;
   J += "\"recovery\":{";
   J += formatf("\"lockups_injected\":%llu,\"lockups_detected\":%llu,"
@@ -412,6 +430,12 @@ void soak::printChipReport(const ChipSoakReport &R, std::FILE *Out) {
   std::fprintf(Out, "] tx-hw=%u reorder-hw=%u tail=%llu\n",
                C.TxRing.HighWater, C.ReorderHighWater,
                (unsigned long long)C.TailPackets);
+  std::fprintf(Out,
+               "  kernel    : %llu events (%.1f/packet, %.1f ns each), "
+               "%llu no-op MeRun pops\n",
+               (unsigned long long)C.events(), C.eventsPerPacket(),
+               C.nsPerEvent(R.Base.WallSeconds),
+               (unsigned long long)C.NoopMeRuns);
   const chip::RecoveryStats &RS = C.Recovery;
   if (RS.anyInjected()) {
     std::fprintf(Out,

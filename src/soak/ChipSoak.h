@@ -68,8 +68,16 @@ struct ChipSoakReport {
 ChipSoakReport runChipSoak(const AppHarness &App,
                            const ChipSoakOptions &Opts);
 
+/// Zeroes the fields a resumed run cannot reproduce: wall-clock times and
+/// the kernel's host-work counters (a restored chip counts only the
+/// events it processed itself). What remains is byte-comparable between
+/// an uninterrupted run and a killed-and-resumed one (--stable-json).
+void stabilize(ChipSoakReport &R);
+
 /// Base reportJson extended with a "chip" object: per-ME utilization,
-/// ring occupancy high-waters, contention stalls, trace/image hashes.
+/// ring occupancy high-waters, contention stalls, trace/image hashes,
+/// and the event kernel's work (events per packet and per kind, no-op
+/// MeRun pops, wall nanoseconds per event).
 std::string chipReportJson(const ChipSoakReport &R);
 
 /// Human-readable summary (base report + chip lines).

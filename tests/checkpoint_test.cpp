@@ -120,8 +120,7 @@ std::string stableJson(soak::SoakReport R) {
 }
 
 std::string stableChipJson(soak::ChipSoakReport R) {
-  R.Base.WallSeconds = 0;
-  R.Base.TranslateSeconds = 0;
+  soak::stabilize(R);
   return soak::chipReportJson(R);
 }
 

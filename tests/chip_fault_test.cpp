@@ -31,6 +31,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 using namespace nova;
 using namespace nova::alloc;
 using namespace nova::ixp;
@@ -115,6 +117,32 @@ struct DriveResult {
   uint64_t ImageHash = 0;
 };
 
+/// The test packet stream: packet Seq carries 0xC0DE0000 + Seq; \p Next
+/// is the dispatch cursor (N packets in all).
+chip::Chip::Source packetSource(uint64_t &Next, uint64_t N) {
+  return [&Next, N](chip::ChipPacket &Out) {
+    if (Next == N)
+      return false;
+    Out = chip::ChipPacket();
+    Out.Seq = Next;
+    Out.Words = {static_cast<uint32_t>(0xC0DE0000u + Next)};
+    Out.Args = {0, 1};
+    Out.PtrArgMask = 0b11;
+    Out.PayloadBytes = 4;
+    ++Next;
+    return true;
+  };
+}
+
+uint64_t imageHash(chip::Chip &C) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (const auto &[Addr, Val] : C.memory().Sdram) {
+    H = chip::traceFold(H, Addr);
+    H = chip::traceFold(H, Val);
+  }
+  return H;
+}
+
 DriveResult drive(const AllocatedProgram &Prog, chip::ChipParams CP,
                   uint64_t N, uint64_t Budget = 50'000) {
   CP.Budget = Budget;
@@ -123,25 +151,9 @@ DriveResult drive(const AllocatedProgram &Prog, chip::ChipParams CP,
   uint64_t Next = 0;
   DriveResult R;
   R.Stats = C.run(
-      [&](chip::ChipPacket &Out) {
-        if (Next == N)
-          return false;
-        Out = chip::ChipPacket();
-        Out.Seq = Next;
-        Out.Words = {static_cast<uint32_t>(0xC0DE0000u + Next)};
-        Out.Args = {0, 1};
-        Out.PtrArgMask = 0b11;
-        Out.PayloadBytes = 4;
-        ++Next;
-        return true;
-      },
+      packetSource(Next, N),
       [&](chip::RetiredPacket &&RP) { R.Retired.push_back(std::move(RP)); });
-  uint64_t H = 0xcbf29ce484222325ull;
-  for (const auto &[Addr, Val] : C.memory().Sdram) {
-    H = chip::traceFold(H, Addr);
-    H = chip::traceFold(H, Val);
-  }
-  R.ImageHash = H;
+  R.ImageHash = imageHash(C);
   return R;
 }
 
@@ -514,6 +526,85 @@ TEST(ChipFaultRun, ThreadedMatchesInterpUnderFaults) {
   EXPECT_EQ(B.Stats.Exec, chip::ExecModel::Threaded);
   EXPECT_TRUE(A.Stats.Recovery.anyInjected());
   expectSameRun(A, B);
+}
+
+namespace {
+
+/// Runs \p N packets, stops at the first retirement >= StopAt with a
+/// snapshot, restores it into a fresh chip (which must re-save the
+/// identical bytes), and finishes the stream there. The result splices
+/// the retirements of both halves.
+DriveResult driveThroughSnapshot(const AllocatedProgram &Prog,
+                                 const chip::ChipParams &CP, uint64_t N,
+                                 uint64_t StopAt) {
+  std::vector<const AllocatedProgram *> Progs(CP.MP.MeCount, &Prog);
+  DriveResult R;
+  auto Keep = [&](chip::RetiredPacket &&RP) {
+    R.Retired.push_back(std::move(RP));
+  };
+  std::string Snap;
+  uint64_t Next = 0, SnapNext = 0;
+  {
+    chip::Chip C(CP, Progs, sim::Memory{});
+    C.setRetireHook([&](uint64_t Retired, uint64_t) {
+      if (Retired < StopAt)
+        return false;
+      BinWriter W;
+      C.saveState(W);
+      Snap = W.take();
+      SnapNext = Next;
+      return true;
+    });
+    C.run(packetSource(Next, N), Keep);
+    EXPECT_TRUE(C.stopped());
+  }
+  chip::Chip C(CP, Progs, sim::Memory{});
+  BinReader Rd(Snap);
+  C.restoreState(Rd);
+  EXPECT_FALSE(Rd.failed());
+  EXPECT_EQ(Rd.remaining(), 0u);
+  BinWriter Again;
+  C.saveState(Again);
+  EXPECT_TRUE(Again.bytes() == Snap) << "re-save differs at " << StopAt;
+  Next = SnapNext;
+  R.Stats = C.run(packetSource(Next, N), Keep);
+  R.ImageHash = imageHash(C);
+  return R;
+}
+
+} // namespace
+
+TEST(ChipFaultRun, SnapshotsBeyondTheWheelHorizonResumeIdentically) {
+  // Backoffs, brownout windows, and ring-stall windows all longer than
+  // the event wheel's 4096-cycle horizon, so snapshots catch events in
+  // the overflow heap as well as in buckets. Every resumed run must
+  // match the uninterrupted one in both execution models.
+  AllocatedProgram Prog = heavyProgram(8);
+  chip::ChipParams CP = stormyParams();
+  CP.Faults = schedule("ctx-lockup@5~2,ring-stall@9~5000,chan-brownout@40~4");
+  CP.Sup.BackoffBase = 4500;
+  CP.Sup.BrownoutWindow = 6000;
+  for (chip::ExecModel Exec :
+       {chip::ExecModel::Interp, chip::ExecModel::Threaded}) {
+    CP.Exec = Exec;
+    DriveResult Ref = drive(Prog, CP, 64);
+    ASSERT_EQ(Ref.Retired.size(), 64u);
+    EXPECT_GT(Ref.Stats.Recovery.MaxBackoffCycles, 4096u);
+    EXPECT_GT(Ref.Stats.Recovery.BrownoutsInjected, 0u);
+    EXPECT_TRUE(Ref.Stats.Recovery.allAccounted());
+    for (uint64_t StopAt : {1u, 9u, 23u, 40u, 57u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (Exec == chip::ExecModel::Threaded ? "threaded"
+                                                         : "interp")
+                   << " stop at " << StopAt);
+      DriveResult Res = driveThroughSnapshot(Prog, CP, 64, StopAt);
+      expectSameRun(Ref, Res);
+      EXPECT_EQ(Ref.Stats.MeBusyCycles, Res.Stats.MeBusyCycles);
+      EXPECT_EQ(Ref.Stats.PacketsRetired, Res.Stats.PacketsRetired);
+      EXPECT_EQ(Ref.Stats.Sdram.StallCycles, Res.Stats.Sdram.StallCycles);
+      EXPECT_EQ(Ref.Stats.ReorderHighWater, Res.Stats.ReorderHighWater);
+    }
+  }
 }
 
 TEST(ChipFaultRun, FaultFreeRunsCarryNoSupervisorArtifacts) {

@@ -466,6 +466,34 @@ TEST(ChipRun, DoubleRunIsBitIdentical) {
   }
 }
 
+TEST(ChipRun, KernelCountersTallyEveryEvent) {
+  // Host-work counters: one TxPopDone per retired packet, no supervisor
+  // events without a fault schedule, no-op MeRun pops a subset of MeRun
+  // pops, and the same tallies on a double run.
+  chip::ChipParams CP;
+  CP.MP.MeCount = 3;
+  CP.MP.ContextsPerMe = 4;
+  AllocatedProgram Prog = heavyProgram(12);
+  DriveResult A = drive(Prog, CP, 60);
+  DriveResult B = drive(Prog, CP, 60);
+  auto Count = [&](chip::Ev K) {
+    return A.Stats.EventsByKind[static_cast<unsigned>(K)];
+  };
+  EXPECT_EQ(Count(chip::Ev::TxPopDone), 60u);
+  EXPECT_GE(Count(chip::Ev::RxStep), 60u);
+  EXPECT_GE(Count(chip::Ev::CtxResume), 60u * 12);
+  EXPECT_LE(A.Stats.NoopMeRuns, Count(chip::Ev::MeRun));
+  for (chip::Ev K : {chip::Ev::SupTick, chip::Ev::CtxRestart,
+                     chip::Ev::BrownoutEnd, chip::Ev::RingUnstall})
+    EXPECT_EQ(Count(K), 0u) << chip::evName(K);
+  uint64_t Sum = 0;
+  for (uint64_t V : A.Stats.EventsByKind)
+    Sum += V;
+  EXPECT_EQ(A.Stats.events(), Sum);
+  EXPECT_EQ(A.Stats.EventsByKind, B.Stats.EventsByKind);
+  EXPECT_EQ(A.Stats.NoopMeRuns, B.Stats.NoopMeRuns);
+}
+
 namespace {
 
 /// classify(in, out): read *in, branch on its low bit through two

@@ -94,9 +94,10 @@ static void usage() {
       "                      packets, pkt/s, last durable checkpoint\n"
       "  --kill-after <n>    crash harness: raise SIGKILL once n packets\n"
       "                      have retired (tests mid-run death)\n"
-      "  --stable-json       zero wall-clock fields in --json output so\n"
-      "                      resumed and uninterrupted runs compare\n"
-      "                      byte-for-byte\n");
+      "  --stable-json       zero wall-clock fields (and, with --chip,\n"
+      "                      the event-kernel work counters) in --json\n"
+      "                      output so resumed and uninterrupted runs\n"
+      "                      compare byte-for-byte\n");
 }
 
 namespace {
@@ -431,10 +432,8 @@ int main(int argc, char **argv) {
                      Rep.Setup.message().c_str());
         SetupError = true;
       }
-      if (StableJson) {
-        Rep.Base.WallSeconds = 0;
-        Rep.Base.TranslateSeconds = 0;
-      }
+      if (StableJson)
+        soak::stabilize(Rep);
       if (!Quiet)
         soak::printChipReport(Rep, stdout);
       if (Rep.Base.Divergences)
