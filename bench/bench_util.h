@@ -45,7 +45,8 @@ compileApp(const std::string &Name, bool Allocate = true,
 }
 
 /// One solver run for the machine-readable perf trajectory
-/// (BENCH_solver.json): what the paper's Figure 7 tabulates plus the
+/// (BENCH_fig7.json from fig7_solver, BENCH_solver.json from
+/// baseline_vs_ilp): what the paper's Figure 7 tabulates plus the
 /// parallel-search counters.
 struct SolverRun {
   std::string Program;

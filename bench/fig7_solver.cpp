@@ -14,7 +14,7 @@
 // The integer solve additionally runs at --mip-threads workers (default 4)
 // next to the serial baseline, reporting the wall-clock speedup of the
 // parallel branch & bound and emitting every run into a machine-readable
-// BENCH_solver.json for the perf trajectory. Note the available
+// BENCH_fig7.json for the perf trajectory. Note the available
 // parallelism: the tree search parallelizes, the root LP does not, so
 // programs whose solve is root-dominated (AES, Kasumi solve in ~1 node)
 // see speedup only on the tree share (NAT is the tree-heavy model).
@@ -36,7 +36,7 @@ using namespace nova;
 int main(int argc, char **argv) {
   unsigned Threads = 4;
   bool Compare = true;
-  const char *JsonPath = "BENCH_solver.json";
+  const char *JsonPath = "BENCH_fig7.json";
   const char *Only = nullptr;
   double ExpectRoot = 0.0;
   bool HaveExpectRoot = false;

@@ -217,6 +217,14 @@ echo "== perfbench chip-nat correctness gate (seed 7, 5 s) =="
 (cd "$ROOT" && CARGO_TARGET_DIR="$BUILD/bench" timeout 900 \
   python3 perfbench/run.py --workload chip-nat --seed 7 --seconds 5 --trace 0)
 
+# Compile-side gate at the same held-out seed: AES, Kasumi and NAT from
+# source to verified allocated code, then seeded packets through the
+# three-way oracle. It locks the objectives, ILP sizes and instruction
+# counts of freshly compiled code; any drift exits nonzero.
+echo "== perfbench compile correctness gate (seed 7, 5 s) =="
+(cd "$ROOT" && CARGO_TARGET_DIR="$BUILD/bench" timeout 900 \
+  python3 perfbench/run.py --workload compile --seed 7 --seconds 5 --trace 0)
+
 # ASan+UBSan pass over the degradation ladder and the support layer: the
 # fault-injection paths (LU repair, refactorize-on-drift, incumbent
 # salvage, baseline fallback) are exactly where stale pointers and
@@ -229,9 +237,13 @@ cmake -B "$SAN_BUILD" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
 cmake --build "$SAN_BUILD" -j"$JOBS" --target degradation_test support_test \
-  chip_fault_test event_queue_test
+  chip_fault_test event_queue_test alloc_test
 timeout 900 "$SAN_BUILD/tests/degradation_test"
 timeout 120 "$SAN_BUILD/tests/support_test"
+# Register assignment buckets stays by residency key and walks adjacency
+# lists: index arithmetic that must stay in bounds on every program. The
+# leak checker also covers the CPS oracle's closure frames here.
+timeout 900 "$SAN_BUILD/tests/alloc_test"
 # The event wheel's bucket lists, free list, and overflow migration are
 # index arithmetic over pooled nodes: out-of-bounds or stale-node reuse
 # shows up here first.

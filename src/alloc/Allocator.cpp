@@ -47,34 +47,13 @@ public:
       : M(M), Points(Points), Model(Model), Banks(Banks), X(X) {}
 
   bool run(std::string &Error) {
-    // Optimistic coalescing with undo: identity-move joins are coalesced
-    // first; if coloring gets stuck, the failing stay is split back at
-    // its joins and an extra register-register copy is emitted there
-    // (the paper keeps an A register free for exactly this, Section 6).
-    for (unsigned Attempt = 0; Attempt != 64; ++Attempt) {
-      reset();
-      collectSlots();
-      uniteIdentityMoves();
-      uniteCloneStarts();
-      applyPrecolors();
-      buildAffinities();
-      Temp FailedTemp = ~0u;
-      if (color(Error, FailedTemp))
-        return true;
-      if (FailedTemp == ~0u)
-        return false; // precolor conflict: nothing to split
-      // Split every identity join of the failing temp and retry.
-      bool AnySplit = false;
-      for (auto &[Key, IsSplit] : SplitCandidates)
-        if (Key.second == FailedTemp && !IsSplit) {
-          IsSplit = true;
-          AnySplit = true;
-        }
-      if (!AnySplit)
-        return false; // already fully split: genuine failure
-    }
-    return false;
+    Timer Clock;
+    bool Ok = colorWithSplits(Error);
+    Stats.Seconds = Clock.seconds();
+    return Ok;
   }
+
+  const RegAssignStats &stats() const { return Stats; }
 
   /// Identity moves turned into real copies by coalescing undo; the
   /// extractor emits a same-bank Move there.
@@ -93,21 +72,54 @@ public:
     uint32_t C = Model.segmentOf(P, V, AfterSide);
     auto It = VertexOfClass.find(C);
     assert(It != VertexOfClass.end() && "no stay for this residency");
-    auto RegIt = Reg.find(findRoot(It->second));
-    assert(RegIt != Reg.end() && "stay was not colored");
+    uint16_t R = Reg[findRoot(It->second)];
+    assert(R != NoReg && "stay was not colored");
     (void)B;
-    return RegIt->second;
+    return R;
   }
 
 private:
+  static constexpr uint16_t NoReg = 0xFFFF;
+
   struct Vertex {
     Bank B = Bank::A;
     Temp AnyTemp = 0;
     Temp CloneRep = 0;
-    std::set<uint32_t> Residency; ///< (point << 1) | side
-    uint32_t First = ~0u;
     int Precolor = -1;
   };
+
+  bool colorWithSplits(std::string &Error) {
+    // Optimistic coalescing with undo: identity-move joins are coalesced
+    // first; if coloring gets stuck, the failing stay is split back at
+    // its joins and an extra register-register copy is emitted there
+    // (the paper keeps an A register free for exactly this, Section 6).
+    for (unsigned Attempt = 0; Attempt != 64; ++Attempt) {
+      ++Stats.Attempts;
+      reset();
+      collectSlots();
+      uniteIdentityMoves();
+      uniteCloneStarts();
+      applyPrecolors();
+      buildAffinities();
+      buildInterference();
+      Temp FailedTemp = ~0u;
+      if (color(Error, FailedTemp))
+        return true;
+      if (FailedTemp == ~0u)
+        return false; // precolor conflict: nothing to split
+      // Split every identity join of the failing temp and retry.
+      bool AnySplit = false;
+      for (auto &[Key, IsSplit] : SplitCandidates)
+        if (Key.second == FailedTemp && !IsSplit) {
+          IsSplit = true;
+          AnySplit = true;
+          ++Stats.Splits;
+        }
+      if (!AnySplit)
+        return false; // already fully split: genuine failure
+    }
+    return false;
+  }
 
   uint32_t vertexOf(uint32_t Class, Temp V, Bank B) {
     auto It = VertexOfClass.find(Class);
@@ -136,9 +148,6 @@ private:
     if (A == B)
       return;
     Parent[B] = A;
-    Vertices[A].Residency.insert(Vertices[B].Residency.begin(),
-                                 Vertices[B].Residency.end());
-    Vertices[A].First = std::min(Vertices[A].First, Vertices[B].First);
     if (Vertices[A].Precolor < 0)
       Vertices[A].Precolor = Vertices[B].Precolor;
   }
@@ -151,11 +160,7 @@ private:
           if (B == Bank::M || B == Bank::C)
             continue;
           uint32_t C = Model.segmentOf(P, V, Side != 0);
-          uint32_t Id = vertexOf(C, V, B);
-          uint32_t Root = findRoot(Id);
-          Vertices[Root].Residency.insert((P << 1) | Side);
-          Vertices[Root].First =
-              std::min(Vertices[Root].First, (P << 1) | Side);
+          Slots.emplace_back(vertexOf(C, V, B), (P << 1) | Side);
         }
   }
 
@@ -163,8 +168,10 @@ private:
     VertexOfClass.clear();
     Parent.clear();
     Vertices.clear();
+    Slots.clear();
     Reg.clear();
     Affinities.clear();
+    Adj.clear();
   }
 
   void uniteIdentityMoves() {
@@ -259,23 +266,45 @@ private:
       }
   }
 
-  static bool overlaps(const std::set<uint32_t> &A,
-                       const std::set<uint32_t> &B) {
-    const std::set<uint32_t> &Small = A.size() < B.size() ? A : B;
-    const std::set<uint32_t> &Big = &Small == &A ? B : A;
-    for (uint32_t S : Small)
-      if (Big.count(S))
-        return true;
-    return false;
-  }
+  /// Builds the interference graph over root stays. Two stays interfere
+  /// iff they share a residency key (point << 1 | side), sit in the same
+  /// bank, and do not hold one clone set's value (sharing is legal then).
+  void buildInterference() {
+    // One (stay, key) slot per key a root stay occupies, grouped by stay.
+    for (auto &[Id, Key] : Slots)
+      Id = findRoot(Id);
+    std::sort(Slots.begin(), Slots.end());
+    Slots.erase(std::unique(Slots.begin(), Slots.end()), Slots.end());
 
-  bool conflicts(const Vertex &V1, const Vertex &V2) const {
-    if (V1.B != V2.B)
-      return false;
-    // Clone-set members hold the same value; sharing is always legal.
-    if (V1.CloneRep == V2.CloneRep)
-      return false;
-    return overlaps(V1.Residency, V2.Residency);
+    // Stays resident at each key, in root order.
+    std::vector<uint32_t> Begin(2 * Points.numPoints() + 1, 0);
+    for (auto &[Id, Key] : Slots)
+      ++Begin[Key + 1];
+    for (size_t K = 1; K != Begin.size(); ++K)
+      Begin[K] += Begin[K - 1];
+    std::vector<uint32_t> StaysAt(Slots.size());
+    std::vector<uint32_t> Fill(Begin.begin(), Begin.end() - 1);
+    for (auto &[Id, Key] : Slots)
+      StaysAt[Fill[Key]++] = Id;
+
+    // Slots arrive grouped by stay U, so Seen[V] == U means the pair
+    // (U, V) was already tested: every edge is emitted once.
+    Adj.assign(Vertices.size(), {});
+    Stats.Edges = 0;
+    std::vector<uint32_t> Seen(Vertices.size(), ~0u);
+    for (auto &[U, Key] : Slots)
+      for (uint32_t I = Begin[Key]; I != Begin[Key + 1]; ++I) {
+        uint32_t V = StaysAt[I];
+        if (V <= U || Seen[V] == U)
+          continue;
+        Seen[V] = U;
+        if (Vertices[U].B != Vertices[V].B ||
+            Vertices[U].CloneRep == Vertices[V].CloneRep)
+          continue;
+        Adj[U].push_back(V);
+        Adj[V].push_back(U);
+        ++Stats.Edges;
+      }
   }
 
   bool color(std::string &Error, Temp &FailedTemp) {
@@ -283,6 +312,8 @@ private:
     for (uint32_t Id = 0; Id != Vertices.size(); ++Id)
       if (findRoot(Id) == Id)
         Roots.push_back(Id);
+    Stats.Stays = Roots.size();
+    Reg.assign(Vertices.size(), NoReg);
 
     // A has 16 physical registers; the ILP's K row admits only 15
     // simultaneous residents, so the 16th register is the slack the
@@ -294,16 +325,14 @@ private:
     };
     auto TryAssign = [&](uint32_t Id) -> bool {
       Vertex &Vx = Vertices[Id];
-      std::set<uint16_t> Used;
-      for (uint32_t Other : Roots) {
-        if (Other == Id)
-          continue;
-        auto It = Reg.find(Other);
-        if (It != Reg.end() && conflicts(Vx, Vertices[Other]))
-          Used.insert(It->second);
-      }
+      uint16_t Used = 0; // bit R: a colored neighbour holds register R
+      for (uint32_t Other : Adj[Id])
+        if (Reg[Other] != NoReg)
+          Used |= static_cast<uint16_t>(1u << Reg[Other]);
+      auto IsUsed = [&](uint16_t R) { return (Used >> R) & 1u; };
       if (Vx.Precolor >= 0) {
-        if (Used.count(static_cast<uint16_t>(Vx.Precolor))) {
+        assert(Vx.Precolor < 16 && "precolor outside the register file");
+        if (IsUsed(static_cast<uint16_t>(Vx.Precolor))) {
           Error = formatf("register assignment: precolored %s%d of %s "
                           "conflicts",
                           bankName(Vx.B), Vx.Precolor,
@@ -320,14 +349,13 @@ private:
                                               : ~0u;
         if (Other == ~0u || Vertices[Other].B != Vx.B)
           continue;
-        auto It = Reg.find(Other);
-        if (It != Reg.end() && !Used.count(It->second)) {
-          Reg[Id] = It->second;
+        if (Reg[Other] != NoReg && !IsUsed(Reg[Other])) {
+          Reg[Id] = Reg[Other];
           return true;
         }
       }
       for (uint16_t R = 0; R != Capacity(Vx.B); ++R)
-        if (!Used.count(R)) {
+        if (!IsUsed(R)) {
           Reg[Id] = R;
           return true;
         }
@@ -355,24 +383,25 @@ private:
     // Chaitin-Briggs simplify: peel vertices whose degree among the
     // still-unpeeled is below the bank capacity; when none qualifies,
     // peel the max-degree vertex optimistically. Select in reverse.
-    std::vector<bool> Peeled(Vertices.size(), false);
-    auto Degree = [&](uint32_t Id) {
-      unsigned D = 0;
-      for (uint32_t Other : Work)
-        if (Other != Id && !Peeled[Other] &&
-            conflicts(Vertices[Id], Vertices[Other]))
-          ++D;
-      return D;
-    };
+    // Degree[V] counts V's unpeeled Work neighbours and drops as they
+    // peel. The pick is the minimum degree below capacity, else the
+    // maximum degree; ties go to the first vertex in root order.
+    std::vector<uint8_t> Unpeeled(Vertices.size(), 0);
+    for (uint32_t Id : Work)
+      Unpeeled[Id] = 1;
+    std::vector<unsigned> Degree(Vertices.size(), 0);
+    for (uint32_t Id : Work)
+      for (uint32_t Other : Adj[Id])
+        Degree[Id] += Unpeeled[Other];
     std::vector<uint32_t> Stack;
     unsigned Remaining = Work.size();
     while (Remaining) {
       int Pick = -1;
       unsigned PickDeg = ~0u;
       for (uint32_t Id : Work) {
-        if (Peeled[Id])
+        if (!Unpeeled[Id])
           continue;
-        unsigned D = Degree(Id);
+        unsigned D = Degree[Id];
         if (D < Capacity(Vertices[Id].B) && D < PickDeg) {
           Pick = static_cast<int>(Id);
           PickDeg = D;
@@ -383,16 +412,18 @@ private:
         // remains at select time (Park-Moon style optimism).
         unsigned Best = 0;
         for (uint32_t Id : Work) {
-          if (Peeled[Id])
+          if (!Unpeeled[Id])
             continue;
-          unsigned D = Degree(Id);
+          unsigned D = Degree[Id];
           if (Pick < 0 || D > Best) {
             Pick = static_cast<int>(Id);
             Best = D;
           }
         }
       }
-      Peeled[Pick] = true;
+      Unpeeled[Pick] = 0;
+      for (uint32_t Other : Adj[Pick])
+        Degree[Other] -= Unpeeled[Other];
       Stack.push_back(static_cast<uint32_t>(Pick));
       --Remaining;
     }
@@ -406,6 +437,7 @@ private:
 
   Temp LastFailedTemp = ~0u;
   std::map<std::pair<PointId, Temp>, bool> SplitCandidates;
+  RegAssignStats Stats;
 
   const MachineProgram &M;
   const PointMap &Points;
@@ -416,7 +448,11 @@ private:
   std::map<uint32_t, uint32_t> VertexOfClass;
   mutable std::vector<uint32_t> Parent;
   std::vector<Vertex> Vertices;
-  std::map<uint32_t, uint16_t> Reg;
+  /// (vertex, residency key) per register-bank residency; the key is
+  /// (point << 1) | side.
+  std::vector<std::pair<uint32_t, uint32_t>> Slots;
+  std::vector<std::vector<uint32_t>> Adj; ///< interference, root stays
+  std::vector<uint16_t> Reg;              ///< per root stay, or NoReg
   std::vector<std::pair<uint32_t, uint32_t>> Affinities;
 };
 
@@ -433,6 +469,8 @@ public:
         Opts(std::move(Opts)), Regs(M, Points, Model, Banks, X) {}
 
   bool run(AllocatedProgram &Out, std::string &Error);
+
+  const RegAssignStats &regAssignStats() const { return Regs.stats(); }
 
 private:
   const MachineProgram &M;
@@ -904,7 +942,9 @@ AllocationResult alloc::allocate(const MachineProgram &M,
     }());
     std::string Error;
     AllocatedProgram Prog;
-    if (!Ext.run(Prog, Error)) {
+    bool Extracted = Ext.run(Prog, Error);
+    R.Stats.RegAssign = Ext.regAssignStats();
+    if (!Extracted) {
       R.Error = Status::error(StatusCode::ExtractFailed, Phase::Extract,
                               "extraction failed: " + Error);
       return Attempt::Structural;

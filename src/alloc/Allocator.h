@@ -67,6 +67,16 @@ struct AllocOptions {
   OnIlpFailure FailurePolicy = OnIlpFailure::Incumbent;
 };
 
+/// Post-ILP register assignment: Chaitin-Briggs coloring of the stays
+/// (register-resident value regions) inside each bank.
+struct RegAssignStats {
+  unsigned Stays = 0;    ///< coloring vertices of the last attempt
+  unsigned Edges = 0;    ///< interference edges of the last attempt
+  unsigned Attempts = 0; ///< colorings tried, coalescing-undo retries included
+  unsigned Splits = 0;   ///< identity-move joins split back into copies
+  double Seconds = 0.0;  ///< wall time over all attempts
+};
+
 /// Everything the paper's Figures 6 and 7 report, per program, plus the
 /// degradation-ladder outcome.
 struct AllocStats {
@@ -77,6 +87,7 @@ struct AllocStats {
   unsigned Moves = 0;
   unsigned Spills = 0;
   bool UsedSpillModel = false;
+  RegAssignStats RegAssign;
   /// Ladder rung that produced the accepted program (meaningful when the
   /// allocation succeeded).
   AllocRung Rung = AllocRung::Optimal;

@@ -21,6 +21,8 @@
 #include "support/StringUtils.h"
 
 #include <memory>
+#include <optional>
+#include <set>
 
 using namespace nova;
 using namespace nova::cps;
@@ -38,9 +40,11 @@ struct Value {
 };
 
 /// One environment frame; chains to the lexical parent.
-struct Frame {
+struct Frame : std::enable_shared_from_this<Frame> {
   std::map<ValueId, Value> Vals;
-  std::map<FuncId, Value> Funcs; ///< closures created by a Fix here
+  /// Functions a Fix bound here. Their closures capture this frame and
+  /// are built on lookup: a stored closure would keep its own frame alive.
+  std::set<FuncId> Funcs;
   FrameRef Parent;
 };
 
@@ -53,13 +57,11 @@ const Value *lookupValue(const FrameRef &Env, ValueId Id) {
   return nullptr;
 }
 
-const Value *lookupClosure(const FrameRef &Env, FuncId Id) {
-  for (const Frame *F = Env.get(); F; F = F->Parent.get()) {
-    auto It = F->Funcs.find(Id);
-    if (It != F->Funcs.end())
-      return &It->second;
-  }
-  return nullptr;
+std::optional<Value> lookupClosure(const FrameRef &Env, FuncId Id) {
+  for (Frame *F = Env.get(); F; F = F->Parent.get())
+    if (F->Funcs.count(Id))
+      return Value{0, Id, F->shared_from_this()};
+  return std::nullopt;
 }
 
 struct Machine {
@@ -81,7 +83,7 @@ struct Machine {
     case Atom::Kind::Const:
       return {A.Value, NoFunc, nullptr};
     case Atom::Kind::Label: {
-      if (const Value *C = lookupClosure(Env, A.Func))
+      if (std::optional<Value> C = lookupClosure(Env, A.Func))
         return *C;
       // Top-level functions are closed.
       return {0, A.Func, nullptr};
@@ -184,8 +186,7 @@ struct Machine {
         // recursion within one Fix).
         FrameRef Fresh = std::make_shared<Frame>();
         Fresh->Parent = Env;
-        for (FuncId F : E->FixFuncs)
-          Fresh->Funcs[F] = {0, F, Fresh};
+        Fresh->Funcs.insert(E->FixFuncs.begin(), E->FixFuncs.end());
         Env = Fresh;
         E = E->Cont;
         break;

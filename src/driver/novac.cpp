@@ -143,7 +143,9 @@ void writeStatsJson(const char *Path, const char *File,
                "  \"spills\": %u,\n"
                "  \"ilp\": {\"vars\": %u, \"cons\": %u, \"objterms\": %u},\n"
                "  \"solve\": {\"nodes\": %u, \"total_s\": %.3f, "
-               "\"root_lp_s\": %.3f, \"threads\": %u}\n"
+               "\"root_lp_s\": %.3f, \"threads\": %u},\n"
+               "  \"regassign\": {\"stays\": %u, \"edges\": %u, "
+               "\"attempts\": %u, \"splits\": %u, \"seconds\": %.4f}\n"
                "}\n",
                File, A.Ok ? "true" : "false", alloc::rungName(S.Rung),
                S.ProvedOptimal ? "true" : "false", S.LadderAttempts,
@@ -151,7 +153,8 @@ void writeStatsJson(const char *Path, const char *File,
                S.Objective, S.Moves, S.Spills, S.IlpSize.NumVariables,
                S.IlpSize.NumConstraints, S.IlpSize.NumObjectiveTerms,
                S.Solve.Nodes, S.Solve.TotalSeconds, S.Solve.RootLpSeconds,
-               S.Solve.Threads);
+               S.Solve.Threads, S.RegAssign.Stays, S.RegAssign.Edges,
+               S.RegAssign.Attempts, S.RegAssign.Splits, S.RegAssign.Seconds);
   std::fclose(F);
 }
 
@@ -281,6 +284,10 @@ int main(int argc, char **argv) {
                   "rejected-violations=%u\n",
                   alloc::rungName(A.Rung), A.ProvedOptimal ? "yes" : "no",
                   A.LadderAttempts, A.VerifierViolations);
+      std::printf("regassign: stays=%u edges=%u attempts=%u splits=%u "
+                  "time=%.4fs\n",
+                  A.RegAssign.Stays, A.RegAssign.Edges, A.RegAssign.Attempts,
+                  A.RegAssign.Splits, A.RegAssign.Seconds);
     }
   }
   return 0;

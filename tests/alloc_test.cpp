@@ -372,6 +372,42 @@ TEST_P(AllocRandom, AllocatedCodeMatchesOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AllocRandom, ::testing::Range(0, 25));
 
+// A random program in the AllocRandom style (found by a seeded scan) whose
+// first register assignment runs out of L registers: single-word reads
+// stay in L across precolored aggregate positions. Splitting the failing
+// temp's identity joins back into copies lets the second attempt color.
+TEST(Allocator, SplitAndRetryRepairsColoring) {
+  const char *Src = R"(fun main(a : word, b : word) {
+  sram(400) <- (a, a, b);
+  let t1 = a + b;
+  let (r2_0) = sram(0);
+  let (r3_0) = sram(1);
+  let t4 = a | a;
+  sram(404) <- (b);
+  sram(406) <- (t4);
+  let (r7_0, r7_1, r7_2, r7_3) = sram(2);
+  let (r8_0, r8_1) = sram(6);
+  let (r9_0) = sram(8);
+  sram(408) <- (r2_0, b);
+  let (r11_0) = sram(9);
+  let (r12_0) = sram(10);
+  sram(411) <- (b, r7_3);
+  r9_0 ^ r3_0 ^ r7_1 ^ r7_3 ^ t1 ^ t4 ^ r7_2 ^ r12_0 ^ r11_0 ^ r2_0 ^
+    r8_1 ^ a ^ r8_0 ^ b ^ r7_0
+}
+)";
+  Rng R(2025);
+  cps::EvalMemory Mem;
+  for (uint32_t I = 0; I != 16; ++I)
+    Mem.Sram[I] = static_cast<uint32_t>(R.next());
+  auto C = compileAndCheck(Src, {0x12345678u, 0x9ABCDEF0u}, Mem);
+  ASSERT_TRUE(C->Ok) << C->ErrorText;
+  const RegAssignStats &S = C->Alloc.Stats.RegAssign;
+  EXPECT_GE(S.Attempts, 2u);
+  EXPECT_GT(S.Splits, 0u);
+  EXPECT_EQ(C->Alloc.Stats.Spills, 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Memory-home baseline allocator
 //===----------------------------------------------------------------------===//

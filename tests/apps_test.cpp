@@ -18,6 +18,7 @@
 #include "ref/Checksum.h"
 #include "ref/Kasumi.h"
 #include "sim/Simulator.h"
+#include "support/BinIO.h"
 
 #include <gtest/gtest.h>
 
@@ -25,16 +26,22 @@ using namespace nova;
 
 namespace {
 
-/// Compiles an app once and caches the result for all tests in the file.
+/// Compiles an app once per model and caches the result for all tests in
+/// the file.
 driver::CompileResult &compiledApp(const std::string &Name,
-                                   const std::string &Source) {
-  static std::map<std::string, std::unique_ptr<driver::CompileResult>>
+                                   const std::string &Source,
+                                   bool SpillModel = false) {
+  static std::map<std::pair<std::string, bool>,
+                  std::unique_ptr<driver::CompileResult>>
       Cache;
-  auto It = Cache.find(Name);
+  auto It = Cache.find({Name, SpillModel});
   if (It == Cache.end()) {
     driver::CompileOptions Opts;
     Opts.Alloc.Mip.TimeLimitSeconds = 600.0;
-    It = Cache.emplace(Name, driver::compileNova(Source, Name, Opts))
+    Opts.Alloc.ForceSpillModel = SpillModel;
+    It = Cache
+             .emplace(std::make_pair(Name, SpillModel),
+                      driver::compileNova(Source, Name, Opts))
              .first;
   }
   return *It->second;
@@ -355,4 +362,51 @@ TEST(AppStats, ShapeMatchesPaper) {
   EXPECT_EQ(Aes.Alloc.Stats.Spills, 0u);
   EXPECT_EQ(Kasumi.Alloc.Stats.Spills, 0u);
   EXPECT_EQ(Nat.Alloc.Stats.Spills, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Pinned allocated code
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+uint64_t printedHash(const driver::CompileResult &App) {
+  std::string Text = App.Alloc.Prog.print();
+  return fnv1a64(Text.data(), Text.size());
+}
+
+} // namespace
+
+// Objective, move counts and instruction counts do not see register
+// numbers, so only the printed code pins what register assignment chose.
+// These hashes (FNV-1a-64 of AllocatedProgram::print() at one MIP
+// thread) equal `novac --mip-threads 1 --dump-alloc [--spill-model]`.
+TEST(AppAlloc, PrintedCodeIsPinned) {
+  driver::CompileResult &AesSpill =
+      compiledApp("aes.nova", apps::aesNovaSource(), /*SpillModel=*/true);
+  driver::CompileResult &KasumiSpill = compiledApp(
+      "kasumi.nova", apps::kasumiNovaSource(), /*SpillModel=*/true);
+  driver::CompileResult &NatSpill =
+      compiledApp("nat.nova", apps::natNovaSource(), /*SpillModel=*/true);
+  ASSERT_EQ(aesApp().Alloc.Stats.Solve.Threads, 1u);
+  ASSERT_EQ(AesSpill.Alloc.Stats.Solve.Threads, 1u);
+  EXPECT_EQ(printedHash(aesApp()), 0xa92371e2ffd15974ull);
+  EXPECT_EQ(printedHash(kasumiApp()), 0xbb253d567b25a730ull);
+  EXPECT_EQ(printedHash(natApp()), 0x3d41c3e4c082ef2full);
+  EXPECT_EQ(printedHash(AesSpill), 0xc784d1e486f23584ull);
+  EXPECT_EQ(printedHash(KasumiSpill), 0x6b3de0c42b289964ull);
+  EXPECT_EQ(printedHash(NatSpill), 0xe58068850e4b8db5ull);
+}
+
+// Every app colors on the first attempt: no coalescing-undo split is
+// needed. About 326 / 314 / 118 stays for AES / Kasumi / NAT.
+TEST(AppAlloc, RegAssignColorsFirstTry) {
+  for (driver::CompileResult *App : {&aesApp(), &kasumiApp(), &natApp()}) {
+    ASSERT_TRUE(App->Ok) << App->ErrorText;
+    const alloc::RegAssignStats &S = App->Alloc.Stats.RegAssign;
+    EXPECT_EQ(S.Attempts, 1u);
+    EXPECT_EQ(S.Splits, 0u);
+    EXPECT_GT(S.Stays, 0u);
+    EXPECT_GT(S.Edges, 0u);
+  }
 }
