@@ -63,11 +63,12 @@ struct SolverRun {
   unsigned Moves = 0;
   unsigned Spills = 0;
   // LP-engine counters (sparse LU basis): how often the factors were
-  // rebuilt, how many pivots the eta files absorbed, and how many full
-  // reduced-cost recomputations ran.
+  // rebuilt, how many pivots the eta files absorbed, how many full
+  // reduced-cost recomputations ran, and the wall time of the rebuilds.
   unsigned Factorizations = 0;
   unsigned EtaPivots = 0;
   unsigned PricingPasses = 0;
+  double FactorSeconds = 0.0;
 };
 
 inline SolverRun solverRunFrom(const std::string &Program,
@@ -90,6 +91,7 @@ inline SolverRun solverRunFrom(const std::string &Program,
   R.Factorizations = S.Solve.Factorizations;
   R.EtaPivots = S.Solve.EtaPivots;
   R.PricingPasses = S.Solve.PricingPasses;
+  R.FactorSeconds = S.Solve.FactorSeconds;
   return R;
 }
 
@@ -113,11 +115,11 @@ inline bool writeSolverJson(const std::string &Path,
         "\"cpu_seconds\": %.6f, \"objective\": %.9g, "
         "\"root_objective\": %.9g, \"moves\": %u, \"spills\": %u, "
         "\"factorizations\": %u, \"eta_pivots\": %u, "
-        "\"pricing_passes\": %u}%s\n",
+        "\"pricing_passes\": %u, \"factor_s\": %.6f}%s\n",
         R.Program.c_str(), R.Threads, R.Deterministic ? "true" : "false",
         R.Nodes, R.LpIterations, R.Steals, R.RootSeconds, R.TotalSeconds,
         R.CpuSeconds, R.Objective, R.RootObjective, R.Moves, R.Spills,
-        R.Factorizations, R.EtaPivots, R.PricingPasses,
+        R.Factorizations, R.EtaPivots, R.PricingPasses, R.FactorSeconds,
         I + 1 == Runs.size() ? "" : ",");
   }
   std::fprintf(F, "]\n");

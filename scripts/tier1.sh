@@ -237,9 +237,15 @@ cmake -B "$SAN_BUILD" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
 cmake --build "$SAN_BUILD" -j"$JOBS" --target degradation_test support_test \
-  chip_fault_test event_queue_test alloc_test
+  chip_fault_test event_queue_test alloc_test ilp_simplex_test ilp_mip_test
 timeout 900 "$SAN_BUILD/tests/degradation_test"
 timeout 120 "$SAN_BUILD/tests/support_test"
+# The LU keeps its active-submatrix workspace across rebuilds, finds
+# pivot-row entries through position hints, and walks step bitmaps and
+# the L-step list in the solves: index arithmetic that must stay in
+# bounds through re-setups, singular bases and cloned B&B workers.
+timeout 300 "$SAN_BUILD/tests/ilp_simplex_test"
+timeout 600 "$SAN_BUILD/tests/ilp_mip_test"
 # Register assignment buckets stays by residency key and walks adjacency
 # lists: index arithmetic that must stay in bounds on every program. The
 # leak checker also covers the CPS oracle's closure frames here.

@@ -143,7 +143,9 @@ void writeStatsJson(const char *Path, const char *File,
                "  \"spills\": %u,\n"
                "  \"ilp\": {\"vars\": %u, \"cons\": %u, \"objterms\": %u},\n"
                "  \"solve\": {\"nodes\": %u, \"total_s\": %.3f, "
-               "\"root_lp_s\": %.3f, \"threads\": %u},\n"
+               "\"root_lp_s\": %.3f, \"threads\": %u, \"lp_iters\": %u, "
+               "\"factorizations\": %u, \"eta_pivots\": %u, "
+               "\"factor_s\": %.3f},\n"
                "  \"regassign\": {\"stays\": %u, \"edges\": %u, "
                "\"attempts\": %u, \"splits\": %u, \"seconds\": %.4f}\n"
                "}\n",
@@ -153,8 +155,10 @@ void writeStatsJson(const char *Path, const char *File,
                S.Objective, S.Moves, S.Spills, S.IlpSize.NumVariables,
                S.IlpSize.NumConstraints, S.IlpSize.NumObjectiveTerms,
                S.Solve.Nodes, S.Solve.TotalSeconds, S.Solve.RootLpSeconds,
-               S.Solve.Threads, S.RegAssign.Stays, S.RegAssign.Edges,
-               S.RegAssign.Attempts, S.RegAssign.Splits, S.RegAssign.Seconds);
+               S.Solve.Threads, S.Solve.LpIterations, S.Solve.Factorizations,
+               S.Solve.EtaPivots, S.Solve.FactorSeconds, S.RegAssign.Stays,
+               S.RegAssign.Edges, S.RegAssign.Attempts, S.RegAssign.Splits,
+               S.RegAssign.Seconds);
   std::fclose(F);
 }
 
@@ -280,6 +284,11 @@ int main(int argc, char **argv) {
                   A.IlpSize.NumObjectiveTerms, A.Solve.RootLpSeconds,
                   A.Solve.TotalSeconds, A.Solve.CpuSeconds, A.Solve.Nodes,
                   A.Solve.Threads, A.Solve.Steals, A.Moves, A.Spills);
+      std::printf("lp: iters=%u factorizations=%u eta-pivots=%u "
+                  "pricing-passes=%u factor=%.2fs\n",
+                  A.Solve.LpIterations, A.Solve.Factorizations,
+                  A.Solve.EtaPivots, A.Solve.PricingPasses,
+                  A.Solve.FactorSeconds);
       std::printf("ladder: rung=%s proved-optimal=%s attempts=%u "
                   "rejected-violations=%u\n",
                   alloc::rungName(A.Rung), A.ProvedOptimal ? "yes" : "no",

@@ -8,8 +8,10 @@
 #include "ilp/Basis.h"
 
 #include "support/FaultInjection.h"
+#include "support/Timer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -30,6 +32,10 @@ constexpr double DropTol = 1e-12;
 constexpr unsigned SearchLimit = 4;
 /// Refactorize after this many eta pivots regardless of their size.
 constexpr unsigned MaxEtas = 64;
+
+void markStep(std::vector<uint64_t> &Bits, uint32_t K) {
+  Bits[K >> 6] |= uint64_t(1) << (K & 63);
+}
 } // namespace
 
 void Basis::setup(unsigned Dim) {
@@ -40,16 +46,40 @@ void Basis::setup(unsigned Dim) {
   EtaEnt.clear();
 }
 
+void Basis::Workspace::reset(unsigned M) {
+  ACol.resize(M);
+  for (std::vector<ColEnt> &Col : ACol)
+    Col.clear();
+  RowCols.resize(M);
+  for (std::vector<RowRef> &Row : RowCols)
+    Row.clear();
+  Buckets.resize(M + 1);
+  for (std::vector<uint32_t> &Bk : Buckets)
+    Bk.clear();
+  RCount.assign(M, 0);
+  CCount.assign(M, 0);
+  RowDone.assign(M, 0);
+  ColDone.assign(M, 0);
+  Where.assign(M, -1);
+}
+
 std::vector<std::pair<uint32_t, uint32_t>>
 Basis::factorize(const std::vector<std::vector<Term>> &Cols,
                  const std::vector<uint32_t> &Basic) {
   assert(Basic.size() == M && "basis size mismatch");
+  struct ChargeSeconds {
+    double &Total;
+    Timer Clock;
+    ~ChargeSeconds() { Total += Clock.seconds(); }
+  } Charge{Stats.FactorSeconds, {}};
+
   Valid = false;
   PivRow.clear();
   PivCol.clear();
   UDiag.clear();
   LStart.assign(1, 0);
   LEnt.clear();
+  LSteps.clear();
   URowStart.assign(1, 0);
   URowEnt.clear();
   UColStart.clear();
@@ -57,20 +87,29 @@ Basis::factorize(const std::vector<std::vector<Term>> &Cols,
   EtaHdr.clear();
   EtaEnt.clear();
 
-  // Active submatrix, column-wise with exact live counts. RowCols is a
-  // superset pattern: cancelled entries are removed lazily (a stale slot is
-  // detected by the missing entry in ACol).
-  std::vector<std::vector<Ent>> ACol(M);
-  std::vector<std::vector<uint32_t>> RowCols(M);
-  std::vector<uint32_t> RCount(M, 0), CCount(M, 0);
-  std::vector<uint8_t> RowDone(M, 0), ColDone(M, 0);
+  Work.reset(M);
+  auto &ACol = Work.ACol;
+  auto &RowCols = Work.RowCols;
+  auto &Buckets = Work.Buckets;
+  auto &RCount = Work.RCount, &CCount = Work.CCount;
+  auto &RowDone = Work.RowDone, &ColDone = Work.ColDone;
+  auto &Where = Work.Where;
+  auto &Touched = Work.Touched;
+
   unsigned BasisNnz = 0;
   for (uint32_t C = 0; C != M; ++C) {
     for (const Term &T : Cols[Basic[C]]) {
       if (T.Coeff == 0.0)
         continue;
-      ACol[C].push_back({T.Var.Index, T.Coeff});
-      RowCols[T.Var.Index].push_back(C);
+      // Every stored entry is at least DropTol in magnitude: fill is
+      // compacted as it is created, and this covers the original
+      // coefficients. A step without L multipliers relies on it to skip
+      // the compaction pass, which could then drop nothing.
+      assert(std::fabs(T.Coeff) >= DropTol && "coefficient below DropTol");
+      auto &Row = RowCols[T.Var.Index];
+      Row.push_back({C, static_cast<uint32_t>(ACol[C].size())});
+      ACol[C].push_back({T.Var.Index, static_cast<uint32_t>(Row.size() - 1),
+                         T.Coeff});
       ++RCount[T.Var.Index];
       ++BasisNnz;
     }
@@ -78,21 +117,13 @@ Basis::factorize(const std::vector<std::vector<Term>> &Cols,
   }
   Stats.LastBasisNnz = BasisNnz;
 
-  // Columns bucketed by live count; entries go stale when a count changes
-  // (the column is re-pushed into its new bucket) and are discarded when
-  // the pivot search encounters them.
-  std::vector<std::vector<uint32_t>> Buckets(M + 1);
   for (uint32_t C = 0; C != M; ++C)
     Buckets[CCount[C]].push_back(C);
-
-  // Dense scratch for eliminating one column at a time.
-  std::vector<int32_t> Where(M, -1);
-  std::vector<uint32_t> Touched;
 
   // Drops a numerically empty column from the active matrix.
   auto RetireColumn = [&](uint32_t C) {
     ColDone[C] = 1;
-    for (const Ent &E : ACol[C])
+    for (const auto &E : ACol[C])
       --RCount[E.Pos];
     ACol[C].clear();
     CCount[C] = 0;
@@ -115,7 +146,7 @@ Basis::factorize(const std::vector<std::vector<Term>> &Cols,
         }
         ++I;
         double ColMax = 0.0;
-        for (const Ent &E : ACol[C])
+        for (const auto &E : ACol[C])
           ColMax = std::max(ColMax, std::fabs(E.Val));
         if (ColMax < AbsTol) {
           RetireColumn(C);
@@ -125,7 +156,7 @@ Basis::factorize(const std::vector<std::vector<Term>> &Cols,
           continue;
         }
         bool Candidate = false;
-        for (const Ent &E : ACol[C]) {
+        for (const auto &E : ACol[C]) {
           double A = std::fabs(E.Val);
           if (A < Tau * ColMax || A < AbsTol || RowDone[E.Pos])
             continue;
@@ -158,63 +189,87 @@ Basis::factorize(const std::vector<std::vector<Term>> &Cols,
     PivCol.push_back(Pc);
     UDiag.push_back(Pv);
 
-    for (const Ent &E : ACol[Pc])
+    for (const auto &E : ACol[Pc])
       if (E.Pos != Pr) {
         LEnt.push_back({E.Pos, E.Val / Pv});
         --RCount[E.Pos];
       }
     LStart.push_back(LEnt.size());
     const size_t L0 = LStart[K], L1 = LStart[K + 1];
+    if (L0 != L1)
+      LSteps.push_back(K);
 
-    for (uint32_t C : RowCols[Pr]) {
+    for (const auto &Ref : RowCols[Pr]) {
+      const uint32_t C = Ref.Col;
       if (C == Pc || ColDone[C])
         continue;
-      std::vector<Ent> &Col = ACol[C];
-      // Find and remove the pivot row's entry; a miss means the entry
-      // cancelled earlier and this RowCols slot is stale.
-      double Upv = 0.0;
-      bool Found = false;
-      for (size_t I = 0; I != Col.size(); ++I)
-        if (Col[I].Pos == Pr) {
-          Upv = Col[I].Val;
-          Col[I] = Col.back();
-          Col.pop_back();
-          Found = true;
-          break;
-        }
-      if (!Found)
-        continue;
+      auto &Col = ACol[C];
+      // Find and remove the pivot row's entry: at the hinted position, or
+      // by search. Rows are unique within a column, so both give the same
+      // position. A miss means the entry cancelled earlier and this
+      // RowCols slot is stale.
+      size_t At = Ref.At;
+      if (At >= Col.size() || Col[At].Pos != Pr) {
+        At = 0;
+        while (At != Col.size() && Col[At].Pos != Pr)
+          ++At;
+        if (At == Col.size())
+          continue;
+      }
+      const double Upv = Col[At].Val;
+      Col[At] = Col.back();
+      Col.pop_back();
+      if (At != Col.size())
+        RowCols[Col[At].Pos][Col[At].Slot].At = static_cast<uint32_t>(At);
       URowEnt.push_back({C, Upv});
 
-      Touched.clear();
-      for (size_t I = 0; I != Col.size(); ++I) {
-        Where[Col[I].Pos] = static_cast<int32_t>(I);
-        Touched.push_back(Col[I].Pos);
-      }
-      for (size_t I = L0; I != L1; ++I) {
-        const Ent &Le = LEnt[I];
-        double Delta = -Le.Val * Upv;
-        if (Where[Le.Pos] >= 0) {
-          Col[Where[Le.Pos]].Val += Delta;
-        } else {
-          Col.push_back({Le.Pos, Delta});
-          RowCols[Le.Pos].push_back(C);
-          ++RCount[Le.Pos];
-          Where[Le.Pos] = static_cast<int32_t>(Col.size() - 1);
-          Touched.push_back(Le.Pos);
+      // Without multipliers the column only loses its pivot-row entry:
+      // every other entry is untouched and already at least DropTol.
+      if (L0 != L1) {
+        Touched.clear();
+        for (size_t I = 0; I != Col.size(); ++I) {
+          Where[Col[I].Pos] = static_cast<int32_t>(I);
+          Touched.push_back(Col[I].Pos);
         }
+        // Only updated entries and fill can fall below DropTol.
+        bool Cancelled = false;
+        for (size_t I = L0; I != L1; ++I) {
+          const Ent &Le = LEnt[I];
+          double Delta = -Le.Val * Upv;
+          double V;
+          if (Where[Le.Pos] >= 0) {
+            V = Col[Where[Le.Pos]].Val += Delta;
+          } else {
+            V = Delta;
+            auto &Row = RowCols[Le.Pos];
+            Row.push_back({C, static_cast<uint32_t>(Col.size())});
+            Col.push_back(
+                {Le.Pos, static_cast<uint32_t>(Row.size() - 1), Delta});
+            ++RCount[Le.Pos];
+            Where[Le.Pos] = static_cast<int32_t>(Col.size() - 1);
+            Touched.push_back(Le.Pos);
+          }
+          Cancelled |= !(std::fabs(V) >= DropTol);
+        }
+        if (Cancelled) {
+          size_t Out = 0;
+          for (size_t I = 0; I != Col.size(); ++I) {
+            if (!(std::fabs(Col[I].Val) >= DropTol)) {
+              --RCount[Col[I].Pos];
+              continue;
+            }
+            if (Out != I) {
+              Col[Out] = Col[I];
+              RowCols[Col[Out].Pos][Col[Out].Slot].At =
+                  static_cast<uint32_t>(Out);
+            }
+            ++Out;
+          }
+          Col.resize(Out);
+        }
+        for (uint32_t R : Touched)
+          Where[R] = -1;
       }
-      // Compact cancellations and refresh the live counts.
-      size_t Out = 0;
-      for (size_t I = 0; I != Col.size(); ++I) {
-        if (std::fabs(Col[I].Val) >= DropTol)
-          Col[Out++] = Col[I];
-        else
-          --RCount[Col[I].Pos];
-      }
-      Col.resize(Out);
-      for (uint32_t R : Touched)
-        Where[R] = -1;
       if (CCount[C] != Col.size()) {
         CCount[C] = Col.size();
         Buckets[CCount[C]].push_back(C);
@@ -227,9 +282,12 @@ Basis::factorize(const std::vector<std::vector<Term>> &Cols,
 
   if (PivRow.size() != M) {
     // Singular: pair the unpivoted slots with the uncovered rows.
+    std::vector<uint8_t> Pivoted(M, 0);
+    for (uint32_t C : PivCol)
+      Pivoted[C] = 1;
     std::vector<uint32_t> FreeSlots, FreeRows;
     for (uint32_t C = 0; C != M; ++C)
-      if (std::find(PivCol.begin(), PivCol.end(), C) == PivCol.end())
+      if (!Pivoted[C])
         FreeSlots.push_back(C);
     for (uint32_t R = 0; R != M; ++R)
       if (!RowDone[R])
@@ -241,11 +299,16 @@ Basis::factorize(const std::vector<std::vector<Term>> &Cols,
     return Deficient;
   }
 
+  StepOfRow.resize(M);
+  StepOfSlot.resize(M);
+  for (unsigned K = 0; K != M; ++K) {
+    StepOfRow[PivRow[K]] = K;
+    StepOfSlot[PivCol[K]] = K;
+  }
+  Reached.assign((M + 63) / 64, 0);
+
   // Build U's column-wise mirror (used by FTRAN's backward scatter) from
   // the row-wise entries recorded during elimination.
-  std::vector<uint32_t> StepOfSlot(M);
-  for (unsigned K = 0; K != M; ++K)
-    StepOfSlot[PivCol[K]] = K;
   std::vector<uint32_t> ColCounts(M, 0);
   for (const Ent &E : URowEnt)
     ++ColCounts[StepOfSlot[E.Pos]];
@@ -269,27 +332,39 @@ Basis::factorize(const std::vector<std::vector<Term>> &Cols,
 
 void Basis::ftran(IndexedVector &X) const {
   assert(Valid && "no factorization");
-  // L-solve in place on the row-space input.
-  for (unsigned K = 0; K != M; ++K) {
+  // L-solve in place on the row-space input, over the steps that have
+  // multipliers.
+  for (uint32_t K : LSteps) {
     double T = X[PivRow[K]];
     if (T == 0.0)
       continue;
     for (uint32_t I = LStart[K]; I != LStart[K + 1]; ++I)
       X.add(LEnt[I].Pos, -LEnt[I].Val * T);
   }
-  // U-solve, consuming the row-space vector into the slot-space result. A
-  // zero running value contributes nothing, so fully sparse inputs touch
-  // only the steps their dependency closure reaches (hyper-sparsity).
+  // U-solve, backward over the pivot sequence, consuming the row-space
+  // vector into the slot-space result. A zero running value contributes
+  // nothing, so only the steps the input's dependency closure reaches are
+  // visited (hyper-sparsity): Reached marks them, and U column K only
+  // reaches steps before K, so the marks are consumed in the same
+  // descending order a full sweep would take.
   SlotScratch.clear();
-  for (unsigned K = M; K-- > 0;) {
-    double T = X[PivRow[K]];
-    if (T == 0.0)
-      continue;
-    double Xv = T / UDiag[K];
-    SlotScratch.set(PivCol[K], Xv);
-    for (uint32_t I = UColStart[K]; I != UColStart[K + 1]; ++I)
-      X.add(UColEnt[I].Pos, -UColEnt[I].Val * Xv);
-  }
+  for (uint32_t R : X.indices())
+    markStep(Reached, StepOfRow[R]);
+  for (size_t Word = Reached.size(); Word-- > 0;)
+    while (uint64_t Bits = Reached[Word]) {
+      unsigned Bit = 63 - std::countl_zero(Bits);
+      Reached[Word] = Bits & ~(uint64_t(1) << Bit);
+      uint32_t K = static_cast<uint32_t>(Word * 64 + Bit);
+      double T = X[PivRow[K]];
+      if (T == 0.0)
+        continue;
+      double Xv = T / UDiag[K];
+      SlotScratch.set(PivCol[K], Xv);
+      for (uint32_t I = UColStart[K]; I != UColStart[K + 1]; ++I) {
+        X.add(UColEnt[I].Pos, -UColEnt[I].Val * Xv);
+        markStep(Reached, StepOfRow[UColEnt[I].Pos]);
+      }
+    }
   std::swap(X, SlotScratch);
   SlotScratch.clear();
   // Product-form etas, oldest first, in slot space.
@@ -319,21 +394,32 @@ void Basis::btran(IndexedVector &X) const {
     X.set(H.Slot, S / H.PivVal);
   }
   // U^T-solve: forward over the pivot sequence, consuming the slot-space
-  // vector into the row-space result.
+  // vector into the row-space result. Row K of U only reaches later
+  // steps, so the Reached marks are consumed in ascending order.
   SlotScratch.clear();
-  for (unsigned K = 0; K != M; ++K) {
-    double T = X[PivCol[K]];
-    if (T == 0.0)
-      continue;
-    double W = T / UDiag[K];
-    SlotScratch.set(PivRow[K], W);
-    for (uint32_t I = URowStart[K]; I != URowStart[K + 1]; ++I)
-      X.add(URowEnt[I].Pos, -URowEnt[I].Val * W);
-  }
+  for (uint32_t S : X.indices())
+    markStep(Reached, StepOfSlot[S]);
+  for (size_t Word = 0; Word != Reached.size(); ++Word)
+    while (uint64_t Bits = Reached[Word]) {
+      unsigned Bit = std::countr_zero(Bits);
+      Reached[Word] = Bits & (Bits - 1);
+      uint32_t K = static_cast<uint32_t>(Word * 64 + Bit);
+      double T = X[PivCol[K]];
+      if (T == 0.0)
+        continue;
+      double W = T / UDiag[K];
+      SlotScratch.set(PivRow[K], W);
+      for (uint32_t I = URowStart[K]; I != URowStart[K + 1]; ++I) {
+        X.add(URowEnt[I].Pos, -URowEnt[I].Val * W);
+        markStep(Reached, StepOfSlot[URowEnt[I].Pos]);
+      }
+    }
   std::swap(X, SlotScratch);
   SlotScratch.clear();
-  // L^T-solve in place on the row-space vector (gather form).
-  for (unsigned K = M; K-- > 0;) {
+  // L^T-solve in place on the row-space vector (gather form), backward
+  // over the steps that have multipliers.
+  for (size_t J = LSteps.size(); J-- > 0;) {
+    uint32_t K = LSteps[J];
     double S = 0.0;
     for (uint32_t I = LStart[K]; I != LStart[K + 1]; ++I)
       S += LEnt[I].Val * X[LEnt[I].Pos];

@@ -99,11 +99,18 @@ struct BasisStats {
   unsigned EtaPivots = 0;      ///< simplex pivots absorbed into the eta file
   unsigned LastFactorNnz = 0;  ///< nnz(L) + nnz(U) of the latest LU
   unsigned LastBasisNnz = 0;   ///< nnz(B) of the latest factorized basis
+  double FactorSeconds = 0.0;  ///< wall time spent inside factorize()
 };
 
 /// Sparse LU factorization of a simplex basis with a product-form eta
 /// update file. Value semantics: copying a Basis clones the factors, which
 /// is what the branch-and-bound worker cloning relies on.
+///
+/// Every rebuild and every solve does work proportional to the nonzeros it
+/// touches, and the result is a pure function of the basis: the pivot
+/// sequence, the factor values, the floating-point operation order of
+/// every output entry, and the order solves list their nonzeros do not
+/// depend on the rebuilds that came before (see factorize()).
 class Basis {
 public:
   /// Index-space size (rows == basis slots). Invalidates any factors.
@@ -112,6 +119,9 @@ public:
   /// Factorizes the basis whose slot i holds column Cols[Basic[i]] of the
   /// constraint matrix. Markowitz pivot selection under threshold partial
   /// pivoting. On success returns an empty vector and clears the eta file.
+  /// Every nonzero coefficient of a basis column must be at least the
+  /// elimination's drop tolerance (1e-12) in magnitude; the allocator's
+  /// coefficients are +-1, 200, 1.01 and the like.
   /// If the basis is (numerically) singular, returns the deficiency as
   /// (slot, row) pairs: slot positions that could not be pivoted, matched
   /// with the rows left uncovered; the factorization is left invalid and
@@ -164,23 +174,71 @@ private:
   std::vector<double> UDiag; ///< pivot values by elimination step
 
   // L: per step K, the multipliers of the rows eliminated below the pivot;
-  // (Pos = constraint row, Val = multiplier).
+  // (Pos = constraint row, Val = multiplier). LSteps lists, ascending, the
+  // steps that have any: every slack pivot and most structural ones have
+  // none, and the L solves visit only the listed steps.
   std::vector<uint32_t> LStart;
   std::vector<Ent> LEnt;
+  std::vector<uint32_t> LSteps;
 
-  // U off-diagonals stored twice: by pivot row (Pos = column's elimination
-  // step) for BTRAN's forward scatter, and by pivot column (Pos =
+  // U off-diagonals stored twice: by pivot row (Pos = basis slot of the
+  // entry's column) for BTRAN's forward scatter, and by pivot column (Pos =
   // constraint row of the entry's pivot row) for FTRAN's backward scatter.
   std::vector<uint32_t> URowStart;
   std::vector<Ent> URowEnt;
   std::vector<uint32_t> UColStart;
   std::vector<Ent> UColEnt;
 
+  // The inverse pivot sequence: elimination step of each row and slot.
+  std::vector<uint32_t> StepOfRow, StepOfSlot;
+  // Steps a U or U^T solve has reached but not yet processed, one bit per
+  // step; all clear between solves.
+  mutable std::vector<uint64_t> Reached;
+
   // Product-form eta file, in creation order.
   std::vector<EtaHeader> EtaHdr;
   std::vector<Ent> EtaEnt;
 
   BasisStats Stats;
+
+  /// factorize()'s active submatrix, kept across rebuilds so a warm
+  /// rebuild allocates (almost) nothing. reset() empties every list in
+  /// place, so bucket and entry order are exactly a fresh run's. A copy
+  /// starts empty: cloned B&B workers grow their own on first rebuild.
+  struct Workspace {
+    Workspace() = default;
+    Workspace(const Workspace &) {}
+    Workspace &operator=(const Workspace &) { return *this; }
+    void reset(unsigned M);
+
+    /// An active entry; Slot is the index of its column in RowCols[Pos].
+    struct ColEnt {
+      uint32_t Pos;
+      uint32_t Slot;
+      double Val;
+    };
+    /// A column of a row's pattern, with the position its entry in that
+    /// row had in the column when last moved: a hint that saves the search
+    /// when it is still right, and is verified before it is used.
+    struct RowRef {
+      uint32_t Col;
+      uint32_t At;
+    };
+    /// Columns with exact live entries. RowCols is a superset pattern per
+    /// row: a cancelled entry leaves a stale column there, detected by the
+    /// entry missing from ACol.
+    std::vector<std::vector<ColEnt>> ACol;
+    std::vector<std::vector<RowRef>> RowCols;
+    /// Columns by live count; an entry goes stale when its column's count
+    /// changes (the column is re-pushed into its new bucket).
+    std::vector<std::vector<uint32_t>> Buckets;
+    std::vector<uint32_t> RCount, CCount;
+    std::vector<uint8_t> RowDone, ColDone;
+    /// Position of each row in the column being updated, else -1.
+    std::vector<int32_t> Where;
+    std::vector<uint32_t> Touched;
+  };
+  Workspace Work;
 
   // Scratch for ftran()'s slot-space result (mutable: solves are logically
   // const). Sized M by setup().

@@ -626,7 +626,10 @@ MipResult MipSolver::solve() {
     RootUp[J] = RootLp.upperBound(VarId{J});
   }
 
-  // Clone the solved root basis into the extra workers (warm starts).
+  // Clone the solved root basis into the extra workers (warm starts). A
+  // clone starts with the root's engine counters, so its own work is
+  // counted from this snapshot.
+  const SimplexStats AtClone = RootLp.stats();
   std::vector<Simplex> ExtraLps(NumWorkers - 1, RootLp);
   std::vector<std::unique_ptr<Worker>> Workers;
   Workers.push_back(
@@ -651,15 +654,16 @@ MipResult MipSolver::solve() {
     Result.Stats.LpIterations += W->Stats.LpIterations;
     Result.Stats.Workers.push_back(W->Stats);
   }
-  auto addLpStats = [&](const Simplex &Lp) {
+  auto addLpStats = [&](const Simplex &Lp, const SimplexStats &Base) {
     SimplexStats LS = Lp.stats();
-    Result.Stats.Factorizations += LS.Factorizations;
-    Result.Stats.EtaPivots += LS.EtaPivots;
-    Result.Stats.PricingPasses += LS.PricingPasses;
+    Result.Stats.Factorizations += LS.Factorizations - Base.Factorizations;
+    Result.Stats.EtaPivots += LS.EtaPivots - Base.EtaPivots;
+    Result.Stats.PricingPasses += LS.PricingPasses - Base.PricingPasses;
+    Result.Stats.FactorSeconds += LS.FactorSeconds - Base.FactorSeconds;
   };
-  addLpStats(RootLp);
+  addLpStats(RootLp, SimplexStats());
   for (const Simplex &Lp : ExtraLps)
-    addLpStats(Lp);
+    addLpStats(Lp, AtClone);
 
   bool Complete = !S.HitLimit.load() && !S.Trouble.load();
   finishTimes();

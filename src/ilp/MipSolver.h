@@ -79,10 +79,12 @@ struct MipStats {
   unsigned ReducedConstraints = 0;
   unsigned Threads = 1;  ///< workers the search actually used
   unsigned Steals = 0;   ///< total cross-worker subtree steals
-  // LP-engine counters summed over all worker Simplex instances.
+  // LP-engine counters summed over all worker Simplex instances, each
+  // worker counted from the point it was cloned from the root.
   unsigned Factorizations = 0; ///< sparse LU rebuilds
   unsigned EtaPivots = 0;      ///< pivots absorbed into eta files
   unsigned PricingPasses = 0;  ///< full reduced-cost recomputations
+  double FactorSeconds = 0.0;  ///< wall time inside the LU rebuilds
   std::vector<MipWorkerStats> Workers;
 };
 

@@ -60,6 +60,7 @@ struct SimplexStats {
   unsigned DevexResets = 0;    ///< reference-framework restarts
   unsigned LastFactorNnz = 0;  ///< nnz(L)+nnz(U) of the latest LU
   unsigned LastBasisNnz = 0;   ///< nnz(B) of the latest factorized basis
+  double FactorSeconds = 0.0;  ///< wall time inside the LU rebuilds
 };
 
 /// Primal bounded-variable revised simplex over the LP relaxation of a
@@ -102,6 +103,7 @@ public:
     S.EtaPivots = B.EtaPivots;
     S.LastFactorNnz = B.LastFactorNnz;
     S.LastBasisNnz = B.LastBasisNnz;
+    S.FactorSeconds = B.FactorSeconds;
     return S;
   }
 

@@ -410,3 +410,23 @@ TEST(AppAlloc, RegAssignColorsFirstTry) {
     EXPECT_GT(S.Edges, 0u);
   }
 }
+
+// The root LP's simplex path at one MIP thread. Iterations, rebuilds and
+// pricing passes move whenever a pivot choice does, so a change to the LP
+// engine that alters the path fails here before any code hash does.
+TEST(AppAlloc, RootLpPathIsPinned) {
+  struct Want {
+    driver::CompileResult *App;
+    unsigned Iterations, Factorizations, PricingPasses;
+  };
+  for (const Want &W :
+       {Want{&aesApp(), 3920, 63, 31}, Want{&kasumiApp(), 3597, 57, 26},
+        Want{&natApp(), 2068, 33, 105}}) {
+    ASSERT_TRUE(W.App->Ok) << W.App->ErrorText;
+    const ilp::MipStats &S = W.App->Alloc.Stats.Solve;
+    ASSERT_EQ(S.Threads, 1u);
+    EXPECT_EQ(S.LpIterations, W.Iterations);
+    EXPECT_EQ(S.Factorizations, W.Factorizations);
+    EXPECT_EQ(S.PricingPasses, W.PricingPasses);
+  }
+}

@@ -325,6 +325,43 @@ TEST(MipParallel, WorkerStatsAreConsistent) {
   EXPECT_GE(R.Stats.CpuSeconds, 0.0);
 }
 
+// Extra workers start from a copy of the solved root LP. Their engine
+// counters must count from the copy, not re-report the root's: a model
+// the root solves outright reports the same LP work at any thread count.
+TEST(MipParallel, ClonedLpsDoNotRecountTheRoot) {
+  // A 12x12 assignment problem: totally unimodular, so the root LP is
+  // integral and the search ends at the root node.
+  Rng R(2024);
+  const unsigned N = 12;
+  Model M;
+  std::vector<std::vector<VarId>> X(N);
+  for (unsigned I = 0; I != N; ++I)
+    for (unsigned J = 0; J != N; ++J)
+      X[I].push_back(M.addBinary("x" + std::to_string(I) + "_" +
+                                     std::to_string(J),
+                                 static_cast<double>(1 + R.below(50))));
+  for (unsigned I = 0; I != N; ++I) {
+    LinExpr Row, Col;
+    for (unsigned J = 0; J != N; ++J) {
+      Row += LinExpr(X[I][J]);
+      Col += LinExpr(X[J][I]);
+    }
+    M.addConstraint(std::move(Row), Rel::EQ, 1.0);
+    M.addConstraint(std::move(Col), Rel::EQ, 1.0);
+  }
+  MipResult Serial = solveWith(M, 1, false);
+  MipResult Parallel = solveWith(M, 4, false);
+  ASSERT_EQ(Serial.Status, MipStatus::Optimal);
+  ASSERT_EQ(Parallel.Status, MipStatus::Optimal);
+  EXPECT_EQ(Serial.Stats.Nodes, 1u);
+  EXPECT_EQ(Parallel.Stats.Nodes, 1u);
+  EXPECT_GT(Serial.Stats.Factorizations, 0u);
+  EXPECT_GT(Serial.Stats.EtaPivots, 0u);
+  EXPECT_EQ(Parallel.Stats.Factorizations, Serial.Stats.Factorizations);
+  EXPECT_EQ(Parallel.Stats.EtaPivots, Serial.Stats.EtaPivots);
+  EXPECT_EQ(Parallel.Stats.PricingPasses, Serial.Stats.PricingPasses);
+}
+
 // Property test: random 0-1 programs vs exhaustive enumeration.
 class MipRandom : public ::testing::TestWithParam<int> {};
 

@@ -8,11 +8,13 @@
 #include "ilp/Simplex.h"
 
 #include "dense_lp_ref.h"
+#include "support/BinIO.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 
 using namespace nova;
 using namespace nova::ilp;
@@ -523,6 +525,254 @@ TEST(Basis, EtaUpdateMatchesReplacedBasis) {
         Dot += Y[T.Var.Index] * T.Coeff;
       EXPECT_NEAR(Dot, S == Pivot ? 1.0 : 0.0, 1e-8) << "trial " << Trial;
     }
+  }
+}
+
+namespace {
+
+/// Column pool shaped like the allocator's LPs: columns 0..M-1 are the
+/// unit slacks of the rows; the structural columns after them mix short
+/// columns with the allocator's coefficients (+-1, 200, 1.01), a few long
+/// +-1 columns of 100-250 entries, and mid-length columns whose
+/// elimination creates fill.
+std::vector<std::vector<Term>> allocatorShapedCols(Rng &R, unsigned M,
+                                                   unsigned NumStructural) {
+  static const double Coeffs[] = {1.0, -1.0, 1.0, -1.0, 200.0, 1.01, -2.0};
+  std::vector<std::vector<Term>> Cols(M);
+  for (unsigned I = 0; I != M; ++I)
+    Cols[I].push_back({VarId{I}, 1.0});
+  for (unsigned J = 0; J != NumStructural; ++J) {
+    unsigned Kind = R.below(20);
+    unsigned Len = Kind == 0   ? 100 + R.below(151)
+                   : Kind < 4 ? 4 + R.below(9)
+                              : 1 + R.below(3);
+    std::vector<uint8_t> Used(M, 0);
+    std::vector<Term> Col;
+    for (unsigned E = 0; E != Len; ++E) {
+      unsigned Row = R.below(M);
+      if (Used[Row])
+        continue;
+      Used[Row] = 1;
+      double V = Kind == 0 ? (R.chance(1, 2) ? 1.0 : -1.0)
+                           : Coeffs[R.below(std::size(Coeffs))];
+      Col.push_back({VarId{Row}, V});
+    }
+    Cols.push_back(std::move(Col));
+  }
+  return Cols;
+}
+
+/// Factorizes \p Basic, patching deficient slots with the slack of the
+/// uncovered row and refactorizing, the way Simplex::refactorize repairs a
+/// singular basis. Folds the deficiency into \p H.
+uint64_t factorizeRepairing(Basis &B, const std::vector<std::vector<Term>> &Cols,
+                            std::vector<uint32_t> &Basic, uint64_t H) {
+  auto Deficient = B.factorize(Cols, Basic);
+  while (!Deficient.empty()) {
+    for (auto [Slot, Row] : Deficient) {
+      H = fnv1a64(&Slot, sizeof Slot, H);
+      H = fnv1a64(&Row, sizeof Row, H);
+      Basic[Slot] = Row;
+    }
+    Deficient = B.factorize(Cols, Basic);
+  }
+  const BasisStats &S = B.stats();
+  H = fnv1a64(&S.LastFactorNnz, sizeof S.LastFactorNnz, H);
+  return fnv1a64(&S.LastBasisNnz, sizeof S.LastBasisNnz, H);
+}
+
+/// Hash of a solve result: the index order and the bit pattern of every
+/// value it lists.
+uint64_t hashVector(const IndexedVector &X, uint64_t H) {
+  for (uint32_t I : X.indices()) {
+    double V = X[I];
+    H = fnv1a64(&I, sizeof I, H);
+    H = fnv1a64(&V, sizeof V, H);
+  }
+  uint64_t N = X.indices().size();
+  return fnv1a64(&N, sizeof N, H);
+}
+
+/// One hash per solve of a fixed, seeded battery: FTRANs of sparse
+/// right-hand sides and of structural columns (entering columns), BTRANs
+/// of unit vectors (pivot rows) and of scattered costs (duals).
+std::vector<uint64_t> solveDigest(const Basis &B,
+                                  const std::vector<std::vector<Term>> &Cols,
+                                  uint64_t Seed) {
+  unsigned M = B.dimension();
+  Rng R(Seed);
+  std::vector<uint64_t> Out;
+  IndexedVector X;
+  X.setup(M);
+  for (unsigned T = 0; T != 12; ++T) {
+    X.clear();
+    unsigned Kind = T % 4;
+    if (Kind == 0) {
+      for (unsigned E = 1 + R.below(4); E-- > 0;)
+        X.add(R.below(M), static_cast<double>(R.range(-3, 3)) + 0.5);
+    } else if (Kind == 1) {
+      for (const Term &Tm : Cols[M + R.below(Cols.size() - M)])
+        X.add(Tm.Var.Index, Tm.Coeff);
+    } else if (Kind == 2) {
+      X.set(R.below(M), 1.0);
+    } else {
+      for (unsigned E = 2 + R.below(M / 4); E-- > 0;)
+        X.set(R.below(M), static_cast<double>(R.range(0, 8)));
+    }
+    if (Kind < 2)
+      B.ftran(X);
+    else
+      B.btran(X);
+    Out.push_back(hashVector(X, 0xcbf29ce484222325ull + T));
+  }
+  return Out;
+}
+
+uint64_t foldDigest(const std::vector<uint64_t> &D, uint64_t H) {
+  return fnv1a64(D.data(), D.size() * sizeof(uint64_t), H);
+}
+
+/// A basis over the allocator-shaped pool: every slot starts on its
+/// slack, then a seeded share of the slots take distinct structurals.
+std::vector<uint32_t> mixedBasis(Rng &R, unsigned M, unsigned NumCols,
+                                 unsigned StructuralPercent) {
+  std::vector<uint32_t> Basic(M);
+  for (unsigned I = 0; I != M; ++I)
+    Basic[I] = I;
+  std::vector<uint8_t> InBasis(NumCols, 0);
+  for (unsigned I = 0; I != M; ++I) {
+    if (R.below(100) >= StructuralPercent)
+      continue;
+    uint32_t C = M + R.below(NumCols - M);
+    if (InBasis[C])
+      continue;
+    InBasis[C] = 1;
+    Basic[I] = C;
+  }
+  return Basic;
+}
+
+} // namespace
+
+// Bit-for-bit pin of the LU and the solves through it. The factorization
+// is a pure function of the basis, and the simplex path depends on every
+// bit of every solve and on the order the solves list their nonzeros, so
+// a change to the elimination or solve loops must leave these hashes
+// alone. Covers a fresh factorization, a singular basis repaired with
+// slacks, and chains of eta updates with periodic refactorization.
+TEST(Basis, SolvesArePinned) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (uint64_t Seed : {1u, 2u, 3u}) {
+    Rng R(Seed * 7919);
+    unsigned M = 260 + R.below(140);
+    std::vector<std::vector<Term>> Cols = allocatorShapedCols(R, M, 2 * M);
+    std::vector<uint32_t> Basic = mixedBasis(R, M, Cols.size(), 45);
+
+    Basis B;
+    B.setup(M);
+    H = factorizeRepairing(B, Cols, Basic, H);
+    ASSERT_TRUE(B.valid());
+    H = foldDigest(solveDigest(B, Cols, Seed), H);
+
+    // Eta chain: enter seeded structurals on the largest transformed
+    // entry, refactorizing whenever the file asks for it.
+    IndexedVector W;
+    W.setup(M);
+    for (unsigned Step = 0; Step != 90; ++Step) {
+      uint32_t Enter = M + R.below(Cols.size() - M);
+      W.clear();
+      for (const Term &T : Cols[Enter])
+        W.add(T.Var.Index, T.Coeff);
+      B.ftran(W);
+      H = hashVector(W, H);
+      uint32_t Pivot = ~0u;
+      double Best = 1e-7;
+      for (uint32_t I : W.indices())
+        if (std::fabs(W[I]) > Best) {
+          Best = std::fabs(W[I]);
+          Pivot = I;
+        }
+      if (Pivot == ~0u)
+        continue;
+      B.update(W, Pivot);
+      Basic[Pivot] = Enter;
+      if (B.shouldRefactorize())
+        H = factorizeRepairing(B, Cols, Basic, H);
+      if (Step % 10 == 9)
+        H = foldDigest(solveDigest(B, Cols, Seed * 100 + Step), H);
+    }
+    EXPECT_GT(B.stats().Factorizations, 1u) << "seed " << Seed;
+    EXPECT_GT(B.stats().EtaPivots, 60u) << "seed " << Seed;
+  }
+  EXPECT_EQ(H, 0x0c064f6bdbdd3919ull);
+}
+
+// Factoring one Basis through a sequence of different bases (including a
+// re-setup to a smaller dimension and a singular basis) must give exactly
+// what a fresh Basis gives each time: same deficiency, same solves bit for
+// bit. A copy made after the factorization, and a copy factorized in its
+// own right, must agree as well.
+TEST(Basis, ScratchReuseMatchesFreshBasis) {
+  struct Case {
+    unsigned M;
+    uint64_t Seed;
+    unsigned StructuralPercent;
+    bool Singular;
+  };
+  const Case Cases[] = {{300, 11, 40, false}, {300, 12, 60, false},
+                        {90, 13, 50, false},  {300, 14, 30, true},
+                        {300, 15, 45, false}, {40, 16, 70, true},
+                        {40, 17, 35, false}};
+  Basis Reused;
+  unsigned LastM = 0;
+  for (const Case &C : Cases) {
+    Rng R(C.Seed);
+    std::vector<std::vector<Term>> Cols = allocatorShapedCols(R, C.M, 2 * C.M);
+    std::vector<uint32_t> Basic = mixedBasis(R, C.M, Cols.size(),
+                                             C.StructuralPercent);
+    if (C.Singular) {
+      // Two slots holding the same column make the basis singular.
+      std::vector<Term> Dup = Cols[C.M + 1];
+      Cols.push_back(std::move(Dup));
+      Basic[0] = C.M + 1;
+      Basic[1] = static_cast<uint32_t>(Cols.size() - 1);
+    }
+
+    Basis Cloned = Reused; // factors of the previous case, no scratch
+    if (C.M != LastM) {
+      Reused.setup(C.M);
+      Cloned.setup(C.M);
+      LastM = C.M;
+    }
+    Basis Fresh;
+    Fresh.setup(C.M);
+    auto DefReused = Reused.factorize(Cols, Basic);
+    auto DefCloned = Cloned.factorize(Cols, Basic);
+    auto DefFresh = Fresh.factorize(Cols, Basic);
+    if (C.Singular)
+      EXPECT_FALSE(DefFresh.empty()) << "seed " << C.Seed;
+    // Repair with slacks until the basis factorizes; every round's
+    // deficiency must agree too.
+    while (true) {
+      EXPECT_EQ(DefReused, DefFresh) << "seed " << C.Seed;
+      EXPECT_EQ(DefCloned, DefFresh) << "seed " << C.Seed;
+      EXPECT_EQ(Reused.valid(), DefFresh.empty());
+      if (DefFresh.empty())
+        break;
+      for (auto [Slot, Row] : DefFresh)
+        Basic[Slot] = Row;
+      DefReused = Reused.factorize(Cols, Basic);
+      DefCloned = Cloned.factorize(Cols, Basic);
+      DefFresh = Fresh.factorize(Cols, Basic);
+    }
+    ASSERT_TRUE(Reused.valid());
+    ASSERT_TRUE(Cloned.valid());
+    std::vector<uint64_t> Want = solveDigest(Fresh, Cols, C.Seed);
+    EXPECT_EQ(solveDigest(Reused, Cols, C.Seed), Want) << "seed " << C.Seed;
+    EXPECT_EQ(solveDigest(Cloned, Cols, C.Seed), Want) << "seed " << C.Seed;
+    Basis Copy = Reused;
+    EXPECT_EQ(solveDigest(Copy, Cols, C.Seed), Want) << "seed " << C.Seed;
+    EXPECT_EQ(Reused.stats().LastFactorNnz, Fresh.stats().LastFactorNnz);
   }
 }
 
