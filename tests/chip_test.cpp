@@ -655,4 +655,12 @@ TEST(ChipRun, PerContextSpillWindowsDoNotCollide) {
     EXPECT_EQ(RP.Result.HaltValues[0], 0xC0DE0000u + RP.Pkt.Seq)
         << "spill slot collision on packet " << RP.Pkt.Seq;
   }
+
+  // The threaded chip must rebase exactly like the interpreter on both
+  // of its tiers. The default budget keeps the 7-instruction block on
+  // the fast tier. A budget of 6 fails the block's watchdog gate, so the
+  // slow tier runs it: the spill store and reload both issue before the
+  // watchdog traps at the halt.
+  expectThreadedMatchesInterp(P, CP, 64);
+  expectThreadedMatchesInterp(P, CP, 64, 6);
 }

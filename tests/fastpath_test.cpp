@@ -11,9 +11,12 @@
 //  1. Hand-built hostile programs drive every trap path — illegal
 //     registers, fell-off-the-end, bad branch/jump targets, clone
 //     pseudos, invalid memory spaces, per-space range traps, watchdog
-//     exhaustion, strict shift traps — and the fast path must produce
-//     the same trap kind, message string, instruction count, and cycle
-//     count as the interpreter.
+//     exhaustion, strict shift traps — and both fast-path executors
+//     (Engine and a flat-charged SegmentContext) must produce the same
+//     trap kind, message string, instruction count, and cycle count as
+//     the interpreter. Where the timing of a trap is the point (an
+//     illegal register on a memory op traps only after the memory
+//     charge), the test also pins the absolute counts.
 //
 //  2. Differential fuzz: the three benchmark apps (compiled once,
 //     cached in-process like soak_test) under 200+ adversarial stream
@@ -30,6 +33,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "fastpath/FastPath.h"
+#include "fastpath/Segment.h"
 #include "soak/Soak.h"
 #include "support/FaultInjection.h"
 
@@ -122,8 +126,19 @@ AllocatedProgram oneBlock(std::vector<AllocInstr> Instrs) {
 // Bit-identical comparison: interpreter vs fast path
 //===----------------------------------------------------------------------===//
 
-/// Runs \p P both ways from \p Base and asserts full equality of the
-/// results and all three memory images.
+void expectSameResult(const sim::RunResult &Got, const sim::RunResult &Ref) {
+  EXPECT_EQ(Got.Ok, Ref.Ok);
+  EXPECT_EQ(Got.Trap, Ref.Trap);
+  EXPECT_EQ(Got.Error.message(), Ref.Error.message());
+  EXPECT_EQ(Got.Instructions, Ref.Instructions);
+  EXPECT_EQ(Got.Cycles, Ref.Cycles);
+  EXPECT_EQ(Got.HaltValues, Ref.HaltValues);
+}
+
+/// Runs \p P three ways from \p Base — the interpreter, the Engine, and
+/// a SegmentContext driven to completion with flat memory charges (the
+/// way runAllocated drives the interpreter) — and asserts full equality
+/// of the results and all three memory images.
 void expectSame(const AllocatedProgram &P,
                 const std::vector<uint32_t> &Args, const sim::Memory &Base,
                 const sim::RunOptions &RO, const char *Label) {
@@ -135,16 +150,29 @@ void expectSame(const AllocatedProgram &P,
   fastpath::Engine Eng(T);
   fastpath::BatchMemory BM(Base);
   sim::RunResult FR = Eng.run(Args, BM, RO);
+  {
+    SCOPED_TRACE("Engine");
+    expectSameResult(FR, IR);
+    EXPECT_EQ(BM.image(MemSpace::Sram), MI.Sram);
+    EXPECT_EQ(BM.image(MemSpace::Sdram), MI.Sdram);
+    EXPECT_EQ(BM.image(MemSpace::Scratch), MI.Scratch);
+  }
 
-  EXPECT_EQ(FR.Ok, IR.Ok);
-  EXPECT_EQ(FR.Trap, IR.Trap);
-  EXPECT_EQ(FR.Error.message(), IR.Error.message());
-  EXPECT_EQ(FR.Instructions, IR.Instructions);
-  EXPECT_EQ(FR.Cycles, IR.Cycles);
-  EXPECT_EQ(FR.HaltValues, IR.HaltValues);
-  EXPECT_EQ(BM.image(MemSpace::Sram), MI.Sram);
-  EXPECT_EQ(BM.image(MemSpace::Sdram), MI.Sdram);
-  EXPECT_EQ(BM.image(MemSpace::Scratch), MI.Scratch);
+  sim::Memory MS = Base;
+  fastpath::SegmentContext Seg(&T);
+  Seg.reset(Args);
+  while (!Seg.done()) {
+    sim::AllocContext::Yield Y = Seg.resume(MS, RO);
+    if (Y.K == sim::AllocContext::Yield::Kind::Mem)
+      Seg.charge(RO.Lat.memAccess(Y.Space));
+  }
+  {
+    SCOPED_TRACE("SegmentContext");
+    expectSameResult(Seg.takeResult(), IR);
+    EXPECT_EQ(MS.Sram, MI.Sram);
+    EXPECT_EQ(MS.Sdram, MI.Sdram);
+    EXPECT_EQ(MS.Scratch, MI.Scratch);
+  }
 }
 
 void expectSame(const AllocatedProgram &P,
@@ -153,11 +181,12 @@ void expectSame(const AllocatedProgram &P,
 }
 
 /// Expects a specific trap from the fast path AND that the interpreter
-/// agrees bit-for-bit.
-void expectTrap(const AllocatedProgram &P,
-                const std::vector<uint32_t> &Args, sim::TrapKind K,
-                const char *MsgPart, const char *Label,
-                const sim::RunOptions &RO = {}) {
+/// agrees bit-for-bit. Returns the fast path's result for tests that
+/// also pin the counts at the trap point.
+sim::RunResult expectTrap(const AllocatedProgram &P,
+                          const std::vector<uint32_t> &Args, sim::TrapKind K,
+                          const char *MsgPart, const char *Label,
+                          const sim::RunOptions &RO = {}) {
   SCOPED_TRACE(Label);
   fastpath::Translated T = fastpath::translate(P, RO.Lat);
   fastpath::Engine Eng(T);
@@ -169,6 +198,7 @@ void expectTrap(const AllocatedProgram &P,
   EXPECT_NE(FR.Error.message().find(MsgPart), std::string::npos)
       << FR.Error.message();
   expectSame(P, Args, Base, RO, Label);
+  return FR;
 }
 
 //===----------------------------------------------------------------------===//
@@ -232,6 +262,94 @@ TEST(FastPath, IllegalRegisterAtHalt) {
       oneBlock({haltOf({AOperand::reg(loc(Bank::SD, 9))})});
   expectTrap(P, {}, sim::TrapKind::IllegalRegister,
              "illegal register access at halt", "bad halt src");
+}
+
+TEST(FastPath, IllegalRegisterOnMemoryOps) {
+  // An illegal register on a memory op latches the error while the op
+  // issues, and the trap fires only after the caller's memory charge:
+  // the counts stop at the memory op but include its access latency.
+  sim::LatencyModel Lat;
+  {
+    AllocatedProgram P = oneBlock(
+        {imm(3, loc(Bank::A, 0)),
+         memRead(MemSpace::Sram, AOperand::reg(loc(Bank::A, 20)),
+                 {loc(Bank::B, 0)}),
+         haltOf({})});
+    sim::RunResult R =
+        expectTrap(P, {}, sim::TrapKind::IllegalRegister,
+                   "illegal register access in block b0", "bad address");
+    EXPECT_EQ(R.Instructions, 2u);
+    EXPECT_EQ(R.Cycles, uint64_t(Lat.Imm) + Lat.SramAccess);
+  }
+  {
+    AllocatedProgram P = oneBlock(
+        {memRead(MemSpace::Scratch, AOperand::constant(4),
+                 {loc(Bank::B, 0), loc(Bank::L, 12)}),
+         haltOf({})});
+    sim::RunResult R =
+        expectTrap(P, {}, sim::TrapKind::IllegalRegister,
+                   "illegal register access in block b0", "bad destination");
+    EXPECT_EQ(R.Instructions, 1u);
+    EXPECT_EQ(R.Cycles, uint64_t(Lat.ScratchAccess));
+  }
+  {
+    // The store still lands (the bad source reads as 0) before the trap.
+    AllocatedProgram P = oneBlock(
+        {memWrite(MemSpace::Sdram, AOperand::constant(8),
+                  {AOperand::constant(1), AOperand::reg(loc(Bank::SD, 9))}),
+         haltOf({})});
+    sim::RunResult R =
+        expectTrap(P, {}, sim::TrapKind::IllegalRegister,
+                   "illegal register access in block b0", "bad store source");
+    EXPECT_EQ(R.Instructions, 1u);
+    EXPECT_EQ(R.Cycles, uint64_t(Lat.SdramAccess));
+  }
+}
+
+TEST(FastPath, IllegalRegisterInBranchNamesTakenBlock) {
+  // The bad operand reads as 0, so Eq 0 takes b1; the trap fires after
+  // the branch retargets and charges, so it names the taken block.
+  AllocatedProgram P;
+  P.Entry = 0;
+  P.Blocks.push_back(
+      {{branch(cps::CmpOp::Eq, AOperand::reg(loc(Bank::A, 20)),
+               AOperand::constant(0), /*Then=*/1, /*Else=*/2)}});
+  P.Blocks.push_back({{haltOf({AOperand::constant(1)})}});
+  P.Blocks.push_back({{haltOf({AOperand::constant(2)})}});
+  sim::RunResult R =
+      expectTrap(P, {}, sim::TrapKind::IllegalRegister,
+                 "illegal register access in block b1", "bad branch operand");
+  EXPECT_EQ(R.Instructions, 1u);
+  EXPECT_EQ(R.Cycles, uint64_t(sim::LatencyModel().Branch));
+}
+
+TEST(FastPath, ForceSlowBlockWithMidBlockMemoryOps) {
+  // b0 runs on the fast tier and jumps into b1, whose illegal operand
+  // pins it to the per-instruction tier. b1's memory ops issue (and, in
+  // a SegmentContext, yield) mid-block before the bad ALU op traps at
+  // the bottom of its own iteration.
+  AllocatedProgram P;
+  P.Entry = 0;
+  P.Blocks.push_back({{imm(0x40, loc(Bank::A, 1)), jump(1)}});
+  P.Blocks.push_back(
+      {{memWrite(MemSpace::Sram, AOperand::reg(loc(Bank::A, 1)),
+                 {AOperand::constant(7), AOperand::reg(loc(Bank::A, 0))}),
+        memRead(MemSpace::Sram, AOperand::reg(loc(Bank::A, 1)),
+                {loc(Bank::B, 0), loc(Bank::B, 1)}),
+        alu(cps::PrimOp::Add, AOperand::reg(loc(Bank::B, 0)),
+            AOperand::reg(loc(Bank::B, 1)), loc(Bank::B, 2)),
+        alu(cps::PrimOp::Add, AOperand::reg(loc(Bank::B, 2)),
+            AOperand::reg(loc(Bank::LD, 9)), loc(Bank::A, 3)),
+        haltOf({AOperand::reg(loc(Bank::A, 3))})}});
+  fastpath::Translated T = fastpath::translate(P, sim::LatencyModel());
+  EXPECT_EQ(T.SlowBlocks, 1u);
+  sim::RunResult R =
+      expectTrap(P, {5}, sim::TrapKind::IllegalRegister,
+                 "illegal register access in block b1", "slow mid-block mem");
+  sim::LatencyModel Lat;
+  EXPECT_EQ(R.Instructions, 6u);
+  EXPECT_EQ(R.Cycles, uint64_t(Lat.Imm) + Lat.Branch + 2 * Lat.SramAccess +
+                          2 * Lat.Alu);
 }
 
 TEST(FastPath, FellOffTheEnd) {
