@@ -225,6 +225,15 @@ echo "== perfbench compile correctness gate (seed 7, 5 s) =="
 (cd "$ROOT" && CARGO_TARGET_DIR="$BUILD/bench" timeout 900 \
   python3 perfbench/run.py --workload compile --seed 7 --seconds 5 --trace 0)
 
+# Standalone fast-path gate at the same held-out seed: soak-fast is the
+# only workload that runs fastpath::Engine (the flat instantiation of
+# the stream loop, with the interpreter's step as its slow tier on
+# watchdog packets). Its exact fields — instruction counts, drop
+# taxonomy, cycle quantiles — must match perfbench/spec.json.
+echo "== perfbench soak-fast correctness gate (seed 7, 5 s) =="
+(cd "$ROOT" && CARGO_TARGET_DIR="$BUILD/bench" timeout 900 \
+  python3 perfbench/run.py --workload soak-fast --seed 7 --seconds 5 --trace 0)
+
 # ASan+UBSan pass over the degradation ladder and the support layer: the
 # fault-injection paths (LU repair, refactorize-on-drift, incumbent
 # salvage, baseline fallback) are exactly where stale pointers and
@@ -237,7 +246,8 @@ cmake -B "$SAN_BUILD" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
 cmake --build "$SAN_BUILD" -j"$JOBS" --target degradation_test support_test \
-  chip_fault_test event_queue_test alloc_test ilp_simplex_test ilp_mip_test
+  chip_fault_test event_queue_test alloc_test ilp_simplex_test ilp_mip_test \
+  fastpath_test chip_test
 timeout 900 "$SAN_BUILD/tests/degradation_test"
 timeout 120 "$SAN_BUILD/tests/support_test"
 # The LU keeps its active-submatrix workspace across rebuilds, finds
@@ -258,6 +268,11 @@ timeout 300 "$SAN_BUILD/tests/event_queue_test"
 # state (slot scrub, re-DMA, spill-window erase) — exactly where
 # use-after-free would hide.
 timeout 300 "$SAN_BUILD/tests/chip_fault_test"
+# One stream loop (both instantiations) and the interpreter's step index
+# the register frame, the operand pool and the cold data: an off-by-one
+# there reads or writes a neighbouring slot instead of failing a test.
+timeout 900 "$SAN_BUILD/tests/fastpath_test"
+timeout 300 "$SAN_BUILD/tests/chip_test"
 
 # TSan pass over the chip scheduler: the discrete-event kernel is
 # single-threaded by design, so a clean TSan run plus deterministic

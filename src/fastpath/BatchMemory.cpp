@@ -28,14 +28,8 @@ BatchMemory::BatchMemory(const sim::Memory &Base) : Lim(Base.Limits) {
 
 void BatchMemory::storePacket(uint32_t Addr,
                               const std::vector<uint32_t> &Words) {
-  Spc &P = Spaces[static_cast<unsigned>(MemSpace::Sdram)];
-  for (size_t I = 0; I != Words.size(); ++I) {
-    uint32_t A = Addr + static_cast<uint32_t>(I); // wraps like the apps' DMA
-    if (A < P.Bound)
-      store(MemSpace::Sdram, A, Words[I]);
-    else
-      P.Overflow[A] = Words[I];
-  }
+  for (size_t I = 0; I != Words.size(); ++I) // wraps like the apps' DMA
+    store(MemSpace::Sdram, Addr + static_cast<uint32_t>(I), Words[I]);
 }
 
 void BatchMemory::reset() {

@@ -19,11 +19,12 @@
 ///    reverse — cost proportional to the packet's writes, not the image;
 ///  - the app's table environment is applied once at construction,
 ///    *below* the journal floor, so reset() lands back on it;
-///  - setup stores with addresses beyond the per-space bound (the fuzz
+///  - stores with addresses beyond the per-space bound (the fuzz
 ///    generator aims pointers at the SDRAM edge and apps::storePacket
-///    wraps) land in a small per-packet overflow map — program accesses
-///    out there always range-trap before touching data, so the dense
-///    pages are never indexed out of bounds.
+///    wraps) land in a small per-packet overflow map, so the dense pages
+///    are never indexed out of bounds. Program accesses out there
+///    range-trap before touching data, except a bit-test-set whose
+///    range check an illegal register skipped.
 ///
 /// image() reconstructs the exact sparse map the interpreter would have
 /// ended the run with (base entries, every stored address including
@@ -68,10 +69,15 @@ public:
     return Pg ? Pg[A & PageMask] : 0;
   }
 
-  /// Journaled store. \p A must be below the space's bound (program
-  /// stores are range-checked before they reach here).
+  /// Journaled store. A store at or beyond the space's bound lands in
+  /// the per-packet overflow map: packet DMA that wraps, or a
+  /// bit-test-set whose range check an illegal register skipped.
   void store(MemSpace S, uint32_t A, uint32_t V) {
     Spc &P = Spaces[static_cast<unsigned>(S)];
+    if (A >= P.Bound) {
+      P.Overflow[A] = V;
+      return;
+    }
     uint32_t *Pg = pageFor(P, A);
     Journal.push_back({A, Pg[A & PageMask], static_cast<uint8_t>(S)});
     Pg[A & PageMask] = V;

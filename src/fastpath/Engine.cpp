@@ -5,7 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Two execution tiers, chosen per block at BlockEntry:
+// runStream: the one loop over a translated stream, with two execution
+// tiers chosen per block at BlockEntry:
 //
 //  - the threaded fast tier: computed-goto dispatch over the pre-decoded
 //    stream, operands as direct frame indices, no per-instruction
@@ -13,309 +14,155 @@
 //    interpreter instruction/cycle counts from the per-op cold data
 //    relative to the counters saved at block entry;
 //
-//  - the slow tier (slowBlock): a line-for-line mirror of
-//    sim::AllocContext::resume over the original AllocInstrs, taken when
-//    the fault injector is armed, strict shift trapping is on, the block
-//    has a statically illegal register operand, or the watchdog could
-//    fire inside the block. It preserves the interpreter's observable
-//    schedule: the Err latch traps at the bottom of the iteration for
-//    ALU-class ops but only after the memory charge for memory ops, the
-//    bit-flip uses the live instruction count, and the injector's
-//    shouldFire/drawCycles call order is unchanged.
+//  - the slow tier: the interpreter's own step (sim::detail::step) over
+//    the same frame, taken when the fault injector is armed, strict
+//    shift trapping is on, the block has a statically illegal register
+//    operand, or the watchdog could fire inside the block. It hands
+//    back to the fast tier when a branch or jump changes the block.
 //
-// The two tiers interleave freely: control returns to BlockEntry at
-// every block boundary with exact counters either way.
+// The tiers interleave freely: control returns to BlockEntry at every
+// block boundary with exact counters either way.
+//
+// The loop is instantiated twice (see runStream in FastPath.h): flat on
+// BatchMemory for Engine, resumable on sim::Memory for SegmentContext.
+// PC and the counters live in locals during a burst and are written back
+// to the context only at yields and exits.
 //
 //===----------------------------------------------------------------------===//
 
 #include "fastpath/FastPath.h"
 
 #include "sim/SimUtil.h"
-#include "support/FaultInjection.h"
-#include "support/HwHash.h"
-#include "support/StringUtils.h"
 
 #include <cstring>
+#include <type_traits>
 
 using namespace nova;
 using namespace nova::fastpath;
 using namespace nova::sim::detail;
-using alloc::AllocInstr;
-using alloc::AOperand;
-using alloc::PhysLoc;
-using ixp::MOp;
+using Yield = sim::AllocContext::Yield;
 
-Engine::Engine(const Translated &Tr)
-    : T(&Tr), Frame(Tr.frameSize(), 0) {
-  std::copy(Tr.Consts.begin(), Tr.Consts.end(), Frame.begin() + FrameRegs);
+void StreamContext::bind(const Translated *Tr) {
+  T = Tr;
+  Frame.assign(Tr->frameSize(), 0);
+  std::copy(Tr->Consts.begin(), Tr->Consts.end(), Frame.begin() + FrameRegs);
+  Finished = true;
 }
 
-//===----------------------------------------------------------------------===//
-// Slow tier: per-instruction execution of one block, interpreter-exact.
-//===----------------------------------------------------------------------===//
-
-namespace {
-struct RegFile {
-  uint32_t *Regs;
-  unsigned Size;
-};
-} // namespace
-
-bool Engine::slowBlock(uint32_t B, BatchMemory &Mem,
-                       const sim::RunOptions &Opts, sim::RunResult &R,
-                       uint32_t &NextB) {
-  const alloc::AllocatedProgram &P = *T->Prog;
-  const sim::LatencyModel &Lat = Opts.Lat;
-  uint32_t *F = Frame.data();
-  bool Err = false;
-  const bool Faults = FaultInjector::armed();
-
-  auto file = [&](ixp::Bank Bk) -> RegFile {
-    switch (Bk) {
-    case ixp::Bank::A:  return {F + 0, 16};
-    case ixp::Bank::B:  return {F + 16, 16};
-    case ixp::Bank::L:  return {F + 32, 8};
-    case ixp::Bank::S:  return {F + 40, 8};
-    case ixp::Bank::LD: return {F + 48, 8};
-    case ixp::Bank::SD: return {F + 56, 8};
-    default:            return {nullptr, 0};
-    }
-  };
-  auto read = [&](const AOperand &O) -> uint32_t {
-    if (O.IsConst)
-      return O.Value;
-    RegFile RF = file(O.Loc.B);
-    if (!RF.Regs || O.Loc.Reg >= RF.Size) {
-      Err = true;
-      return 0;
-    }
-    return RF.Regs[O.Loc.Reg];
-  };
-  auto writeReg = [&](PhysLoc L, uint32_t V) {
-    RegFile RF = file(L.B);
-    if (!RF.Regs || L.Reg >= RF.Size) {
-      Err = true;
-      return;
-    }
-    RF.Regs[L.Reg] = V;
-  };
-
-  unsigned Idx = 0;
-  while (true) {
-    if (++R.Instructions > Opts.MaxInstructions) {
-      trap(R, sim::TrapKind::Watchdog,
-           formatf("instruction budget of %llu exhausted",
-                   (unsigned long long)Opts.MaxInstructions));
-      return false;
-    }
-    if (Idx >= P.Blocks[B].Instrs.size()) {
-      trap(R, sim::TrapKind::MalformedProgram,
-           formatf("fell off the end of block b%u", B));
-      return false;
-    }
-    const AllocInstr &I = P.Blocks[B].Instrs[Idx++];
-
-    if ((I.Op == MOp::MemRead || I.Op == MOp::MemWrite ||
-         I.Op == MOp::BitTestSet) &&
-        !validSpace(I.Space)) {
-      trap(R, sim::TrapKind::IllegalMemSpace,
-           formatf("memory space %u in block b%u", (unsigned)I.Space, B));
-      return false;
-    }
-
-    switch (I.Op) {
-    case MOp::Alu: {
-      uint32_t A = read(I.Srcs[0]);
-      uint32_t Bv = I.Srcs.size() > 1 ? read(I.Srcs[1]) : 0;
-      if (Opts.TrapOnShiftRange && cps::shiftOutOfRange(I.Alu, Bv)) {
-        trap(R, sim::TrapKind::ShiftRange,
-             formatf("shift count %u in block b%u", Bv, B));
-        return false;
-      }
-      uint32_t V = cps::evalPrim(I.Alu, A, Bv);
-      if (Faults &&
-          FaultInjector::instance().shouldFire(FaultKind::SimBitFlip))
-        V ^= 1u << (R.Instructions & 31);
-      writeReg(I.Dsts[0], V);
-      R.Cycles += Lat.Alu;
-      break;
-    }
-    case MOp::Imm:
-      writeReg(I.Dsts[0], I.Imm);
-      R.Cycles += I.Imm <= 0xFFFF || (I.Imm & 0xFFFF) == 0 ? Lat.Imm
-                                                           : Lat.Imm + 1;
-      break;
-    case MOp::Move:
-      writeReg(I.Dsts[0], read(I.Srcs[0]));
-      R.Cycles += Lat.Alu;
-      break;
-    case MOp::MemRead: {
-      uint32_t Addr = read(I.Srcs[0]);
-      uint32_t Count = static_cast<uint32_t>(I.Dsts.size());
-      if (!Err && !Mem.inRange(I.Space, Addr, Count)) {
-        trap(R, rangeTrapFor(I.Space),
-             formatf("%s read of %u words at 0x%x (limit 0x%x)",
-                     spaceName(I.Space), Count, Addr,
-                     Mem.limits().words(I.Space)));
-        return false;
-      }
-      for (unsigned K = 0; K != I.Dsts.size(); ++K)
-        writeReg(I.Dsts[K], Mem.load(I.Space, Addr + K));
-      if (Faults &&
-          FaultInjector::instance().shouldFire(FaultKind::MemJitter))
-        R.Cycles +=
-            FaultInjector::instance().drawCycles(FaultKind::MemJitter, 16);
-      // The single-threaded driver charges the flat latency right after
-      // the Mem yield; an Err latched above traps at the next resume —
-      // i.e. at the bottom-of-iteration check below, after this charge.
-      R.Cycles += Lat.memAccess(I.Space);
-      break;
-    }
-    case MOp::MemWrite: {
-      uint32_t Addr = read(I.Srcs[0]);
-      uint32_t Count = static_cast<uint32_t>(I.Srcs.size() - 1);
-      if (!Err && !Mem.inRange(I.Space, Addr, Count)) {
-        trap(R, rangeTrapFor(I.Space),
-             formatf("%s write of %u words at 0x%x (limit 0x%x)",
-                     spaceName(I.Space), Count, Addr,
-                     Mem.limits().words(I.Space)));
-        return false;
-      }
-      for (unsigned K = 1; K != I.Srcs.size(); ++K)
-        Mem.store(I.Space, Addr + K - 1, read(I.Srcs[K]));
-      if (Faults &&
-          FaultInjector::instance().shouldFire(FaultKind::MemJitter))
-        R.Cycles +=
-            FaultInjector::instance().drawCycles(FaultKind::MemJitter, 16);
-      R.Cycles += Lat.memAccess(I.Space);
-      break;
-    }
-    case MOp::Hash:
-      writeReg(I.Dsts[0], hwHash(read(I.Srcs[0])));
-      R.Cycles += Lat.HashOp;
-      break;
-    case MOp::BitTestSet: {
-      uint32_t Addr = read(I.Srcs[0]);
-      uint32_t Bits = read(I.Srcs[1]);
-      if (!Err && !Mem.inRange(I.Space, Addr, 1)) {
-        trap(R, rangeTrapFor(I.Space),
-             formatf("%s bit-test-set at 0x%x (limit 0x%x)",
-                     spaceName(I.Space), Addr,
-                     Mem.limits().words(I.Space)));
-        return false;
-      }
-      uint32_t Old = Mem.load(I.Space, Addr);
-      Mem.store(I.Space, Addr, Old | Bits);
-      writeReg(I.Dsts[0], Old);
-      R.Cycles += Lat.memAccess(I.Space); // no jitter draw for BitTestSet
-      break;
-    }
-    case MOp::Clone:
-      trap(R, sim::TrapKind::MalformedProgram,
-           "clone pseudo in allocated code");
-      return false;
-    case MOp::Branch: {
-      ixp::BlockId Tgt =
-          cps::evalCmp(I.Cmp, read(I.Srcs[0]), read(I.Srcs[1]))
-              ? I.Target
-              : I.TargetElse;
-      if (Tgt >= P.Blocks.size()) {
-        trap(R, sim::TrapKind::MalformedProgram,
-             formatf("branch in block b%u targets b%u", B, Tgt));
-        return false;
-      }
-      R.Cycles += Lat.Branch;
-      if (Err) {
-        // The interpreter re-targets B before its bottom-of-iteration
-        // check, so the message names the *taken* block.
-        trap(R, sim::TrapKind::IllegalRegister,
-             formatf("illegal register access in block b%u", Tgt));
-        return false;
-      }
-      NextB = Tgt;
-      return true;
-    }
-    case MOp::Jump:
-      if (I.Target >= P.Blocks.size()) {
-        trap(R, sim::TrapKind::MalformedProgram,
-             formatf("jump in block b%u targets b%u", B, I.Target));
-        return false;
-      }
-      R.Cycles += Lat.Branch;
-      NextB = I.Target;
-      return true;
-    case MOp::Halt:
-      for (const AOperand &S : I.Srcs)
-        R.HaltValues.push_back(read(S));
-      if (Err) {
-        trap(R, sim::TrapKind::IllegalRegister,
-             "illegal register access at halt");
-        return false;
-      }
-      R.Ok = true;
-      return false;
-    }
-    if (Err) {
-      trap(R, sim::TrapKind::IllegalRegister,
-           formatf("illegal register access in block b%u", B));
-      return false;
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Fast tier: the threaded dispatch loop.
-//===----------------------------------------------------------------------===//
-
-// Computed goto (threaded code) under GCC/Clang; a switch-in-a-loop
-// elsewhere. NOVA_FASTPATH_NO_CGOTO forces the portable loop (used to
-// compile-test it).
-#if (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(NOVA_FASTPATH_NO_CGOTO)
-#define NOVA_FP_CGOTO 1
-#endif
-
-#ifdef NOVA_FP_CGOTO
-#define VM_CASE(K) L_##K:
-#define VM_DISPATCH() goto *JT[static_cast<unsigned>(Ops[PC].Kind)]
-#else
-#define VM_CASE(K) case FOp::K:
-#define VM_DISPATCH() continue
-#endif
-
-sim::RunResult Engine::run(const std::vector<uint32_t> &Args,
-                           BatchMemory &Mem, const sim::RunOptions &Opts) {
-  sim::RunResult R;
+void StreamContext::reset(const std::vector<uint32_t> &Args) {
+  R = sim::RunResult();
+  Err = false;
+  InSlow = false;
+  FastYield = false;
+  Ins = Cyc = 0;
+  StartIns = StartCyc = 0;
   std::memset(Frame.data(), 0, FrameRegs * sizeof(uint32_t));
 
   if (!T->EntryValid) {
     trap(R, sim::TrapKind::MalformedProgram, "no entry block");
-    return R;
+    Finished = true;
+    return;
   }
   if (Args.size() > 15) {
     trap(R, sim::TrapKind::MalformedProgram, "too many entry arguments");
-    return R;
+    Finished = true;
+    return;
   }
   for (unsigned I = 0; I != Args.size(); ++I)
     Frame[I] = Args[I];
+  PC = T->Meta[T->Prog->Entry].EnterOp;
+  Finished = false;
+}
 
-  const FastOp *Ops = T->Ops.data();
-  const ColdInfo *ColdA = T->Cold.data();
-  const uint16_t *Pool = T->Pool.data();
-  const BlockMeta *Meta = T->Meta.data();
-  uint32_t *F = Frame.data();
+Engine::Engine(const Translated &Tr) { C.bind(&Tr); }
+
+sim::RunResult Engine::run(const std::vector<uint32_t> &Args,
+                           BatchMemory &Mem, const sim::RunOptions &Opts) {
+  C.reset(Args);
+  if (!C.Finished)
+    runStream(C, Mem, Opts);
+  return std::move(C.R);
+}
+
+namespace {
+/// The slow tier: steps the interpreter from (SB, SIdx) until the block
+/// changes, the run completes, or — on the resumable loop only — a
+/// memory reference yields. The flat loop charges each reference's flat
+/// latency and steps on, exactly like sim::runAllocated.
+template <class MemT>
+Stepped slowTier(StreamContext &Ctx, MemT &Mem, const sim::RunOptions &Opts,
+                 uint32_t Rebase) {
+  while (true) {
+    Stepped S = step(*Ctx.T->Prog, Ctx.Frame.data(), Ctx.R, Ctx.Err, Ctx.SB,
+                     Ctx.SIdx, Mem, Opts, Rebase);
+    if (S.K == Stepped::Next)
+      continue;
+    if (std::is_same_v<MemT, BatchMemory> && S.K == Stepped::Mem) {
+      Ctx.R.Cycles += Opts.Lat.memAccess(S.Space);
+      continue;
+    }
+    return S;
+  }
+}
+} // namespace
+
+#define VM_CASE(K) L_##K:
+#define VM_DISPATCH() goto *JT[static_cast<unsigned>(Ops[PC].Kind)]
+
+template <class MemT>
+Yield fastpath::runStream(StreamContext &Ctx, MemT &Mem,
+                          const sim::RunOptions &Opts) {
+  constexpr bool Flat = std::is_same_v<MemT, BatchMemory>;
+  static_assert(Flat || std::is_same_v<MemT, sim::Memory>);
+  assert(!Ctx.Finished && "runStream() on a completed context");
+
+  const Translated &T = *Ctx.T;
+  const alloc::AllocatedProgram &P = *T.Prog;
+  const FastOp *Ops = T.Ops.data();
+  const ColdInfo *ColdA = T.Cold.data();
+  const uint16_t *Pool = T.Pool.data();
+  const BlockMeta *Meta = T.Meta.data();
+  uint32_t *F = Ctx.Frame.data();
+  sim::RunResult &R = Ctx.R;
   const uint64_t MaxIns = Opts.MaxInstructions;
   const unsigned BranchCost = Opts.Lat.Branch;
-  const bool SlowAll =
-      FaultInjector::armed() || Opts.TrapOnShiftRange;
+  const bool SlowAll = FaultInjector::armed() || Opts.TrapOnShiftRange;
+  const uint32_t Rebase = Flat ? 0 : Ctx.SpillRebase;
+  const uint64_t BurstStart = R.Cycles;
 
   // Live counters: exact at every block boundary. Interior fast ops
   // never touch them; exits rebuild them from Start + cold data.
-  uint64_t Ins = 0, Cyc = 0;
-  uint64_t StartIns = 0, StartCyc = 0;
-  uint32_t PC = Meta[T->Prog->Entry].EnterOp;
+  uint32_t PC = Ctx.PC;
+  uint64_t Ins = Ctx.Ins, Cyc = Ctx.Cyc;
+  uint64_t StartIns = Ctx.StartIns, StartCyc = Ctx.StartCyc;
 
-#ifdef NOVA_FP_CGOTO
+  auto park = [&] {
+    Ctx.PC = PC;
+    Ctx.Ins = Ins;
+    Ctx.Cyc = Cyc;
+    Ctx.StartIns = StartIns;
+    Ctx.StartCyc = StartCyc;
+  };
+  auto finish = [&]() -> Yield {
+    park();
+    Ctx.Finished = true;
+    return {Yield::Kind::Done, MemSpace::Sram, R.Cycles - BurstStart};
+  };
+  // The exact interpreter counts at the op at \p At.
+  auto materialize = [&](uint32_t At) {
+    R.Instructions = StartIns + ColdA[At].InsDelta;
+    R.Cycles = StartCyc + ColdA[At].CycPrefix;
+  };
+  // The resumable loop's end of a memory op: yield the reference, with
+  // its data effect applied, to the caller who charges it.
+  auto yieldMem = [&](MemSpace S) -> Yield {
+    materialize(PC);
+    Ctx.YieldPC = PC;
+    Ctx.FastYield = true;
+    park();
+    return {Yield::Kind::Mem, S, R.Cycles - BurstStart};
+  };
+
   static const void *JT[] = {
       &&L_BlockEntry, &&L_AluAdd,    &&L_AluSub,   &&L_AluAnd,
       &&L_AluOr,      &&L_AluXor,    &&L_AluShl,   &&L_AluShr,
@@ -330,11 +177,20 @@ sim::RunResult Engine::run(const std::vector<uint32_t> &Args,
       &&L_FuseCopyCopy, &&L_FuseShlAdd,
       &&L_FuseCopyMemRead, &&L_FuseCopyMemWrite,
   };
+
+  if (Ctx.InSlow)
+    goto Slow;
+  if (Ctx.FastYield) {
+    // Re-derive the bases from the counters the yield materialized plus
+    // whatever the caller charged: StartCyc absorbs the charge, so every
+    // later exit still reconstructs exact interpreter counts.
+    const ColdInfo &C = ColdA[Ctx.YieldPC];
+    StartIns = R.Instructions - C.InsDelta;
+    StartCyc = R.Cycles - C.CycPrefix;
+    PC = Ctx.YieldPC + 1;
+    Ctx.FastYield = false;
+  }
   VM_DISPATCH();
-#else
-  for (;;)
-    switch (Ops[PC].Kind) {
-#endif
 
   VM_CASE(BlockEntry) {
     const FastOp &O = Ops[PC];
@@ -342,13 +198,10 @@ sim::RunResult Engine::run(const std::vector<uint32_t> &Args,
     if (SlowAll || M.ForceSlow || Ins + M.MaxPath > MaxIns) {
       R.Instructions = Ins;
       R.Cycles = Cyc;
-      uint32_t NextB;
-      if (!slowBlock(O.X, Mem, Opts, R, NextB))
-        return R;
-      Ins = R.Instructions;
-      Cyc = R.Cycles;
-      PC = Meta[NextB].EnterOp;
-      VM_DISPATCH();
+      Ctx.InSlow = true;
+      Ctx.SB = O.X;
+      Ctx.SIdx = 0;
+      goto Slow;
     }
     StartIns = Ins;
     StartCyc = Cyc;
@@ -433,50 +286,6 @@ sim::RunResult Engine::run(const std::vector<uint32_t> &Args,
     VM_DISPATCH();
   }
 
-  VM_CASE(FuseCopyMemRead) {
-    const FastOp &O = Ops[PC];
-    F[O.D] = F[O.B]; // leading copy retires before the memory op issues
-    MemSpace S = static_cast<MemSpace>(O.Aux);
-    uint32_t Addr = F[O.A];
-    if (!Mem.inRange(S, Addr, O.N)) {
-      const ColdInfo &C = ColdA[PC];
-      R.Instructions = StartIns + C.InsDelta;
-      R.Cycles = StartCyc + C.CycPrefix;
-      trap(R, rangeTrapFor(S),
-           formatf("%s read of %u words at 0x%x (limit 0x%x)",
-                   spaceName(S), O.N, Addr, Mem.limits().words(S)));
-      return R;
-    }
-    const uint16_t *Dst = Pool + O.X;
-    for (uint32_t K = 0; K != O.N; ++K)
-      F[Dst[K]] = Mem.load(S, Addr + K);
-    StartCyc += O.Y;
-    ++PC;
-    VM_DISPATCH();
-  }
-
-  VM_CASE(FuseCopyMemWrite) {
-    const FastOp &O = Ops[PC];
-    F[O.D] = F[O.B];
-    MemSpace S = static_cast<MemSpace>(O.Aux);
-    uint32_t Addr = F[O.A];
-    if (!Mem.inRange(S, Addr, O.N)) {
-      const ColdInfo &C = ColdA[PC];
-      R.Instructions = StartIns + C.InsDelta;
-      R.Cycles = StartCyc + C.CycPrefix;
-      trap(R, rangeTrapFor(S),
-           formatf("%s write of %u words at 0x%x (limit 0x%x)",
-                   spaceName(S), O.N, Addr, Mem.limits().words(S)));
-      return R;
-    }
-    const uint16_t *Src = Pool + O.X;
-    for (uint32_t K = 0; K != O.N; ++K)
-      Mem.store(S, Addr + K, F[Src[K]]);
-    StartCyc += O.Y;
-    ++PC;
-    VM_DISPATCH();
-  }
-
   VM_CASE(Hash) {
     const FastOp &O = Ops[PC];
     F[O.D] = hwHash(F[O.A]);
@@ -484,67 +293,89 @@ sim::RunResult Engine::run(const std::vector<uint32_t> &Args,
     VM_DISPATCH();
   }
 
+  // A fused copy retires before its memory op issues. The fused op's
+  // other fields are the memory op's, so the op's own handler runs it.
+  VM_CASE(FuseCopyMemRead) {
+    const FastOp &O = Ops[PC];
+    F[O.D] = F[O.B];
+    goto L_MemRead;
+  }
+  VM_CASE(FuseCopyMemWrite) {
+    const FastOp &O = Ops[PC];
+    F[O.D] = F[O.B];
+    goto L_MemWrite;
+  }
+
+  // Memory ops: after the data effect, the flat loop charges the op's
+  // flat cost (only once in range) and runs on; the resumable loop
+  // yields.
   VM_CASE(MemRead) {
     const FastOp &O = Ops[PC];
     MemSpace S = static_cast<MemSpace>(O.Aux);
-    uint32_t Addr = F[O.A];
+    uint32_t Addr = spillRebased(P, Rebase, S, F[O.A]);
     if (!Mem.inRange(S, Addr, O.N)) {
-      const ColdInfo &C = ColdA[PC];
-      R.Instructions = StartIns + C.InsDelta;
-      R.Cycles = StartCyc + C.CycPrefix;
+      materialize(PC);
       trap(R, rangeTrapFor(S),
            formatf("%s read of %u words at 0x%x (limit 0x%x)",
                    spaceName(S), O.N, Addr, Mem.limits().words(S)));
-      return R;
+      return finish();
     }
     const uint16_t *Dst = Pool + O.X;
     for (uint32_t K = 0; K != O.N; ++K)
       F[Dst[K]] = Mem.load(S, Addr + K);
-    StartCyc += O.Y; // flat memory cost: charged only once in range
-    ++PC;
-    VM_DISPATCH();
+    if constexpr (Flat) {
+      StartCyc += O.Y;
+      ++PC;
+      VM_DISPATCH();
+    } else {
+      return yieldMem(S);
+    }
   }
 
   VM_CASE(MemWrite) {
     const FastOp &O = Ops[PC];
     MemSpace S = static_cast<MemSpace>(O.Aux);
-    uint32_t Addr = F[O.A];
+    uint32_t Addr = spillRebased(P, Rebase, S, F[O.A]);
     if (!Mem.inRange(S, Addr, O.N)) {
-      const ColdInfo &C = ColdA[PC];
-      R.Instructions = StartIns + C.InsDelta;
-      R.Cycles = StartCyc + C.CycPrefix;
+      materialize(PC);
       trap(R, rangeTrapFor(S),
            formatf("%s write of %u words at 0x%x (limit 0x%x)",
                    spaceName(S), O.N, Addr, Mem.limits().words(S)));
-      return R;
+      return finish();
     }
     const uint16_t *Src = Pool + O.X;
     for (uint32_t K = 0; K != O.N; ++K)
       Mem.store(S, Addr + K, F[Src[K]]);
-    StartCyc += O.Y;
-    ++PC;
-    VM_DISPATCH();
+    if constexpr (Flat) {
+      StartCyc += O.Y;
+      ++PC;
+      VM_DISPATCH();
+    } else {
+      return yieldMem(S);
+    }
   }
 
   VM_CASE(BitTestSet) {
     const FastOp &O = Ops[PC];
     MemSpace S = static_cast<MemSpace>(O.Aux);
-    uint32_t Addr = F[O.A];
+    uint32_t Addr = spillRebased(P, Rebase, S, F[O.A]);
     if (!Mem.inRange(S, Addr, 1)) {
-      const ColdInfo &C = ColdA[PC];
-      R.Instructions = StartIns + C.InsDelta;
-      R.Cycles = StartCyc + C.CycPrefix;
+      materialize(PC);
       trap(R, rangeTrapFor(S),
            formatf("%s bit-test-set at 0x%x (limit 0x%x)", spaceName(S),
                    Addr, Mem.limits().words(S)));
-      return R;
+      return finish();
     }
     uint32_t Old = Mem.load(S, Addr);
     Mem.store(S, Addr, Old | F[O.B]);
     F[O.D] = Old;
-    StartCyc += O.Y;
-    ++PC;
-    VM_DISPATCH();
+    if constexpr (Flat) {
+      StartCyc += O.Y;
+      ++PC;
+      VM_DISPATCH();
+    } else {
+      return yieldMem(S);
+    }
   }
 
 #define BRANCH_CASE(NAME, CMP)                                            \
@@ -600,29 +431,44 @@ sim::RunResult Engine::run(const std::vector<uint32_t> &Args,
 
   VM_CASE(Halt) {
     const FastOp &O = Ops[PC];
-    const ColdInfo &C = ColdA[PC];
-    R.Instructions = StartIns + C.InsDelta;
-    R.Cycles = StartCyc + C.CycPrefix;
+    materialize(PC);
     const uint16_t *Src = Pool + O.X;
     for (uint32_t K = 0; K != O.N; ++K)
       R.HaltValues.push_back(F[Src[K]]);
     R.Ok = true;
-    return R;
+    return finish();
   }
 
   VM_CASE(TrapStatic) {
     const FastOp &O = Ops[PC];
-    const ColdInfo &C = ColdA[PC];
-    R.Instructions = StartIns + C.InsDelta;
-    R.Cycles = StartCyc + C.CycPrefix;
-    trap(R, static_cast<sim::TrapKind>(O.Aux), T->Messages[O.X]);
-    return R;
+    materialize(PC);
+    trap(R, static_cast<sim::TrapKind>(O.Aux), T.Messages[O.X]);
+    return finish();
   }
 
-#ifndef NOVA_FP_CGOTO
+Slow:
+  // The per-instruction tier, from (SB, SIdx) with exact counters in R.
+  {
+    Stepped S = slowTier(Ctx, Mem, Opts, Rebase);
+    if (S.K == Stepped::Block) {
+      Ctx.InSlow = false;
+      Ins = R.Instructions;
+      Cyc = R.Cycles;
+      PC = Meta[Ctx.SB].EnterOp;
+      VM_DISPATCH();
     }
-#endif
+    if (S.K == Stepped::Mem) {
+      park();
+      return {Yield::Kind::Mem, S.Space, R.Cycles - BurstStart};
+    }
+    return finish();
+  }
 }
 
 #undef VM_CASE
 #undef VM_DISPATCH
+
+template Yield fastpath::runStream(StreamContext &, BatchMemory &,
+                                   const sim::RunOptions &);
+template Yield fastpath::runStream(StreamContext &, sim::Memory &,
+                                   const sim::RunOptions &);

@@ -49,19 +49,20 @@
 /// Exactness escape hatches: a block whose code can observe per-
 /// instruction state — a statically illegal register operand (the Err
 /// latch), an armed fault injector, strict shift trapping, or a watchdog
-/// that may fire inside the block — is executed by a per-instruction
-/// slow path that mirrors sim::AllocContext::resume line for line (same
-/// Err-latch timing, same injector draw order). Everything else runs on
-/// the threaded dispatch loop with zero per-instruction bookkeeping.
+/// that may fire inside the block — runs on the slow tier, which is the
+/// interpreter's own per-instruction step (sim::detail::step) over the
+/// same register frame. Everything else runs on the threaded dispatch
+/// loop with zero per-instruction bookkeeping.
 ///
 /// Memory-access cycle costs are *not* folded into the cold prefix sums:
 /// each memory op carries its flat cost in FastOp::Y, charged into the
 /// block-entry cycle base as the op executes. That split is what makes
-/// the stream resumable: Engine charges Y itself (standalone soak, flat
-/// latency), while SegmentContext (Segment.h) yields to the whole-chip
-/// scheduler instead and absorbs whatever contention-dependent charge
-/// the caller applied — including spill-window rebasing — keeping the
-/// chip's discrete-event schedule bit-identical to the interpreted chip.
+/// the stream resumable. runStream() is the one dispatch loop, in two
+/// instantiations: Engine's flat one charges Y itself (standalone soak,
+/// flat latency), while SegmentContext's resumable one (Segment.h)
+/// yields to the whole-chip scheduler instead and absorbs whatever
+/// contention-dependent charge the caller applied, keeping the chip's
+/// discrete-event schedule bit-identical to the interpreted chip.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,6 +70,7 @@
 #define FASTPATH_FASTPATH_H
 
 #include "fastpath/BatchMemory.h"
+#include "sim/ExecContext.h"
 #include "sim/Simulator.h"
 
 #include <cstdint>
@@ -78,9 +80,9 @@
 namespace nova {
 namespace fastpath {
 
-/// Frame layout: 64 register slots — A at 0 (16), B at 16 (16), L at 32
-/// (8), S at 40 (8), LD at 48 (8), SD at 56 (8) — then folded constants.
-inline constexpr unsigned FrameRegs = 64;
+/// Frame layout: the interpreter's FrameRegs register slots
+/// (sim::frameSlot), then folded constants.
+using sim::FrameRegs;
 
 /// Specialized opcodes of the pre-decoded stream.
 enum class FOp : uint8_t {
@@ -149,7 +151,7 @@ struct TranslateOptions {
 };
 
 /// A translated program. Holds a pointer to the source program (for the
-/// per-instruction slow path), so the AllocatedProgram must outlive it.
+/// per-instruction slow tier), so the AllocatedProgram must outlive it.
 struct Translated {
   const alloc::AllocatedProgram *Prog = nullptr;
   sim::LatencyModel Lat; ///< the model the cycle folding assumed
@@ -179,8 +181,49 @@ Translated translate(const alloc::AllocatedProgram &P,
                      const sim::LatencyModel &Lat,
                      const TranslateOptions &Options);
 
-/// Executes a Translated program. Reusable across packets; owns only the
-/// register frame.
+/// One run of a Translated program: the register frame, the fast and
+/// slow tiers' positions, and the accounting. Engine runs one flat and
+/// SegmentContext (Segment.h) resumes one; runStream() is the only loop
+/// over it.
+struct StreamContext {
+  const Translated *T = nullptr;
+  std::vector<uint32_t> Frame;
+  sim::RunResult R;
+  bool Finished = true;   ///< no run in progress until reset()
+  bool Err = false;       ///< slow-tier illegal-register latch
+  bool InSlow = false;    ///< resuming inside the per-instruction tier
+  bool FastYield = false; ///< resuming after a fast-tier memory yield
+  uint32_t SpillRebase = 0;
+  uint32_t PC = 0;        ///< fast-tier op index
+  uint32_t YieldPC = 0;   ///< the memory op the last fast burst yielded at
+  uint64_t Ins = 0, Cyc = 0;           ///< exact at block boundaries
+  uint64_t StartIns = 0, StartCyc = 0; ///< bases for cold-data exits
+  ixp::BlockId SB = 0;    ///< slow-tier block
+  unsigned SIdx = 0;      ///< slow-tier instruction index
+
+  /// Binds \p Tr: sizes the frame and loads its constant slots. No run
+  /// is in progress until reset().
+  void bind(const Translated *Tr);
+  /// Starts a fresh run with \p Args in A0... On a malformed entry the
+  /// run is immediately Finished with the trap in R.
+  void reset(const std::vector<uint32_t> &Args);
+};
+
+/// Runs \p C until the next swap point (Engine.cpp). Requires
+/// !C.Finished; Opts.Lat must be the model C.T was translated with. The
+/// two instantiations differ only in what a memory op does after its
+/// data effect:
+///  - on BatchMemory (flat): charge the op's flat latency and run on, to
+///    completion. No spill rebasing, like sim::runAllocated;
+///  - on sim::Memory (resumable): materialize the exact counts and yield
+///    the reference to the caller, who charges it. The context's spill
+///    window rebasing applies.
+template <class MemT>
+sim::AllocContext::Yield runStream(StreamContext &C, MemT &Mem,
+                                   const sim::RunOptions &Opts);
+
+/// Executes a Translated program packet by packet: a thin owner of one
+/// flat StreamContext.
 class Engine {
 public:
   explicit Engine(const Translated &T);
@@ -188,17 +231,12 @@ public:
   /// Runs one packet: arguments in A0.., memory state in \p Mem.
   /// Opts.Lat must be the model the program was translated with.
   /// Bit-identical to sim::runAllocated on a sim::Memory holding the
-  /// same image (the fast path ignores spill rebasing, which
-  /// runAllocated never uses either).
+  /// same image.
   sim::RunResult run(const std::vector<uint32_t> &Args, BatchMemory &Mem,
                      const sim::RunOptions &Opts);
 
 private:
-  const Translated *T;
-  std::vector<uint32_t> Frame;
-
-  bool slowBlock(uint32_t B, BatchMemory &Mem, const sim::RunOptions &Opts,
-                 sim::RunResult &R, uint32_t &NextB);
+  StreamContext C;
 };
 
 } // namespace fastpath

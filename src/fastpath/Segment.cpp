@@ -5,618 +5,51 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Behaviour contract (pinned by the chip-threaded-vs-chip-interp
-// whole-report equality test and the sampled three-way oracle): yields at
-// exactly the instructions sim::AllocContext would yield at, with the
-// same space and burst cycle count, the same memory data effects already
-// applied (including spill-window rebasing), and the same trap kinds,
-// messages, and counts on completion. The slow tier mirrors
-// AllocContext::resume line for line — Err latched on a memory operand
-// traps at the next resume() after the caller's charge, the bit flip
-// uses the live instruction count, jitter draws at MemRead/MemWrite
-// issue only — and the fast tier reconstructs exact counters from cold
-// data at every yield and exit.
+// Checkpoint serialization of a SegmentContext. Execution is runStream's
+// resumable instantiation (Engine.cpp), pinned by the chip-threaded-vs-
+// chip-interp whole-report equality test and the sampled three-way
+// oracle: it yields at exactly the instructions sim::AllocContext would
+// yield at, with the same space and burst cycle count, the same memory
+// data effects already applied (including spill-window rebasing), and
+// the same trap kinds, messages, and counts on completion.
 //
 //===----------------------------------------------------------------------===//
 
 #include "fastpath/Segment.h"
 
-#include "sim/SimUtil.h"
-#include "support/FaultInjection.h"
-#include "support/HwHash.h"
-#include "support/StringUtils.h"
-
-#include <cassert>
-#include <cstring>
-
 using namespace nova;
 using namespace nova::fastpath;
-using namespace nova::sim::detail;
-using alloc::AllocInstr;
-using alloc::AOperand;
-using alloc::PhysLoc;
-using ixp::MOp;
-
-void SegmentContext::setProgram(const Translated *Tr) {
-  T = Tr;
-  Frame.assign(Tr->frameSize(), 0);
-  std::copy(Tr->Consts.begin(), Tr->Consts.end(), Frame.begin() + FrameRegs);
-  Finished = true;
-}
-
-void SegmentContext::reset(const std::vector<uint32_t> &Args) {
-  assert(T && "reset() before setProgram()");
-  R = sim::RunResult();
-  Err = false;
-  InSlow = false;
-  FastYield = false;
-  Ins = Cyc = 0;
-  StartIns = StartCyc = 0;
-  std::memset(Frame.data(), 0, FrameRegs * sizeof(uint32_t));
-
-  if (!T->EntryValid) {
-    trap(R, sim::TrapKind::MalformedProgram, "no entry block");
-    Finished = true;
-    return;
-  }
-  if (Args.size() > 15) {
-    trap(R, sim::TrapKind::MalformedProgram, "too many entry arguments");
-    Finished = true;
-    return;
-  }
-  for (unsigned I = 0; I != Args.size(); ++I)
-    Frame[I] = Args[I];
-  PC = T->Meta[T->Prog->Entry].EnterOp;
-  Finished = false;
-}
-
-//===----------------------------------------------------------------------===//
-// Slow tier: resumable per-instruction execution, interpreter-exact.
-//===----------------------------------------------------------------------===//
-
-namespace {
-struct RegFile {
-  uint32_t *Regs;
-  unsigned Size;
-};
-} // namespace
-
-bool SegmentContext::slowStep(sim::Memory &Mem, const sim::RunOptions &Opts,
-                              uint64_t BurstStart, Yield &Y) {
-  const alloc::AllocatedProgram &P = *T->Prog;
-  const sim::LatencyModel &Lat = Opts.Lat;
-  uint32_t *F = Frame.data();
-  const bool Faults = FaultInjector::armed();
-
-  auto finish = [&]() {
-    Finished = true;
-    Y = {Yield::Kind::Done, MemSpace::Sram, R.Cycles - BurstStart};
-    return true;
-  };
-  auto file = [&](ixp::Bank Bk) -> RegFile {
-    switch (Bk) {
-    case ixp::Bank::A:  return {F + 0, 16};
-    case ixp::Bank::B:  return {F + 16, 16};
-    case ixp::Bank::L:  return {F + 32, 8};
-    case ixp::Bank::S:  return {F + 40, 8};
-    case ixp::Bank::LD: return {F + 48, 8};
-    case ixp::Bank::SD: return {F + 56, 8};
-    default:            return {nullptr, 0};
-    }
-  };
-  auto read = [&](const AOperand &O) -> uint32_t {
-    if (O.IsConst)
-      return O.Value;
-    RegFile RF = file(O.Loc.B);
-    if (!RF.Regs || O.Loc.Reg >= RF.Size) {
-      Err = true;
-      return 0;
-    }
-    return RF.Regs[O.Loc.Reg];
-  };
-  auto writeReg = [&](PhysLoc L, uint32_t V) {
-    RegFile RF = file(L.B);
-    if (!RF.Regs || L.Reg >= RF.Size) {
-      Err = true;
-      return;
-    }
-    RF.Regs[L.Reg] = V;
-  };
-  auto effectiveAddr = [&](MemSpace S, uint32_t Addr) -> uint32_t {
-    if (SpillRebase && S == MemSpace::Scratch && Addr >= P.SpillBase &&
-        Addr - P.SpillBase < P.NumSpillSlots)
-      return Addr + SpillRebase;
-    return Addr;
-  };
-
-  while (true) {
-    if (++R.Instructions > Opts.MaxInstructions) {
-      trap(R, sim::TrapKind::Watchdog,
-           formatf("instruction budget of %llu exhausted",
-                   (unsigned long long)Opts.MaxInstructions));
-      return finish();
-    }
-    if (SIdx >= P.Blocks[SB].Instrs.size()) {
-      trap(R, sim::TrapKind::MalformedProgram,
-           formatf("fell off the end of block b%u", SB));
-      return finish();
-    }
-    const AllocInstr &I = P.Blocks[SB].Instrs[SIdx++];
-
-    if ((I.Op == MOp::MemRead || I.Op == MOp::MemWrite ||
-         I.Op == MOp::BitTestSet) &&
-        !validSpace(I.Space)) {
-      trap(R, sim::TrapKind::IllegalMemSpace,
-           formatf("memory space %u in block b%u", (unsigned)I.Space, SB));
-      return finish();
-    }
-
-    switch (I.Op) {
-    case MOp::Alu: {
-      uint32_t A = read(I.Srcs[0]);
-      uint32_t Bv = I.Srcs.size() > 1 ? read(I.Srcs[1]) : 0;
-      if (Opts.TrapOnShiftRange && cps::shiftOutOfRange(I.Alu, Bv)) {
-        trap(R, sim::TrapKind::ShiftRange,
-             formatf("shift count %u in block b%u", Bv, SB));
-        return finish();
-      }
-      uint32_t V = cps::evalPrim(I.Alu, A, Bv);
-      if (Faults &&
-          FaultInjector::instance().shouldFire(FaultKind::SimBitFlip))
-        V ^= 1u << (R.Instructions & 31);
-      writeReg(I.Dsts[0], V);
-      R.Cycles += Lat.Alu;
-      break;
-    }
-    case MOp::Imm:
-      writeReg(I.Dsts[0], I.Imm);
-      R.Cycles += I.Imm <= 0xFFFF || (I.Imm & 0xFFFF) == 0 ? Lat.Imm
-                                                           : Lat.Imm + 1;
-      break;
-    case MOp::Move:
-      writeReg(I.Dsts[0], read(I.Srcs[0]));
-      R.Cycles += Lat.Alu;
-      break;
-    case MOp::MemRead: {
-      uint32_t Addr = effectiveAddr(I.Space, read(I.Srcs[0]));
-      uint32_t Count = static_cast<uint32_t>(I.Dsts.size());
-      if (!Err && !Mem.inRange(I.Space, Addr, Count)) {
-        trap(R, rangeTrapFor(I.Space),
-             formatf("%s read of %u words at 0x%x (limit 0x%x)",
-                     spaceName(I.Space), Count, Addr,
-                     Mem.Limits.words(I.Space)));
-        return finish();
-      }
-      auto &Space = *Mem.space(I.Space);
-      for (unsigned K = 0; K != I.Dsts.size(); ++K)
-        writeReg(I.Dsts[K], sim::Memory::load(Space, Addr + K));
-      if (Faults &&
-          FaultInjector::instance().shouldFire(FaultKind::MemJitter))
-        R.Cycles +=
-            FaultInjector::instance().drawCycles(FaultKind::MemJitter, 16);
-      // An Err latched above traps at the next resume(), after the
-      // caller's charge — the interpreter's bottom-of-iteration timing.
-      Y = {Yield::Kind::Mem, I.Space, R.Cycles - BurstStart};
-      return true;
-    }
-    case MOp::MemWrite: {
-      uint32_t Addr = effectiveAddr(I.Space, read(I.Srcs[0]));
-      uint32_t Count = static_cast<uint32_t>(I.Srcs.size() - 1);
-      if (!Err && !Mem.inRange(I.Space, Addr, Count)) {
-        trap(R, rangeTrapFor(I.Space),
-             formatf("%s write of %u words at 0x%x (limit 0x%x)",
-                     spaceName(I.Space), Count, Addr,
-                     Mem.Limits.words(I.Space)));
-        return finish();
-      }
-      auto &Space = *Mem.space(I.Space);
-      for (unsigned K = 1; K != I.Srcs.size(); ++K)
-        Space[Addr + K - 1] = read(I.Srcs[K]);
-      if (Faults &&
-          FaultInjector::instance().shouldFire(FaultKind::MemJitter))
-        R.Cycles +=
-            FaultInjector::instance().drawCycles(FaultKind::MemJitter, 16);
-      Y = {Yield::Kind::Mem, I.Space, R.Cycles - BurstStart};
-      return true;
-    }
-    case MOp::Hash:
-      writeReg(I.Dsts[0], hwHash(read(I.Srcs[0])));
-      R.Cycles += Lat.HashOp;
-      break;
-    case MOp::BitTestSet: {
-      uint32_t Addr = effectiveAddr(I.Space, read(I.Srcs[0]));
-      uint32_t Bits = read(I.Srcs[1]);
-      if (!Err && !Mem.inRange(I.Space, Addr, 1)) {
-        trap(R, rangeTrapFor(I.Space),
-             formatf("%s bit-test-set at 0x%x (limit 0x%x)",
-                     spaceName(I.Space), Addr, Mem.Limits.words(I.Space)));
-        return finish();
-      }
-      auto &Space = *Mem.space(I.Space);
-      uint32_t Old = sim::Memory::load(Space, Addr);
-      Space[Addr] = Old | Bits;
-      writeReg(I.Dsts[0], Old);
-      Y = {Yield::Kind::Mem, I.Space, R.Cycles - BurstStart};
-      return true; // no jitter draw for BitTestSet
-    }
-    case MOp::Clone:
-      trap(R, sim::TrapKind::MalformedProgram,
-           "clone pseudo in allocated code");
-      return finish();
-    case MOp::Branch: {
-      ixp::BlockId Tgt =
-          cps::evalCmp(I.Cmp, read(I.Srcs[0]), read(I.Srcs[1]))
-              ? I.Target
-              : I.TargetElse;
-      if (Tgt >= P.Blocks.size()) {
-        trap(R, sim::TrapKind::MalformedProgram,
-             formatf("branch in block b%u targets b%u", SB, Tgt));
-        return finish();
-      }
-      R.Cycles += Lat.Branch;
-      if (Err) {
-        // The interpreter re-targets B before its bottom-of-iteration
-        // check, so the message names the *taken* block.
-        trap(R, sim::TrapKind::IllegalRegister,
-             formatf("illegal register access in block b%u", Tgt));
-        return finish();
-      }
-      InSlow = false;
-      Ins = R.Instructions;
-      Cyc = R.Cycles;
-      PC = T->Meta[Tgt].EnterOp;
-      return false;
-    }
-    case MOp::Jump:
-      if (I.Target >= P.Blocks.size()) {
-        trap(R, sim::TrapKind::MalformedProgram,
-             formatf("jump in block b%u targets b%u", SB, I.Target));
-        return finish();
-      }
-      R.Cycles += Lat.Branch;
-      InSlow = false;
-      Ins = R.Instructions;
-      Cyc = R.Cycles;
-      PC = T->Meta[I.Target].EnterOp;
-      return false;
-    case MOp::Halt:
-      for (const AOperand &S : I.Srcs)
-        R.HaltValues.push_back(read(S));
-      if (Err) {
-        trap(R, sim::TrapKind::IllegalRegister,
-             "illegal register access at halt");
-        return finish();
-      }
-      R.Ok = true;
-      return finish();
-    }
-    if (Err) {
-      trap(R, sim::TrapKind::IllegalRegister,
-           formatf("illegal register access in block b%u", SB));
-      return finish();
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Fast tier: switch dispatch over the translated stream, yielding at
-// memory references. Bursts between yields are short, so a plain switch
-// is fine here; the standalone Engine keeps the computed-goto loop.
-//===----------------------------------------------------------------------===//
-
-SegmentContext::Yield SegmentContext::resume(sim::Memory &Mem,
-                                             const sim::RunOptions &Opts) {
-  assert(!Finished && "resume() on a completed context");
-  const uint64_t BurstStart = R.Cycles;
-  auto finish = [&]() -> Yield {
-    Finished = true;
-    return {Yield::Kind::Done, MemSpace::Sram, R.Cycles - BurstStart};
-  };
-
-  if (InSlow) {
-    // An illegal-register access latched while issuing the memory
-    // operand of the previous burst: trap now, after the caller's
-    // charge, exactly like the interpreter.
-    if (Err) {
-      trap(R, sim::TrapKind::IllegalRegister,
-           formatf("illegal register access in block b%u", SB));
-      return finish();
-    }
-  } else if (FastYield) {
-    // Re-derive the bases from the counters the yield materialized plus
-    // whatever the caller charged: StartCyc absorbs the charge, so every
-    // later exit still reconstructs exact interpreter counts.
-    const ColdInfo &C = T->Cold[YieldPC];
-    StartIns = R.Instructions - C.InsDelta;
-    StartCyc = R.Cycles - C.CycPrefix;
-    PC = YieldPC + 1;
-    FastYield = false;
-  }
-
-  const alloc::AllocatedProgram &P = *T->Prog;
-  const FastOp *Ops = T->Ops.data();
-  const ColdInfo *ColdA = T->Cold.data();
-  const uint16_t *Pool = T->Pool.data();
-  const BlockMeta *Meta = T->Meta.data();
-  uint32_t *F = Frame.data();
-  const uint64_t MaxIns = Opts.MaxInstructions;
-  const unsigned BranchCost = Opts.Lat.Branch;
-  const bool SlowAll = FaultInjector::armed() || Opts.TrapOnShiftRange;
-  auto effectiveAddr = [&](MemSpace S, uint32_t Addr) -> uint32_t {
-    if (SpillRebase && S == MemSpace::Scratch && Addr >= P.SpillBase &&
-        Addr - P.SpillBase < P.NumSpillSlots)
-      return Addr + SpillRebase;
-    return Addr;
-  };
-
-  while (true) {
-    if (InSlow) {
-      Yield Y;
-      if (slowStep(Mem, Opts, BurstStart, Y))
-        return Y;
-      continue; // back on the fast tier at a block boundary
-    }
-
-    const FastOp &O = Ops[PC];
-    switch (O.Kind) {
-    case FOp::BlockEntry: {
-      const BlockMeta &M = Meta[O.X];
-      if (SlowAll || M.ForceSlow || Ins + M.MaxPath > MaxIns) {
-        R.Instructions = Ins;
-        R.Cycles = Cyc;
-        InSlow = true;
-        SB = O.X;
-        SIdx = 0;
-        break;
-      }
-      StartIns = Ins;
-      StartCyc = Cyc;
-      ++PC;
-      break;
-    }
-
-    case FOp::SuperEntry:
-      if (SlowAll || Ins + O.Y > MaxIns) {
-        PC = Meta[O.X].FirstOp;
-        break;
-      }
-      StartIns = Ins;
-      StartCyc = Cyc;
-      ++PC;
-      break;
-
-    case FOp::AluAdd:
-    case FOp::AluSub:
-    case FOp::AluAnd:
-    case FOp::AluOr:
-    case FOp::AluXor:
-    case FOp::AluShl:
-    case FOp::AluShr:
-    case FOp::AluNot:
-      F[O.D] = cps::evalPrim(
-          static_cast<cps::PrimOp>(static_cast<unsigned>(O.Kind) -
-                                   static_cast<unsigned>(FOp::AluAdd)),
-          F[O.A], F[O.B]);
-      ++PC;
-      break;
-
-    case FOp::Copy:
-      F[O.D] = F[O.A];
-      ++PC;
-      break;
-
-    // Fused pairs: the leading copy writes before the second op reads,
-    // matching the unfused frame state exactly.
-    case FOp::FuseCopyAdd:
-    case FOp::FuseCopySub:
-    case FOp::FuseCopyAnd:
-    case FOp::FuseCopyOr:
-    case FOp::FuseCopyXor:
-    case FOp::FuseCopyShl:
-    case FOp::FuseCopyShr:
-    case FOp::FuseCopyNot:
-      F[O.X] = F[O.Y];
-      F[O.D] = cps::evalPrim(
-          static_cast<cps::PrimOp>(static_cast<unsigned>(O.Kind) -
-                                   static_cast<unsigned>(FOp::FuseCopyAdd)),
-          F[O.A], F[O.B]);
-      ++PC;
-      break;
-
-    case FOp::FuseCopyCopy:
-      F[O.X] = F[O.Y];
-      F[O.D] = F[O.A];
-      ++PC;
-      break;
-
-    case FOp::FuseShlAdd:
-      F[O.D] = cps::evalPrim(cps::PrimOp::Add, F[O.X],
-                             cps::evalPrim(cps::PrimOp::Shl, F[O.A], F[O.B]));
-      ++PC;
-      break;
-
-    case FOp::Hash:
-      F[O.D] = hwHash(F[O.A]);
-      ++PC;
-      break;
-
-    case FOp::FuseCopyMemRead:
-    case FOp::MemRead: {
-      if (O.Kind == FOp::FuseCopyMemRead)
-        F[O.D] = F[O.B]; // leading copy retires before the memory op
-      MemSpace S = static_cast<MemSpace>(O.Aux);
-      uint32_t Addr = effectiveAddr(S, F[O.A]);
-      const ColdInfo &C = ColdA[PC];
-      if (!Mem.inRange(S, Addr, O.N)) {
-        R.Instructions = StartIns + C.InsDelta;
-        R.Cycles = StartCyc + C.CycPrefix;
-        trap(R, rangeTrapFor(S),
-             formatf("%s read of %u words at 0x%x (limit 0x%x)",
-                     spaceName(S), O.N, Addr, Mem.Limits.words(S)));
-        return finish();
-      }
-      auto &Sp = *Mem.space(S);
-      const uint16_t *Dst = Pool + O.X;
-      for (uint32_t K = 0; K != O.N; ++K)
-        F[Dst[K]] = sim::Memory::load(Sp, Addr + K);
-      R.Instructions = StartIns + C.InsDelta;
-      R.Cycles = StartCyc + C.CycPrefix;
-      YieldPC = PC;
-      FastYield = true;
-      return {Yield::Kind::Mem, S, R.Cycles - BurstStart};
-    }
-
-    case FOp::FuseCopyMemWrite:
-    case FOp::MemWrite: {
-      if (O.Kind == FOp::FuseCopyMemWrite)
-        F[O.D] = F[O.B];
-      MemSpace S = static_cast<MemSpace>(O.Aux);
-      uint32_t Addr = effectiveAddr(S, F[O.A]);
-      const ColdInfo &C = ColdA[PC];
-      if (!Mem.inRange(S, Addr, O.N)) {
-        R.Instructions = StartIns + C.InsDelta;
-        R.Cycles = StartCyc + C.CycPrefix;
-        trap(R, rangeTrapFor(S),
-             formatf("%s write of %u words at 0x%x (limit 0x%x)",
-                     spaceName(S), O.N, Addr, Mem.Limits.words(S)));
-        return finish();
-      }
-      auto &Sp = *Mem.space(S);
-      const uint16_t *Src = Pool + O.X;
-      for (uint32_t K = 0; K != O.N; ++K)
-        Sp[Addr + K] = F[Src[K]];
-      R.Instructions = StartIns + C.InsDelta;
-      R.Cycles = StartCyc + C.CycPrefix;
-      YieldPC = PC;
-      FastYield = true;
-      return {Yield::Kind::Mem, S, R.Cycles - BurstStart};
-    }
-
-    case FOp::BitTestSet: {
-      MemSpace S = static_cast<MemSpace>(O.Aux);
-      uint32_t Addr = effectiveAddr(S, F[O.A]);
-      const ColdInfo &C = ColdA[PC];
-      if (!Mem.inRange(S, Addr, 1)) {
-        R.Instructions = StartIns + C.InsDelta;
-        R.Cycles = StartCyc + C.CycPrefix;
-        trap(R, rangeTrapFor(S),
-             formatf("%s bit-test-set at 0x%x (limit 0x%x)", spaceName(S),
-                     Addr, Mem.Limits.words(S)));
-        return finish();
-      }
-      auto &Sp = *Mem.space(S);
-      uint32_t Old = sim::Memory::load(Sp, Addr);
-      Sp[Addr] = Old | F[O.B];
-      F[O.D] = Old;
-      R.Instructions = StartIns + C.InsDelta;
-      R.Cycles = StartCyc + C.CycPrefix;
-      YieldPC = PC;
-      FastYield = true;
-      return {Yield::Kind::Mem, S, R.Cycles - BurstStart};
-    }
-
-    case FOp::BranchEq:
-    case FOp::BranchNe:
-    case FOp::BranchLt:
-    case FOp::BranchGt:
-    case FOp::BranchLe:
-    case FOp::BranchGe: {
-      const ColdInfo &C = ColdA[PC];
-      Ins = StartIns + C.InsDelta;
-      Cyc = StartCyc + C.CycPrefix + BranchCost;
-      PC = cps::evalCmp(
-               static_cast<cps::CmpOp>(static_cast<unsigned>(O.Kind) -
-                                       static_cast<unsigned>(FOp::BranchEq)),
-               F[O.A], F[O.B])
-               ? O.X
-               : O.Y;
-      break;
-    }
-
-    case FOp::GuardEq:
-    case FOp::GuardNe:
-    case FOp::GuardLt:
-    case FOp::GuardGt:
-    case FOp::GuardLe:
-    case FOp::GuardGe: {
-      if (cps::evalCmp(
-              static_cast<cps::CmpOp>(static_cast<unsigned>(O.Kind) -
-                                      static_cast<unsigned>(FOp::GuardEq)),
-              F[O.A], F[O.B]) == (O.Aux != 0)) {
-        ++PC;
-        break;
-      }
-      const ColdInfo &C = ColdA[PC];
-      Ins = StartIns + C.InsDelta;
-      Cyc = StartCyc + C.CycPrefix + BranchCost;
-      PC = O.X;
-      break;
-    }
-
-    case FOp::Jump: {
-      const ColdInfo &C = ColdA[PC];
-      Ins = StartIns + C.InsDelta;
-      Cyc = StartCyc + C.CycPrefix + BranchCost;
-      PC = O.X;
-      break;
-    }
-
-    case FOp::Halt: {
-      const ColdInfo &C = ColdA[PC];
-      R.Instructions = StartIns + C.InsDelta;
-      R.Cycles = StartCyc + C.CycPrefix;
-      const uint16_t *Src = Pool + O.X;
-      for (uint32_t K = 0; K != O.N; ++K)
-        R.HaltValues.push_back(F[Src[K]]);
-      R.Ok = true;
-      return finish();
-    }
-
-    case FOp::TrapStatic: {
-      const ColdInfo &C = ColdA[PC];
-      R.Instructions = StartIns + C.InsDelta;
-      R.Cycles = StartCyc + C.CycPrefix;
-      trap(R, static_cast<sim::TrapKind>(O.Aux), T->Messages[O.X]);
-      return finish();
-    }
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Checkpoint serialization
-//===----------------------------------------------------------------------===//
 
 void SegmentContext::saveState(BinWriter &W) const {
-  W.vec32(Frame);
-  R.saveState(W);
-  W.b(Finished);
-  W.b(Err);
-  W.b(InSlow);
-  W.b(FastYield);
-  W.u32(PC);
-  W.u32(YieldPC);
-  W.u64(Ins);
-  W.u64(Cyc);
-  W.u64(StartIns);
-  W.u64(StartCyc);
-  W.u32(SB);
-  W.u32(SIdx);
+  W.vec32(C.Frame);
+  C.R.saveState(W);
+  W.b(C.Finished);
+  W.b(C.Err);
+  W.b(C.InSlow);
+  W.b(C.FastYield);
+  W.u32(C.PC);
+  W.u32(C.YieldPC);
+  W.u64(C.Ins);
+  W.u64(C.Cyc);
+  W.u64(C.StartIns);
+  W.u64(C.StartCyc);
+  W.u32(C.SB);
+  W.u32(C.SIdx);
 }
 
 void SegmentContext::restoreState(BinReader &Rd) {
-  Frame = Rd.vec32();
-  R.restoreState(Rd);
-  Finished = Rd.b();
-  Err = Rd.b();
-  InSlow = Rd.b();
-  FastYield = Rd.b();
-  PC = Rd.u32();
-  YieldPC = Rd.u32();
-  Ins = Rd.u64();
-  Cyc = Rd.u64();
-  StartIns = Rd.u64();
-  StartCyc = Rd.u64();
-  SB = Rd.u32();
-  SIdx = Rd.u32();
+  C.Frame = Rd.vec32();
+  C.R.restoreState(Rd);
+  C.Finished = Rd.b();
+  C.Err = Rd.b();
+  C.InSlow = Rd.b();
+  C.FastYield = Rd.b();
+  C.PC = Rd.u32();
+  C.YieldPC = Rd.u32();
+  C.Ins = Rd.u64();
+  C.Cyc = Rd.u64();
+  C.StartIns = Rd.u64();
+  C.StartCyc = Rd.u64();
+  C.SB = Rd.u32();
+  C.SIdx = Rd.u32();
 }

@@ -25,10 +25,9 @@
 /// Memory-op flat costs (FastOp::Y) are never self-charged here — the
 /// caller owns them, exactly like the interpreter's yield contract.
 ///
-/// Exactness escape hatches mirror the Engine: blocks that can observe
-/// per-instruction state run on a per-instruction slow tier that is
-/// itself resumable (it mirrors sim::AllocContext::resume including the
-/// Err-latch timing, injector draw order, and spill-window rebasing).
+/// resume() is runStream()'s resumable instantiation — the same loop
+/// the Engine runs — and its slow tier is the interpreter's own step,
+/// which yields mid-block at memory references too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +36,8 @@
 
 #include "fastpath/FastPath.h"
 #include "sim/ExecContext.h"
+
+#include <cassert>
 
 namespace nova {
 namespace fastpath {
@@ -51,20 +52,23 @@ public:
   SegmentContext() = default;
   explicit SegmentContext(const Translated *Tr) { setProgram(Tr); }
 
-  void setProgram(const Translated *Tr);
-  const Translated *translated() const { return T; }
+  void setProgram(const Translated *Tr) { C.bind(Tr); }
+  const Translated *translated() const { return C.T; }
 
   /// Per-context spill window displacement in scratch words (see
   /// sim::AllocContext). 0 = run at the program's own spill addresses.
-  void setSpillRebase(uint32_t Words) { SpillRebase = Words; }
+  void setSpillRebase(uint32_t Words) { C.SpillRebase = Words; }
 
   /// Re-targets the context at a fresh run. On a malformed entry the
   /// context is immediately done() with the trap in result().
-  void reset(const std::vector<uint32_t> &Args);
+  void reset(const std::vector<uint32_t> &Args) {
+    assert(C.T && "reset() before setProgram()");
+    C.reset(Args);
+  }
 
-  bool done() const { return Finished; }
-  const sim::RunResult &result() const { return R; }
-  sim::RunResult takeResult() { return std::move(R); }
+  bool done() const { return C.Finished; }
+  const sim::RunResult &result() const { return C.R; }
+  sim::RunResult takeResult() { return std::move(C.R); }
 
   /// Discards an in-progress run, mirroring sim::AllocContext::abort():
   /// the context becomes done() with an empty (non-Ok) result, all
@@ -73,25 +77,27 @@ public:
   /// supervisor's recovery path relies on this working identically in
   /// both exec modes.
   void abort() {
-    Finished = true;
-    InSlow = false;
-    FastYield = false;
-    Err = false;
-    PC = YieldPC = 0;
-    Ins = Cyc = StartIns = StartCyc = 0;
-    SB = 0;
-    SIdx = 0;
-    R = sim::RunResult();
-    R.Ok = false;
+    C.Finished = true;
+    C.InSlow = false;
+    C.FastYield = false;
+    C.Err = false;
+    C.PC = C.YieldPC = 0;
+    C.Ins = C.Cyc = C.StartIns = C.StartCyc = 0;
+    C.SB = 0;
+    C.SIdx = 0;
+    C.R = sim::RunResult();
+    C.R.Ok = false;
   }
 
   /// Adds externally-decided cycles (memory latency, queueing delay) to
   /// the run's cycle count.
-  void charge(uint64_t Cycles) { R.Cycles += Cycles; }
+  void charge(uint64_t Cycles) { C.R.Cycles += Cycles; }
 
   /// Executes until the next swap point. Requires !done(). Opts.Lat must
   /// be the model the program was translated with.
-  Yield resume(sim::Memory &Mem, const sim::RunOptions &Opts);
+  Yield resume(sim::Memory &Mem, const sim::RunOptions &Opts) {
+    return runStream(C, Mem, Opts);
+  }
 
   /// Checkpoint serialization of the resumable run state (frame, PCs,
   /// cold-data bases, accounting). The Translated binding and spill
@@ -102,26 +108,7 @@ public:
   void restoreState(BinReader &R);
 
 private:
-  const Translated *T = nullptr;
-  std::vector<uint32_t> Frame;
-  sim::RunResult R;
-  bool Finished = true; ///< no run in progress until reset()
-  bool Err = false;     ///< slow-tier illegal-register latch
-  bool InSlow = false;  ///< resuming inside the per-instruction tier
-  bool FastYield = false; ///< resuming after a fast-tier memory yield
-  uint32_t SpillRebase = 0;
-  uint32_t PC = 0;      ///< fast-tier op index
-  uint32_t YieldPC = 0; ///< the memory op the last fast burst yielded at
-  uint64_t Ins = 0, Cyc = 0;         ///< exact at block boundaries
-  uint64_t StartIns = 0, StartCyc = 0; ///< bases for cold-data exits
-  ixp::BlockId SB = 0;  ///< slow-tier block
-  unsigned SIdx = 0;    ///< slow-tier instruction index
-
-  /// Runs the per-instruction tier from (SB, SIdx). Returns true with
-  /// \p Y filled when the burst ends (yield or done); returns false when
-  /// control falls back to the fast dispatch at a block boundary.
-  bool slowStep(sim::Memory &Mem, const sim::RunOptions &Opts,
-                uint64_t BurstStart, Yield &Y);
+  StreamContext C;
 };
 
 } // namespace fastpath

@@ -51,29 +51,7 @@ using ixp::MOp;
 
 namespace {
 
-/// Frame base of a bank, or -1 for banks with no register file (M, C).
-int bankBase(ixp::Bank B) {
-  switch (B) {
-  case ixp::Bank::A:  return 0;
-  case ixp::Bank::B:  return 16;
-  case ixp::Bank::L:  return 32;
-  case ixp::Bank::S:  return 40;
-  case ixp::Bank::LD: return 48;
-  case ixp::Bank::SD: return 56;
-  default:            return -1;
-  }
-}
-
-unsigned bankSize(ixp::Bank B) {
-  return B == ixp::Bank::A || B == ixp::Bank::B ? 16 : 8;
-}
-
-int regSlot(PhysLoc L) {
-  int Base = bankBase(L.B);
-  if (Base < 0 || L.Reg >= bankSize(L.B))
-    return -1;
-  return Base + L.Reg;
-}
+using sim::frameSlot;
 
 /// True when \p I ends the block's linear execution unconditionally.
 bool isTerminal(const AllocInstr &I) {
@@ -120,7 +98,7 @@ struct Translator {
   }
 
   int srcSlot(const AOperand &O) {
-    return O.IsConst ? constSlot(O.Value) : regSlot(O.Loc);
+    return O.IsConst ? constSlot(O.Value) : frameSlot(O.Loc);
   }
 
   uint32_t message(std::string M) {
@@ -209,31 +187,12 @@ struct Translator {
   /// always fine). Terminal-before-read cases never reach here.
   bool operandsLegal(const AllocInstr &I) {
     for (const AOperand &S : I.Srcs)
-      if (!S.IsConst && regSlot(S.Loc) < 0)
+      if (!S.IsConst && frameSlot(S.Loc) < 0)
         return false;
     for (PhysLoc D : I.Dsts)
-      if (regSlot(D) < 0)
+      if (frameSlot(D) < 0)
         return false;
     return true;
-  }
-
-  unsigned costOf(const AllocInstr &I) const {
-    switch (I.Op) {
-    case MOp::Alu:
-    case MOp::Move:
-      return Lat.Alu;
-    case MOp::Imm:
-      // Large constants need two instructions on the IXP (paper §12).
-      return I.Imm <= 0xFFFF || (I.Imm & 0xFFFF) == 0 ? Lat.Imm
-                                                      : Lat.Imm + 1;
-    case MOp::Hash:
-      return Lat.HashOp;
-    default:
-      // Memory ops charge their flat cost at runtime (FastOp::Y) so the
-      // stream stays resumable; Branch/Jump charge at the exit op;
-      // Halt/Clone charge 0.
-      return 0;
-    }
   }
 
   /// Decodes a non-terminal instruction into a FastOp. Terminals and
@@ -248,22 +207,22 @@ struct Translator {
       O.A = static_cast<uint16_t>(srcSlot(I.Srcs[0]));
       O.B = static_cast<uint16_t>(
           I.Srcs.size() > 1 ? srcSlot(I.Srcs[1]) : constSlot(0));
-      O.D = static_cast<uint16_t>(regSlot(I.Dsts[0]));
+      O.D = static_cast<uint16_t>(frameSlot(I.Dsts[0]));
       break;
     case MOp::Imm:
       O.Kind = FOp::Copy;
       O.A = constSlot(I.Imm);
-      O.D = static_cast<uint16_t>(regSlot(I.Dsts[0]));
+      O.D = static_cast<uint16_t>(frameSlot(I.Dsts[0]));
       break;
     case MOp::Move:
       O.Kind = FOp::Copy;
       O.A = static_cast<uint16_t>(srcSlot(I.Srcs[0]));
-      O.D = static_cast<uint16_t>(regSlot(I.Dsts[0]));
+      O.D = static_cast<uint16_t>(frameSlot(I.Dsts[0]));
       break;
     case MOp::Hash:
       O.Kind = FOp::Hash;
       O.A = static_cast<uint16_t>(srcSlot(I.Srcs[0]));
-      O.D = static_cast<uint16_t>(regSlot(I.Dsts[0]));
+      O.D = static_cast<uint16_t>(frameSlot(I.Dsts[0]));
       break;
     case MOp::MemRead:
       O.Kind = FOp::MemRead;
@@ -273,7 +232,7 @@ struct Translator {
       O.X = static_cast<uint32_t>(T.Pool.size());
       O.Y = Lat.memAccess(I.Space);
       for (PhysLoc D : I.Dsts)
-        T.Pool.push_back(static_cast<uint16_t>(regSlot(D)));
+        T.Pool.push_back(static_cast<uint16_t>(frameSlot(D)));
       break;
     case MOp::MemWrite:
       O.Kind = FOp::MemWrite;
@@ -290,7 +249,7 @@ struct Translator {
       O.Aux = static_cast<uint8_t>(I.Space);
       O.A = static_cast<uint16_t>(srcSlot(I.Srcs[0]));
       O.B = static_cast<uint16_t>(srcSlot(I.Srcs[1]));
-      O.D = static_cast<uint16_t>(regSlot(I.Dsts[0]));
+      O.D = static_cast<uint16_t>(frameSlot(I.Dsts[0]));
       O.Y = Lat.memAccess(I.Space);
       break;
     default:
@@ -386,7 +345,9 @@ struct Translator {
         return;
       default:
         emitFusible(decodeSimple(I), C);
-        CycPrefix += costOf(I);
+        // Memory ops add 0: their flat cost is FastOp::Y, charged as the
+        // op executes so the stream stays resumable.
+        CycPrefix += Lat.opCycles(I);
         break;
       }
     }
@@ -532,7 +493,7 @@ struct Translator {
                 {static_cast<uint32_t>(T.Ops.size()), B, Edge::KGuard});
             emit(O, C);
             InsBase += K + 1;
-            CycBase += CycPrefix + Lat.Branch;
+            CycBase += CycPrefix + Lat.opCycles(I);
           } else {
             O.Kind = static_cast<FOp>(static_cast<unsigned>(FOp::BranchEq) +
                                       static_cast<unsigned>(I.Cmp));
@@ -551,7 +512,7 @@ struct Translator {
             // Interior jump: no op at all — the instruction fetch and
             // branch cost fold into the cumulative bases.
             InsBase += K + 1;
-            CycBase += CycPrefix + Lat.Branch;
+            CycBase += CycPrefix + Lat.opCycles(I);
           } else {
             O.Kind = FOp::Jump;
             O.X = I.Target;
@@ -572,7 +533,7 @@ struct Translator {
           break;
         default:
           emitFusible(decodeSimple(I), C);
-          CycPrefix += costOf(I);
+          CycPrefix += Lat.opCycles(I);
           break;
         }
       }

@@ -5,32 +5,17 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The allocated-mode step loop, factored out of runAllocated so the chip
-// simulator can interleave many hardware contexts. Behaviour contract
-// with the old monolithic loop (sim_test and the soak oracle pin it):
-//
-//  - identical trap kinds and messages, with the same instruction and
-//    cycle counts at the trap point;
-//  - memory data effects happen at issue, before the yield, so a
-//    single-threaded caller that immediately resumes sees exactly the
-//    old memory image at every step;
-//  - the base memory latency is the caller's to charge() after the Mem
-//    yield. An illegal-register error latched while computing a memory
-//    operand therefore traps on the *next* resume() — after the caller's
-//    charge — reproducing the old loop's bottom-of-iteration check that
-//    fired after the latency was added;
-//  - fault injection: sim-bitflip inside the ALU case, mem-jitter drawn
-//    right at the MemRead/MemWrite issue (and not for BitTestSet),
-//    keeping the injector's draw sequence unchanged.
+// The allocated-mode interpreter: a resumable loop over detail::step()
+// (SimUtil.h), which owns the semantics, trap precedence, Err-latch
+// timing and fault-injector draw order. Memory data effects happen at
+// issue, before the yield; the base memory latency is the caller's to
+// charge() after it.
 //
 //===----------------------------------------------------------------------===//
 
 #include "sim/ExecContext.h"
 
 #include "sim/SimUtil.h"
-#include "support/FaultInjection.h"
-#include "support/HwHash.h"
-#include "support/StringUtils.h"
 
 #include <cassert>
 #include <cstring>
@@ -38,46 +23,6 @@
 using namespace nova;
 using namespace nova::sim;
 using namespace nova::sim::detail;
-using namespace nova::ixp;
-using alloc::AllocInstr;
-using alloc::AOperand;
-using alloc::PhysLoc;
-
-AllocContext::File AllocContext::regFile(Bank Bk) {
-  switch (Bk) {
-  case Bank::A:  return {RegA, 16};
-  case Bank::B:  return {RegB, 16};
-  case Bank::L:  return {RegL, 8};
-  case Bank::S:  return {RegS, 8};
-  case Bank::LD: return {RegLD, 8};
-  case Bank::SD: return {RegSD, 8};
-  default:       return {nullptr, 0};
-  }
-}
-
-// Reads/writes report illegal banks and out-of-file indices through Err;
-// resume() converts that into an IllegalRegister trap at the next swap
-// point (the old code masked the index with &15, silently aliasing
-// registers and reading off the end of the 8-entry transfer banks).
-uint32_t AllocContext::read(const AOperand &O) {
-  if (O.IsConst)
-    return O.Value;
-  File F = regFile(O.Loc.B);
-  if (!F.Regs || O.Loc.Reg >= F.Size) {
-    Err = true;
-    return 0;
-  }
-  return F.Regs[O.Loc.Reg];
-}
-
-void AllocContext::writeReg(PhysLoc L, uint32_t V) {
-  File F = regFile(L.B);
-  if (!F.Regs || L.Reg >= F.Size) {
-    Err = true;
-    return;
-  }
-  F.Regs[L.Reg] = V;
-}
 
 void AllocContext::reset(const std::vector<uint32_t> &Args) {
   assert(Prog && "reset() before setProgram()");
@@ -85,14 +30,9 @@ void AllocContext::reset(const std::vector<uint32_t> &Args) {
   Err = false;
   B = Prog->Entry;
   Idx = 0;
-  std::memset(RegA, 0, sizeof(RegA));
-  std::memset(RegB, 0, sizeof(RegB));
-  std::memset(RegL, 0, sizeof(RegL));
-  std::memset(RegS, 0, sizeof(RegS));
-  std::memset(RegLD, 0, sizeof(RegLD));
-  std::memset(RegSD, 0, sizeof(RegSD));
+  std::memset(Frame, 0, sizeof(Frame));
 
-  if (Prog->Entry == NoBlock || Prog->Entry >= Prog->Blocks.size()) {
+  if (Prog->Entry == ixp::NoBlock || Prog->Entry >= Prog->Blocks.size()) {
     trap(R, TrapKind::MalformedProgram, "no entry block");
     Finished = true;
     return;
@@ -103,190 +43,20 @@ void AllocContext::reset(const std::vector<uint32_t> &Args) {
     return;
   }
   for (unsigned I = 0; I != Args.size(); ++I)
-    RegA[I] = Args[I];
+    Frame[I] = Args[I]; // A0..A(n-1)
   Finished = false;
 }
 
 AllocContext::Yield AllocContext::resume(Memory &Mem, const RunOptions &Opts) {
   assert(!Finished && "resume() on a completed context");
-  const alloc::AllocatedProgram &P = *Prog;
-  const LatencyModel &Lat = Opts.Lat;
   const uint64_t StartCycles = R.Cycles;
-  auto finish = [&]() -> Yield {
-    Finished = true;
-    return {Yield::Kind::Done, MemSpace::Sram, R.Cycles - StartCycles};
-  };
-
-  // An illegal-register access latched while issuing the memory operand
-  // of the previous burst: trap now, after the caller charged the memory
-  // latency, exactly like the old loop's bottom-of-iteration check.
-  if (Err) {
-    trap(R, TrapKind::IllegalRegister,
-         formatf("illegal register access in block b%u", B));
-    return finish();
-  }
-
-  const bool Faults = FaultInjector::armed();
-  // Spill-window displacement (0 outside the window or when no rebase is
-  // configured): gives each concurrent context a private spill area in
-  // the shared scratch space.
-  auto effectiveAddr = [&](MemSpace S, uint32_t Addr) -> uint32_t {
-    if (SpillRebase && S == MemSpace::Scratch && Addr >= P.SpillBase &&
-        Addr - P.SpillBase < P.NumSpillSlots)
-      return Addr + SpillRebase;
-    return Addr;
-  };
-
   while (true) {
-    if (++R.Instructions > Opts.MaxInstructions) {
-      trap(R, TrapKind::Watchdog,
-           formatf("instruction budget of %llu exhausted",
-                   (unsigned long long)Opts.MaxInstructions));
-      return finish();
-    }
-    if (Idx >= P.Blocks[B].Instrs.size()) {
-      trap(R, TrapKind::MalformedProgram,
-           formatf("fell off the end of block b%u", B));
-      return finish();
-    }
-    const AllocInstr &I = P.Blocks[B].Instrs[Idx++];
-
-    // One validity check covers space(), memAccess(), and the range
-    // trap: an out-of-enum MemSpace can only come from corrupt code.
-    if ((I.Op == MOp::MemRead || I.Op == MOp::MemWrite ||
-         I.Op == MOp::BitTestSet) &&
-        !validSpace(I.Space)) {
-      trap(R, TrapKind::IllegalMemSpace,
-           formatf("memory space %u in block b%u", (unsigned)I.Space, B));
-      return finish();
-    }
-
-    switch (I.Op) {
-    case MOp::Alu: {
-      uint32_t A = read(I.Srcs[0]);
-      uint32_t Bv = I.Srcs.size() > 1 ? read(I.Srcs[1]) : 0;
-      if (Opts.TrapOnShiftRange && cps::shiftOutOfRange(I.Alu, Bv)) {
-        trap(R, TrapKind::ShiftRange,
-             formatf("shift count %u in block b%u", Bv, B));
-        return finish();
-      }
-      uint32_t V = cps::evalPrim(I.Alu, A, Bv);
-      if (Faults &&
-          FaultInjector::instance().shouldFire(FaultKind::SimBitFlip))
-        V ^= 1u << (R.Instructions & 31);
-      writeReg(I.Dsts[0], V);
-      R.Cycles += Lat.Alu;
-      break;
-    }
-    case MOp::Imm:
-      writeReg(I.Dsts[0], I.Imm);
-      // Large constants need two instructions on the IXP (paper §12).
-      R.Cycles += I.Imm <= 0xFFFF || (I.Imm & 0xFFFF) == 0 ? Lat.Imm
-                                                           : Lat.Imm + 1;
-      break;
-    case MOp::Move:
-      writeReg(I.Dsts[0], read(I.Srcs[0]));
-      R.Cycles += Lat.Alu;
-      break;
-    case MOp::MemRead: {
-      uint32_t Addr = effectiveAddr(I.Space, read(I.Srcs[0]));
-      uint32_t Count = static_cast<uint32_t>(I.Dsts.size());
-      if (!Err && !Mem.inRange(I.Space, Addr, Count)) {
-        trap(R, rangeTrapFor(I.Space),
-             formatf("%s read of %u words at 0x%x (limit 0x%x)",
-                     spaceName(I.Space), Count, Addr,
-                     Mem.Limits.words(I.Space)));
-        return finish();
-      }
-      auto &Space = *Mem.space(I.Space);
-      for (unsigned K = 0; K != I.Dsts.size(); ++K)
-        writeReg(I.Dsts[K], Memory::load(Space, Addr + K));
-      if (Faults &&
-          FaultInjector::instance().shouldFire(FaultKind::MemJitter))
-        R.Cycles +=
-            FaultInjector::instance().drawCycles(FaultKind::MemJitter, 16);
-      return {Yield::Kind::Mem, I.Space, R.Cycles - StartCycles};
-    }
-    case MOp::MemWrite: {
-      uint32_t Addr = effectiveAddr(I.Space, read(I.Srcs[0]));
-      uint32_t Count = static_cast<uint32_t>(I.Srcs.size() - 1);
-      if (!Err && !Mem.inRange(I.Space, Addr, Count)) {
-        trap(R, rangeTrapFor(I.Space),
-             formatf("%s write of %u words at 0x%x (limit 0x%x)",
-                     spaceName(I.Space), Count, Addr,
-                     Mem.Limits.words(I.Space)));
-        return finish();
-      }
-      auto &Space = *Mem.space(I.Space);
-      for (unsigned K = 1; K != I.Srcs.size(); ++K)
-        Space[Addr + K - 1] = read(I.Srcs[K]);
-      if (Faults &&
-          FaultInjector::instance().shouldFire(FaultKind::MemJitter))
-        R.Cycles +=
-            FaultInjector::instance().drawCycles(FaultKind::MemJitter, 16);
-      return {Yield::Kind::Mem, I.Space, R.Cycles - StartCycles};
-    }
-    case MOp::Hash:
-      writeReg(I.Dsts[0], hwHash(read(I.Srcs[0])));
-      R.Cycles += Lat.HashOp;
-      break;
-    case MOp::BitTestSet: {
-      uint32_t Addr = effectiveAddr(I.Space, read(I.Srcs[0]));
-      uint32_t Bits = read(I.Srcs[1]);
-      if (!Err && !Mem.inRange(I.Space, Addr, 1)) {
-        trap(R, rangeTrapFor(I.Space),
-             formatf("%s bit-test-set at 0x%x (limit 0x%x)",
-                     spaceName(I.Space), Addr, Mem.Limits.words(I.Space)));
-        return finish();
-      }
-      auto &Space = *Mem.space(I.Space);
-      uint32_t Old = Memory::load(Space, Addr);
-      Space[Addr] = Old | Bits;
-      writeReg(I.Dsts[0], Old);
-      return {Yield::Kind::Mem, I.Space, R.Cycles - StartCycles};
-    }
-    case MOp::Clone:
-      trap(R, TrapKind::MalformedProgram, "clone pseudo in allocated code");
-      return finish();
-    case MOp::Branch: {
-      BlockId T = cps::evalCmp(I.Cmp, read(I.Srcs[0]), read(I.Srcs[1]))
-                      ? I.Target
-                      : I.TargetElse;
-      if (T >= P.Blocks.size()) {
-        trap(R, TrapKind::MalformedProgram,
-             formatf("branch in block b%u targets b%u", B, T));
-        return finish();
-      }
-      B = T;
-      Idx = 0;
-      R.Cycles += Lat.Branch;
-      break;
-    }
-    case MOp::Jump:
-      if (I.Target >= P.Blocks.size()) {
-        trap(R, TrapKind::MalformedProgram,
-             formatf("jump in block b%u targets b%u", B, I.Target));
-        return finish();
-      }
-      B = I.Target;
-      Idx = 0;
-      R.Cycles += Lat.Branch;
-      break;
-    case MOp::Halt:
-      for (const AOperand &S : I.Srcs)
-        R.HaltValues.push_back(read(S));
-      if (Err) {
-        trap(R, TrapKind::IllegalRegister,
-             "illegal register access at halt");
-        return finish();
-      }
-      R.Ok = true;
-      return finish();
-    }
-    if (Err) {
-      trap(R, TrapKind::IllegalRegister,
-           formatf("illegal register access in block b%u", B));
-      return finish();
+    Stepped S = step(*Prog, Frame, R, Err, B, Idx, Mem, Opts, SpillRebase);
+    if (S.K == Stepped::Mem)
+      return {Yield::Kind::Mem, S.Space, R.Cycles - StartCycles};
+    if (S.K == Stepped::Done) {
+      Finished = true;
+      return {Yield::Kind::Done, MemSpace::Sram, R.Cycles - StartCycles};
     }
   }
 }
@@ -329,17 +99,7 @@ void AllocContext::saveState(BinWriter &W) const {
   W.b(Err);
   W.u32(B);
   W.u32(Idx);
-  for (uint32_t V : RegA)
-    W.u32(V);
-  for (uint32_t V : RegB)
-    W.u32(V);
-  for (uint32_t V : RegL)
-    W.u32(V);
-  for (uint32_t V : RegS)
-    W.u32(V);
-  for (uint32_t V : RegLD)
-    W.u32(V);
-  for (uint32_t V : RegSD)
+  for (uint32_t V : Frame) // A, B, L, S, LD, SD in frame order
     W.u32(V);
 }
 
@@ -349,16 +109,6 @@ void AllocContext::restoreState(BinReader &Rd) {
   Err = Rd.b();
   B = Rd.u32();
   Idx = Rd.u32();
-  for (uint32_t &V : RegA)
-    V = Rd.u32();
-  for (uint32_t &V : RegB)
-    V = Rd.u32();
-  for (uint32_t &V : RegL)
-    V = Rd.u32();
-  for (uint32_t &V : RegS)
-    V = Rd.u32();
-  for (uint32_t &V : RegLD)
-    V = Rd.u32();
-  for (uint32_t &V : RegSD)
+  for (uint32_t &V : Frame)
     V = Rd.u32();
 }

@@ -12,12 +12,14 @@
 /// memory reference — the IXP's signature latency-hiding trick — while
 /// runAllocated remains a thin driver with bit-identical behaviour.
 ///
-/// resume() executes instructions until the run completes (halt or trap)
-/// or a memory reference is issued. Memory *data* effects apply at issue,
-/// in the issuing context's program order; the caller decides what the
-/// reference costs (flat LatencyModel charge for the single-threaded
-/// simulator, transaction-queue completion time for the contended chip)
-/// and pays it with charge(). Each context owns a private quarter of the
+/// resume() loops detail::step() — the one definition of allocated-code
+/// semantics, which the fast path's slow tier also runs — until the run
+/// completes (halt or trap) or a memory reference is issued. Memory
+/// *data* effects apply at issue, in the issuing context's program
+/// order; the caller decides what the reference costs (flat
+/// LatencyModel charge for the single-threaded simulator,
+/// transaction-queue completion time for the contended chip) and pays
+/// it with charge(). Each context owns a private quarter of the
 /// register files, exactly like the hardware.
 ///
 /// Spill isolation: allocated code addresses its spill slots as absolute
@@ -96,7 +98,7 @@ public:
   Yield resume(Memory &Mem, const RunOptions &Opts);
 
   /// Checkpoint serialization of the resumable run state: register
-  /// files, position, accounting. The program binding and spill rebase
+  /// frame, position, accounting. The program binding and spill rebase
   /// are construction-time configuration and are NOT saved — restore
   /// into a context already wired to the same program.
   void saveState(BinWriter &W) const;
@@ -106,22 +108,11 @@ private:
   const alloc::AllocatedProgram *Prog = nullptr;
   RunResult R;
   bool Finished = true; ///< no run in progress until reset()
-  bool Err = false;     ///< illegal-register latch (checked at swap points)
+  bool Err = false;     ///< illegal-register latch (see detail::step)
   uint32_t SpillRebase = 0;
   ixp::BlockId B = 0;
   unsigned Idx = 0;
-  // Register files. Bank sizes are architectural: 16 GPRs per ALU bank,
-  // 8 per transfer bank (one context's quarter of the 32-register files).
-  uint32_t RegA[16] = {0}, RegB[16] = {0}, RegL[8] = {0}, RegS[8] = {0},
-           RegLD[8] = {0}, RegSD[8] = {0};
-
-  struct File {
-    uint32_t *Regs;
-    unsigned Size;
-  };
-  File regFile(ixp::Bank Bk);
-  uint32_t read(const alloc::AOperand &O);
-  void writeReg(alloc::PhysLoc L, uint32_t V);
+  uint32_t Frame[FrameRegs] = {0}; ///< register banks, see frameSlot()
 };
 
 } // namespace sim

@@ -7,8 +7,10 @@
 ///
 /// \file
 /// Trap-construction and MemSpace helpers shared by the functional
-/// interpreter (Simulator.cpp) and the re-entrant allocated-mode context
-/// (ExecContext.cpp). Internal to src/sim — not part of the public API.
+/// interpreter (Simulator.cpp) and the allocated-mode executors, plus
+/// step(): the one definition of what an allocated instruction does.
+/// Internal to the simulators (src/sim and src/fastpath) — not part of
+/// the public API.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +18,8 @@
 #define SIM_SIMUTIL_H
 
 #include "sim/Simulator.h"
+#include "support/FaultInjection.h"
+#include "support/HwHash.h"
 #include "support/StringUtils.h"
 
 namespace nova {
@@ -53,6 +57,219 @@ inline const char *spaceName(MemSpace S) {
   case MemSpace::Scratch: return "scratch";
   }
   return "?";
+}
+
+/// \p Addr shifted by \p Rebase when it lands in \p P's scratch spill
+/// window: each concurrent chip context gets a private spill area in the
+/// shared scratch space. Rebase 0 (standalone runs) is the identity.
+inline uint32_t spillRebased(const alloc::AllocatedProgram &P,
+                             uint32_t Rebase, MemSpace S, uint32_t Addr) {
+  if (Rebase && S == MemSpace::Scratch && Addr >= P.SpillBase &&
+      Addr - P.SpillBase < P.NumSpillSlots)
+    return Addr + Rebase;
+  return Addr;
+}
+
+/// What one step() did.
+struct Stepped {
+  enum Kind : uint8_t {
+    Next,  ///< retired an instruction; the block continues
+    Block, ///< a branch or jump moved to the start of block B
+    Mem,   ///< issued a reference to Space, data already applied; the
+           ///< caller charges its latency before the next step
+    Done   ///< the run completed (halt or trap) — see R
+  };
+  Kind K;
+  MemSpace Space = MemSpace::Sram;
+};
+
+/// Executes one allocated instruction: the instruction at (\p B, \p Idx)
+/// over the register frame \p Frame (FrameRegs words, see frameSlot),
+/// accounting into \p R. \p MemT is sim::Memory or
+/// fastpath::BatchMemory; \p SpillRebase is the context's spill window
+/// displacement (spillRebased). This is the interpreter
+/// (AllocContext::resume loops it) and the fast path's slow tier.
+///
+/// Trap precedence: a latched illegal register, then the watchdog, then
+/// falling off the block's end, then an invalid memory space, then the
+/// op itself. Reads and writes of a register that does not exist latch
+/// \p Err instead of aliasing; an ALU-class op or a branch traps on it
+/// at the bottom of its own step (after its cycle charge and, for a
+/// branch, after retargeting, so the message names the taken block). A
+/// memory op returns Mem with the latch still set, so the trap fires at
+/// the top of the next step — after the caller's memory charge. The
+/// fault injector's draws keep their order: the ALU bit flip uses the
+/// live instruction count, and mem-jitter is drawn at MemRead/MemWrite
+/// issue, never at BitTestSet.
+template <class MemT>
+inline Stepped step(const alloc::AllocatedProgram &P, uint32_t *Frame,
+                    RunResult &R, bool &Err, ixp::BlockId &B, unsigned &Idx,
+                    MemT &Mem, const RunOptions &Opts, uint32_t SpillRebase) {
+  using ixp::MOp;
+  auto done = [] { return Stepped{Stepped::Done}; };
+  auto read = [&](const alloc::AOperand &O) -> uint32_t {
+    if (O.IsConst)
+      return O.Value;
+    int Slot = frameSlot(O.Loc);
+    if (Slot < 0) {
+      Err = true;
+      return 0;
+    }
+    return Frame[Slot];
+  };
+  auto write = [&](alloc::PhysLoc L, uint32_t V) {
+    int Slot = frameSlot(L);
+    if (Slot < 0) {
+      Err = true;
+      return;
+    }
+    Frame[Slot] = V;
+  };
+  auto jitter = [&] {
+    if (FaultInjector::armed() &&
+        FaultInjector::instance().shouldFire(FaultKind::MemJitter))
+      R.Cycles +=
+          FaultInjector::instance().drawCycles(FaultKind::MemJitter, 16);
+  };
+
+  if (Err) {
+    trap(R, TrapKind::IllegalRegister,
+         formatf("illegal register access in block b%u", B));
+    return done();
+  }
+  if (++R.Instructions > Opts.MaxInstructions) {
+    trap(R, TrapKind::Watchdog,
+         formatf("instruction budget of %llu exhausted",
+                 (unsigned long long)Opts.MaxInstructions));
+    return done();
+  }
+  if (Idx >= P.Blocks[B].Instrs.size()) {
+    trap(R, TrapKind::MalformedProgram,
+         formatf("fell off the end of block b%u", B));
+    return done();
+  }
+  const alloc::AllocInstr &I = P.Blocks[B].Instrs[Idx++];
+
+  // One validity check covers the memory accessors, memAccess(), and the
+  // range trap: an out-of-enum MemSpace can only come from corrupt code.
+  const MemSpace S = I.Space;
+  if ((I.Op == MOp::MemRead || I.Op == MOp::MemWrite ||
+       I.Op == MOp::BitTestSet) &&
+      !validSpace(S)) {
+    trap(R, TrapKind::IllegalMemSpace,
+         formatf("memory space %u in block b%u", (unsigned)S, B));
+    return done();
+  }
+
+  switch (I.Op) {
+  case MOp::Alu: {
+    uint32_t A = read(I.Srcs[0]);
+    uint32_t Bv = I.Srcs.size() > 1 ? read(I.Srcs[1]) : 0;
+    if (Opts.TrapOnShiftRange && cps::shiftOutOfRange(I.Alu, Bv)) {
+      trap(R, TrapKind::ShiftRange,
+           formatf("shift count %u in block b%u", Bv, B));
+      return done();
+    }
+    uint32_t V = cps::evalPrim(I.Alu, A, Bv);
+    if (FaultInjector::armed() &&
+        FaultInjector::instance().shouldFire(FaultKind::SimBitFlip))
+      V ^= 1u << (R.Instructions & 31);
+    write(I.Dsts[0], V);
+    break;
+  }
+  case MOp::Imm:
+    write(I.Dsts[0], I.Imm);
+    break;
+  case MOp::Move:
+    write(I.Dsts[0], read(I.Srcs[0]));
+    break;
+  case MOp::Hash:
+    write(I.Dsts[0], hwHash(read(I.Srcs[0])));
+    break;
+  case MOp::MemRead: {
+    uint32_t Addr = spillRebased(P, SpillRebase, S, read(I.Srcs[0]));
+    uint32_t Count = static_cast<uint32_t>(I.Dsts.size());
+    if (!Err && !Mem.inRange(S, Addr, Count)) {
+      trap(R, rangeTrapFor(S),
+           formatf("%s read of %u words at 0x%x (limit 0x%x)", spaceName(S),
+                   Count, Addr, Mem.limits().words(S)));
+      return done();
+    }
+    for (unsigned K = 0; K != Count; ++K)
+      write(I.Dsts[K], Mem.load(S, Addr + K));
+    jitter();
+    return {Stepped::Mem, S};
+  }
+  case MOp::MemWrite: {
+    uint32_t Addr = spillRebased(P, SpillRebase, S, read(I.Srcs[0]));
+    uint32_t Count = static_cast<uint32_t>(I.Srcs.size() - 1);
+    if (!Err && !Mem.inRange(S, Addr, Count)) {
+      trap(R, rangeTrapFor(S),
+           formatf("%s write of %u words at 0x%x (limit 0x%x)",
+                   spaceName(S), Count, Addr, Mem.limits().words(S)));
+      return done();
+    }
+    for (unsigned K = 0; K != Count; ++K)
+      Mem.store(S, Addr + K, read(I.Srcs[K + 1]));
+    jitter();
+    return {Stepped::Mem, S};
+  }
+  case MOp::BitTestSet: {
+    uint32_t Addr = spillRebased(P, SpillRebase, S, read(I.Srcs[0]));
+    uint32_t Bits = read(I.Srcs[1]);
+    if (!Err && !Mem.inRange(S, Addr, 1)) {
+      trap(R, rangeTrapFor(S),
+           formatf("%s bit-test-set at 0x%x (limit 0x%x)", spaceName(S),
+                   Addr, Mem.limits().words(S)));
+      return done();
+    }
+    uint32_t Old = Mem.load(S, Addr);
+    Mem.store(S, Addr, Old | Bits);
+    write(I.Dsts[0], Old);
+    return {Stepped::Mem, S};
+  }
+  case MOp::Clone:
+    trap(R, TrapKind::MalformedProgram, "clone pseudo in allocated code");
+    return done();
+  case MOp::Branch: {
+    ixp::BlockId T = cps::evalCmp(I.Cmp, read(I.Srcs[0]), read(I.Srcs[1]))
+                         ? I.Target
+                         : I.TargetElse;
+    if (T >= P.Blocks.size()) {
+      trap(R, TrapKind::MalformedProgram,
+           formatf("branch in block b%u targets b%u", B, T));
+      return done();
+    }
+    B = T;
+    Idx = 0;
+    break;
+  }
+  case MOp::Jump:
+    if (I.Target >= P.Blocks.size()) {
+      trap(R, TrapKind::MalformedProgram,
+           formatf("jump in block b%u targets b%u", B, I.Target));
+      return done();
+    }
+    B = I.Target;
+    Idx = 0;
+    break;
+  case MOp::Halt:
+    for (const alloc::AOperand &Src : I.Srcs)
+      R.HaltValues.push_back(read(Src));
+    if (Err) {
+      trap(R, TrapKind::IllegalRegister, "illegal register access at halt");
+      return done();
+    }
+    R.Ok = true;
+    return done();
+  }
+  R.Cycles += Opts.Lat.opCycles(I);
+  if (Err) {
+    trap(R, TrapKind::IllegalRegister,
+         formatf("illegal register access in block b%u", B));
+    return done();
+  }
+  return {Idx == 0 ? Stepped::Block : Stepped::Next};
 }
 
 } // namespace detail

@@ -113,6 +113,11 @@ struct Memory {
     assert(false && "invalid MemSpace");
     return nullptr;
   }
+  const WordMap *space(MemSpace S) const {
+    return const_cast<Memory *>(this)->space(S);
+  }
+
+  const MemLimits &limits() const { return Limits; }
 
   /// True when the \p Count words starting at \p Addr lie within the
   /// configured limit for \p S.
@@ -125,6 +130,12 @@ struct Memory {
   /// a read-heavy hostile packet cannot balloon the image and the final
   /// maps of two agreeing executions compare equal entry-for-entry.
   static uint32_t load(const WordMap &M, uint32_t A) { return M.get(A); }
+
+  /// Word access by space, with fastpath::BatchMemory's signatures so
+  /// the allocated-code step is written once for both memory types.
+  /// \p S must be a valid space.
+  uint32_t load(MemSpace S, uint32_t A) const { return space(S)->get(A); }
+  void store(MemSpace S, uint32_t A, uint32_t V) { (*space(S))[A] = V; }
 
   /// Checkpoint serialization: all three images plus the limits.
   void saveState(BinWriter &W) const;
@@ -144,6 +155,28 @@ struct LatencyModel {
   unsigned ScratchAccess = ixp::MachineParams{}.ScratchAccessCycles;
   unsigned HashOp = ixp::MachineParams{}.HashCycles;
 
+  /// Cycles \p I charges itself: ALU and moves, immediates (large
+  /// constants need two instructions on the IXP, paper §12), hashes,
+  /// and the branch/jump transfer. Memory ops charge 0 here — their
+  /// access is the caller's to charge (memAccess, or the chip's
+  /// contention model) — and so do Halt and the Clone pseudo.
+  unsigned opCycles(const alloc::AllocInstr &I) const {
+    switch (I.Op) {
+    case ixp::MOp::Alu:
+    case ixp::MOp::Move:
+      return Alu;
+    case ixp::MOp::Imm:
+      return I.Imm <= 0xFFFF || (I.Imm & 0xFFFF) == 0 ? Imm : Imm + 1;
+    case ixp::MOp::Hash:
+      return HashOp;
+    case ixp::MOp::Branch:
+    case ixp::MOp::Jump:
+      return Branch;
+    default:
+      return 0;
+    }
+  }
+
   /// Cost of an access to \p S. Invalid spaces are rejected by the
   /// interpreter before latency is charged; asking anyway asserts in
   /// debug builds and charges nothing in release (never silently SRAM).
@@ -157,6 +190,30 @@ struct LatencyModel {
     return 0;
   }
 };
+
+/// Register frame of one hardware context: the six register banks at
+/// fixed slots — A at 0 (16), B at 16 (16), L at 32 (8), S at 40 (8),
+/// LD at 48 (8), SD at 56 (8). Bank sizes are architectural: 16 GPRs
+/// per ALU bank, 8 per transfer bank (one context's quarter of the
+/// 32-register files). The interpreter and the fast path share it.
+inline constexpr unsigned FrameRegs = 64;
+
+/// Frame slot of \p L, or -1 when its bank has no register file (M, C)
+/// or its index is off the end of the bank.
+inline int frameSlot(alloc::PhysLoc L) {
+  unsigned Base;
+  switch (L.B) {
+  case ixp::Bank::A:  Base = 0; break;
+  case ixp::Bank::B:  Base = 16; break;
+  case ixp::Bank::L:  Base = 32; break;
+  case ixp::Bank::S:  Base = 40; break;
+  case ixp::Bank::LD: Base = 48; break;
+  case ixp::Bank::SD: Base = 56; break;
+  default:            return -1;
+  }
+  unsigned Size = L.B == ixp::Bank::A || L.B == ixp::Bank::B ? 16 : 8;
+  return L.Reg < Size ? static_cast<int>(Base + L.Reg) : -1;
+}
 
 /// Execution knobs shared by both modes.
 struct RunOptions {

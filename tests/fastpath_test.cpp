@@ -304,6 +304,23 @@ TEST(FastPath, IllegalRegisterOnMemoryOps) {
     EXPECT_EQ(R.Instructions, 1u);
     EXPECT_EQ(R.Cycles, uint64_t(Lat.SdramAccess));
   }
+  {
+    // A bad bit mask latches the error before the range check, which is
+    // then skipped: the word past the limit is tested and set before the
+    // trap, so every memory type must be able to hold it.
+    AllocInstr B;
+    B.Op = MOp::BitTestSet;
+    B.Space = MemSpace::Scratch;
+    B.Srcs = {AOperand::constant(sim::MemLimits().ScratchWords + 5),
+              AOperand::reg(loc(Bank::B, 40))};
+    B.Dsts = {loc(Bank::A, 0)};
+    sim::RunResult R = expectTrap(oneBlock({B, haltOf({})}), {},
+                                  sim::TrapKind::IllegalRegister,
+                                  "illegal register access in block b0",
+                                  "bad bit mask past the limit");
+    EXPECT_EQ(R.Instructions, 1u);
+    EXPECT_EQ(R.Cycles, uint64_t(Lat.ScratchAccess));
+  }
 }
 
 TEST(FastPath, IllegalRegisterInBranchNamesTakenBlock) {
