@@ -179,6 +179,64 @@ TEST(BinIO, HugeVectorLengthDoesNotAllocate) {
   EXPECT_TRUE(R.failed());
 }
 
+TEST(BinIO, SoakProgressAndMetaBytesArePinned) {
+  // The exact bytes of the two non-chip sections of a snapshot: the
+  // soak progress fold (with a found divergence) and the meta section
+  // (with a fault schedule). Save and restore may change only together
+  // with a FileVersion bump.
+  soak::SoakReport Rep;
+  sim::RunResult Done;
+  Done.Ok = true;
+  Done.HaltValues = {1, 2};
+  Done.Cycles = 1234;
+  Done.Instructions = 99;
+  sim::RunResult Trapped;
+  Trapped.Trap = sim::TrapKind::Watchdog;
+  Trapped.Cycles = 77777;
+  Trapped.Instructions = 50000;
+  Rep.Stats.account(Done, false, 64);
+  Rep.Stats.account(Done, true, 64);
+  Rep.Stats.account(Trapped, false, 64);
+  Rep.ClassCounts[0] = 2;
+  Rep.ClassCounts[4] = 1;
+  Rep.OracleChecks = 3;
+  Rep.OracleBudgetMisses = 1;
+  Rep.Divergences = 1;
+  Rep.First.Found = true;
+  Rep.First.Index = 2;
+  Rep.First.Seed = 0xfeed;
+  Rep.First.Class = soak::PacketClass::Fuzz;
+  Rep.First.What = "halt value 0: 1 vs 2";
+  Rep.First.Words = {0x45000054, 7, 9};
+  Rep.First.Args = {0, 8};
+  Rep.First.ShrunkWords = {7};
+  Rep.First.ShrinkRuns = 17;
+  BinWriter Progress;
+  soak::saveSoakProgress(Progress, Rep, 3);
+  EXPECT_EQ(Progress.bytes().size(), 2354u);
+  EXPECT_EQ(fnv1a64(Progress.bytes().data(), Progress.bytes().size()),
+            6279270298723356369ull);
+
+  ckpt::CheckpointMeta M = testMeta(500);
+  M.Exec = 1;
+  M.Chip = true;
+  M.Mix[0] = 55;
+  M.Mix[4] = 5;
+  M.MeCount = 6;
+  M.ContextsPerMe = 4;
+  M.RingDepth = 4;
+  M.SlotStride = 0x10000;
+  std::string Error;
+  ASSERT_TRUE(parseFaultSchedule("ctx-lockup@6~2,ring-stall@9~300", M.Faults,
+                                 Error))
+      << Error;
+  BinWriter Meta;
+  M.save(Meta);
+  EXPECT_EQ(Meta.bytes().size(), 139u);
+  EXPECT_EQ(fnv1a64(Meta.bytes().data(), Meta.bytes().size()),
+            7141148863800286904ull);
+}
+
 //===----------------------------------------------------------------------===//
 // File format
 //===----------------------------------------------------------------------===//

@@ -618,3 +618,69 @@ TEST(ChipFaultRun, FaultFreeRunsCarryNoSupervisorArtifacts) {
   EXPECT_EQ(R.Stats.Recovery.fold(), chip::RecoveryStats{}.fold());
   EXPECT_TRUE(R.Stats.Recovery.allAccounted());
 }
+
+//===----------------------------------------------------------------------===//
+// Snapshot format
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The packet stream of packetSource, except that every fourth packet
+/// carries pointers beyond the slot stride, so it runs quarantined on a
+/// private memory image.
+chip::Chip::Source mixedSource(uint64_t &Next, uint64_t N,
+                               uint32_t SlotStride) {
+  chip::Chip::Source Base = packetSource(Next, N);
+  return [Base, &Next, SlotStride](chip::ChipPacket &Out) {
+    if (!Base(Out))
+      return false;
+    if (Next % 4 == 0)
+      Out.Args = {SlotStride + 8, SlotStride + 9};
+    return true;
+  };
+}
+
+/// The bytes Chip::saveState writes at the first retirement >= StopAt.
+std::string stormySnapshot(chip::ExecModel Exec, uint64_t StopAt) {
+  AllocatedProgram Prog = heavyProgram(8);
+  chip::ChipParams CP = stormyParams();
+  CP.Exec = Exec;
+  CP.Sup.BackoffBase = 4500; // requeues land beyond the wheel horizon
+  std::vector<const AllocatedProgram *> Progs(CP.MP.MeCount, &Prog);
+  chip::Chip C(CP, Progs, sim::Memory{});
+  std::string Snap;
+  C.setRetireHook([&](uint64_t Retired, uint64_t) {
+    if (Retired < StopAt)
+      return false;
+    BinWriter W;
+    C.saveState(W);
+    Snap = W.take();
+    return true;
+  });
+  uint64_t Next = 0;
+  C.run(mixedSource(Next, 64, CP.SlotStride), [](chip::RetiredPacket &&) {});
+  EXPECT_TRUE(C.stopped());
+  return Snap;
+}
+
+} // namespace
+
+TEST(ChipSnapshot, BytesArePinned) {
+  // The exact snapshot bytes under every chip fault kind: quarantine
+  // images, wedged and requeued records, the supervisor ledger, and
+  // events in the overflow heap. Save and restore may change only
+  // together with a FileVersion bump.
+  struct Case {
+    chip::ExecModel Exec;
+    size_t Bytes;
+    uint64_t Hash;
+  };
+  for (const Case &K :
+       {Case{chip::ExecModel::Interp, 15782, 0xa19b4af25ab0412dull},
+        Case{chip::ExecModel::Threaded, 16382, 0x870317b7575118c2ull}}) {
+    std::string Snap = stormySnapshot(K.Exec, 10);
+    EXPECT_EQ(Snap.size(), K.Bytes);
+    EXPECT_EQ(fnv1a64(Snap.data(), Snap.size()), K.Hash)
+        << (K.Exec == chip::ExecModel::Threaded ? "threaded" : "interp");
+  }
+}
