@@ -246,8 +246,8 @@ cmake -B "$SAN_BUILD" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
 cmake --build "$SAN_BUILD" -j"$JOBS" --target degradation_test support_test \
-  chip_fault_test event_queue_test alloc_test ilp_simplex_test ilp_mip_test \
-  fastpath_test chip_test
+  chip_fault_test checkpoint_test event_queue_test alloc_test \
+  ilp_simplex_test ilp_mip_test fastpath_test chip_test
 timeout 900 "$SAN_BUILD/tests/degradation_test"
 timeout 120 "$SAN_BUILD/tests/support_test"
 # The LU keeps its active-submatrix workspace across rebuilds, finds
@@ -268,6 +268,11 @@ timeout 300 "$SAN_BUILD/tests/event_queue_test"
 # state (slot scrub, re-DMA, spill-window erase) — exactly where
 # use-after-free would hide.
 timeout 300 "$SAN_BUILD/tests/chip_fault_test"
+# Resume restores standalone and chip soaks from snapshot files, and the
+# restore path indexes register frames, rings, wait queues and in-flight
+# records straight from file bytes: its read-side checks must reject a
+# bad index before anything dereferences it.
+timeout 900 "$SAN_BUILD/tests/checkpoint_test"
 # One stream loop (both instantiations) and the interpreter's step index
 # the register frame, the operand pool and the cold data: an off-by-one
 # there reads or writes a neighbouring slot instead of failing a test.

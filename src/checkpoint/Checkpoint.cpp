@@ -26,56 +26,22 @@ using namespace nova::ckpt;
 // Meta
 //===----------------------------------------------------------------------===//
 
-void CheckpointMeta::save(BinWriter &W) const {
-  W.str(App);
-  W.u64(Seed);
-  W.u8(Exec);
-  W.b(Chip);
-  W.u64(Packets);
-  W.u64(OracleEvery);
-  W.u64(Budget);
-  for (uint32_t M : Mix)
-    W.u32(M);
-  W.u32(MeCount);
-  W.u32(ContextsPerMe);
-  W.u32(RingDepth);
-  W.u32(SlotStride);
-  W.u64(Faults.size());
-  for (const FaultScheduleEntry &E : Faults) {
-    W.u8(static_cast<uint8_t>(E.Kind));
-    W.u64(E.Rate);
-    W.f64(E.Magnitude);
-  }
-  W.u64(CodeHash);
-  W.u64(PacketsRetired);
+namespace {
+
+template <class Ar, class Self> void metaFields(Ar &A, Self &M) {
+  io(A, M.App, M.Seed, M.Exec, M.Chip, M.Packets, M.OracleEvery, M.Budget);
+  fixed(A, M.Mix);
+  io(A, M.MeCount, M.ContextsPerMe, M.RingDepth, M.SlotStride);
+  counted<uint64_t>(A, M.Faults, [](auto &Io, auto &E) {
+    io(Io, E.Kind, E.Rate, E.Magnitude);
+  });
+  io(A, M.CodeHash, M.PacketsRetired);
 }
 
-void CheckpointMeta::restore(BinReader &R) {
-  App = R.str();
-  Seed = R.u64();
-  Exec = R.u8();
-  Chip = R.b();
-  Packets = R.u64();
-  OracleEvery = R.u64();
-  Budget = R.u64();
-  for (uint32_t &M : Mix)
-    M = R.u32();
-  MeCount = R.u32();
-  ContextsPerMe = R.u32();
-  RingDepth = R.u32();
-  SlotStride = R.u32();
-  Faults.clear();
-  uint64_t NF = R.u64();
-  for (uint64_t I = 0; I != NF && !R.failed(); ++I) {
-    FaultScheduleEntry E;
-    E.Kind = static_cast<FaultKind>(R.u8());
-    E.Rate = R.u64();
-    E.Magnitude = R.f64();
-    Faults.push_back(E);
-  }
-  CodeHash = R.u64();
-  PacketsRetired = R.u64();
-}
+} // namespace
+
+void CheckpointMeta::save(BinWriter &W) const { metaFields(W, *this); }
+void CheckpointMeta::restore(BinReader &R) { metaFields(R, *this); }
 
 static Status mismatch(const std::string &Field) {
   return Status::error(StatusCode::CheckpointMismatch, Phase::Driver,

@@ -164,6 +164,35 @@ enum class CtxPh : uint8_t {
               ///< supervisor watchdog can move the context again
   RestartWait ///< aborted by the supervisor; CtxRestart pending (backoff)
 };
+constexpr unsigned enumCount(CtxPh) {
+  return static_cast<unsigned>(CtxPh::RestartWait) + 1;
+}
+
+/// Where a context in each phase waits (CtxPh order): the one queue
+/// entry or pending event that moves it next. A wedged context waits
+/// for the supervisor's scan, which finds it by phase.
+enum class CtxWait : uint8_t { None, Ready, Consumer, TxProducer, Resume,
+                               Restart };
+constexpr CtxWait WaitOf[] = {
+    CtxWait::Consumer,   // ParkedRing
+    CtxWait::Resume,     // PopWait
+    CtxWait::Ready,      // StartReady
+    CtxWait::Ready,      // RunReady
+    CtxWait::Resume,     // MemWait
+    CtxWait::Resume,     // PushWait
+    CtxWait::TxProducer, // ParkedTx
+    CtxWait::Resume,     // RetryPop
+    CtxWait::Resume,     // RetryPush
+    CtxWait::None,       // Wedged
+    CtxWait::Restart};   // RestartWait
+static_assert(std::size(WaitOf) == enumCount(CtxPh{}));
+
+/// True when a context in phase \p Ph owns its packet: between popping
+/// the descriptor and handing it to the TX ring.
+bool holdsPacket(CtxPh Ph) {
+  return Ph != CtxPh::ParkedRing && Ph != CtxPh::RetryPop &&
+         Ph != CtxPh::PushWait;
+}
 
 struct InFlightRec;
 
@@ -229,109 +258,28 @@ struct InFlightRec {
 
 enum class RxPh : uint8_t { Dispatch, Push };
 enum class RxWait : uint8_t { None, Slot, RingFull };
+constexpr unsigned enumCount(RxPh) { return unsigned(RxPh::Push) + 1; }
+constexpr unsigned enumCount(RxWait) { return unsigned(RxWait::RingFull) + 1; }
 
 //===----------------------------------------------------------------------===//
-// Checkpoint serialization helpers
+// Checkpoint field lists (support/BinIO.h)
 //===----------------------------------------------------------------------===//
 
-void saveChannel(BinWriter &W, const Channel &C) {
-  W.u32(C.IssueInterval);
-  W.u32(C.Latency);
-  W.u64(C.FreeAt);
-  W.u64(C.St.Transactions);
-  W.u64(C.St.StallCycles);
+template <class Ar, class Self> void channelFields(Ar &A, Self &C) {
+  io(A, C.IssueInterval, C.Latency, C.FreeAt, C.St.Transactions,
+     C.St.StallCycles);
 }
 
-void restoreChannel(BinReader &R, Channel &C) {
-  C.IssueInterval = R.u32();
-  C.Latency = R.u32();
-  C.FreeAt = R.u64();
-  C.St.Transactions = R.u64();
-  C.St.StallCycles = R.u64();
+template <class Ar, class Self> void packetFields(Ar &A, Self &Pk) {
+  io(A, Pk.Seq, Pk.Words, Pk.Args, Pk.PtrArgMask, Pk.PayloadBytes,
+     Pk.ClassTag, Pk.SeedTag);
 }
 
-void savePacket(BinWriter &W, const ChipPacket &Pk) {
-  W.u64(Pk.Seq);
-  W.vec32(Pk.Words);
-  W.vec32(Pk.Args);
-  W.u32(Pk.PtrArgMask);
-  W.u32(Pk.PayloadBytes);
-  W.u8(Pk.ClassTag);
-  W.u64(Pk.SeedTag);
-}
-
-void restorePacket(BinReader &R, ChipPacket &Pk) {
-  Pk.Seq = R.u64();
-  Pk.Words = R.vec32();
-  Pk.Args = R.vec32();
-  Pk.PtrArgMask = R.u32();
-  Pk.PayloadBytes = R.u32();
-  Pk.ClassTag = R.u8();
-  Pk.SeedTag = R.u64();
-}
-
-void saveRec(BinWriter &W, const InFlightRec &Rec) {
-  savePacket(W, Rec.Pkt);
-  W.vec32(Rec.RebasedArgs);
-  Rec.Result.saveState(W);
-  W.u32(Rec.Me);
-  W.u32(Rec.Ctx);
-  W.b(Rec.Tail);
-  W.u32(Rec.SlotIdx);
-  W.u32(Rec.SlotBase);
-  W.u64(Rec.DispatchTime);
-  W.u64(Rec.CompleteTime);
-  W.b(Rec.PrivMem != nullptr);
-  if (Rec.PrivMem)
-    Rec.PrivMem->saveState(W);
-  W.u32(Rec.Attempts);
-  W.u32(Rec.PlannedLockups);
-  W.b(Rec.SdramFlip);
-  W.b(Rec.Wedged);
-  W.u8(static_cast<uint8_t>(Rec.Drop));
-}
-
-void restoreRec(BinReader &R, InFlightRec &Rec) {
-  restorePacket(R, Rec.Pkt);
-  Rec.RebasedArgs = R.vec32();
-  Rec.Result.restoreState(R);
-  Rec.Me = R.u32();
-  Rec.Ctx = R.u32();
-  Rec.Tail = R.b();
-  Rec.SlotIdx = R.u32();
-  Rec.SlotBase = R.u32();
-  Rec.DispatchTime = R.u64();
-  Rec.CompleteTime = R.u64();
-  if (R.b()) {
-    Rec.PrivMem = std::make_unique<sim::Memory>();
-    Rec.PrivMem->restoreState(R);
-  } else {
-    Rec.PrivMem.reset();
-  }
-  Rec.Attempts = R.u32();
-  Rec.PlannedLockups = R.u32();
-  Rec.SdramFlip = R.b();
-  Rec.Wedged = R.b();
-  Rec.Drop = static_cast<DropReason>(R.u8());
-}
-
-void saveRecMap(BinWriter &W, const std::map<uint64_t, InFlightRec> &M) {
-  W.u64(M.size());
-  for (const auto &[Seq, Rec] : M) {
-    W.u64(Seq);
-    saveRec(W, Rec);
-  }
-}
-
-void restoreRecMap(BinReader &R, std::map<uint64_t, InFlightRec> &M) {
-  M.clear();
-  uint64_t N = R.u64();
-  for (uint64_t I = 0; I != N && !R.failed(); ++I) {
-    uint64_t Seq = R.u64();
-    InFlightRec Rec;
-    restoreRec(R, Rec);
-    M.emplace(Seq, std::move(Rec));
-  }
+template <class Ar, class Self> void recFields(Ar &A, Self &Rec) {
+  packetFields(A, Rec.Pkt);
+  io(A, Rec.RebasedArgs, Rec.Result, Rec.Me, Rec.Ctx, Rec.Tail, Rec.SlotIdx,
+     Rec.SlotBase, Rec.DispatchTime, Rec.CompleteTime, Rec.PrivMem,
+     Rec.Attempts, Rec.PlannedLockups, Rec.SdramFlip, Rec.Wedged, Rec.Drop);
 }
 
 } // namespace
@@ -361,6 +309,7 @@ struct Chip::Impl {
   uint64_t NextRetire = 0;
   uint64_t NextDispatch = 0;
   std::set<uint32_t> FreeSlots;
+  uint32_t NumSlots = 0; ///< SDRAM slot pool size
   uint64_t InFlightCount = 0;
 
   // RX agent
@@ -456,7 +405,7 @@ struct Chip::Impl {
     uint32_t ByMem = Mem.Limits.SdramWords / P.SlotStride;
     uint32_t Wanted =
         4 * P.MP.MeCount * (P.MP.ContextsPerMe + P.RingDepth) + 64;
-    uint32_t NumSlots = std::max(1u, std::min(ByMem, Wanted));
+    NumSlots = std::max(1u, std::min(ByMem, Wanted));
     for (uint32_t S = 0; S != NumSlots; ++S)
       FreeSlots.insert(S);
 
@@ -1066,193 +1015,138 @@ struct Chip::Impl {
 
   //===--- Checkpoint ------------------------------------------------------===//
 
-  // Serializes every mutable field of the simulation, in declaration
-  // order. Construction-derived state (P, Progs, Trans, BaseImage,
-  // Opts, SpillStep, SdramBaseInterval, spill rebases, ring/slot
-  // geometry) is rebuilt deterministically by the constructor and NOT
-  // saved; Ran/Src/Retire/Hook are per-run wiring.
-  void saveState(BinWriter &W) const {
-    saveChannel(W, SramCh);
-    saveChannel(W, SdramCh);
-    saveChannel(W, ScratchCh);
-    for (const MeState &M : Mes) {
-      W.u64(M.FreeAt);
-      W.u64(M.Busy);
-      W.u32(static_cast<uint32_t>(M.Ready.size()));
-      for (unsigned C : M.Ready)
-        W.u32(C);
-      for (const HwCtx &Cx : M.Ctx) {
+  // Every mutable field of the simulation, in declaration order, as one
+  // list for both directions. Construction-derived state (P, Progs,
+  // Trans, BaseImage, Opts, SpillStep, SdramBaseInterval, NumSlots,
+  // spill rebases, ring geometry) is rebuilt deterministically by the
+  // constructor and NOT saved; Ran/Src/Retire/Hook are per-run wiring.
+  // The event queue travels as its (Time, Order)-sorted pending list.
+  template <class Ar, class Self>
+  static void fields(Ar &A, Self &S, std::vector<Event> &Pending) {
+    channelFields(A, S.SramCh);
+    channelFields(A, S.SdramCh);
+    channelFields(A, S.ScratchCh);
+    for (auto &M : S.Mes) {
+      io(A, M.FreeAt, M.Busy);
+      counted<uint32_t>(A, M.Ready);
+      for (auto &Cx : M.Ctx) {
         if (Cx.Threaded)
-          Cx.Seg.saveState(W);
+          io(A, Cx.Seg);
         else
-          Cx.Exec.saveState(W);
-        W.u8(static_cast<uint8_t>(Cx.Ph));
-        W.u64(Cx.CurSeq);
-        W.u64(Cx.WedgeTime);
+          io(A, Cx.Exec);
+        io(A, Cx.Ph, Cx.CurSeq, Cx.WedgeTime);
       }
     }
-    for (const Ring &Rg : In)
-      Rg.saveState(W);
-    for (const std::deque<unsigned> &D : Consumers) {
-      W.u32(static_cast<uint32_t>(D.size()));
-      for (unsigned C : D)
-        W.u32(C);
-    }
-    Tx.saveState(W);
-    W.b(TxIdle);
-    W.u32(static_cast<uint32_t>(TxProducers.size()));
-    for (const auto &[M, C] : TxProducers) {
-      W.u32(M);
-      W.u32(C);
-    }
-    saveRecMap(W, InFlight);
-    saveRecMap(W, Reorder);
-    W.u64(NextRetire);
-    W.u64(NextDispatch);
-    W.u64(FreeSlots.size());
-    for (uint32_t S : FreeSlots)
-      W.u32(S);
-    W.u64(InFlightCount);
-    W.u8(static_cast<uint8_t>(RxPhase));
-    W.u8(static_cast<uint8_t>(RxWaiting));
-    W.b(RxDone);
-    W.b(RxHave);
-    W.b(RxPktTail);
-    savePacket(W, RxPkt);
-    W.u64(RxPendSeq);
-    W.u32(RxTarget);
-    W.u64(RxGen);
-    W.u64(RxDmaEnd);
-    Sup.saveState(W);
-    W.b(BrownoutActive);
-    W.b(RxStuck);
-    W.u64(RxStuckSince);
-    Mem.saveState(W);
-    // Pending events in (Time, Order) order: the canonical sequence,
-    // independent of how the queue lays them out.
-    const std::vector<Event> Pending = Q.sorted();
-    W.u64(Pending.size());
-    for (const Event &E : Pending) {
-      W.u64(E.Time);
-      W.u64(E.Order);
-      W.u8(static_cast<uint8_t>(E.K));
-      W.u32(E.Me);
-      W.u32(E.Ctx);
-      W.u64(E.A);
-    }
-    W.u64(OrderCtr);
-    W.u64(LastTime);
+    fixed(A, S.In);
+    for (auto &D : S.Consumers)
+      counted<uint32_t>(A, D);
+    io(A, S.Tx, S.TxIdle);
+    counted<uint32_t>(A, S.TxProducers);
+    auto Rec = [](auto &Io, auto &KV) {
+      io(Io, KV.first);
+      recFields(Io, KV.second);
+    };
+    counted<uint64_t>(A, S.InFlight, Rec);
+    counted<uint64_t>(A, S.Reorder, Rec);
+    io(A, S.NextRetire, S.NextDispatch);
+    counted<uint64_t>(A, S.FreeSlots);
+    io(A, S.InFlightCount, S.RxPhase, S.RxWaiting, S.RxDone, S.RxHave,
+       S.RxPktTail);
+    packetFields(A, S.RxPkt);
+    io(A, S.RxPendSeq, S.RxTarget, S.RxGen, S.RxDmaEnd, S.Sup,
+       S.BrownoutActive, S.RxStuck, S.RxStuckSince, S.Mem);
+    counted<uint64_t>(A, Pending, [](auto &Io, auto &E) {
+      io(Io, E.Time, E.Order, E.K, E.Me, E.Ctx, E.A);
+    });
     // ChipRunStats accumulators (the derived fields — FinalCycles,
     // channel/ring summaries, TraceHash, Recovery — are produced at
     // finalization from state serialized above).
-    W.u64(St.PacketsDispatched);
-    W.u64(St.PacketsRetired);
-    W.u64(St.TailPackets);
-    for (uint64_t V : St.MeBusyCycles)
-      W.u64(V);
-    for (const std::vector<uint64_t> &Row : St.CtxPackets)
-      for (uint64_t V : Row)
-        W.u64(V);
-    W.u32(St.ReorderHighWater);
-    W.u64(St.RxDmaTransactions);
-    W.u64(RetireFold);
+    io(A, S.OrderCtr, S.LastTime, S.St.PacketsDispatched,
+       S.St.PacketsRetired, S.St.TailPackets);
+    fixed(A, S.St.MeBusyCycles);
+    for (auto &Row : S.St.CtxPackets)
+      fixed(A, Row);
+    io(A, S.St.ReorderHighWater, S.St.RxDmaTransactions, S.RetireFold);
+  }
+
+  void saveState(BinWriter &W) const {
+    std::vector<Event> Pending = Q.sorted();
+    fields(W, *this, Pending);
   }
 
   void restoreState(BinReader &R) {
-    restoreChannel(R, SramCh);
-    restoreChannel(R, SdramCh);
-    restoreChannel(R, ScratchCh);
-    for (MeState &M : Mes) {
-      M.FreeAt = R.u64();
-      M.Busy = R.u64();
-      M.Ready.clear();
-      uint32_t NR = R.u32();
-      for (uint32_t I = 0; I != NR && !R.failed(); ++I)
-        M.Ready.push_back(R.u32());
-      for (HwCtx &Cx : M.Ctx) {
-        if (Cx.Threaded)
-          Cx.Seg.restoreState(R);
-        else
-          Cx.Exec.restoreState(R);
-        Cx.Ph = static_cast<CtxPh>(R.u8());
-        Cx.CurSeq = R.u64();
-        Cx.WedgeTime = R.u64();
-      }
-    }
-    for (Ring &Rg : In)
-      Rg.restoreState(R);
-    for (std::deque<unsigned> &D : Consumers) {
-      D.clear();
-      uint32_t N = R.u32();
-      for (uint32_t I = 0; I != N && !R.failed(); ++I)
-        D.push_back(R.u32());
-    }
-    Tx.restoreState(R);
-    TxIdle = R.b();
-    TxProducers.clear();
-    uint32_t NTx = R.u32();
-    for (uint32_t I = 0; I != NTx && !R.failed(); ++I) {
-      unsigned M = R.u32();
-      unsigned C = R.u32();
-      TxProducers.emplace_back(M, C);
-    }
-    restoreRecMap(R, InFlight);
-    restoreRecMap(R, Reorder);
-    NextRetire = R.u64();
-    NextDispatch = R.u64();
-    FreeSlots.clear();
-    uint64_t NS = R.u64();
-    for (uint64_t I = 0; I != NS && !R.failed(); ++I)
-      FreeSlots.insert(R.u32());
-    InFlightCount = R.u64();
-    RxPhase = static_cast<RxPh>(R.u8());
-    RxWaiting = static_cast<RxWait>(R.u8());
-    RxDone = R.b();
-    RxHave = R.b();
-    RxPktTail = R.b();
-    restorePacket(R, RxPkt);
-    RxPendSeq = R.u64();
-    RxTarget = R.u32();
-    RxGen = R.u64();
-    RxDmaEnd = R.u64();
-    Sup.restoreState(R);
-    BrownoutActive = R.b();
-    RxStuck = R.b();
-    RxStuckSince = R.u64();
-    Mem.restoreState(R);
     std::vector<Event> Pending;
-    uint64_t NQ = R.u64();
-    for (uint64_t I = 0; I != NQ && !R.failed(); ++I) {
-      Event E;
-      E.Time = R.u64();
-      E.Order = R.u64();
-      E.K = static_cast<Ev>(R.u8());
-      E.Me = R.u32();
-      E.Ctx = R.u32();
-      E.A = R.u64();
-      Pending.push_back(E);
-    }
-    Q.assign(std::move(Pending));
-    OrderCtr = R.u64();
-    LastTime = R.u64();
-    St.PacketsDispatched = R.u64();
-    St.PacketsRetired = R.u64();
-    St.TailPackets = R.u64();
-    for (uint64_t &V : St.MeBusyCycles)
-      V = R.u64();
-    for (std::vector<uint64_t> &Row : St.CtxPackets)
-      for (uint64_t &V : Row)
-        V = R.u64();
-    St.ReorderHighWater = R.u32();
-    St.RxDmaTransactions = R.u64();
-    RetireFold = R.u64();
+    fields(R, *this, Pending);
+    R.check(R.failed() || runnable(Pending));
     for (MeState &M : Mes)
       for (HwCtx &Cx : M.Ctx) {
         auto It = InFlight.find(Cx.CurSeq);
         Cx.Rec = It == InFlight.end() ? nullptr : &It->second;
       }
+    Q.assign(std::move(Pending));
     LastHookRetired = St.PacketsRetired;
     Restored = true;
+  }
+
+  /// The restore-side check that the kernel can run a decoded image:
+  /// every ME, context, ring and slot index is inside the topology; each
+  /// context waits in exactly the one place its phase names; and each
+  /// in-flight record has exactly one holder — a ring descriptor, a
+  /// context between pop and TX push, a pending TX pop, or RX mid-push.
+  /// Anything else would index past a vector, dereference a missing
+  /// record, or retire a packet twice.
+  bool runnable(const std::vector<Event> &Pending) const {
+    const unsigned NumMe = P.MP.MeCount, NumCtx = P.MP.ContextsPerMe;
+    bool Ok = InFlightCount == InFlight.size() &&
+              (FreeSlots.empty() || *FreeSlots.rbegin() < NumSlots);
+    for (const auto *Recs : {&InFlight, &Reorder})
+      for (const auto &[Seq, Rec] : *Recs)
+        Ok = Ok && Rec.Me < NumMe && Rec.Ctx < NumCtx &&
+             (Rec.Tail || Rec.SlotIdx < NumSlots);
+    std::vector<CtxWait> Seen(NumMe * NumCtx, CtxWait::None);
+    auto Waits = [&](unsigned M, unsigned C, CtxWait W) {
+      bool Valid = M < NumMe && C < NumCtx;
+      Ok = Ok && Valid && Seen[M * NumCtx + C] == CtxWait::None;
+      if (Valid)
+        Seen[M * NumCtx + C] = W;
+    };
+    std::set<uint64_t> Held;
+    auto Holds = [&](uint64_t Seq) {
+      Ok = Ok && InFlight.count(Seq) && Held.insert(Seq).second;
+    };
+    for (unsigned M = 0; M != NumMe; ++M) {
+      for (unsigned C : Mes[M].Ready)
+        Waits(M, C, CtxWait::Ready);
+      for (unsigned C : Consumers[M])
+        Waits(M, C, CtxWait::Consumer);
+      for (unsigned I = 0; I != In[M].size(); ++I)
+        Holds(In[M].at(I));
+    }
+    for (const auto &[M, C] : TxProducers)
+      Waits(M, C, CtxWait::TxProducer);
+    for (unsigned I = 0; I != Tx.size(); ++I)
+      Holds(Tx.at(I));
+    for (const Event &E : Pending) {
+      // RingUnstall names a ring: an input ring, or TX at MeCount.
+      Ok = Ok && E.Ctx < NumCtx &&
+           (E.Me < NumMe || (E.K == Ev::RingUnstall && E.Me == NumMe));
+      if (E.K == Ev::CtxResume)
+        Waits(E.Me, E.Ctx, CtxWait::Resume);
+      else if (E.K == Ev::CtxRestart)
+        Waits(E.Me, E.Ctx, CtxWait::Restart);
+      else if (E.K == Ev::TxPopDone)
+        Holds(E.A);
+    }
+    for (unsigned M = 0; M != NumMe; ++M)
+      for (unsigned C = 0; C != NumCtx; ++C) {
+        CtxPh Ph = Mes[M].Ctx[C].Ph;
+        Ok = Ok && Seen[M * NumCtx + C] == WaitOf[static_cast<unsigned>(Ph)];
+        if (holdsPacket(Ph))
+          Holds(Mes[M].Ctx[C].CurSeq);
+      }
+    if (RxPhase == RxPh::Push)
+      Holds(RxPendSeq);
+    return Ok && Held.size() == InFlight.size();
   }
 
   //===--- Event loop ------------------------------------------------------===//

@@ -54,6 +54,7 @@ enum class Ev : uint8_t {
   RingUnstall  ///< a ring-stall window ended; wake parked producers
 };
 constexpr unsigned NumEventKinds = 8;
+constexpr unsigned enumCount(Ev) { return NumEventKinds; }
 
 /// Stable lower-case names for reports (`events_by_kind` keys).
 inline const char *evName(Ev K) {

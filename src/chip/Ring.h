@@ -102,34 +102,26 @@ public:
     return V;
   }
 
+  /// The \p I-th oldest element (I < size()).
+  uint64_t at(unsigned I) const { return Buf[(Head + I) % Buf.size()]; }
+
   /// Checkpoint serialization of the full ring state (contents, stats,
-  /// stall window, trace hash). Capacity is construction-time topology
-  /// and is NOT saved — restore into a ring built with the same
-  /// capacity.
-  void saveState(BinWriter &W) const {
-    W.vec64(Buf);
-    W.u32(Head);
-    W.u32(Count);
-    W.u32(HighWater);
-    W.u64(Pushes);
-    W.u64(Pops);
-    W.u64(StallEnd);
-    W.u64(Stalls);
-    W.u64(Hash);
-  }
-  void restoreState(BinReader &R) {
-    Buf = R.vec64();
-    Head = R.u32();
-    Count = R.u32();
-    HighWater = R.u32();
-    Pushes = R.u64();
-    Pops = R.u64();
-    StallEnd = R.u64();
-    Stalls = R.u64();
-    Hash = R.u64();
-  }
+  /// stall window, trace hash). The buffer is saved whole, so its length
+  /// is the capacity; restoring rejects (BinReader::failed) a buffer
+  /// whose length is not this ring's constructed capacity, or a head or
+  /// occupancy that does not fit it.
+  void saveState(BinWriter &W) const { fields(W, *this); }
+  void restoreState(BinReader &R) { fields(R, *this); }
 
 private:
+  template <class Ar, class Self> static void fields(Ar &A, Self &S) {
+    size_t Capacity = S.Buf.size();
+    io(A, S.Buf, S.Head, S.Count, S.HighWater, S.Pushes, S.Pops, S.StallEnd,
+       S.Stalls, S.Hash);
+    A.check(S.Buf.size() == Capacity && S.Head < Capacity &&
+            S.Count <= Capacity);
+  }
+
   void fold(uint64_t Time, uint64_t Op, uint64_t V) {
     Hash = traceFold(Hash, Time);
     Hash = traceFold(Hash, Op);

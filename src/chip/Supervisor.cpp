@@ -91,55 +91,38 @@ unsigned Supervisor::brownoutFactor() {
   return Factor;
 }
 
-uint64_t RecoveryStats::fold() const {
+namespace {
+
+template <class Ar, class Self> void recoveryFields(Ar &A, Self &S) {
+  io(A, S.LockupsInjected, S.LockupsDetected, S.CtxResets, S.PacketRequeues,
+     S.PacketsWedged, S.PacketsRecovered, S.LockupDrops, S.MaxBackoffCycles,
+     S.BackpressureDrops, S.RingStallsInjected, S.RingStallCycles,
+     S.BrownoutsInjected, S.BrownoutCycles, S.DmaFaultsInjected,
+     S.DmaRetries, S.DmaFaultPackets, S.DmaRecoveredPackets,
+     S.DmaDropPackets, S.SdramBitFlipsInjected);
+}
+
+/// A third archive over the same list: folds each counter into a trace
+/// hash, so the digest covers exactly the checkpointed fields.
+struct Folder {
   uint64_t H = 0xcbf29ce484222325ull;
-  const uint64_t Fields[] = {
-      LockupsInjected,   LockupsDetected,  CtxResets,
-      PacketRequeues,    PacketsWedged,    PacketsRecovered,
-      LockupDrops,       MaxBackoffCycles, BackpressureDrops,
-      RingStallsInjected, RingStallCycles, BrownoutsInjected,
-      BrownoutCycles,    DmaFaultsInjected, DmaRetries,
-      DmaFaultPackets,   DmaRecoveredPackets, DmaDropPackets,
-      SdramBitFlipsInjected};
-  for (uint64_t F : Fields)
-    H = traceFold(H, F);
-  return H;
+};
+void io(Folder &F, uint64_t V) { F.H = traceFold(F.H, V); }
+
+} // namespace
+
+uint64_t RecoveryStats::fold() const {
+  Folder F;
+  recoveryFields(F, *this);
+  return F.H;
 }
 
-void RecoveryStats::saveState(BinWriter &W) const {
-  const uint64_t Fields[] = {
-      LockupsInjected,   LockupsDetected,  CtxResets,
-      PacketRequeues,    PacketsWedged,    PacketsRecovered,
-      LockupDrops,       MaxBackoffCycles, BackpressureDrops,
-      RingStallsInjected, RingStallCycles, BrownoutsInjected,
-      BrownoutCycles,    DmaFaultsInjected, DmaRetries,
-      DmaFaultPackets,   DmaRecoveredPackets, DmaDropPackets,
-      SdramBitFlipsInjected};
-  for (uint64_t F : Fields)
-    W.u64(F);
+void RecoveryStats::saveState(BinWriter &W) const { recoveryFields(W, *this); }
+void RecoveryStats::restoreState(BinReader &R) { recoveryFields(R, *this); }
+
+template <class Ar, class Self> void Supervisor::fields(Ar &A, Self &S) {
+  io(A, S.RingPushCtr, S.SdramRefCtr, S.Rec);
 }
 
-void RecoveryStats::restoreState(BinReader &R) {
-  uint64_t *Fields[] = {
-      &LockupsInjected,   &LockupsDetected,  &CtxResets,
-      &PacketRequeues,    &PacketsWedged,    &PacketsRecovered,
-      &LockupDrops,       &MaxBackoffCycles, &BackpressureDrops,
-      &RingStallsInjected, &RingStallCycles, &BrownoutsInjected,
-      &BrownoutCycles,    &DmaFaultsInjected, &DmaRetries,
-      &DmaFaultPackets,   &DmaRecoveredPackets, &DmaDropPackets,
-      &SdramBitFlipsInjected};
-  for (uint64_t *F : Fields)
-    *F = R.u64();
-}
-
-void Supervisor::saveState(BinWriter &W) const {
-  W.u64(RingPushCtr);
-  W.u64(SdramRefCtr);
-  Rec.saveState(W);
-}
-
-void Supervisor::restoreState(BinReader &R) {
-  RingPushCtr = R.u64();
-  SdramRefCtr = R.u64();
-  Rec.restoreState(R);
-}
+void Supervisor::saveState(BinWriter &W) const { fields(W, *this); }
+void Supervisor::restoreState(BinReader &R) { fields(R, *this); }

@@ -51,6 +51,9 @@ enum class DropReason : uint8_t {
   Backpressure, ///< RX dropped it after all input rings stayed full
   DmaDrop       ///< ingress DMA lost repeatedly; retries exhausted
 };
+constexpr unsigned enumCount(DropReason) {
+  return static_cast<unsigned>(DropReason::DmaDrop) + 1;
+}
 
 const char *dropReasonName(DropReason R);
 
@@ -192,6 +195,8 @@ public:
   void restoreState(BinReader &R);
 
 private:
+  template <class Ar, class Self> static void fields(Ar &A, Self &S);
+
   struct Entry {
     bool Armed = false;
     uint64_t Rate = 0;

@@ -20,36 +20,29 @@
 using namespace nova;
 using namespace nova::fastpath;
 
-void SegmentContext::saveState(BinWriter &W) const {
-  W.vec32(C.Frame);
-  C.R.saveState(W);
-  W.b(C.Finished);
-  W.b(C.Err);
-  W.b(C.InSlow);
-  W.b(C.FastYield);
-  W.u32(C.PC);
-  W.u32(C.YieldPC);
-  W.u64(C.Ins);
-  W.u64(C.Cyc);
-  W.u64(C.StartIns);
-  W.u64(C.StartCyc);
-  W.u32(C.SB);
-  W.u32(C.SIdx);
+namespace {
+
+template <class Ar, class Ctx> void streamFields(Ar &A, Ctx &C) {
+  io(A, C.Frame, C.R, C.Finished, C.Err, C.InSlow, C.FastYield, C.PC,
+     C.YieldPC, C.Ins, C.Cyc, C.StartIns, C.StartCyc, C.SB, C.SIdx);
+  // runStream indexes the frame with translated slot numbers, and a run
+  // in progress resumes at the slow tier's block (which step() indexes
+  // unchecked), after the yielding op, or at PC — the same precedence
+  // runStream applies.
+  const Translated *T = C.T;
+  A.check(T && C.Frame.size() == T->frameSize());
+  if (!T || C.Finished)
+    return;
+  const auto &Blocks = T->Prog->Blocks;
+  if (C.InSlow)
+    A.check(C.SB < Blocks.size() && C.SIdx <= Blocks[C.SB].Instrs.size());
+  else if (C.FastYield)
+    A.check(C.YieldPC + 1 < T->Ops.size());
+  else
+    A.check(C.PC < T->Ops.size());
 }
 
-void SegmentContext::restoreState(BinReader &Rd) {
-  C.Frame = Rd.vec32();
-  C.R.restoreState(Rd);
-  C.Finished = Rd.b();
-  C.Err = Rd.b();
-  C.InSlow = Rd.b();
-  C.FastYield = Rd.b();
-  C.PC = Rd.u32();
-  C.YieldPC = Rd.u32();
-  C.Ins = Rd.u64();
-  C.Cyc = Rd.u64();
-  C.StartIns = Rd.u64();
-  C.StartCyc = Rd.u64();
-  C.SB = Rd.u32();
-  C.SIdx = Rd.u32();
-}
+} // namespace
+
+void SegmentContext::saveState(BinWriter &W) const { streamFields(W, C); }
+void SegmentContext::restoreState(BinReader &R) { streamFields(R, C); }

@@ -93,22 +93,14 @@ RunResult sim::runAllocated(const alloc::AllocatedProgram &P,
 // Checkpoint serialization
 //===----------------------------------------------------------------------===//
 
-void AllocContext::saveState(BinWriter &W) const {
-  R.saveState(W);
-  W.b(Finished);
-  W.b(Err);
-  W.u32(B);
-  W.u32(Idx);
-  for (uint32_t V : Frame) // A, B, L, S, LD, SD in frame order
-    W.u32(V);
+template <class Ar, class Self> void AllocContext::fields(Ar &A, Self &C) {
+  io(A, C.R, C.Finished, C.Err, C.B, C.Idx);
+  fixed(A, C.Frame); // A, B, L, S, LD, SD in frame order
+  // A run in progress resumes with step(), which indexes the block list
+  // with B before any check of its own (it traps on Idx past the end).
+  A.check(C.Finished || (C.Prog && C.B < C.Prog->Blocks.size() &&
+                         C.Idx <= C.Prog->Blocks[C.B].Instrs.size()));
 }
 
-void AllocContext::restoreState(BinReader &Rd) {
-  R.restoreState(Rd);
-  Finished = Rd.b();
-  Err = Rd.b();
-  B = Rd.u32();
-  Idx = Rd.u32();
-  for (uint32_t &V : Frame)
-    V = Rd.u32();
-}
+void AllocContext::saveState(BinWriter &W) const { fields(W, *this); }
+void AllocContext::restoreState(BinReader &R) { fields(R, *this); }

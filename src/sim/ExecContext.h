@@ -105,6 +105,8 @@ public:
   void restoreState(BinReader &R);
 
 private:
+  template <class Ar, class Self> static void fields(Ar &A, Self &C);
+
   const alloc::AllocatedProgram *Prog = nullptr;
   RunResult R;
   bool Finished = true; ///< no run in progress until reset()

@@ -98,79 +98,45 @@ void RunStats::account(const RunResult &R, bool AppRejected,
 // Checkpoint serialization
 //===----------------------------------------------------------------------===//
 
-void Memory::saveState(BinWriter &W) const {
-  Sram.saveState(W);
-  Sdram.saveState(W);
-  Scratch.saveState(W);
-  W.u32(Limits.SramWords);
-  W.u32(Limits.SdramWords);
-  W.u32(Limits.ScratchWords);
+// Each type lists its fields once; saveState and restoreState are the
+// list instantiated for the two archives (support/BinIO.h).
+
+namespace {
+
+template <class Ar, class Self> void memoryFields(Ar &A, Self &M) {
+  io(A, M.Sram, M.Sdram, M.Scratch, M.Limits.SramWords, M.Limits.SdramWords,
+     M.Limits.ScratchWords);
 }
 
-void Memory::restoreState(BinReader &R) {
-  Sram.restoreState(R);
-  Sdram.restoreState(R);
-  Scratch.restoreState(R);
-  Limits.SramWords = R.u32();
-  Limits.SdramWords = R.u32();
-  Limits.ScratchWords = R.u32();
+template <class Ar, class Self> void resultFields(Ar &A, Self &R) {
+  io(A, R.Ok, R.Trap, R.Error, R.HaltValues, R.Cycles, R.Instructions);
 }
 
-void RunResult::saveState(BinWriter &W) const {
-  W.b(Ok);
-  W.u8(static_cast<uint8_t>(Trap));
-  saveStatus(W, Error);
-  W.vec32(HaltValues);
-  W.u64(Cycles);
-  W.u64(Instructions);
+template <class Ar, class Self> void statsFields(Ar &A, Self &S) {
+  io(A, S.Packets, S.Delivered, S.Rejected, S.Drops);
+  fixed(A, S.Traps);
+  io(A, S.TotalCycles, S.TotalInstructions, S.DeliveredPayloadBytes,
+     S.Cycles);
 }
 
-void RunResult::restoreState(BinReader &R) {
-  Ok = R.b();
-  Trap = static_cast<TrapKind>(R.u8());
-  Error = restoreStatus(R);
-  HaltValues = R.vec32();
-  Cycles = R.u64();
-  Instructions = R.u64();
+} // namespace
+
+void Memory::saveState(BinWriter &W) const { memoryFields(W, *this); }
+void Memory::restoreState(BinReader &R) { memoryFields(R, *this); }
+
+void RunResult::saveState(BinWriter &W) const { resultFields(W, *this); }
+void RunResult::restoreState(BinReader &R) { resultFields(R, *this); }
+
+template <class Ar, class Self> void CycleHistogram::fields(Ar &A, Self &H) {
+  fixed(A, H.Buckets);
+  io(A, H.Total);
 }
 
-void CycleHistogram::saveState(BinWriter &W) const {
-  for (unsigned B = 0; B != NumBuckets; ++B)
-    W.u64(Buckets[B]);
-  W.u64(Total);
-}
+void CycleHistogram::saveState(BinWriter &W) const { fields(W, *this); }
+void CycleHistogram::restoreState(BinReader &R) { fields(R, *this); }
 
-void CycleHistogram::restoreState(BinReader &R) {
-  for (unsigned B = 0; B != NumBuckets; ++B)
-    Buckets[B] = R.u64();
-  Total = R.u64();
-}
-
-void RunStats::saveState(BinWriter &W) const {
-  W.u64(Packets);
-  W.u64(Delivered);
-  W.u64(Rejected);
-  W.u64(Drops);
-  for (unsigned K = 0; K != NumTrapKinds; ++K)
-    W.u64(Traps[K]);
-  W.u64(TotalCycles);
-  W.u64(TotalInstructions);
-  W.u64(DeliveredPayloadBytes);
-  Cycles.saveState(W);
-}
-
-void RunStats::restoreState(BinReader &R) {
-  Packets = R.u64();
-  Delivered = R.u64();
-  Rejected = R.u64();
-  Drops = R.u64();
-  for (unsigned K = 0; K != NumTrapKinds; ++K)
-    Traps[K] = R.u64();
-  TotalCycles = R.u64();
-  TotalInstructions = R.u64();
-  DeliveredPayloadBytes = R.u64();
-  Cycles.restoreState(R);
-}
+void RunStats::saveState(BinWriter &W) const { statsFields(W, *this); }
+void RunStats::restoreState(BinReader &R) { statsFields(R, *this); }
 
 double RunStats::deliveredMbps(double ClockHz) const {
   if (TotalCycles == 0)

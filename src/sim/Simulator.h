@@ -68,6 +68,7 @@ enum class TrapKind : uint8_t {
 };
 
 inline constexpr unsigned NumTrapKinds = 9;
+constexpr unsigned enumCount(TrapKind) { return NumTrapKinds; }
 const char *trapKindName(TrapKind K);
 
 /// Per-space word-address limits. Defaults are IXP1200-plausible
@@ -258,6 +259,7 @@ public:
   void restoreState(BinReader &R);
 
 private:
+  template <class Ar, class Self> static void fields(Ar &A, Self &S);
   static constexpr unsigned NumBuckets = 256;
   static unsigned bucketOf(uint64_t V);
   static uint64_t bucketHigh(unsigned B);

@@ -233,27 +233,21 @@ public:
   const_iterator begin() const { return const_iterator(this, false); }
   const_iterator end() const { return const_iterator(this, true); }
 
+  /// The (address, value) entry type, and insertion in that form: the
+  /// sequence protocol support/BinIO.h's counted() rebuilds a map with.
+  /// The position hint is ignored.
+  using value_type = const_iterator::value_type;
+  void insert(const_iterator, const value_type &E) {
+    (*this)[E.first] = E.second;
+  }
+
   /// Checkpoint serialization: the ascending (address, value) entry
   /// sequence — the map's entire observable state. Restoring rebuilds
   /// pages by insertion, so internal page-table shape may differ from
   /// the saved instance while iteration, get(), and equality agree
   /// entry-for-entry.
-  void saveState(BinWriter &W) const {
-    W.u64(size());
-    for (const auto &[A, V] : *this) {
-      W.u32(A);
-      W.u32(V);
-    }
-  }
-  void restoreState(BinReader &R) {
-    clear();
-    uint64_t N = R.u64();
-    for (uint64_t I = 0; I != N && !R.failed(); ++I) {
-      uint32_t A = R.u32();
-      uint32_t V = R.u32();
-      (*this)[A] = V;
-    }
-  }
+  void saveState(BinWriter &W) const { counted<uint64_t>(W, *this); }
+  void restoreState(BinReader &R) { counted<uint64_t>(R, *this); }
 
 private:
   /// First present dense address >= From, or DenseBound when none.

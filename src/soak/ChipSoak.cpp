@@ -202,7 +202,7 @@ ChipSoakReport soak::runChipSoak(const AppHarness &App,
     }
     BinReader R = LC.stateReader();
     restoreSoakProgress(R, Rep.Base, Next);
-    Rep.ChipOutcomeMismatches = R.u64();
+    io(R, Rep.ChipOutcomeMismatches);
     C.restoreState(R);
     if (R.failed() || R.remaining() != 0) {
       Rep.Base.CkptError = Status::error(
@@ -230,7 +230,7 @@ ChipSoakReport soak::runChipSoak(const AppHarness &App,
         // dispatch cursor, report fold, and chip image are coherent.
         BinWriter W;
         saveSoakProgress(W, Rep.Base, Next);
-        W.u64(Rep.ChipOutcomeMismatches);
+        io(W, Rep.ChipOutcomeMismatches);
         C.saveState(W);
         Meta.PacketsRetired = Retired;
         if (Status S = ckpt::writeCheckpoint(CK.Dir, Meta, W.bytes());

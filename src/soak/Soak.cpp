@@ -367,54 +367,29 @@ std::vector<uint32_t> soak::shrinkDivergence(const AppHarness &App,
 
 namespace {
 
-void saveDivergence(BinWriter &W, const Divergence &D) {
-  W.b(D.Found);
-  W.u64(D.Index);
-  W.u64(D.Seed);
-  W.u8(static_cast<uint8_t>(D.Class));
-  W.str(D.What);
-  W.vec32(D.Words);
-  W.vec32(D.Args);
-  W.vec32(D.ShrunkWords);
-  W.u32(D.ShrinkRuns);
+template <class Ar, class Self> void divergenceFields(Ar &A, Self &D) {
+  io(A, D.Found, D.Index, D.Seed, D.Class, D.What, D.Words, D.Args,
+     D.ShrunkWords, D.ShrinkRuns);
 }
 
-void restoreDivergence(BinReader &R, Divergence &D) {
-  D.Found = R.b();
-  D.Index = R.u64();
-  D.Seed = R.u64();
-  D.Class = static_cast<PacketClass>(R.u8());
-  D.What = R.str();
-  D.Words = R.vec32();
-  D.Args = R.vec32();
-  D.ShrunkWords = R.vec32();
-  D.ShrinkRuns = R.u32();
+template <class Ar, class Rep, class Cur>
+void progressFields(Ar &A, Rep &R, Cur &Cursor) {
+  io(A, Cursor);
+  fixed(A, R.ClassCounts);
+  io(A, R.Stats, R.OracleChecks, R.OracleBudgetMisses, R.Divergences);
+  divergenceFields(A, R.First);
 }
 
 } // namespace
 
 void soak::saveSoakProgress(BinWriter &W, const SoakReport &R,
                             uint64_t Cursor) {
-  W.u64(Cursor);
-  for (uint64_t C : R.ClassCounts)
-    W.u64(C);
-  R.Stats.saveState(W);
-  W.u64(R.OracleChecks);
-  W.u64(R.OracleBudgetMisses);
-  W.u64(R.Divergences);
-  saveDivergence(W, R.First);
+  progressFields(W, R, Cursor);
 }
 
 void soak::restoreSoakProgress(BinReader &R, SoakReport &Rep,
                                uint64_t &Cursor) {
-  Cursor = R.u64();
-  for (uint64_t &C : Rep.ClassCounts)
-    C = R.u64();
-  Rep.Stats.restoreState(R);
-  Rep.OracleChecks = R.u64();
-  Rep.OracleBudgetMisses = R.u64();
-  Rep.Divergences = R.u64();
-  restoreDivergence(R, Rep.First);
+  progressFields(R, Rep, Cursor);
 }
 
 ckpt::CheckpointMeta soak::checkpointMeta(const AppHarness &App,

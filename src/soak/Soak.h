@@ -63,6 +63,7 @@ enum class PacketClass : uint8_t {
   Fuzz       ///< random words and occasionally near-limit addresses
 };
 inline constexpr unsigned NumPacketClasses = 5;
+constexpr unsigned enumCount(PacketClass) { return NumPacketClasses; }
 const char *packetClassName(PacketClass C);
 
 /// Relative weights of the traffic classes (need not sum to 100).

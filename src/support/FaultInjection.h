@@ -65,6 +65,9 @@ enum class FaultKind : uint8_t {
                  ///< (bounded retries, then a typed ingress drop)
 };
 
+constexpr unsigned enumCount(FaultKind) {
+  return static_cast<unsigned>(FaultKind::DmaDrop) + 1;
+}
 const char *faultKindName(FaultKind K);
 
 /// Which layer a fault kind perturbs — the basis for strict CLI

@@ -7,6 +7,8 @@
 
 #include "support/Status.h"
 
+#include "support/BinIO.h"
+
 #include <ostream>
 
 using namespace nova;
@@ -64,3 +66,10 @@ std::string Status::render() const {
 std::ostream &nova::operator<<(std::ostream &OS, const Status &S) {
   return OS << S.render();
 }
+
+template <class Ar, class Self> void Status::fields(Ar &A, Self &S) {
+  io(A, S.ErrCode, S.ErrPhase, S.Msg, S.Hints);
+}
+
+void Status::saveState(BinWriter &W) const { fields(W, *this); }
+void Status::restoreState(BinReader &R) { fields(R, *this); }

@@ -28,6 +28,9 @@
 
 namespace nova {
 
+class BinReader;
+class BinWriter;
+
 /// Machine-checkable failure categories. Codes are stable identifiers
 /// (tests and scripts match on them), messages are for humans.
 enum class StatusCode : uint8_t {
@@ -53,6 +56,9 @@ enum class StatusCode : uint8_t {
                       ///< different invocation (seed, app, exec mode,
                       ///< topology, fault schedule, or code hash differ)
 };
+constexpr unsigned enumCount(StatusCode) {
+  return static_cast<unsigned>(StatusCode::CheckpointMismatch) + 1;
+}
 
 /// Pipeline phase that produced a Status (coarser than source locations:
 /// these name recovery boundaries, not lines).
@@ -66,6 +72,9 @@ enum class Phase : uint8_t {
   Baseline,
   Execute ///< running compiled code on the micro-engine runtime
 };
+constexpr unsigned enumCount(Phase) {
+  return static_cast<unsigned>(Phase::Execute) + 1;
+}
 
 const char *statusCodeName(StatusCode C);
 const char *phaseName(Phase P);
@@ -107,7 +116,14 @@ public:
   /// "ok" for success. Multi-line, no trailing newline.
   std::string render() const;
 
+  /// Checkpoint serialization (support/BinIO.h), so an in-flight
+  /// packet's trap detail survives a snapshot bit-for-bit.
+  void saveState(BinWriter &W) const;
+  void restoreState(BinReader &R);
+
 private:
+  template <class Ar, class Self> static void fields(Ar &A, Self &S);
+
   StatusCode ErrCode = StatusCode::Ok;
   Phase ErrPhase = Phase::Driver;
   std::string Msg;

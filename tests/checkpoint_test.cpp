@@ -140,8 +140,8 @@ TEST(BinIO, RoundTripsEveryType) {
   W.f64(3.25);
   W.str("hello");
   W.str(std::string("x\0y", 3)); // embedded NUL: str is length-prefixed
-  W.vec32({1, 2, 3});
-  W.vec64({});
+  io(W, std::vector<uint32_t>{1, 2, 3});
+  io(W, std::vector<uint64_t>{});
 
   BinReader R(W.bytes());
   EXPECT_EQ(R.u8(), 0xab);
@@ -152,8 +152,11 @@ TEST(BinIO, RoundTripsEveryType) {
   EXPECT_EQ(R.f64(), 3.25);
   EXPECT_EQ(R.str(), "hello");
   EXPECT_EQ(R.str(), std::string("x\0y", 3));
-  EXPECT_EQ(R.vec32(), (std::vector<uint32_t>{1, 2, 3}));
-  EXPECT_TRUE(R.vec64().empty());
+  std::vector<uint32_t> V32;
+  std::vector<uint64_t> V64 = {7};
+  io(R, V32, V64);
+  EXPECT_EQ(V32, (std::vector<uint32_t>{1, 2, 3}));
+  EXPECT_TRUE(V64.empty());
   EXPECT_FALSE(R.failed());
   EXPECT_EQ(R.remaining(), 0u);
 }
@@ -175,7 +178,9 @@ TEST(BinIO, HugeVectorLengthDoesNotAllocate) {
   BinWriter W;
   W.u64(UINT64_MAX);
   BinReader R(W.bytes());
-  EXPECT_TRUE(R.vec32().empty());
+  std::vector<uint32_t> V;
+  io(R, V);
+  EXPECT_TRUE(V.empty());
   EXPECT_TRUE(R.failed());
 }
 

@@ -684,3 +684,57 @@ TEST(ChipSnapshot, BytesArePinned) {
         << (K.Exec == chip::ExecModel::Threaded ? "threaded" : "interp");
   }
 }
+
+TEST(ChipSnapshot, HostileSnapshotsAreRejectedOrRun) {
+  // A snapshot whose checksum verifies can still carry any bytes. Each
+  // single-byte corruption (every third byte set to 0x00, 0x07 and 0xFF
+  // in turn) must either read as failed() or restore into a chip that
+  // runs the rest of the stream to the end: never a crash, an uncaught
+  // exception or a hang, in either exec model.
+  AllocatedProgram Prog = heavyProgram(3);
+  chip::ChipParams CP;
+  CP.MP.MeCount = 2;
+  CP.MP.ContextsPerMe = 4;
+  std::vector<const AllocatedProgram *> Progs(CP.MP.MeCount, &Prog);
+  for (chip::ExecModel Exec :
+       {chip::ExecModel::Interp, chip::ExecModel::Threaded}) {
+    SCOPED_TRACE(Exec == chip::ExecModel::Threaded ? "threaded" : "interp");
+    CP.Exec = Exec;
+    std::string Snap;
+    uint64_t Next = 0, SnapNext = 0;
+    {
+      chip::Chip C(CP, Progs, sim::Memory{});
+      C.setRetireHook([&](uint64_t Retired, uint64_t) {
+        if (Retired < 20)
+          return false;
+        BinWriter W;
+        C.saveState(W);
+        Snap = W.take();
+        SnapNext = Next;
+        return true;
+      });
+      C.run(packetSource(Next, 64), [](chip::RetiredPacket &&) {});
+      ASSERT_TRUE(C.stopped());
+    }
+    unsigned Rejected = 0, Ran = 0;
+    for (size_t I = 0; I < Snap.size(); I += 3)
+      for (char B : {'\x00', '\x07', '\xff'}) {
+        if (Snap[I] == B)
+          continue;
+        std::string Bad = Snap;
+        Bad[I] = B;
+        chip::Chip C(CP, Progs, sim::Memory{});
+        BinReader R(Bad);
+        C.restoreState(R);
+        if (R.failed()) {
+          ++Rejected;
+          continue;
+        }
+        Next = SnapNext;
+        C.run(packetSource(Next, 64), [](chip::RetiredPacket &&) {});
+        ++Ran;
+      }
+    EXPECT_GT(Rejected, 0u);
+    EXPECT_GT(Ran, 0u);
+  }
+}

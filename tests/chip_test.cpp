@@ -203,6 +203,41 @@ TEST(Ring, TraceHashDistinguishesInterleavings) {
   EXPECT_EQ(C.traceHash(), D.traceHash());
 }
 
+TEST(Ring, RestoreRejectsAnotherCapacity) {
+  // Capacity is construction-time topology: a snapshot of a ring of any
+  // other size (an empty buffer would divide by zero on the next push)
+  // must read as corrupt, and one of the same size restores exactly.
+  chip::Ring Src(3);
+  Src.push(7, 1);
+  Src.push(8, 2);
+  Src.pop(3);
+  BinWriter W;
+  Src.saveState(W);
+  for (unsigned Cap : {1u, 4u}) {
+    chip::Ring Dst(Cap);
+    BinReader R(W.bytes());
+    Dst.restoreState(R);
+    EXPECT_TRUE(R.failed()) << Cap;
+  }
+  chip::Ring Same(3);
+  BinReader R(W.bytes());
+  Same.restoreState(R);
+  EXPECT_FALSE(R.failed());
+  EXPECT_EQ(Same.size(), 1u);
+  EXPECT_EQ(Same.traceHash(), Src.traceHash());
+
+  // The case that used to divide by zero: a zero-length buffer.
+  BinWriter Empty;
+  chip::Ring(3).saveState(Empty);
+  std::string Bytes = Empty.take();
+  for (size_t I = 0; I != 8; ++I)
+    Bytes[I] = 0; // the buffer's u64 element count
+  chip::Ring Dst(3);
+  BinReader RE(Bytes);
+  Dst.restoreState(RE);
+  EXPECT_TRUE(RE.failed());
+}
+
 //===----------------------------------------------------------------------===//
 // Parameter and setup validation
 //===----------------------------------------------------------------------===//
