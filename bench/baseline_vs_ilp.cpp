@@ -18,7 +18,6 @@
 #include "sim/Simulator.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 using namespace nova;
@@ -34,17 +33,12 @@ struct BenchProgram {
 } // namespace
 
 int main(int argc, char **argv) {
-  unsigned Threads = 1;
   const char *JsonPath = "BENCH_solver.json";
   for (int I = 1; I != argc; ++I) {
-    if (!std::strcmp(argv[I], "--mip-threads") && I + 1 < argc)
-      Threads = static_cast<unsigned>(std::atoi(argv[++I]));
-    else if (!std::strcmp(argv[I], "--json") && I + 1 < argc)
+    if (!std::strcmp(argv[I], "--json") && I + 1 < argc)
       JsonPath = argv[++I];
     else {
-      std::fprintf(stderr,
-                   "usage: baseline_vs_ilp [--mip-threads <n>] "
-                   "[--json <path>]\n");
+      std::fprintf(stderr, "usage: baseline_vs_ilp [--json <path>]\n");
       return 2;
     }
   }
@@ -91,9 +85,7 @@ int main(int argc, char **argv) {
 
   std::vector<bench::SolverRun> Runs;
   for (const BenchProgram &P : Programs) {
-    driver::CompileOptions Opts;
-    Opts.Alloc.Mip.Threads = Threads;
-    auto C = driver::compileNova(P.Source, P.Name, Opts);
+    auto C = driver::compileNova(P.Source, P.Name);
     if (!C->Ok) {
       std::fprintf(stderr, "%s: %s\n", P.Name, C->ErrorText.c_str());
       return 1;

@@ -26,17 +26,11 @@ inline std::string appSource(const std::string &Name) {
   return nova::apps::natNovaSource();
 }
 
-/// Compiles one of the paper's applications with a solve-time budget and a
-/// branch-and-bound thread count.
+/// Compiles one of the paper's applications.
 inline std::unique_ptr<nova::driver::CompileResult>
-compileApp(const std::string &Name, bool Allocate = true,
-           double TimeLimit = 600.0, unsigned MipThreads = 1,
-           bool Deterministic = false) {
+compileApp(const std::string &Name, bool Allocate = true) {
   nova::driver::CompileOptions Opts;
   Opts.Allocate = Allocate;
-  Opts.Alloc.Mip.TimeLimitSeconds = TimeLimit;
-  Opts.Alloc.Mip.Threads = MipThreads;
-  Opts.Alloc.Mip.Deterministic = Deterministic;
   auto R = nova::driver::compileNova(appSource(Name), Name, Opts);
   if (!R->Ok)
     std::fprintf(stderr, "%s failed: %s\n", Name.c_str(),
@@ -47,17 +41,13 @@ compileApp(const std::string &Name, bool Allocate = true,
 /// One solver run for the machine-readable perf trajectory
 /// (BENCH_fig7.json from fig7_solver, BENCH_solver.json from
 /// baseline_vs_ilp): what the paper's Figure 7 tabulates plus the
-/// parallel-search counters.
+/// search and LP-engine counters.
 struct SolverRun {
   std::string Program;
-  unsigned Threads = 1;
-  bool Deterministic = false;
   unsigned Nodes = 0;
   unsigned LpIterations = 0;
-  unsigned Steals = 0;
   double RootSeconds = 0.0;
   double TotalSeconds = 0.0;
-  double CpuSeconds = 0.0;
   double Objective = 0.0;
   double RootObjective = 0.0;
   unsigned Moves = 0;
@@ -72,18 +62,13 @@ struct SolverRun {
 };
 
 inline SolverRun solverRunFrom(const std::string &Program,
-                               const nova::alloc::AllocStats &S,
-                               bool Deterministic = false) {
+                               const nova::alloc::AllocStats &S) {
   SolverRun R;
   R.Program = Program;
-  R.Threads = S.Solve.Threads;
-  R.Deterministic = Deterministic;
   R.Nodes = S.Solve.Nodes;
   R.LpIterations = S.Solve.LpIterations;
-  R.Steals = S.Solve.Steals;
   R.RootSeconds = S.Solve.RootLpSeconds;
   R.TotalSeconds = S.Solve.TotalSeconds;
-  R.CpuSeconds = S.Solve.CpuSeconds;
   R.Objective = S.Objective;
   R.RootObjective = S.Solve.RootObjective;
   R.Moves = S.Moves;
@@ -109,16 +94,14 @@ inline bool writeSolverJson(const std::string &Path,
     const SolverRun &R = Runs[I];
     std::fprintf(
         F,
-        "  {\"program\": \"%s\", \"threads\": %u, \"deterministic\": %s, "
-        "\"nodes\": %u, \"lp_iterations\": %u, \"steals\": %u, "
+        "  {\"program\": \"%s\", \"nodes\": %u, \"lp_iterations\": %u, "
         "\"root_seconds\": %.6f, \"total_seconds\": %.6f, "
-        "\"cpu_seconds\": %.6f, \"objective\": %.9g, "
-        "\"root_objective\": %.9g, \"moves\": %u, \"spills\": %u, "
+        "\"objective\": %.9g, \"root_objective\": %.9g, "
+        "\"moves\": %u, \"spills\": %u, "
         "\"factorizations\": %u, \"eta_pivots\": %u, "
         "\"pricing_passes\": %u, \"factor_s\": %.6f}%s\n",
-        R.Program.c_str(), R.Threads, R.Deterministic ? "true" : "false",
-        R.Nodes, R.LpIterations, R.Steals, R.RootSeconds, R.TotalSeconds,
-        R.CpuSeconds, R.Objective, R.RootObjective, R.Moves, R.Spills,
+        R.Program.c_str(), R.Nodes, R.LpIterations, R.RootSeconds,
+        R.TotalSeconds, R.Objective, R.RootObjective, R.Moves, R.Spills,
         R.Factorizations, R.EtaPivots, R.PricingPasses, R.FactorSeconds,
         I + 1 == Runs.size() ? "" : ",");
   }

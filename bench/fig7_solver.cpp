@@ -11,13 +11,8 @@
 // *shape*: root faster than integer, model sizes ordered by program
 // complexity, moves in the tens, and zero spills everywhere.
 //
-// The integer solve additionally runs at --mip-threads workers (default 4)
-// next to the serial baseline, reporting the wall-clock speedup of the
-// parallel branch & bound and emitting every run into a machine-readable
-// BENCH_fig7.json for the perf trajectory. Note the available
-// parallelism: the tree search parallelizes, the root LP does not, so
-// programs whose solve is root-dominated (AES, Kasumi solve in ~1 node)
-// see speedup only on the tree share (NAT is the tree-heavy model).
+// Every run is also emitted into a machine-readable BENCH_fig7.json for
+// the perf trajectory, one record per program.
 //
 // Variables/constraints are reported for the generated (segment-reduced)
 // model; the "raw" columns give the sizes a naive per-point formulation
@@ -34,18 +29,12 @@
 using namespace nova;
 
 int main(int argc, char **argv) {
-  unsigned Threads = 4;
-  bool Compare = true;
   const char *JsonPath = "BENCH_fig7.json";
   const char *Only = nullptr;
   double ExpectRoot = 0.0;
   bool HaveExpectRoot = false;
   for (int I = 1; I != argc; ++I) {
-    if (!std::strcmp(argv[I], "--mip-threads") && I + 1 < argc)
-      Threads = static_cast<unsigned>(std::atoi(argv[++I]));
-    else if (!std::strcmp(argv[I], "--no-compare"))
-      Compare = false;
-    else if (!std::strcmp(argv[I], "--json") && I + 1 < argc)
+    if (!std::strcmp(argv[I], "--json") && I + 1 < argc)
       JsonPath = argv[++I];
     else if (!std::strcmp(argv[I], "--only") && I + 1 < argc)
       Only = argv[++I];
@@ -54,9 +43,8 @@ int main(int argc, char **argv) {
       HaveExpectRoot = true;
     } else {
       std::fprintf(stderr,
-                   "usage: fig7_solver [--mip-threads <n>] [--no-compare] "
-                   "[--json <path>] [--only <AES|Kasumi|NAT>] "
-                   "[--expect-root <objective>]\n");
+                   "usage: fig7_solver [--json <path>] "
+                   "[--only <AES|Kasumi|NAT>] [--expect-root <objective>]\n");
       return 2;
     }
   }
@@ -66,65 +54,36 @@ int main(int argc, char **argv) {
               "obj, 25 moves 0 spills;\n");
   std::printf("         Kasumi 48.2/59.2 138k/131k/50k, 20 moves 0; "
               "NAT 69.2/155.6 208k/203k/72k, 60 moves 0)\n\n");
-  std::printf("%-8s %4s %9s %9s %8s %8s %8s %10s %10s %6s %6s %8s\n",
-              "program", "thr", "root(s)", "integer", "vars", "cons",
-              "objterm", "raw-vars", "raw-cons", "moves", "spill",
-              "speedup");
+  std::printf("%-8s %9s %9s %8s %8s %8s %10s %10s %6s %6s\n", "program",
+              "root(s)", "integer", "vars", "cons", "objterm", "raw-vars",
+              "raw-cons", "moves", "spill");
 
   std::vector<bench::SolverRun> Runs;
   for (const char *Name : {"AES", "Kasumi", "NAT"}) {
     if (Only && std::strcmp(Name, Only))
       continue;
-    double SerialSeconds = 0.0;
-    double SerialObjective = 0.0;
-    std::vector<unsigned> Plan;
-    if (Compare)
-      Plan.push_back(1);
-    if (!Compare || Threads != 1)
-      Plan.push_back(Threads);
-    for (unsigned T : Plan) {
-      auto C = bench::compileApp(Name, /*Allocate=*/true, 600.0, T);
-      if (!C->Ok)
-        return 1;
-      const alloc::AllocStats &S = C->Alloc.Stats;
-      // CI smoke: the root relaxation objective is a deterministic model
-      // property; any drift means the LP engine or the model changed.
-      if (HaveExpectRoot &&
-          std::abs(S.Solve.RootObjective - ExpectRoot) > 1e-6) {
-        std::fprintf(stderr, "%s: root objective %.9g != expected %.9g\n",
-                     Name, S.Solve.RootObjective, ExpectRoot);
-        return 1;
-      }
-      if (T == 1) {
-        SerialSeconds = S.Solve.TotalSeconds;
-        SerialObjective = S.Objective;
-      } else if (Compare &&
-                 std::abs(S.Objective - SerialObjective) > 1e-6) {
-        std::fprintf(stderr,
-                     "%s: %u-thread objective %.9g != serial %.9g\n", Name,
-                     T, S.Objective, SerialObjective);
-        return 1;
-      }
-      double Speedup = (T != 1 && Compare && S.Solve.TotalSeconds > 0.0)
-                           ? SerialSeconds / S.Solve.TotalSeconds
-                           : 0.0;
-      std::printf("%-8s %4u %9.2f %9.2f %8u %8u %8u %10u %10u %6u %6u ",
-                  Name, S.Solve.Threads, S.Solve.RootLpSeconds,
-                  S.Solve.TotalSeconds, S.IlpSize.NumVariables,
-                  S.IlpSize.NumConstraints, S.IlpSize.NumObjectiveTerms,
-                  S.Build.RawVariables, S.Build.RawConstraints, S.Moves,
-                  S.Spills);
-      if (Speedup > 0.0)
-        std::printf("%7.2fx\n", Speedup);
-      else
-        std::printf("%8s\n", "-");
-      Runs.push_back(bench::solverRunFrom(Name, S));
+    auto C = bench::compileApp(Name);
+    if (!C->Ok)
+      return 1;
+    const alloc::AllocStats &S = C->Alloc.Stats;
+    // CI smoke: the root relaxation objective is a deterministic model
+    // property; any drift means the LP engine or the model changed.
+    if (HaveExpectRoot &&
+        std::abs(S.Solve.RootObjective - ExpectRoot) > 1e-6) {
+      std::fprintf(stderr, "%s: root objective %.9g != expected %.9g\n",
+                   Name, S.Solve.RootObjective, ExpectRoot);
+      return 1;
     }
+    std::printf("%-8s %9.2f %9.2f %8u %8u %8u %10u %10u %6u %6u\n", Name,
+                S.Solve.RootLpSeconds, S.Solve.TotalSeconds,
+                S.IlpSize.NumVariables, S.IlpSize.NumConstraints,
+                S.IlpSize.NumObjectiveTerms, S.Build.RawVariables,
+                S.Build.RawConstraints, S.Moves, S.Spills);
+    Runs.push_back(bench::solverRunFrom(Name, S));
   }
   if (!bench::writeSolverJson(JsonPath, Runs))
     return 1;
   std::printf("\nShape checks: integer >= root per program; zero spills; "
-              "moves in the tens;\nidentical optimal objectives across "
-              "thread counts.\n");
+              "moves in the tens.\n");
   return 0;
 }

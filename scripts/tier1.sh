@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verify in one command (see ROADMAP.md): configure, build, run the
-# full test suite, then smoke-test the parallel MIP engine with a 2-thread
-# solve through the whole novac pipeline.
+# full test suite, then smoke-test the whole novac pipeline, check that
+# repeated compiles print the same allocated program, and run the soak,
+# chip, checkpoint, benchmark and sanitizer stages below.
 #
 #   scripts/tier1.sh                 # uses ./build
 #   BUILD_DIR=/tmp/b scripts/tier1.sh
@@ -18,9 +19,8 @@ cmake -B "$BUILD" -S "$ROOT"
 cmake --build "$BUILD" -j"$JOBS"
 (cd "$BUILD" && ctest --output-on-failure -j"$JOBS")
 
-# 2-thread MIP smoke solve: a small Nova program through parse -> CPS ->
-# isel -> parallel branch & bound -> verifier, failing on any verifier
-# violation or solver disagreement.
+# MIP smoke solve: a small Nova program through parse -> CPS -> isel ->
+# branch & bound -> verifier, failing on any verifier violation.
 SMOKE="$(mktemp --suffix .nova)"
 trap 'rm -f "$SMOKE"' EXIT
 cat > "$SMOKE" <<'EOF'
@@ -36,8 +36,25 @@ fun main(base : word, n : word) {
   (sum & 0xFFFF) + (sum >> 16)
 }
 EOF
-echo "== 2-thread MIP smoke solve =="
-"$BUILD/src/driver/novac" --mip-threads 2 --mip-deterministic --stats "$SMOKE"
+echo "== MIP smoke solve =="
+"$BUILD/src/driver/novac" --stats "$SMOKE"
+
+# Reproducibility gate: the branch & bound search is a pure function of
+# the model, so five default compiles of NAT (the one app with a real
+# search tree) must print the same allocated program, byte for byte, and
+# it must be the pinned one (AppAlloc.PrintedCodeIsPinned hashes the same
+# text).
+echo "== NAT allocation reproducibility (5 runs, pinned md5) =="
+NAT_WANT=c035dbe8f8a9316cdca42e2ce505a603
+for RUN in 1 2 3 4 5; do
+  NAT_GOT="$("$BUILD/src/driver/novac" --dump-alloc "$ROOT/apps/nat.nova" |
+    md5sum | cut -d' ' -f1)"
+  if [ "$NAT_GOT" != "$NAT_WANT" ]; then
+    echo "NAT reproducibility FAILED: run $RUN printed md5 $NAT_GOT," \
+         "expected $NAT_WANT" >&2
+    exit 1
+  fi
+done
 
 # Time-boxed solver smoke on the real NAT model: the root relaxation
 # objective is a deterministic property of the model + LP engine, so any
@@ -45,8 +62,8 @@ echo "== 2-thread MIP smoke solve =="
 # the pre-sparse-LU budget; the sparse engine solves it in well under a
 # second, so 120s only guards against a hang).
 echo "== NAT solver smoke (root objective check) =="
-timeout 120 "$BUILD/bench/fig7_solver" --only NAT --mip-threads 1 \
-  --no-compare --json "$BUILD/BENCH_smoke.json" --expect-root 2.2381627
+timeout 120 "$BUILD/bench/fig7_solver" --only NAT \
+  --json "$BUILD/BENCH_smoke.json" --expect-root 2.2381627
 
 # Adversarial soak smoke: fixed seed, all three apps, the differential
 # oracle (allocated vs functional vs CPS evaluator) on every packet. Any
@@ -253,7 +270,7 @@ timeout 120 "$SAN_BUILD/tests/support_test"
 # The LU keeps its active-submatrix workspace across rebuilds, finds
 # pivot-row entries through position hints, and walks step bitmaps and
 # the L-step list in the solves: index arithmetic that must stay in
-# bounds through re-setups, singular bases and cloned B&B workers.
+# bounds through re-setups, singular bases and copied bases.
 timeout 300 "$SAN_BUILD/tests/ilp_simplex_test"
 timeout 600 "$SAN_BUILD/tests/ilp_mip_test"
 # Register assignment buckets stays by residency key and walks adjacency

@@ -41,6 +41,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <set>
@@ -903,11 +904,16 @@ struct Chip::Impl {
     // LockupThreshold cycles is declared locked up. Recovery aborts
     // it; the packet either requeues (bounded retries, exponential
     // backoff) or retires dead as a typed Lockup drop — in order.
+    bool StillWedged = false;
     for (unsigned M = 0; M != P.MP.MeCount; ++M) {
       for (unsigned Cn = 0; Cn != P.MP.ContextsPerMe; ++Cn) {
         HwCtx &Cx = Mes[M].Ctx[Cn];
-        if (Cx.Ph != CtxPh::Wedged || T - Cx.WedgeTime < C.LockupThreshold)
+        if (Cx.Ph != CtxPh::Wedged)
           continue;
+        if (T - Cx.WedgeTime < C.LockupThreshold) {
+          StillWedged = true;
+          continue;
+        }
         ++RS.LockupsDetected;
         Cx.abort();
         ++RS.CtxResets;
@@ -963,8 +969,14 @@ struct Chip::Impl {
       schedRx(T);
     }
 
-    // Keep ticking while anything is still moving through the chip.
-    if (!RxDone || RxHave || InFlightCount != 0 || !Reorder.empty())
+    // Keep ticking while anything is still moving through the chip. When
+    // the tick was the only pending event and nothing waits on the
+    // watchdog (a wedged context, RX parked on full rings), no later tick
+    // can move anything either: stop, so a chip that cannot finish ends
+    // its run and reports the deadlock instead of ticking forever.
+    bool Busy = !RxDone || RxHave || InFlightCount != 0 || !Reorder.empty();
+    bool RxParked = RxWaiting == RxWait::RingFull && RxStuck;
+    if (Busy && (!Q.empty() || StillWedged || RxParked))
       sched(T + C.WatchdogPeriod, Ev::SupTick);
   }
 
@@ -1093,16 +1105,48 @@ struct Chip::Impl {
   /// context waits in exactly the one place its phase names; and each
   /// in-flight record has exactly one holder — a ring descriptor, a
   /// context between pop and TX push, a pending TX pop, or RX mid-push.
+  /// Retirement can resume: every held packet lies in [NextRetire,
+  /// NextDispatch), and NextRetire itself is held (in a record or by RX
+  /// waiting for a slot) unless nothing is outstanding. RX waits only in
+  /// the phase that parks it. Channel timings are the configured ones,
+  /// and no pending event or busy-until time lies in the past or further
+  /// ahead than maxLead(): the supervisor's watchdog ticks through every
+  /// idle gap, so a far-future time would make a run take forever.
   /// Anything else would index past a vector, dereference a missing
-  /// record, or retire a packet twice.
+  /// record, retire a packet twice, or wait forever on a packet that
+  /// does not exist.
   bool runnable(const std::vector<Event> &Pending) const {
     const unsigned NumMe = P.MP.MeCount, NumCtx = P.MP.ContextsPerMe;
+    unsigned Brownout = BrownoutActive ? Sup.brownoutMultiplier() : 1;
     bool Ok = InFlightCount == InFlight.size() &&
-              (FreeSlots.empty() || *FreeSlots.rbegin() < NumSlots);
+              (FreeSlots.empty() || *FreeSlots.rbegin() < NumSlots) &&
+              SramCh.IssueInterval == P.MP.SramIssueInterval &&
+              SramCh.Latency == P.MP.SramAccessCycles &&
+              SdramCh.IssueInterval == SdramBaseInterval * Brownout &&
+              SdramCh.Latency == P.MP.SdramAccessCycles &&
+              ScratchCh.IssueInterval == P.MP.ScratchIssueInterval &&
+              ScratchCh.Latency == P.MP.ScratchAccessCycles;
+    const uint64_t Lead = maxLead();
+    Ok = Ok && LastTime <= UINT64_MAX - Lead; // no scheduled time can wrap
+    const uint64_t Horizon = LastTime + Lead;
+    auto Ahead = [&](uint64_t T) { Ok = Ok && T <= Horizon; };
+    for (const Channel *Ch : {&SramCh, &SdramCh, &ScratchCh})
+      Ahead(Ch->FreeAt);
+    for (const MeState &M : Mes)
+      Ahead(M.FreeAt);
     for (const auto *Recs : {&InFlight, &Reorder})
       for (const auto &[Seq, Rec] : *Recs)
         Ok = Ok && Rec.Me < NumMe && Rec.Ctx < NumCtx &&
-             (Rec.Tail || Rec.SlotIdx < NumSlots);
+             (Rec.Tail || Rec.SlotIdx < NumSlots) && Seq >= NextRetire &&
+             Seq < NextDispatch;
+    bool RxHoldsPkt = RxHave && RxPhase == RxPh::Dispatch;
+    Ok = Ok && NextRetire <= NextDispatch &&
+         (NextRetire == NextDispatch || InFlight.count(NextRetire) ||
+          Reorder.count(NextRetire) ||
+          (RxHoldsPkt && RxPkt.Seq == NextRetire));
+    Ok = Ok && (RxWaiting != RxWait::Slot || RxHoldsPkt) &&
+         (RxWaiting != RxWait::RingFull ||
+          (RxHave && RxPhase == RxPh::Push));
     std::vector<CtxWait> Seen(NumMe * NumCtx, CtxWait::None);
     auto Waits = [&](unsigned M, unsigned C, CtxWait W) {
       bool Valid = M < NumMe && C < NumCtx;
@@ -1128,7 +1172,8 @@ struct Chip::Impl {
       Holds(Tx.at(I));
     for (const Event &E : Pending) {
       // RingUnstall names a ring: an input ring, or TX at MeCount.
-      Ok = Ok && E.Ctx < NumCtx &&
+      Ahead(E.Time);
+      Ok = Ok && E.Time >= LastTime && E.Ctx < NumCtx &&
            (E.Me < NumMe || (E.K == Ev::RingUnstall && E.Me == NumMe));
       if (E.K == Ev::CtxResume)
         Waits(E.Me, E.Ctx, CtxWait::Resume);
@@ -1147,6 +1192,29 @@ struct Chip::Impl {
     if (RxPhase == RxPh::Push)
       Holds(RxPendSeq);
     return Ok && Held.size() == InFlight.size();
+  }
+
+  /// The furthest past LastTime a runnable chip can have an event
+  /// pending or an engine or channel busy: one ME run slice (the whole
+  /// instruction budget), a backlog on the slowest channel of one
+  /// transaction per context and agent plus the DMA bursts of every held
+  /// packet, and the longest supervisor delay.
+  uint64_t maxLead() const {
+    sim::LatencyModel L = P.latency();
+    uint64_t OpCycles = std::max({L.Alu, L.Branch, L.Imm + 1, L.HashOp});
+    uint64_t Txns = uint64_t(P.MP.MeCount) * P.MP.ContextsPerMe + 2;
+    for (const auto &KV : InFlight)
+      Txns += KV.second.Pkt.Words.size() / 8 + 1;
+    if (RxHave)
+      Txns += RxPkt.Words.size() / 8 + 1;
+    uint64_t Slowest = 0;
+    for (const Channel *Ch : {&SramCh, &SdramCh, &ScratchCh})
+      Slowest = std::max<uint64_t>(Slowest, Ch->IssueInterval + Ch->Latency);
+    Slowest = std::max<uint64_t>(
+        Slowest, uint64_t(SdramBaseInterval) *
+                         std::max(1u, Sup.brownoutMultiplier()) +
+                     SdramCh.Latency);
+    return P.Budget * OpCycles + Txns * Slowest + Sup.maxDelay();
   }
 
   //===--- Event loop ------------------------------------------------------===//

@@ -9,6 +9,8 @@
 
 #include "chip/Ring.h"
 
+#include <algorithm>
+
 using namespace nova;
 using namespace nova::chip;
 
@@ -86,9 +88,24 @@ unsigned Supervisor::brownoutFactor() {
     return 0;
   if (++SdramRefCtr % E.Rate != 0)
     return 0;
-  unsigned Factor = E.Magnitude > 1 ? static_cast<unsigned>(E.Magnitude)
-                                    : Cfg.DefaultBrownoutFactor;
-  return Factor;
+  return brownoutMultiplier();
+}
+
+unsigned Supervisor::brownoutMultiplier() const {
+  const Entry &E = entry(FaultKind::ChanBrownout);
+  if (!E.Armed)
+    return 0;
+  return E.Magnitude > 1 ? static_cast<unsigned>(E.Magnitude)
+                         : Cfg.DefaultBrownoutFactor;
+}
+
+uint64_t Supervisor::maxDelay() const {
+  const Entry &Stall = entry(FaultKind::RingStall);
+  uint64_t StallCycles = Stall.Magnitude > 0
+                             ? static_cast<uint64_t>(Stall.Magnitude)
+                             : Cfg.DefaultRingStallCycles;
+  return std::max({Cfg.WatchdogPeriod, backoff(Cfg.MaxRetries + 1),
+                   Cfg.BrownoutWindow, StallCycles});
 }
 
 namespace {

@@ -176,6 +176,15 @@ public:
   /// window starts with that issue-interval multiplier.
   unsigned brownoutFactor();
 
+  /// The issue-interval multiplier every brownout window applies (0 when
+  /// chan-brownout is not armed).
+  unsigned brownoutMultiplier() const;
+
+  /// The longest delay the supervisor ever schedules ahead: a watchdog
+  /// period, the last retry's backoff, a brownout window, or an injected
+  /// ring stall.
+  uint64_t maxDelay() const;
+
   /// Requeue delay before retry number \p Attempt (1-based): BackoffBase
   /// doubled per prior attempt.
   uint64_t backoff(unsigned Attempt) const {

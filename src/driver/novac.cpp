@@ -36,11 +36,6 @@ static void usage() {
       "  --spill-model     always build the spill-aware ILP model\n"
       "  --time-limit <s>  ILP solve budget in seconds (default 600)\n"
       "  --node-limit <n>  branch & bound node budget\n"
-      "  --mip-threads <n> branch & bound worker threads (default 0 =\n"
-      "                    one per hardware thread; always clamped to the\n"
-      "                    available cores)\n"
-      "  --mip-deterministic  reproducible parallel search (fixed-order\n"
-      "                    node expansion at synchronization points)\n"
       "  --on-ilp-failure {error,incumbent,baseline}\n"
       "                    how far down the degradation ladder to go when\n"
       "                    the ILP fails (default incumbent): stop with an\n"
@@ -49,7 +44,7 @@ static void usage() {
       "  --inject-fault <kind>[@<after>][x<times>][~<mag>]\n"
       "                    arm a solver fault (testing): singular-basis,\n"
       "                    eta-drift, lp-infeasible, mip-timeout, or\n"
-      "                    worker-stall\n");
+      "                    worker-stall (the search sleeps once per node)\n");
 }
 
 namespace {
@@ -143,7 +138,7 @@ void writeStatsJson(const char *Path, const char *File,
                "  \"spills\": %u,\n"
                "  \"ilp\": {\"vars\": %u, \"cons\": %u, \"objterms\": %u},\n"
                "  \"solve\": {\"nodes\": %u, \"total_s\": %.3f, "
-               "\"root_lp_s\": %.3f, \"threads\": %u, \"lp_iters\": %u, "
+               "\"root_lp_s\": %.3f, \"lp_iters\": %u, "
                "\"factorizations\": %u, \"eta_pivots\": %u, "
                "\"factor_s\": %.3f},\n"
                "  \"regassign\": {\"stays\": %u, \"edges\": %u, "
@@ -155,7 +150,7 @@ void writeStatsJson(const char *Path, const char *File,
                S.Objective, S.Moves, S.Spills, S.IlpSize.NumVariables,
                S.IlpSize.NumConstraints, S.IlpSize.NumObjectiveTerms,
                S.Solve.Nodes, S.Solve.TotalSeconds, S.Solve.RootLpSeconds,
-               S.Solve.Threads, S.Solve.LpIterations, S.Solve.Factorizations,
+               S.Solve.LpIterations, S.Solve.Factorizations,
                S.Solve.EtaPivots, S.Solve.FactorSeconds, S.RegAssign.Stays,
                S.RegAssign.Edges, S.RegAssign.Attempts, S.RegAssign.Splits,
                S.RegAssign.Seconds);
@@ -171,7 +166,6 @@ int main(int argc, char **argv) {
   std::vector<FaultSpec> Faults;
   driver::CompileOptions Opts;
   Opts.Alloc.Mip.TimeLimitSeconds = 600.0;
-  Opts.Alloc.Mip.Threads = 0; // auto: one worker per hardware thread
   const char *File = nullptr;
 
   ArgParser P{argc, argv};
@@ -189,8 +183,6 @@ int main(int argc, char **argv) {
       Stats = true;
     else if (P.boolFlag("--spill-model"))
       Opts.Alloc.ForceSpillModel = true;
-    else if (P.boolFlag("--mip-deterministic"))
-      Opts.Alloc.Mip.Deterministic = true;
     else if (P.valueFlag("--time-limit", V)) {
       if (!P.Failed && !parseSeconds(V, Opts.Alloc.Mip.TimeLimitSeconds))
         P.fail("novac: --time-limit expects a positive number of seconds, "
@@ -199,11 +191,6 @@ int main(int argc, char **argv) {
     } else if (P.valueFlag("--node-limit", V)) {
       if (!P.Failed && !parseCount(V, Opts.Alloc.Mip.NodeLimit))
         P.fail("novac: --node-limit expects a non-negative integer, got "
-               "'%s'\n",
-               V);
-    } else if (P.valueFlag("--mip-threads", V)) {
-      if (!P.Failed && !parseCount(V, Opts.Alloc.Mip.Threads))
-        P.fail("novac: --mip-threads expects a non-negative integer, got "
                "'%s'\n",
                V);
     } else if (P.valueFlag("--on-ilp-failure", V)) {
@@ -278,12 +265,10 @@ int main(int argc, char **argv) {
     if (Opts.Allocate) {
       const alloc::AllocStats &A = R->Alloc.Stats;
       std::printf("ilp: vars=%u cons=%u objterms=%u rootLP=%.2fs "
-                  "total=%.2fs cpu=%.2fs nodes=%u threads=%u steals=%u "
-                  "moves=%u spills=%u\n",
+                  "total=%.2fs nodes=%u moves=%u spills=%u\n",
                   A.IlpSize.NumVariables, A.IlpSize.NumConstraints,
                   A.IlpSize.NumObjectiveTerms, A.Solve.RootLpSeconds,
-                  A.Solve.TotalSeconds, A.Solve.CpuSeconds, A.Solve.Nodes,
-                  A.Solve.Threads, A.Solve.Steals, A.Moves, A.Spills);
+                  A.Solve.TotalSeconds, A.Solve.Nodes, A.Moves, A.Spills);
       std::printf("lp: iters=%u factorizations=%u eta-pivots=%u "
                   "pricing-passes=%u factor=%.2fs\n",
                   A.Solve.LpIterations, A.Solve.Factorizations,

@@ -103,8 +103,7 @@ struct BasisStats {
 };
 
 /// Sparse LU factorization of a simplex basis with a product-form eta
-/// update file. Value semantics: copying a Basis clones the factors, which
-/// is what the branch-and-bound worker cloning relies on.
+/// update file. Value semantics: copying a Basis clones the factors.
 ///
 /// Every rebuild and every solve does work proportional to the nonzeros it
 /// touches, and the result is a pure function of the basis: the pivot
@@ -204,7 +203,7 @@ private:
   /// factorize()'s active submatrix, kept across rebuilds so a warm
   /// rebuild allocates (almost) nothing. reset() empties every list in
   /// place, so bucket and entry order are exactly a fresh run's. A copy
-  /// starts empty: cloned B&B workers grow their own on first rebuild.
+  /// starts empty and grows its own on its first rebuild.
   struct Workspace {
     Workspace() = default;
     Workspace(const Workspace &) {}

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Depth-first branch & bound over LP relaxations, playing the role CPLEX
-/// played for the paper. Reports the root-relaxation and integer solve
+/// Serial depth-first branch & bound over LP relaxations, playing the role
+/// CPLEX played for the paper. Reports the root-relaxation and integer solve
 /// statistics that Figure 7 tabulates.
 ///
 //===----------------------------------------------------------------------===//
@@ -40,36 +40,19 @@ struct MipOptions {
   /// Number of LP re-solves the root diving heuristic may spend.
   unsigned DiveLpLimit = 400;
   bool EnablePresolve = true;
-  /// Worker threads for the tree search. 1 = serial; 0 = one per hardware
-  /// thread. Each worker owns a warm-started Simplex and a private DFS
-  /// deque; idle workers steal open subtrees from the others.
+  /// Ignored: the tree search is serial. Kept only so existing callers
+  /// that still assign it compile unchanged.
   unsigned Threads = 1;
-  /// Reproducible parallel search: nodes are expanded in fixed-order
-  /// synchronized rounds, so node counts and the optimal objective are
-  /// identical across runs at the same thread count (at some cost in
-  /// worker idle time at the round barriers).
-  bool Deterministic = false;
   /// Pseudocost branching (per-variable up/down degradation averages),
   /// falling back to most-fractional until degradations have been
   /// observed. Disable to force the legacy most-fractional rule.
   bool PseudocostBranching = true;
 };
 
-/// Per-worker search statistics (parallel solves only have >1 entry).
-struct MipWorkerStats {
-  unsigned Nodes = 0;        ///< nodes this worker expanded
-  unsigned Steals = 0;       ///< nodes taken from another worker's deque
-  unsigned LpIterations = 0; ///< simplex iterations on this worker's LP
-};
-
 /// Solve statistics mirroring the paper's Figure 7 columns.
 struct MipStats {
   double RootLpSeconds = 0.0;
   double TotalSeconds = 0.0;
-  /// Process CPU time over the whole solve; with T busy workers this
-  /// approaches T * TotalSeconds, so CpuSeconds / TotalSeconds estimates
-  /// effective parallelism.
-  double CpuSeconds = 0.0;
   double RootObjective = 0.0;
   unsigned Nodes = 0;
   unsigned LpIterations = 0;
@@ -77,15 +60,12 @@ struct MipStats {
   unsigned PresolveDroppedConstraints = 0;
   unsigned ReducedVars = 0;
   unsigned ReducedConstraints = 0;
-  unsigned Threads = 1;  ///< workers the search actually used
-  unsigned Steals = 0;   ///< total cross-worker subtree steals
-  // LP-engine counters summed over all worker Simplex instances, each
-  // worker counted from the point it was cloned from the root.
+  // LP-engine counters of the one Simplex the root solve, the dive and
+  // the tree search share.
   unsigned Factorizations = 0; ///< sparse LU rebuilds
   unsigned EtaPivots = 0;      ///< pivots absorbed into eta files
   unsigned PricingPasses = 0;  ///< full reduced-cost recomputations
   double FactorSeconds = 0.0;  ///< wall time inside the LU rebuilds
-  std::vector<MipWorkerStats> Workers;
 };
 
 /// Result of a MIP solve; X is in the *original* model's variable space.

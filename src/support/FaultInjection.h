@@ -12,7 +12,7 @@
 /// survive: singular bases (LU repair), eta-file drift (refactorize on
 /// drift), spurious LP infeasibility (spill retry / baseline fallback),
 /// branch-and-bound timeouts at chosen node counts (incumbent salvage),
-/// and worker-thread stalls (work stealing / watchdog deadlines).
+/// and search stalls (watchdog deadlines).
 ///
 /// Firing is deterministic: each spec counts *opportunities* (times its
 /// hook site was reached) and fires from opportunity `After` on, at most
@@ -42,7 +42,8 @@ enum class FaultKind : uint8_t {
   EtaDrift,      ///< an eta-file pivot value is perturbed by Magnitude
   LpInfeasible,  ///< Simplex::solve reports Infeasible without solving
   MipTimeout,    ///< branch & bound behaves as if the time limit tripped
-  WorkerStall,   ///< a search worker sleeps Magnitude seconds mid-loop
+  WorkerStall,   ///< the branch & bound search sleeps Magnitude seconds
+                 ///< once per node
   MemJitter,     ///< SRAM/SDRAM access latency inflated by up to Magnitude
                  ///< extra cycles in sim::runAllocated (timing only; never
                  ///< changes values)

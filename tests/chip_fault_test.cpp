@@ -685,16 +685,21 @@ TEST(ChipSnapshot, BytesArePinned) {
   }
 }
 
-TEST(ChipSnapshot, HostileSnapshotsAreRejectedOrRun) {
-  // A snapshot whose checksum verifies can still carry any bytes. Each
-  // single-byte corruption (every third byte set to 0x00, 0x07 and 0xFF
-  // in turn) must either read as failed() or restore into a chip that
-  // runs the rest of the stream to the end: never a crash, an uncaught
-  // exception or a hang, in either exec model.
+namespace {
+
+/// Single-byte corruption sweep over a mid-run chip snapshot (every third
+/// byte set to 0x00, 0x07 and 0xFF in turn). Each image must either read
+/// as failed() or restore into a chip whose run returns — to the end of
+/// the stream, or to a reported deadlock — in either exec model: never a
+/// crash, an uncaught exception or a hang. \p Faults arms the supervisor,
+/// whose watchdog tick re-arms itself while work is outstanding.
+void hostileSnapshotSweep(const FaultSchedule &Faults) {
   AllocatedProgram Prog = heavyProgram(3);
   chip::ChipParams CP;
   CP.MP.MeCount = 2;
   CP.MP.ContextsPerMe = 4;
+  CP.Faults = Faults;
+  CP.Sup = quickSup();
   std::vector<const AllocatedProgram *> Progs(CP.MP.MeCount, &Prog);
   for (chip::ExecModel Exec :
        {chip::ExecModel::Interp, chip::ExecModel::Threaded}) {
@@ -737,4 +742,17 @@ TEST(ChipSnapshot, HostileSnapshotsAreRejectedOrRun) {
     EXPECT_GT(Rejected, 0u);
     EXPECT_GT(Ran, 0u);
   }
+}
+
+} // namespace
+
+TEST(ChipSnapshot, HostileSnapshotsAreRejectedOrRun) {
+  hostileSnapshotSweep(FaultSchedule());
+}
+
+// The same sweep with the supervisor armed: a restored image that cannot
+// retire (its next-to-retire packet held nowhere, say) must end its run
+// as a deadlock instead of ticking the watchdog forever.
+TEST(ChipSnapshot, HostileSnapshotsRejectedOrRunUnderFaults) {
+  hostileSnapshotSweep(schedule("ctx-lockup@7,chan-brownout@11~4"));
 }

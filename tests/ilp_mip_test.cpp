@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <thread>
 
 using namespace nova;
 using namespace nova::ilp;
@@ -231,12 +230,9 @@ Model makeAppLikeModel(unsigned Items, unsigned Banks, unsigned Conflicts,
   return M;
 }
 
-MipResult solveWith(const Model &M, unsigned Threads, bool Deterministic,
-                    const std::vector<double> *Seed = nullptr,
+MipResult solveWith(const Model &M, const std::vector<double> *Seed = nullptr,
                     bool Pseudocost = true) {
   MipOptions Opts;
-  Opts.Threads = Threads;
-  Opts.Deterministic = Deterministic;
   Opts.PseudocostBranching = Pseudocost;
   MipSolver Solver(M, Opts);
   if (Seed)
@@ -246,89 +242,66 @@ MipResult solveWith(const Model &M, unsigned Threads, bool Deterministic,
 
 } // namespace
 
-// The parallel engine is an optimization, not a semantics change: 1-thread
-// and N-thread solves (both scheduling modes) must agree on the optimal
-// objective on allocator-shaped models.
-TEST(MipParallel, MatchesSerialOnAppLikeModels) {
+// Branching order changes the tree, not the answer: pseudocost and
+// most-fractional branching must agree on the optimal objective on
+// allocator-shaped models.
+TEST(MipSearch, BranchingRulesAgreeOnAppLikeModels) {
   for (uint64_t Seed : {11u, 22u, 33u, 44u}) {
     Model M = makeAppLikeModel(10, 3, 12, Seed);
-    MipResult Serial = solveWith(M, 1, false);
-    ASSERT_EQ(Serial.Status, MipStatus::Optimal) << "seed " << Seed;
-    for (unsigned Threads : {2u, 4u}) {
-      MipResult Async = solveWith(M, Threads, false);
-      ASSERT_EQ(Async.Status, MipStatus::Optimal)
-          << "seed " << Seed << " threads " << Threads;
-      EXPECT_NEAR(Async.Objective, Serial.Objective, 1e-6);
-      EXPECT_TRUE(isFeasible(M, Async.X));
-      MipResult Det = solveWith(M, Threads, true);
-      ASSERT_EQ(Det.Status, MipStatus::Optimal);
-      EXPECT_NEAR(Det.Objective, Serial.Objective, 1e-6);
-    }
+    MipResult Pc = solveWith(M);
+    MipResult MostFrac = solveWith(M, nullptr, /*Pseudocost=*/false);
+    ASSERT_EQ(Pc.Status, MipStatus::Optimal) << "seed " << Seed;
+    ASSERT_EQ(MostFrac.Status, MipStatus::Optimal) << "seed " << Seed;
+    EXPECT_NEAR(Pc.Objective, MostFrac.Objective, 1e-6) << "seed " << Seed;
+    EXPECT_TRUE(isFeasible(M, Pc.X));
+    EXPECT_TRUE(isFeasible(M, MostFrac.X));
   }
 }
 
-TEST(MipParallel, MatchesBruteForceWithFourThreads) {
+TEST(MipSearch, MatchesBruteForceOnAppLikeModel) {
   Model M = makeAppLikeModel(5, 2, 4, 7);
   ASSERT_LE(M.numVars(), 20u);
   double Expected = bruteForce(M);
   ASSERT_TRUE(std::isfinite(Expected));
-  MipResult R = solveWith(M, 4, false);
+  MipResult R = solveWith(M);
   ASSERT_EQ(R.Status, MipStatus::Optimal);
   EXPECT_NEAR(R.Objective, Expected, 1e-6);
 }
 
-// Deterministic mode's contract: identical node counts (and objective)
-// across repeated runs at the same thread count.
-TEST(MipParallel, DeterministicModeReproducesNodeCounts) {
-  Model M = makeAppLikeModel(12, 3, 16, 99);
-  MipResult A = solveWith(M, 4, true);
-  MipResult B = solveWith(M, 4, true);
-  ASSERT_EQ(A.Status, MipStatus::Optimal);
-  ASSERT_EQ(B.Status, MipStatus::Optimal);
-  EXPECT_EQ(A.Stats.Nodes, B.Stats.Nodes);
-  EXPECT_EQ(A.Stats.LpIterations, B.Stats.LpIterations);
-  EXPECT_NEAR(A.Objective, B.Objective, 1e-12);
+// The search is a pure function of the model: repeated solves expand the
+// same tree and return the same point. The second model branches (five
+// nodes); the first is solved at the root.
+TEST(MipSearch, RepeatedSolvesAreIdentical) {
+  for (Model M : {makeAppLikeModel(12, 3, 16, 99),
+                  makeAppLikeModel(8, 3, 30, 22)}) {
+    MipResult A = solveWith(M);
+    MipResult B = solveWith(M);
+    ASSERT_EQ(A.Status, MipStatus::Optimal);
+    ASSERT_EQ(B.Status, MipStatus::Optimal);
+    EXPECT_EQ(A.Stats.Nodes, B.Stats.Nodes);
+    EXPECT_EQ(A.Stats.LpIterations, B.Stats.LpIterations);
+    EXPECT_EQ(A.Objective, B.Objective);
+    EXPECT_EQ(A.X, B.X);
+  }
 }
 
 // A seeded incumbent can only tighten the cutoff: with the branching rule
 // pinned (most-fractional, so decisions do not depend on pruning history),
 // seeding the known optimum must not enlarge the tree.
-TEST(MipParallel, SeededIncumbentPrunesNoWorse) {
+TEST(MipSearch, SeededIncumbentPrunesNoWorse) {
   Model M = makeAppLikeModel(12, 3, 20, 5);
-  MipResult Unseeded = solveWith(M, 1, false, nullptr, /*Pseudocost=*/false);
+  MipResult Unseeded = solveWith(M, nullptr, /*Pseudocost=*/false);
   ASSERT_EQ(Unseeded.Status, MipStatus::Optimal);
-  MipResult Seeded =
-      solveWith(M, 1, false, &Unseeded.X, /*Pseudocost=*/false);
+  MipResult Seeded = solveWith(M, &Unseeded.X, /*Pseudocost=*/false);
   ASSERT_EQ(Seeded.Status, MipStatus::Optimal);
   EXPECT_NEAR(Seeded.Objective, Unseeded.Objective, 1e-6);
   EXPECT_LE(Seeded.Stats.Nodes, Unseeded.Stats.Nodes);
 }
 
-// Per-worker accounting must add up to the solve totals.
-TEST(MipParallel, WorkerStatsAreConsistent) {
-  Model M = makeAppLikeModel(10, 3, 10, 3);
-  MipResult R = solveWith(M, 4, false);
-  ASSERT_EQ(R.Status, MipStatus::Optimal);
-  // Requested threads are clamped to the hardware concurrency, so the
-  // effective worker count depends on the machine running the test.
-  unsigned Expected =
-      std::max(1u, std::min(4u, std::thread::hardware_concurrency()));
-  EXPECT_EQ(R.Stats.Threads, Expected);
-  ASSERT_EQ(R.Stats.Workers.size(), Expected);
-  unsigned Nodes = 0, Steals = 0;
-  for (const MipWorkerStats &W : R.Stats.Workers) {
-    Nodes += W.Nodes;
-    Steals += W.Steals;
-  }
-  EXPECT_EQ(Nodes, R.Stats.Nodes);
-  EXPECT_EQ(Steals, R.Stats.Steals);
-  EXPECT_GE(R.Stats.CpuSeconds, 0.0);
-}
-
-// Extra workers start from a copy of the solved root LP. Their engine
-// counters must count from the copy, not re-report the root's: a model
-// the root solves outright reports the same LP work at any thread count.
-TEST(MipParallel, ClonedLpsDoNotRecountTheRoot) {
+// The root solve, the dive and the tree search share one Simplex, so the
+// engine counters are that instance's own: a model the root solves
+// outright reports exactly the root's LP work.
+TEST(MipSearch, RootIntegralModelReportsRootLpWork) {
   // A 12x12 assignment problem: totally unimodular, so the root LP is
   // integral and the search ends at the root node.
   Rng R(2024);
@@ -349,17 +322,25 @@ TEST(MipParallel, ClonedLpsDoNotRecountTheRoot) {
     M.addConstraint(std::move(Row), Rel::EQ, 1.0);
     M.addConstraint(std::move(Col), Rel::EQ, 1.0);
   }
-  MipResult Serial = solveWith(M, 1, false);
-  MipResult Parallel = solveWith(M, 4, false);
-  ASSERT_EQ(Serial.Status, MipStatus::Optimal);
-  ASSERT_EQ(Parallel.Status, MipStatus::Optimal);
-  EXPECT_EQ(Serial.Stats.Nodes, 1u);
-  EXPECT_EQ(Parallel.Stats.Nodes, 1u);
-  EXPECT_GT(Serial.Stats.Factorizations, 0u);
-  EXPECT_GT(Serial.Stats.EtaPivots, 0u);
-  EXPECT_EQ(Parallel.Stats.Factorizations, Serial.Stats.Factorizations);
-  EXPECT_EQ(Parallel.Stats.EtaPivots, Serial.Stats.EtaPivots);
-  EXPECT_EQ(Parallel.Stats.PricingPasses, Serial.Stats.PricingPasses);
+  MipResult Mip = solveWith(M);
+  ASSERT_EQ(Mip.Status, MipStatus::Optimal);
+  EXPECT_EQ(Mip.Stats.Nodes, 1u);
+  EXPECT_GT(Mip.Stats.Factorizations, 0u);
+  EXPECT_GT(Mip.Stats.EtaPivots, 0u);
+  // The same LP work by hand: the root solve, then the two warm
+  // re-solves of its optimal basis the search makes (one to undo the
+  // dive, one as the root node). Each re-solve pivots nothing but prices.
+  PresolveResult P = presolve(M);
+  Simplex Root(P.Reduced);
+  LpResult RootR = Root.solve();
+  ASSERT_EQ(RootR.Status, LpStatus::Optimal);
+  EXPECT_EQ(Root.solve().Iterations, 0u);
+  EXPECT_EQ(Root.solve().Iterations, 0u);
+  SimplexStats LS = Root.stats();
+  EXPECT_EQ(Mip.Stats.LpIterations, RootR.Iterations);
+  EXPECT_EQ(Mip.Stats.Factorizations, LS.Factorizations);
+  EXPECT_EQ(Mip.Stats.EtaPivots, LS.EtaPivots);
+  EXPECT_EQ(Mip.Stats.PricingPasses, LS.PricingPasses);
 }
 
 // Property test: random 0-1 programs vs exhaustive enumeration.
