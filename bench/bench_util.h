@@ -10,6 +10,7 @@
 
 #include "apps/AppSources.h"
 #include "driver/Compiler.h"
+#include "support/Json.h"
 
 #include <cstdio>
 #include <memory>
@@ -84,29 +85,26 @@ inline SolverRun solverRunFrom(const std::string &Program,
 /// Returns false (with a message on stderr) if the file cannot be written.
 inline bool writeSolverJson(const std::string &Path,
                             const std::vector<SolverRun> &Runs) {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "cannot write %s\n", Path.c_str());
+  nova::JsonWriter J;
+  J.beginArray();
+  for (const SolverRun &R : Runs) {
+    J.beginObject().field("program", R.Program).field("nodes", R.Nodes);
+    J.field("lp_iterations", R.LpIterations);
+    J.key("root_seconds").fixed(R.RootSeconds, 6);
+    J.key("total_seconds").fixed(R.TotalSeconds, 6);
+    J.key("objective").general(R.Objective, 9);
+    J.key("root_objective").general(R.RootObjective, 9);
+    J.field("moves", R.Moves).field("spills", R.Spills);
+    J.field("factorizations", R.Factorizations);
+    J.field("eta_pivots", R.EtaPivots);
+    J.field("pricing_passes", R.PricingPasses);
+    J.key("factor_s").fixed(R.FactorSeconds, 6).endObject();
+  }
+  J.endArray();
+  if (nova::Status S = J.writeFile(Path); !S.ok()) {
+    std::fprintf(stderr, "%s\n", S.message().c_str());
     return false;
   }
-  std::fprintf(F, "[\n");
-  for (size_t I = 0; I != Runs.size(); ++I) {
-    const SolverRun &R = Runs[I];
-    std::fprintf(
-        F,
-        "  {\"program\": \"%s\", \"nodes\": %u, \"lp_iterations\": %u, "
-        "\"root_seconds\": %.6f, \"total_seconds\": %.6f, "
-        "\"objective\": %.9g, \"root_objective\": %.9g, "
-        "\"moves\": %u, \"spills\": %u, "
-        "\"factorizations\": %u, \"eta_pivots\": %u, "
-        "\"pricing_passes\": %u, \"factor_s\": %.6f}%s\n",
-        R.Program.c_str(), R.Nodes, R.LpIterations, R.RootSeconds,
-        R.TotalSeconds, R.Objective, R.RootObjective, R.Moves, R.Spills,
-        R.Factorizations, R.EtaPivots, R.PricingPasses, R.FactorSeconds,
-        I + 1 == Runs.size() ? "" : ",");
-  }
-  std::fprintf(F, "]\n");
-  std::fclose(F);
   std::printf("wrote %s (%zu runs)\n", Path.c_str(), Runs.size());
   return true;
 }

@@ -5,7 +5,8 @@
 //
 // Sweeps the processing micro-engine count (1, 2, 4, 6) over the same
 // seeded packet stream and reports aggregate goodput, channel contention
-// stalls, and ring occupancy per configuration, writing BENCH_chip.json.
+// stalls, and ring occupancy per configuration, writing BENCH_chip.json
+// (one novasoak --chip report object per run).
 // This is the whole-chip counterpart of bench/throughput.cpp: instead of
 // approximating thread overlap with discounted latencies, the chip model
 // measures it — four hardware contexts per engine hide memory latency
@@ -24,8 +25,9 @@
 
 #include "soak/ChipSoak.h"
 #include "support/FaultInjection.h"
-#include "support/StringUtils.h"
+#include "support/Json.h"
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <string>
@@ -86,8 +88,8 @@ int main(int argc, char **argv) {
   // schedule is identical by construction (chip_test locks whole-report
   // equality); the trace hashes are cross-checked here too, so the
   // wall-clock ratio is measured on verified-identical simulations.
-  std::string Json = "[";
-  bool First = true;
+  JsonWriter Json;
+  Json.beginArray();
   std::map<unsigned, uint64_t> InterpHash;
   std::map<unsigned, double> InterpWall;
   double OneMe = 0, SixMeRatio = 0;
@@ -125,13 +127,8 @@ int main(int argc, char **argv) {
       if (!Threaded && Mes == 1)
         OneMe = R.GoodputMbps;
       unsigned MaxInHw = 0;
-      std::string InHw = "[";
-      for (unsigned M = 0; M != R.Chip.InputRings.size(); ++M) {
-        if (R.Chip.InputRings[M].HighWater > MaxInHw)
-          MaxInHw = R.Chip.InputRings[M].HighWater;
-        InHw += formatf("%s%u", M ? "," : "", R.Chip.InputRings[M].HighWater);
-      }
-      InHw += "]";
+      for (const chip::RingStats &Rg : R.Chip.InputRings)
+        MaxInHw = std::max(MaxInHw, Rg.HighWater);
       // Event-kernel work: events per retired packet, and whole-run wall
       // nanoseconds per event (host time, like wall_seconds).
       double EvPerPkt = R.Chip.eventsPerPacket();
@@ -145,38 +142,7 @@ int main(int argc, char **argv) {
           (unsigned long long)R.Chip.Scratch.StallCycles, MaxInHw,
           R.Chip.ReorderHighWater, R.Chip.utilization(0), EvPerPkt, NsPerEv);
 
-      Json += formatf(
-          "%s{\"app\":\"%s\",\"packets\":%llu,\"seed\":%llu,"
-          "\"exec_mode\":\"%s\",\"wall_seconds\":%.6f,"
-          "\"superblocks\":%llu,\"superblock_ops\":%llu,"
-          "\"me_count\":%u,\"contexts\":%u,\"final_cycles\":%llu,"
-          "\"goodput_mbps\":%.3f,"
-          "\"stall_cycles\":{\"sram\":%llu,\"sdram\":%llu,\"scratch\":%llu},"
-          "\"input_ring_high_water\":%s,\"tx_ring_high_water\":%u,"
-          "\"reorder_high_water\":%u,\"tail_packets\":%llu,"
-          "\"lockups_injected\":%llu,\"packets_recovered\":%llu,"
-          "\"lockup_drops\":%llu,\"backpressure_drops\":%llu,"
-          "\"events\":%llu,\"noop_me_runs\":%llu,"
-          "\"events_per_packet\":%.2f,\"ns_per_event\":%.2f,"
-          "\"trace_hash\":\"%016llx\"}",
-          First ? "" : ",", App.c_str(), (unsigned long long)Packets,
-          (unsigned long long)Seed, Threaded ? "threaded" : "interp",
-          R.Base.WallSeconds, (unsigned long long)R.Chip.Superblocks,
-          (unsigned long long)R.Chip.SuperblockOps, Mes,
-          Opts.Chip.MP.ContextsPerMe, (unsigned long long)R.Chip.FinalCycles,
-          R.GoodputMbps, (unsigned long long)R.Chip.Sram.StallCycles,
-          (unsigned long long)R.Chip.Sdram.StallCycles,
-          (unsigned long long)R.Chip.Scratch.StallCycles, InHw.c_str(),
-          R.Chip.TxRing.HighWater, R.Chip.ReorderHighWater,
-          (unsigned long long)R.Chip.TailPackets,
-          (unsigned long long)R.Chip.Recovery.LockupsInjected,
-          (unsigned long long)R.Chip.Recovery.PacketsRecovered,
-          (unsigned long long)R.Chip.Recovery.LockupDrops,
-          (unsigned long long)R.Chip.Recovery.BackpressureDrops,
-          (unsigned long long)R.Chip.events(),
-          (unsigned long long)R.Chip.NoopMeRuns,
-          EvPerPkt, NsPerEv, (unsigned long long)R.Chip.TraceHash);
-      First = false;
+      Json.object([&] { soak::chipReportFields(Json, R); });
       if (Threaded && Mes == 6 && R.Base.WallSeconds > 0)
         SixMeRatio = InterpWall[Mes] / R.Base.WallSeconds;
       if (!Threaded && Mes == 6 && OneMe > 0)
@@ -184,17 +150,13 @@ int main(int argc, char **argv) {
                     R.GoodputMbps / OneMe);
     }
   }
-  Json += "]";
+  Json.endArray();
   if (SixMeRatio > 0)
     std::printf("\n6-ME threaded/interp wall speedup: %.2fx\n", SixMeRatio);
 
-  std::FILE *F = std::fopen(JsonPath.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "chip_scaling: cannot write %s\n",
-                 JsonPath.c_str());
+  if (Status S = Json.writeFile(JsonPath); !S.ok()) {
+    std::fprintf(stderr, "chip_scaling: %s\n", S.message().c_str());
     return 1;
   }
-  std::fprintf(F, "%s\n", Json.c_str());
-  std::fclose(F);
   return 0;
 }

@@ -22,7 +22,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "soak/Soak.h"
-#include "support/StringUtils.h"
+#include "support/Json.h"
 #include "support/Timer.h"
 
 #include <cstring>
@@ -72,8 +72,8 @@ int main(int argc, char **argv) {
   // stubbed out entirely. This is the hard ceiling any exec mode is
   // measured against — generator cost is recorded, not inferred from
   // the gap between modes.
-  std::string Json = "[";
-  bool First = true;
+  JsonWriter Json;
+  Json.beginArray();
   {
     soak::ClassMix Mix;
     soak::PacketTemplateCache Cache;
@@ -92,13 +92,11 @@ int main(int argc, char **argv) {
     double Rate = Wall > 0 ? double(Packets) / Wall : 0;
     std::printf("%9s | %11s | %10.1f %9.3f | %10s\n", "gen-only", "-", Rate,
                 Wall, "-");
-    Json += formatf("{\"app\":\"%s\",\"packets\":%llu,\"seed\":%llu,"
-                    "\"exec_mode\":\"generator-only\",\"wall_seconds\":%.6f,"
-                    "\"pkts_per_sec\":%.1f,\"word_sink\":%llu}",
-                    App.c_str(), (unsigned long long)Packets,
-                    (unsigned long long)Seed, Wall, Rate,
-                    (unsigned long long)WordSink);
-    First = false;
+    Json.beginObject().field("app", App).field("packets", Packets);
+    Json.field("seed", Seed).field("exec_mode", "generator-only");
+    Json.key("wall_seconds").fixed(Wall, 6);
+    Json.key("pkts_per_sec").fixed(Rate, 1);
+    Json.field("word_sink", WordSink).endObject();
   }
 
   // Oracle rate 0 is the execution-speed ceiling (no oracle at all);
@@ -126,20 +124,15 @@ int main(int argc, char **argv) {
                   soak::execModeName(Mode), (unsigned long long)Rate,
                   R.packetsPerSec(), R.WallSeconds,
                   (unsigned long long)R.OracleChecks);
-      Json += (First ? "" : ",") + soak::reportJson(R);
-      First = false;
+      Json.object([&] { soak::reportFields(Json, R); });
     }
   }
-  Json += "]";
+  Json.endArray();
 
-  std::FILE *F = std::fopen(JsonPath.c_str(), "w");
-  if (!F) {
-    std::fprintf(stderr, "soak_throughput: cannot write %s\n",
-                 JsonPath.c_str());
+  if (Status S = Json.writeFile(JsonPath); !S.ok()) {
+    std::fprintf(stderr, "soak_throughput: %s\n", S.message().c_str());
     return 1;
   }
-  std::fprintf(F, "%s\n", Json.c_str());
-  std::fclose(F);
   std::printf("wrote %s\n", JsonPath.c_str());
   return 0;
 }

@@ -15,6 +15,14 @@ ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD="${BUILD_DIR:-$ROOT/build}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
+# Every --json file this script writes must parse as JSON.
+json_ok() {
+  if ! python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$1"; then
+    echo "JSON check FAILED: $1 does not parse" >&2
+    exit 1
+  fi
+}
+
 cmake -B "$BUILD" -S "$ROOT"
 cmake --build "$BUILD" -j"$JOBS"
 (cd "$BUILD" && ctest --output-on-failure -j"$JOBS")
@@ -22,7 +30,8 @@ cmake --build "$BUILD" -j"$JOBS"
 # MIP smoke solve: a small Nova program through parse -> CPS -> isel ->
 # branch & bound -> verifier, failing on any verifier violation.
 SMOKE="$(mktemp --suffix .nova)"
-trap 'rm -f "$SMOKE"' EXIT
+ODD_DIR="$(mktemp -d)"
+trap 'rm -f "$SMOKE"; rm -rf "$ODD_DIR"' EXIT
 cat > "$SMOKE" <<'EOF'
 fun main(base : word, n : word) {
   let sum = 0;
@@ -38,6 +47,24 @@ fun main(base : word, n : word) {
 EOF
 echo "== MIP smoke solve =="
 "$BUILD/src/driver/novac" --stats "$SMOKE"
+
+# novac --json end to end: a file name with a quote and a backslash must
+# come back out of the report intact, and a --json path that cannot be
+# written must fail the run with exit 4.
+echo "== novac --json (hostile file name, unwritable path) =="
+ODD="$ODD_DIR/we\"ird\\name.nova"
+cp "$ROOT/apps/nat.nova" "$ODD"
+"$BUILD/src/driver/novac" --json "$ODD_DIR/odd.json" "$ODD" > /dev/null
+json_ok "$ODD_DIR/odd.json"
+python3 -c 'import json,sys; assert json.load(open(sys.argv[1]))["file"] == sys.argv[2]' \
+  "$ODD_DIR/odd.json" "$ODD"
+NOVAC_RC=0
+"$BUILD/src/driver/novac" --json "$ODD_DIR/no/such/dir.json" "$ODD" \
+  > /dev/null 2>&1 || NOVAC_RC=$?
+if [ "$NOVAC_RC" -ne 4 ]; then
+  echo "novac --json FAILED: unwritable path exited $NOVAC_RC, expected 4" >&2
+  exit 1
+fi
 
 # Reproducibility gate: the branch & bound search is a pure function of
 # the model, so five default compiles of NAT (the one app with a real
@@ -64,6 +91,7 @@ done
 echo "== NAT solver smoke (root objective check) =="
 timeout 120 "$BUILD/bench/fig7_solver" --only NAT \
   --json "$BUILD/BENCH_smoke.json" --expect-root 2.2381627
+json_ok "$BUILD/BENCH_smoke.json"
 
 # Adversarial soak smoke: fixed seed, all three apps, the differential
 # oracle (allocated vs functional vs CPS evaluator) on every packet. Any
@@ -72,6 +100,7 @@ timeout 120 "$BUILD/bench/fig7_solver" --only NAT \
 echo "== adversarial soak smoke (oracle on every packet) =="
 timeout 120 "$BUILD/tools/novasoak" --packets 2000 --seed 7 \
   --json "$BUILD/BENCH_soak_smoke.json"
+json_ok "$BUILD/BENCH_soak_smoke.json"
 
 # Whole-chip smoke: 2k packets through the 3-engine chip model with the
 # sampled three-way oracle, trap=>drop accounting, and the chip-vs-
@@ -79,6 +108,7 @@ timeout 120 "$BUILD/tools/novasoak" --packets 2000 --seed 7 \
 echo "== whole-chip soak smoke (6 MEs x 4 contexts, sampled oracle) =="
 timeout 300 "$BUILD/tools/novasoak" --chip --me-count 6 --app nat \
   --packets 2000 --seed 7 --json "$BUILD/BENCH_chip_smoke.json"
+json_ok "$BUILD/BENCH_chip_smoke.json"
 
 # Negative control: an injected ALU bit flip in the allocated simulator
 # must be *caught* by the oracle (exit 1, with a shrunk reproducer). A
@@ -101,6 +131,7 @@ echo "== threaded soak smoke (fast path, sampled oracle) =="
 timeout 120 "$BUILD/tools/novasoak" --packets 2000 --seed 7 \
   --exec threaded --oracle-rate 10 \
   --json "$BUILD/BENCH_soak_threaded_smoke.json"
+json_ok "$BUILD/BENCH_soak_threaded_smoke.json"
 
 # Threaded negative control: the bit flip fires inside fastpath::Engine
 # too (it shares the injector), and the sampled interpreter re-run must
@@ -126,6 +157,7 @@ echo "== whole-chip threaded smoke (segmented fast path, sampled oracle) =="
 timeout 300 "$BUILD/tools/novasoak" --chip --me-count 6 --app nat \
   --exec threaded --packets 2000 --seed 7 \
   --json "$BUILD/BENCH_chip_threaded_smoke.json"
+json_ok "$BUILD/BENCH_chip_threaded_smoke.json"
 
 # Chip-threaded negative control: arming the injector pins both the
 # chip contexts and the oracle re-runs to the interpreter-exact slow
@@ -153,6 +185,7 @@ for EXEC in interp threaded; do
     --exec "$EXEC" --packets 2000 --seed 42 \
     --fault-schedule 'ctx-lockup@500,chan-brownout@1000~4' \
     --json "$BUILD/BENCH_chip_fault_${EXEC}.json"
+  json_ok "$BUILD/BENCH_chip_fault_${EXEC}.json"
   if ! grep -q '"packets_recovered":[1-9]' \
       "$BUILD/BENCH_chip_fault_${EXEC}.json"; then
     echo "chip fault smoke FAILED ($EXEC): no recoveries recorded" >&2
@@ -190,6 +223,7 @@ rm -rf "$CKPT_DIR"
 timeout 300 "$BUILD/tools/novasoak" --chip --me-count 6 --app nat \
   --packets 2000 --seed 7 --quiet --stable-json \
   --json "$BUILD/BENCH_ckpt_ref.json"
+json_ok "$BUILD/BENCH_ckpt_ref.json"
 SOAK_RC=0
 timeout 300 "$BUILD/tools/novasoak" --chip --me-count 6 --app nat \
   --packets 2000 --seed 7 --quiet \
@@ -203,6 +237,7 @@ timeout 300 "$BUILD/tools/novasoak" --chip --me-count 6 --app nat \
   --packets 2000 --seed 7 --quiet --stable-json \
   --resume "$CKPT_DIR" --checkpoint-every 500 \
   --json "$BUILD/BENCH_ckpt_resumed.json"
+json_ok "$BUILD/BENCH_ckpt_resumed.json"
 if ! cmp -s "$BUILD/BENCH_ckpt_ref.json" "$BUILD/BENCH_ckpt_resumed.json"; then
   echo "checkpoint smoke FAILED: resumed report differs from" \
        "uninterrupted run" >&2

@@ -1107,8 +1107,10 @@ struct Chip::Impl {
   /// context between pop and TX push, a pending TX pop, or RX mid-push.
   /// Retirement can resume: every held packet lies in [NextRetire,
   /// NextDispatch), and NextRetire itself is held (in a record or by RX
-  /// waiting for a slot) unless nothing is outstanding. RX waits only in
-  /// the phase that parks it. Channel timings are the configured ones,
+  /// waiting for a slot) unless nothing is outstanding, and the retired
+  /// and dispatched counters agree with the cursors. RX waits only in
+  /// the phase that parks it, and once its source ran dry it holds no
+  /// packet, waits for nothing and has no step pending. Channel timings are the configured ones,
   /// and no pending event or busy-until time lies in the past or further
   /// ahead than maxLead(): the supervisor's watchdog ticks through every
   /// idle gap, so a far-future time would make a run take forever.
@@ -1140,10 +1142,16 @@ struct Chip::Impl {
              (Rec.Tail || Rec.SlotIdx < NumSlots) && Seq >= NextRetire &&
              Seq < NextDispatch;
     bool RxHoldsPkt = RxHave && RxPhase == RxPh::Dispatch;
+    // The counters the report reads move in step with the cursors: RX
+    // takes a packet off the source (NextDispatch) before it dispatches
+    // it (PacketsDispatched).
+    Ok = Ok && St.PacketsRetired == NextRetire && NextDispatch >= RxHoldsPkt &&
+         St.PacketsDispatched == NextDispatch - RxHoldsPkt;
     Ok = Ok && NextRetire <= NextDispatch &&
          (NextRetire == NextDispatch || InFlight.count(NextRetire) ||
           Reorder.count(NextRetire) ||
           (RxHoldsPkt && RxPkt.Seq == NextRetire));
+    Ok = Ok && (!RxDone || (!RxHave && RxWaiting == RxWait::None));
     Ok = Ok && (RxWaiting != RxWait::Slot || RxHoldsPkt) &&
          (RxWaiting != RxWait::RingFull ||
           (RxHave && RxPhase == RxPh::Push));
@@ -1181,6 +1189,8 @@ struct Chip::Impl {
         Waits(E.Me, E.Ctx, CtxWait::Restart);
       else if (E.K == Ev::TxPopDone)
         Holds(E.A);
+      // A finished source leaves RX with nothing to do: no live step.
+      Ok = Ok && !(RxDone && E.K == Ev::RxStep && E.A == RxGen);
     }
     for (unsigned M = 0; M != NumMe; ++M)
       for (unsigned C = 0; C != NumCtx; ++C) {

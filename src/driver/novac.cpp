@@ -6,18 +6,18 @@
 //===----------------------------------------------------------------------===//
 //
 // Exit codes: 0 success, 1 compile/allocation failure, 2 usage error,
-// 3 verifier violation in the emitted program.
+// 3 verifier violation in the emitted program, 4 the --json file cannot
+// be written.
 //
 //===----------------------------------------------------------------------===//
 
 #include "alloc/Verifier.h"
 #include "driver/Compiler.h"
+#include "support/ArgParser.h"
 #include "support/FaultInjection.h"
-#include "support/StringUtils.h"
+#include "support/Json.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -44,117 +44,41 @@ static void usage() {
       "  --inject-fault <kind>[@<after>][x<times>][~<mag>]\n"
       "                    arm a solver fault (testing): singular-basis,\n"
       "                    eta-drift, lp-infeasible, mip-timeout, or\n"
-      "                    worker-stall (the search sleeps once per node)\n");
+      "                    worker-stall (the search sleeps once per node)\n"
+      "exit codes: 0 success, 1 compile/allocation failure, 2 usage error,\n"
+      "  3 verifier violation, 4 cannot write the --json file\n");
 }
 
 namespace {
 
-/// Strict flag cracker: accepts "--flag value" and "--flag=value",
-/// rejects missing values and anything that fails its parser. Any
-/// malformed input is a usage error (exit 2) — never a silent zero.
-struct ArgParser {
-  int Argc;
-  char **Argv;
-  int I = 1;
-  bool Failed = false;
-
-  bool done() const { return I >= Argc || Failed; }
-  const char *current() const { return Argv[I]; }
-
-  /// If the current argument is --Name or --Name=..., extracts the value
-  /// into \p Value and returns true.
-  bool valueFlag(const char *Name, std::string &Value) {
-    const char *Arg = Argv[I];
-    size_t Len = std::strlen(Name);
-    if (std::strncmp(Arg, Name, Len) != 0)
-      return false;
-    if (Arg[Len] == '=') {
-      Value = Arg + Len + 1;
-      ++I;
-      return true;
-    }
-    if (Arg[Len] != '\0')
-      return false; // e.g. --time-limits
-    if (I + 1 >= Argc) {
-      std::fprintf(stderr, "novac: %s requires a value\n", Name);
-      Failed = true;
-      return true;
-    }
-    Value = Argv[++I];
-    ++I;
-    return true;
-  }
-
-  bool boolFlag(const char *Name) {
-    if (std::strcmp(Argv[I], Name) != 0)
-      return false;
-    ++I;
-    return true;
-  }
-
-  void fail(const char *Fmt, const std::string &Value) {
-    std::fprintf(stderr, Fmt, Value.c_str());
-    Failed = true;
-  }
-};
-
-bool parseSeconds(const std::string &Text, double &Out) {
-  const char *Begin = Text.c_str();
-  char *End = nullptr;
-  double V = std::strtod(Begin, &End);
-  if (End == Begin || *End != '\0' || !(V > 0.0))
-    return false;
-  Out = V;
-  return true;
-}
-
-bool parseCount(const std::string &Text, unsigned &Out) {
-  std::optional<uint64_t> V = parseInteger(Text);
-  if (!V || *V > ~0u)
-    return false;
-  Out = static_cast<unsigned>(*V);
-  return true;
-}
-
-void writeStatsJson(const char *Path, const char *File,
-                    const alloc::AllocationResult &A) {
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F) {
-    std::fprintf(stderr, "novac: cannot write %s\n", Path);
-    return;
-  }
+Status writeStatsJson(const std::string &Path, const char *File,
+                      const alloc::AllocationResult &A) {
   const alloc::AllocStats &S = A.Stats;
-  std::fprintf(F,
-               "{\n"
-               "  \"file\": \"%s\",\n"
-               "  \"ok\": %s,\n"
-               "  \"rung\": \"%s\",\n"
-               "  \"proved_optimal\": %s,\n"
-               "  \"ladder_attempts\": %u,\n"
-               "  \"verifier_violations\": %u,\n"
-               "  \"used_spill_model\": %s,\n"
-               "  \"objective\": %.6f,\n"
-               "  \"moves\": %u,\n"
-               "  \"spills\": %u,\n"
-               "  \"ilp\": {\"vars\": %u, \"cons\": %u, \"objterms\": %u},\n"
-               "  \"solve\": {\"nodes\": %u, \"total_s\": %.3f, "
-               "\"root_lp_s\": %.3f, \"lp_iters\": %u, "
-               "\"factorizations\": %u, \"eta_pivots\": %u, "
-               "\"factor_s\": %.3f},\n"
-               "  \"regassign\": {\"stays\": %u, \"edges\": %u, "
-               "\"attempts\": %u, \"splits\": %u, \"seconds\": %.4f}\n"
-               "}\n",
-               File, A.Ok ? "true" : "false", alloc::rungName(S.Rung),
-               S.ProvedOptimal ? "true" : "false", S.LadderAttempts,
-               S.VerifierViolations, S.UsedSpillModel ? "true" : "false",
-               S.Objective, S.Moves, S.Spills, S.IlpSize.NumVariables,
-               S.IlpSize.NumConstraints, S.IlpSize.NumObjectiveTerms,
-               S.Solve.Nodes, S.Solve.TotalSeconds, S.Solve.RootLpSeconds,
-               S.Solve.LpIterations, S.Solve.Factorizations,
-               S.Solve.EtaPivots, S.Solve.FactorSeconds, S.RegAssign.Stays,
-               S.RegAssign.Edges, S.RegAssign.Attempts, S.RegAssign.Splits,
-               S.RegAssign.Seconds);
-  std::fclose(F);
+  JsonWriter J;
+  J.beginObject().field("file", File).field("ok", A.Ok);
+  J.field("rung", alloc::rungName(S.Rung));
+  J.field("proved_optimal", S.ProvedOptimal);
+  J.field("ladder_attempts", S.LadderAttempts);
+  J.field("verifier_violations", S.VerifierViolations);
+  J.field("used_spill_model", S.UsedSpillModel);
+  J.key("objective").fixed(S.Objective, 6);
+  J.field("moves", S.Moves).field("spills", S.Spills);
+  J.key("ilp").beginObject().field("vars", S.IlpSize.NumVariables);
+  J.field("cons", S.IlpSize.NumConstraints);
+  J.field("objterms", S.IlpSize.NumObjectiveTerms).endObject();
+  J.key("solve").beginObject().field("nodes", S.Solve.Nodes);
+  J.key("total_s").fixed(S.Solve.TotalSeconds, 3);
+  J.key("root_lp_s").fixed(S.Solve.RootLpSeconds, 3);
+  J.field("lp_iters", S.Solve.LpIterations);
+  J.field("factorizations", S.Solve.Factorizations);
+  J.field("eta_pivots", S.Solve.EtaPivots);
+  J.key("factor_s").fixed(S.Solve.FactorSeconds, 3).endObject();
+  J.key("regassign").beginObject().field("stays", S.RegAssign.Stays);
+  J.field("edges", S.RegAssign.Edges);
+  J.field("attempts", S.RegAssign.Attempts);
+  J.field("splits", S.RegAssign.Splits);
+  J.key("seconds").fixed(S.RegAssign.Seconds, 4).endObject();
+  return J.endObject().writeFile(Path);
 }
 
 } // namespace
@@ -168,8 +92,12 @@ int main(int argc, char **argv) {
   Opts.Alloc.Mip.TimeLimitSeconds = 600.0;
   const char *File = nullptr;
 
-  ArgParser P{argc, argv};
+  ArgParser P{"novac", argc, argv};
   while (!P.done()) {
+    if (P.secondsFlag("--time-limit", Opts.Alloc.Mip.TimeLimitSeconds) ||
+        P.intFlag("--node-limit", Opts.Alloc.Mip.NodeLimit,
+                  "a non-negative integer", 0, ~0u))
+      continue;
     std::string V;
     if (P.boolFlag("--dump-cps"))
       DumpCps = true;
@@ -183,28 +111,18 @@ int main(int argc, char **argv) {
       Stats = true;
     else if (P.boolFlag("--spill-model"))
       Opts.Alloc.ForceSpillModel = true;
-    else if (P.valueFlag("--time-limit", V)) {
-      if (!P.Failed && !parseSeconds(V, Opts.Alloc.Mip.TimeLimitSeconds))
-        P.fail("novac: --time-limit expects a positive number of seconds, "
-               "got '%s'\n",
-               V);
-    } else if (P.valueFlag("--node-limit", V)) {
-      if (!P.Failed && !parseCount(V, Opts.Alloc.Mip.NodeLimit))
-        P.fail("novac: --node-limit expects a non-negative integer, got "
-               "'%s'\n",
-               V);
-    } else if (P.valueFlag("--on-ilp-failure", V)) {
+    else if (P.valueFlag("--on-ilp-failure", V)) {
       if (!P.Failed &&
           !alloc::parseOnIlpFailure(V, Opts.Alloc.FailurePolicy))
-        P.fail("novac: --on-ilp-failure expects error, incumbent, or "
-               "baseline, got '%s'\n",
-               V);
+        P.fail("--on-ilp-failure expects error, incumbent, or baseline, got "
+               "'%s'",
+               V.c_str());
     } else if (P.valueFlag("--inject-fault", V)) {
       if (!P.Failed) {
         FaultSpec Spec;
         std::string Error;
         if (!parseFaultSpec(V, Spec, Error))
-          P.fail("novac: --inject-fault: %s\n", Error);
+          P.fail("--inject-fault: %s", Error.c_str());
         else
           Faults.push_back(Spec);
       }
@@ -214,10 +132,8 @@ int main(int argc, char **argv) {
     } else if (P.current()[0] != '-' && !File) {
       File = P.current();
       ++P.I;
-    } else {
-      std::fprintf(stderr, "novac: unknown option '%s'\n", P.current());
-      P.Failed = true;
-    }
+    } else
+      P.fail("unknown option '%s'", P.current());
   }
   if (P.Failed || !File) {
     usage();
@@ -229,8 +145,12 @@ int main(int argc, char **argv) {
   ScopedFaultInjection Armed(std::move(Faults));
 
   auto R = driver::compileNovaFile(File, Opts);
-  if (Opts.Allocate && !JsonPath.empty())
-    writeStatsJson(JsonPath.c_str(), File, R->Alloc);
+  if (Opts.Allocate && !JsonPath.empty()) {
+    if (Status S = writeStatsJson(JsonPath, File, R->Alloc); !S.ok()) {
+      std::fprintf(stderr, "novac: %s\n", S.message().c_str());
+      return 4;
+    }
+  }
   if (!R->Ok) {
     std::fprintf(stderr, "%s", R->ErrorText.c_str());
     return 1;

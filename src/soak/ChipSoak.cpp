@@ -10,9 +10,6 @@
 #include "support/StringUtils.h"
 #include "support/Timer.h"
 
-#include <cassert>
-#include <csignal>
-
 using namespace nova;
 using namespace nova::soak;
 
@@ -50,7 +47,6 @@ ChipSoakReport soak::runChipSoak(const AppHarness &App,
 
   // Checkpoint identity: the standalone meta plus the chip topology and
   // armed fault schedule, all of which change the event interleaving.
-  const CheckpointOptions &CK = SO.Ckpt;
   ckpt::CheckpointMeta Meta = checkpointMeta(App, SO);
   Meta.Chip = true;
   Meta.MeCount = CP.MP.MeCount;
@@ -141,14 +137,10 @@ ChipSoakReport soak::runChipSoak(const AppHarness &App,
     ++Rep.Base.Divergences;
     if (Mismatch)
       ++Rep.ChipOutcomeMismatches;
+    // A pure chip mismatch with no known injected corruption keeps the
+    // packet as record() stored it; the cases below shrink it.
     if (!Rep.Base.First.Found) {
-      Rep.Base.First.Found = true;
-      Rep.Base.First.Index = Q.Index;
-      Rep.Base.First.Seed = Q.Seed;
-      Rep.Base.First.Class = Q.Class;
-      Rep.Base.First.What = What;
-      Rep.Base.First.Words = Q.Words;
-      Rep.Base.First.Args = Q.Args;
+      Rep.Base.First.record(Q, What);
       if (O.Diverged && SO.Shrink) {
         // Shrinking targets the standalone differential.
         Rep.Base.First.ShrunkWords =
@@ -177,78 +169,31 @@ ChipSoakReport soak::runChipSoak(const AppHarness &App,
         };
         Rep.Base.First.ShrunkWords = shrinkDivergenceWith(
             Q, Rep.Base.First.ShrinkRuns, FlipDiverges);
-      } else {
-        // A pure chip mismatch with no known injected corruption keeps
-        // the packet as-is.
-        Rep.Base.First.ShrunkWords = Q.Words;
       }
     }
   };
 
-  // Resume: restore the report fold, the ChipOutcomeMismatches counter,
-  // the dispatch cursor, and the complete chip state into the freshly
-  // constructed (identical-topology) chip.
-  uint64_t StartRetired = 0;
-  if (CK.Resume) {
-    ckpt::LoadedCheckpoint LC;
-    std::vector<std::string> Notes;
-    Status S = ckpt::findLatestValid(CK.Dir, Meta, LC, &Notes);
-    for (const std::string &N : Notes)
-      std::fprintf(stderr, "novasoak: warning: skipping checkpoint: %s\n",
-                   N.c_str());
-    if (!S.ok()) {
-      Rep.Base.CkptError = S;
-      return Rep;
-    }
-    BinReader R = LC.stateReader();
-    restoreSoakProgress(R, Rep.Base, Next);
-    io(R, Rep.ChipOutcomeMismatches);
-    C.restoreState(R);
-    if (R.failed() || R.remaining() != 0) {
-      Rep.Base.CkptError = Status::error(
-          StatusCode::CheckpointCorrupt, Phase::Driver,
-          "checkpoint " + LC.Path + ": state section malformed");
-      return Rep;
-    }
-    Rep.Base.ResumedFrom = LC.Path;
-    StartRetired = LC.Meta.PacketsRetired;
-    std::fprintf(stderr, "novasoak: resumed %s from %s (%llu retired)\n",
-                 Rep.Base.App.c_str(), LC.Path.c_str(),
-                 (unsigned long long)StartRetired);
-  }
-
-  uint64_t NextCkpt = CK.Every ? (StartRetired / CK.Every + 1) * CK.Every : 0;
-  uint64_t NextProg =
-      CK.ProgressEvery
-          ? (StartRetired / CK.ProgressEvery + 1) * CK.ProgressEvery
-          : 0;
-  uint64_t LastCkpt = StartRetired;
-  if (CK.Every || CK.ProgressEvery || CK.KillAfter || CK.StopAfter)
-    C.setRetireHook([&](uint64_t Retired, uint64_t) {
-      if (NextCkpt && Retired >= NextCkpt) {
-        // The hook fires between events with the chip quiescent, so the
-        // dispatch cursor, report fold, and chip image are coherent.
-        BinWriter W;
-        saveSoakProgress(W, Rep.Base, Next);
+  // A snapshot extends the stream's progress with the
+  // ChipOutcomeMismatches counter and the complete chip state; resume
+  // restores them into the freshly constructed (identical-topology) chip.
+  // The retire hook fires between events with the chip quiescent, so the
+  // dispatch cursor, report fold and chip image are coherent.
+  const CheckpointOptions &CK = SO.Ckpt;
+  CkptDriver CD(
+      CK, std::move(Meta), Rep.Base, Clock,
+      [&](BinWriter &W) {
         io(W, Rep.ChipOutcomeMismatches);
         C.saveState(W);
-        Meta.PacketsRetired = Retired;
-        if (Status S = ckpt::writeCheckpoint(CK.Dir, Meta, W.bytes());
-            !S.ok())
-          std::fprintf(stderr,
-                       "novasoak: warning: checkpoint failed: %s\n",
-                       S.message().c_str());
-        else
-          LastCkpt = Retired;
-        NextCkpt = (Retired / CK.Every + 1) * CK.Every;
-      }
-      if (NextProg && Retired >= NextProg) {
-        progressHeartbeat(Rep.Base.App, Retired, Clock.seconds(), LastCkpt);
-        NextProg = (Retired / CK.ProgressEvery + 1) * CK.ProgressEvery;
-      }
-      if (CK.KillAfter && Retired >= CK.KillAfter)
-        std::raise(SIGKILL);
-      return CK.StopAfter != 0 && Retired >= CK.StopAfter;
+      },
+      [&](BinReader &R) {
+        io(R, Rep.ChipOutcomeMismatches);
+        C.restoreState(R);
+      });
+  if (CK.Resume && !CD.resume(Next))
+    return Rep;
+  if (CK.Every || CK.ProgressEvery || CK.KillAfter || CK.StopAfter)
+    C.setRetireHook([&](uint64_t Retired, uint64_t) {
+      return CD.onRetired(Retired, Next);
     });
 
   Rep.Chip = C.run(Src, Retire);
@@ -285,115 +230,92 @@ ChipSoakReport soak::runChipSoak(const AppHarness &App,
 //===----------------------------------------------------------------------===//
 
 void soak::stabilize(ChipSoakReport &R) {
-  R.Base.WallSeconds = 0;
-  R.Base.TranslateSeconds = 0;
+  stabilize(R.Base);
   R.Chip.EventsByKind = {};
   R.Chip.NoopMeRuns = 0;
 }
 
-std::string soak::chipReportJson(const ChipSoakReport &R) {
+void soak::chipReportFields(JsonWriter &J, const ChipSoakReport &R) {
   if (!R.Setup.ok()) {
-    return formatf("{\"app\":\"%s\",\"chip_setup_error\":\"%s\"}",
-                   R.Base.App.c_str(), R.Setup.message().c_str());
+    J.field("app", R.Base.App).field("chip_setup_error", R.Setup.message());
+    return;
   }
-  std::string J = reportJson(R.Base);
-  assert(!J.empty() && J.back() == '}');
-  J.pop_back();
+  reportFields(J, R.Base);
   const chip::ChipRunStats &C = R.Chip;
-  J += ",\"chip\":{";
-  J += formatf("\"me_count\":%u,\"contexts\":%u,\"ring_depth\":%u,",
-               R.Params.MP.MeCount, R.Params.MP.ContextsPerMe,
-               R.Params.RingDepth);
-  J += formatf("\"final_cycles\":%llu,\"goodput_mbps\":%.3f,",
-               (unsigned long long)C.FinalCycles, R.GoodputMbps);
-  J += formatf("\"packets_dispatched\":%llu,\"packets_retired\":%llu,"
-               "\"tail_packets\":%llu,",
-               (unsigned long long)C.PacketsDispatched,
-               (unsigned long long)C.PacketsRetired,
-               (unsigned long long)C.TailPackets);
-  J += "\"me_utilization\":[";
+  auto Hex = [](uint64_t V) {
+    return formatf("%016llx", (unsigned long long)V);
+  };
+  J.key("chip").beginObject();
+  J.field("me_count", R.Params.MP.MeCount);
+  J.field("contexts", R.Params.MP.ContextsPerMe);
+  J.field("ring_depth", R.Params.RingDepth);
+  J.field("final_cycles", C.FinalCycles);
+  J.key("goodput_mbps").fixed(R.GoodputMbps, 3);
+  J.field("packets_dispatched", C.PacketsDispatched);
+  J.field("packets_retired", C.PacketsRetired);
+  J.field("tail_packets", C.TailPackets);
+  J.key("me_utilization").beginArray();
   for (unsigned M = 0; M != C.MeBusyCycles.size(); ++M)
-    J += formatf("%s%.4f", M ? "," : "", C.utilization(M));
-  J += "],\"me_busy_cycles\":[";
-  for (unsigned M = 0; M != C.MeBusyCycles.size(); ++M)
-    J += formatf("%s%llu", M ? "," : "",
-                 (unsigned long long)C.MeBusyCycles[M]);
-  J += "],\"input_ring_high_water\":[";
-  for (unsigned M = 0; M != C.InputRings.size(); ++M)
-    J += formatf("%s%u", M ? "," : "", C.InputRings[M].HighWater);
-  J += formatf("],\"tx_ring_high_water\":%u,\"reorder_high_water\":%u,",
-               C.TxRing.HighWater, C.ReorderHighWater);
-  J += formatf("\"stall_cycles\":{\"sram\":%llu,\"sdram\":%llu,"
-               "\"scratch\":%llu},",
-               (unsigned long long)C.Sram.StallCycles,
-               (unsigned long long)C.Sdram.StallCycles,
-               (unsigned long long)C.Scratch.StallCycles);
-  J += formatf("\"channel_transactions\":{\"sram\":%llu,\"sdram\":%llu,"
-               "\"scratch\":%llu},",
-               (unsigned long long)C.Sram.Transactions,
-               (unsigned long long)C.Sdram.Transactions,
-               (unsigned long long)C.Scratch.Transactions);
-  J += formatf("\"rx_dma_transactions\":%llu,",
-               (unsigned long long)C.RxDmaTransactions);
-  J += formatf("\"exec_mode\":\"%s\",\"superblocks\":%llu,"
-               "\"superblock_ops\":%llu,",
-               C.Exec == chip::ExecModel::Threaded ? "threaded" : "interp",
-               (unsigned long long)C.Superblocks,
-               (unsigned long long)C.SuperblockOps);
-  J += formatf("\"trace_hash\":\"%016llx\",\"image_hash\":\"%016llx\",",
-               (unsigned long long)C.TraceHash,
-               (unsigned long long)R.ImageHash);
-  J += formatf("\"kernel\":{\"events\":%llu,\"events_per_packet\":%.2f,"
-               "\"ns_per_event\":%.2f,\"noop_me_runs\":%llu,"
-               "\"events_by_kind\":{",
-               (unsigned long long)C.events(), C.eventsPerPacket(),
-               C.nsPerEvent(R.Base.WallSeconds),
-               (unsigned long long)C.NoopMeRuns);
+    J.fixed(C.utilization(M), 4);
+  J.endArray();
+  J.key("me_busy_cycles").array(C.MeBusyCycles);
+  J.key("input_ring_high_water").beginArray();
+  for (const chip::RingStats &Rg : C.InputRings)
+    J.value(Rg.HighWater);
+  J.endArray();
+  J.field("tx_ring_high_water", C.TxRing.HighWater);
+  J.field("reorder_high_water", C.ReorderHighWater);
+  J.key("stall_cycles").beginObject().field("sram", C.Sram.StallCycles);
+  J.field("sdram", C.Sdram.StallCycles);
+  J.field("scratch", C.Scratch.StallCycles).endObject();
+  J.key("channel_transactions").beginObject();
+  J.field("sram", C.Sram.Transactions).field("sdram", C.Sdram.Transactions);
+  J.field("scratch", C.Scratch.Transactions).endObject();
+  J.field("rx_dma_transactions", C.RxDmaTransactions);
+  J.field("exec_mode",
+          C.Exec == chip::ExecModel::Threaded ? "threaded" : "interp");
+  J.field("superblocks", C.Superblocks);
+  J.field("superblock_ops", C.SuperblockOps);
+  J.field("trace_hash", Hex(C.TraceHash));
+  J.field("image_hash", Hex(R.ImageHash));
+  J.key("kernel").beginObject().field("events", C.events());
+  J.key("events_per_packet").fixed(C.eventsPerPacket(), 2);
+  J.key("ns_per_event").fixed(C.nsPerEvent(R.Base.WallSeconds), 2);
+  J.field("noop_me_runs", C.NoopMeRuns);
+  J.key("events_by_kind").beginObject();
   for (unsigned K = 0; K != chip::NumEventKinds; ++K)
-    J += formatf("%s\"%s\":%llu", K ? "," : "",
-                 chip::evName(static_cast<chip::Ev>(K)),
-                 (unsigned long long)C.EventsByKind[K]);
-  J += "}},";
+    J.field(chip::evName(static_cast<chip::Ev>(K)), C.EventsByKind[K]);
+  J.endObject().endObject();
   const chip::RecoveryStats &RS = C.Recovery;
-  J += "\"recovery\":{";
-  J += formatf("\"lockups_injected\":%llu,\"lockups_detected\":%llu,"
-               "\"ctx_resets\":%llu,\"packet_requeues\":%llu,",
-               (unsigned long long)RS.LockupsInjected,
-               (unsigned long long)RS.LockupsDetected,
-               (unsigned long long)RS.CtxResets,
-               (unsigned long long)RS.PacketRequeues);
-  J += formatf("\"packets_wedged\":%llu,\"packets_recovered\":%llu,"
-               "\"lockup_drops\":%llu,\"max_backoff_cycles\":%llu,",
-               (unsigned long long)RS.PacketsWedged,
-               (unsigned long long)RS.PacketsRecovered,
-               (unsigned long long)RS.LockupDrops,
-               (unsigned long long)RS.MaxBackoffCycles);
-  J += formatf("\"backpressure_drops\":%llu,",
-               (unsigned long long)RS.BackpressureDrops);
-  J += formatf("\"ring_stalls_injected\":%llu,\"ring_stall_cycles\":%llu,",
-               (unsigned long long)RS.RingStallsInjected,
-               (unsigned long long)RS.RingStallCycles);
-  J += formatf("\"brownouts_injected\":%llu,\"brownout_cycles\":%llu,",
-               (unsigned long long)RS.BrownoutsInjected,
-               (unsigned long long)RS.BrownoutCycles);
-  J += formatf("\"dma_faults_injected\":%llu,\"dma_retries\":%llu,"
-               "\"dma_fault_packets\":%llu,\"dma_recovered_packets\":%llu,"
-               "\"dma_drop_packets\":%llu,",
-               (unsigned long long)RS.DmaFaultsInjected,
-               (unsigned long long)RS.DmaRetries,
-               (unsigned long long)RS.DmaFaultPackets,
-               (unsigned long long)RS.DmaRecoveredPackets,
-               (unsigned long long)RS.DmaDropPackets);
-  J += formatf("\"sdram_bitflips_injected\":%llu,"
-               "\"recovery_fold\":\"%016llx\",\"all_accounted\":%s},",
-               (unsigned long long)RS.SdramBitFlipsInjected,
-               (unsigned long long)RS.fold(),
-               RS.allAccounted() ? "true" : "false");
-  J += formatf("\"chip_outcome_mismatches\":%llu,\"deadlock\":%s}",
-               (unsigned long long)R.ChipOutcomeMismatches,
-               C.Deadlock ? "true" : "false");
-  J += "}";
-  return J;
+  J.key("recovery").beginObject();
+  J.field("lockups_injected", RS.LockupsInjected);
+  J.field("lockups_detected", RS.LockupsDetected);
+  J.field("ctx_resets", RS.CtxResets);
+  J.field("packet_requeues", RS.PacketRequeues);
+  J.field("packets_wedged", RS.PacketsWedged);
+  J.field("packets_recovered", RS.PacketsRecovered);
+  J.field("lockup_drops", RS.LockupDrops);
+  J.field("max_backoff_cycles", RS.MaxBackoffCycles);
+  J.field("backpressure_drops", RS.BackpressureDrops);
+  J.field("ring_stalls_injected", RS.RingStallsInjected);
+  J.field("ring_stall_cycles", RS.RingStallCycles);
+  J.field("brownouts_injected", RS.BrownoutsInjected);
+  J.field("brownout_cycles", RS.BrownoutCycles);
+  J.field("dma_faults_injected", RS.DmaFaultsInjected);
+  J.field("dma_retries", RS.DmaRetries);
+  J.field("dma_fault_packets", RS.DmaFaultPackets);
+  J.field("dma_recovered_packets", RS.DmaRecoveredPackets);
+  J.field("dma_drop_packets", RS.DmaDropPackets);
+  J.field("sdram_bitflips_injected", RS.SdramBitFlipsInjected);
+  J.field("recovery_fold", Hex(RS.fold()));
+  J.field("all_accounted", RS.allAccounted()).endObject();
+  J.field("chip_outcome_mismatches", R.ChipOutcomeMismatches);
+  J.field("deadlock", C.Deadlock).endObject();
+}
+
+std::string soak::chipReportJson(const ChipSoakReport &R) {
+  JsonWriter J;
+  return J.object([&] { chipReportFields(J, R); }).take();
 }
 
 void soak::printChipReport(const ChipSoakReport &R, std::FILE *Out) {

@@ -74,10 +74,15 @@ ChipSoakReport runChipSoak(const AppHarness &App,
 /// an uninterrupted run and a killed-and-resumed one (--stable-json).
 void stabilize(ChipSoakReport &R);
 
-/// Base reportJson extended with a "chip" object: per-ME utilization,
-/// ring occupancy high-waters, contention stalls, trace/image hashes,
-/// and the event kernel's work (events per packet and per kind, no-op
-/// MeRun pops, wall nanoseconds per event).
+/// The base report's members extended with a "chip" object: per-ME
+/// utilization, ring occupancy high-waters, contention stalls,
+/// trace/image hashes, and the event kernel's work (events per packet and
+/// per kind, no-op MeRun pops, wall nanoseconds per event). Written into
+/// the object \p J has open; a failed setup writes only the app and the
+/// setup error.
+void chipReportFields(JsonWriter &J, const ChipSoakReport &R);
+
+/// The report as one JSON object.
 std::string chipReportJson(const ChipSoakReport &R);
 
 /// Human-readable summary (base report + chip lines).

@@ -411,72 +411,25 @@ ckpt::CheckpointMeta soak::checkpointMeta(const AppHarness &App,
   return M;
 }
 
-void soak::progressHeartbeat(const std::string &App, uint64_t Retired,
-                             double WallSeconds, uint64_t LastCheckpoint) {
-  double Rate = WallSeconds > 0 ? double(Retired) / WallSeconds : 0;
-  std::fprintf(stderr,
-               "novasoak: progress: app=%s retired=%llu pkt/s=%.0f "
-               "last_checkpoint=%llu\n",
-               App.c_str(), (unsigned long long)Retired, Rate,
-               (unsigned long long)LastCheckpoint);
-  std::fflush(stderr);
+CkptDriver::CkptDriver(const CheckpointOptions &CK,
+                       ckpt::CheckpointMeta Meta, SoakReport &Rep,
+                       const Timer &Clock,
+                       std::function<void(BinWriter &)> SaveExtra,
+                       std::function<void(BinReader &)> RestoreExtra)
+    : CK(CK), Meta(std::move(Meta)), Rep(Rep), Clock(Clock),
+      SaveExtra(std::move(SaveExtra)), RestoreExtra(std::move(RestoreExtra)) {
+  startAt(0);
 }
 
-namespace {
+void CkptDriver::startAt(uint64_t Retired) {
+  NextCkpt = CK.Every ? (Retired / CK.Every + 1) * CK.Every : 0;
+  NextProg =
+      CK.ProgressEvery ? (Retired / CK.ProgressEvery + 1) * CK.ProgressEvery
+                       : 0;
+  LastCkpt = Retired;
+}
 
-/// The per-stream checkpoint driver shared by the interp and threaded
-/// runners (ChipSoak has its own copy of this logic wired through the
-/// chip's retire hook). Owns the thresholds; returns true from
-/// onRetired when the run must stop (StopAfter crash simulation).
-struct CkptDriver {
-  const CheckpointOptions &CK;
-  ckpt::CheckpointMeta Meta;
-  const SoakReport &Rep;
-  const Timer &Clock;
-  uint64_t NextCkpt = 0, NextProg = 0, LastCkpt = 0;
-
-  CkptDriver(const CheckpointOptions &CK, ckpt::CheckpointMeta Meta,
-             const SoakReport &Rep, const Timer &Clock, uint64_t Start)
-      : CK(CK), Meta(std::move(Meta)), Rep(Rep), Clock(Clock) {
-    if (CK.Every)
-      NextCkpt = (Start / CK.Every + 1) * CK.Every;
-    if (CK.ProgressEvery)
-      NextProg = (Start / CK.ProgressEvery + 1) * CK.ProgressEvery;
-    LastCkpt = Start;
-  }
-
-  bool onRetired(uint64_t Retired, uint64_t Cursor) {
-    if (NextCkpt && Retired >= NextCkpt) {
-      BinWriter W;
-      saveSoakProgress(W, Rep, Cursor);
-      Meta.PacketsRetired = Retired;
-      if (Status S = ckpt::writeCheckpoint(CK.Dir, Meta, W.bytes());
-          !S.ok())
-        std::fprintf(stderr, "novasoak: warning: checkpoint failed: %s\n",
-                     S.message().c_str());
-      else
-        LastCkpt = Retired;
-      NextCkpt = (Retired / CK.Every + 1) * CK.Every;
-    }
-    if (NextProg && Retired >= NextProg) {
-      progressHeartbeat(Rep.App, Retired, Clock.seconds(), LastCkpt);
-      NextProg = (Retired / CK.ProgressEvery + 1) * CK.ProgressEvery;
-    }
-    if (CK.KillAfter && Retired >= CK.KillAfter) {
-      // The crash harness wants a real mid-run death, not a clean exit:
-      // nothing is flushed, no destructor runs, the checkpoint directory
-      // is whatever the last atomic rename left behind.
-      std::raise(SIGKILL);
-    }
-    return CK.StopAfter != 0 && Retired >= CK.StopAfter;
-  }
-};
-
-/// Resumes \p Rep / \p Start from the newest valid snapshot in the
-/// checkpoint directory. False => hard failure recorded in
-/// Rep.CkptError (the caller returns the report untouched-but-failed).
-bool resumeSoak(const CheckpointOptions &CK, const ckpt::CheckpointMeta &Meta,
-                SoakReport &Rep, uint64_t &Start) {
+bool CkptDriver::resume(uint64_t &Cursor) {
   ckpt::LoadedCheckpoint LC;
   std::vector<std::string> Notes;
   Status S = ckpt::findLatestValid(CK.Dir, Meta, LC, &Notes);
@@ -488,7 +441,9 @@ bool resumeSoak(const CheckpointOptions &CK, const ckpt::CheckpointMeta &Meta,
     return false;
   }
   BinReader R = LC.stateReader();
-  restoreSoakProgress(R, Rep, Start);
+  restoreSoakProgress(R, Rep, Cursor);
+  if (RestoreExtra)
+    RestoreExtra(R);
   if (R.failed() || R.remaining() != 0) {
     Rep.CkptError = Status::error(
         StatusCode::CheckpointCorrupt, Phase::Driver,
@@ -499,10 +454,43 @@ bool resumeSoak(const CheckpointOptions &CK, const ckpt::CheckpointMeta &Meta,
   std::fprintf(stderr, "novasoak: resumed %s from %s (%llu retired)\n",
                Rep.App.c_str(), LC.Path.c_str(),
                (unsigned long long)LC.Meta.PacketsRetired);
+  startAt(LC.Meta.PacketsRetired);
   return true;
 }
 
-} // namespace
+bool CkptDriver::onRetired(uint64_t Retired, uint64_t Cursor) {
+  if (NextCkpt && Retired >= NextCkpt) {
+    BinWriter W;
+    saveSoakProgress(W, Rep, Cursor);
+    if (SaveExtra)
+      SaveExtra(W);
+    Meta.PacketsRetired = Retired;
+    if (Status S = ckpt::writeCheckpoint(CK.Dir, Meta, W.bytes()); !S.ok())
+      std::fprintf(stderr, "novasoak: warning: checkpoint failed: %s\n",
+                   S.message().c_str());
+    else
+      LastCkpt = Retired;
+    NextCkpt = (Retired / CK.Every + 1) * CK.Every;
+  }
+  if (NextProg && Retired >= NextProg) {
+    double Seconds = Clock.seconds();
+    std::fprintf(stderr,
+                 "novasoak: progress: app=%s retired=%llu pkt/s=%.0f "
+                 "last_checkpoint=%llu\n",
+                 Rep.App.c_str(), (unsigned long long)Retired,
+                 Seconds > 0 ? double(Retired) / Seconds : 0,
+                 (unsigned long long)LastCkpt);
+    std::fflush(stderr);
+    NextProg = (Retired / CK.ProgressEvery + 1) * CK.ProgressEvery;
+  }
+  if (CK.KillAfter && Retired >= CK.KillAfter) {
+    // The crash harness wants a real mid-run death, not a clean exit:
+    // nothing is flushed, no destructor runs, the checkpoint directory
+    // is whatever the last atomic rename left behind.
+    std::raise(SIGKILL);
+  }
+  return CK.StopAfter != 0 && Retired >= CK.StopAfter;
+}
 
 //===----------------------------------------------------------------------===//
 // Stream runner
@@ -522,12 +510,10 @@ SoakReport runSoakThreaded(const AppHarness &App, const SoakOptions &Opts) {
   Rep.OracleEvery = Opts.OracleEvery;
   Timer Clock;
 
-  const CheckpointOptions &CK = Opts.Ckpt;
-  ckpt::CheckpointMeta Meta = checkpointMeta(App, Opts);
+  CkptDriver CD(Opts.Ckpt, checkpointMeta(App, Opts), Rep, Clock);
   uint64_t Start = 0;
-  if (CK.Resume && !resumeSoak(CK, Meta, Rep, Start))
+  if (Opts.Ckpt.Resume && !CD.resume(Start))
     return Rep;
-  CkptDriver CD(CK, Meta, Rep, Clock, Start);
 
   Timer TranslateClock;
   fastpath::Translated T =
@@ -598,17 +584,10 @@ SoakReport runSoakThreaded(const AppHarness &App, const SoakOptions &Opts) {
         if (O.Diverged) {
           ++Rep.Divergences;
           if (!Rep.First.Found) {
-            Rep.First.Found = true;
-            Rep.First.Index = P.Index;
-            Rep.First.Seed = P.Seed;
-            Rep.First.Class = P.Class;
-            Rep.First.What = O.What;
-            Rep.First.Words = P.Words;
-            Rep.First.Args = P.Args;
-            Rep.First.ShrunkWords =
-                Opts.Shrink ? shrinkDivergenceWith(P, Rep.First.ShrinkRuns,
-                                                   threadedDiverges)
-                            : P.Words;
+            Rep.First.record(P, O.What);
+            if (Opts.Shrink)
+              Rep.First.ShrunkWords = shrinkDivergenceWith(
+                  P, Rep.First.ShrinkRuns, threadedDiverges);
           }
           if (Opts.FailFast) {
             Stop = true;
@@ -641,12 +620,10 @@ SoakReport soak::runSoak(const AppHarness &App, const SoakOptions &Opts) {
   Rep.OracleEvery = Opts.OracleEvery;
   Timer Clock;
 
-  const CheckpointOptions &CK = Opts.Ckpt;
-  ckpt::CheckpointMeta Meta = checkpointMeta(App, Opts);
+  CkptDriver CD(Opts.Ckpt, checkpointMeta(App, Opts), Rep, Clock);
   uint64_t Start = 0;
-  if (CK.Resume && !resumeSoak(CK, Meta, Rep, Start))
+  if (Opts.Ckpt.Resume && !CD.resume(Start))
     return Rep;
-  CkptDriver CD(CK, Meta, Rep, Clock, Start);
 
   SoakPacket P;
   PacketTemplateCache Tmpl;
@@ -663,17 +640,10 @@ SoakReport soak::runSoak(const AppHarness &App, const SoakOptions &Opts) {
     if (O.Diverged) {
       ++Rep.Divergences;
       if (!Rep.First.Found) {
-        Rep.First.Found = true;
-        Rep.First.Index = P.Index;
-        Rep.First.Seed = P.Seed;
-        Rep.First.Class = P.Class;
-        Rep.First.What = O.What;
-        Rep.First.Words = P.Words;
-        Rep.First.Args = P.Args;
-        Rep.First.ShrunkWords =
-            Opts.Shrink
-                ? shrinkDivergence(App, P, Opts, Rep.First.ShrinkRuns)
-                : P.Words;
+        Rep.First.record(P, O.What);
+        if (Opts.Shrink)
+          Rep.First.ShrunkWords =
+              shrinkDivergence(App, P, Opts, Rep.First.ShrinkRuns);
       }
       if (Opts.FailFast)
         break;
@@ -691,89 +661,54 @@ SoakReport soak::runSoak(const AppHarness &App, const SoakOptions &Opts) {
 // Reporting
 //===----------------------------------------------------------------------===//
 
-namespace {
+void soak::stabilize(SoakReport &R) {
+  R.WallSeconds = 0;
+  R.TranslateSeconds = 0;
+}
 
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    if (C == '\n') {
-      Out += "\\n";
-      continue;
-    }
-    Out += C;
+void soak::reportFields(JsonWriter &J, const SoakReport &R) {
+  const sim::RunStats &S = R.Stats;
+  J.field("schema_version", 2).field("app", R.App).field("seed", R.Seed);
+  J.field("packets", S.Packets);
+  J.key("classes").beginObject();
+  for (unsigned C = 0; C != NumPacketClasses; ++C)
+    J.field(packetClassName(static_cast<PacketClass>(C)), R.ClassCounts[C]);
+  J.endObject();
+  J.field("delivered", S.Delivered).field("rejected", S.Rejected);
+  J.field("drops", S.Drops);
+  J.key("traps").beginObject();
+  for (unsigned K = 1; K != sim::NumTrapKinds; ++K)
+    J.field(sim::trapKindName(static_cast<sim::TrapKind>(K)), S.Traps[K]);
+  J.endObject();
+  J.field("p50_cycles", S.p50Cycles()).field("p99_cycles", S.p99Cycles());
+  J.field("total_cycles", S.TotalCycles);
+  J.field("total_instructions", S.TotalInstructions);
+  J.key("delivered_mbps").fixed(S.deliveredMbps(), 3);
+  J.field("exec_mode", execModeName(R.Exec));
+  J.field("oracle_rate", R.OracleEvery);
+  J.key("translate_seconds").fixed(R.TranslateSeconds, 6);
+  J.field("oracle_checks", R.OracleChecks);
+  J.field("oracle_budget_misses", R.OracleBudgetMisses);
+  J.field("divergences", R.Divergences);
+  J.key("wall_seconds").fixed(R.WallSeconds, 3);
+  J.key("packets_per_sec").fixed(R.packetsPerSec(), 1);
+  J.key("first_divergence");
+  if (!R.First.Found) {
+    J.null();
+    return;
   }
-  return Out;
+  const Divergence &D = R.First;
+  J.beginObject().field("index", D.Index).field("seed", D.Seed);
+  J.field("class", packetClassName(D.Class)).field("what", D.What);
+  J.key("args").array(D.Args);
+  J.key("words").array(D.Words);
+  J.key("shrunk_words").array(D.ShrunkWords);
+  J.field("shrink_runs", D.ShrinkRuns).endObject();
 }
-
-std::string wordsJson(const std::vector<uint32_t> &W) {
-  std::string Out = "[";
-  for (size_t I = 0; I != W.size(); ++I)
-    Out += formatf("%s%u", I ? "," : "", W[I]);
-  return Out + "]";
-}
-
-} // namespace
 
 std::string soak::reportJson(const SoakReport &R) {
-  const sim::RunStats &S = R.Stats;
-  std::string J = "{\"schema_version\":2,";
-  J += formatf("\"app\":\"%s\",\"seed\":%llu,\"packets\":%llu,",
-               R.App.c_str(), (unsigned long long)R.Seed,
-               (unsigned long long)S.Packets);
-  J += "\"classes\":{";
-  for (unsigned C = 0; C != NumPacketClasses; ++C)
-    J += formatf("%s\"%s\":%llu", C ? "," : "",
-                 packetClassName(static_cast<PacketClass>(C)),
-                 (unsigned long long)R.ClassCounts[C]);
-  J += "},";
-  J += formatf("\"delivered\":%llu,\"rejected\":%llu,\"drops\":%llu,",
-               (unsigned long long)S.Delivered,
-               (unsigned long long)S.Rejected, (unsigned long long)S.Drops);
-  J += "\"traps\":{";
-  bool FirstTrap = true;
-  for (unsigned K = 1; K != sim::NumTrapKinds; ++K) {
-    J += formatf("%s\"%s\":%llu", FirstTrap ? "" : ",",
-                 sim::trapKindName(static_cast<sim::TrapKind>(K)),
-                 (unsigned long long)S.Traps[K]);
-    FirstTrap = false;
-  }
-  J += "},";
-  J += formatf("\"p50_cycles\":%llu,\"p99_cycles\":%llu,",
-               (unsigned long long)S.p50Cycles(),
-               (unsigned long long)S.p99Cycles());
-  J += formatf("\"total_cycles\":%llu,\"total_instructions\":%llu,",
-               (unsigned long long)S.TotalCycles,
-               (unsigned long long)S.TotalInstructions);
-  J += formatf("\"delivered_mbps\":%.3f,", S.deliveredMbps());
-  J += formatf("\"exec_mode\":\"%s\",\"oracle_rate\":%llu,"
-               "\"translate_seconds\":%.6f,",
-               execModeName(R.Exec), (unsigned long long)R.OracleEvery,
-               R.TranslateSeconds);
-  J += formatf("\"oracle_checks\":%llu,\"oracle_budget_misses\":%llu,"
-               "\"divergences\":%llu,",
-               (unsigned long long)R.OracleChecks,
-               (unsigned long long)R.OracleBudgetMisses,
-               (unsigned long long)R.Divergences);
-  J += formatf("\"wall_seconds\":%.3f,\"packets_per_sec\":%.1f,",
-               R.WallSeconds, R.packetsPerSec());
-  if (R.First.Found) {
-    J += formatf("\"first_divergence\":{\"index\":%llu,\"seed\":%llu,"
-                 "\"class\":\"%s\",\"what\":\"%s\",",
-                 (unsigned long long)R.First.Index,
-                 (unsigned long long)R.First.Seed,
-                 packetClassName(R.First.Class),
-                 jsonEscape(R.First.What).c_str());
-    J += "\"args\":" + wordsJson(R.First.Args) + ",";
-    J += "\"words\":" + wordsJson(R.First.Words) + ",";
-    J += "\"shrunk_words\":" + wordsJson(R.First.ShrunkWords) + ",";
-    J += formatf("\"shrink_runs\":%u}", R.First.ShrinkRuns);
-  } else {
-    J += "\"first_divergence\":null";
-  }
-  J += "}";
-  return J;
+  JsonWriter J;
+  return J.object([&] { reportFields(J, R); }).take();
 }
 
 void soak::printReport(const SoakReport &R, std::FILE *Out) {

@@ -43,6 +43,8 @@
 #include "cps/Eval.h"
 #include "driver/Compiler.h"
 #include "sim/Simulator.h"
+#include "support/Json.h"
+#include "support/Timer.h"
 
 #include <cstdint>
 #include <cstdio>
@@ -166,6 +168,17 @@ struct Divergence {
   /// shrinking is off or nothing could be removed).
   std::vector<uint32_t> ShrunkWords;
   unsigned ShrinkRuns = 0; ///< candidate executions the shrinker spent
+
+  /// Records \p P as the diverging packet, unshrunk.
+  void record(const SoakPacket &P, std::string Why) {
+    Found = true;
+    Index = P.Index;
+    Seed = P.Seed;
+    Class = P.Class;
+    What = std::move(Why);
+    Words = ShrunkWords = P.Words;
+    Args = P.Args;
+  }
 };
 
 /// Everything one soak run produced.
@@ -314,13 +327,52 @@ ckpt::CheckpointMeta checkpointMeta(const AppHarness &App,
 void saveSoakProgress(BinWriter &W, const SoakReport &R, uint64_t Cursor);
 void restoreSoakProgress(BinReader &R, SoakReport &Rep, uint64_t &Cursor);
 
-/// Stderr heartbeat line for --progress: packets retired, rate, and the
-/// last durable checkpoint.
-void progressHeartbeat(const std::string &App, uint64_t Retired,
-                       double WallSeconds, uint64_t LastCheckpoint);
+/// The checkpoint driver of one soak stream, shared by the standalone
+/// and chip runners. Owns resume, the snapshot cadence, the --progress
+/// heartbeat (packets retired, rate, last durable checkpoint) and the
+/// crash harness (--kill-after, StopAfter). A snapshot's state section
+/// is saveSoakProgress(Rep, cursor) followed by whatever \p SaveExtra
+/// appends (the chip runner's outcome-mismatch counter and chip image);
+/// \p RestoreExtra reads the same bytes back on resume.
+class CkptDriver {
+public:
+  CkptDriver(const CheckpointOptions &CK, ckpt::CheckpointMeta Meta,
+             SoakReport &Rep, const Timer &Clock,
+             std::function<void(BinWriter &)> SaveExtra = nullptr,
+             std::function<void(BinReader &)> RestoreExtra = nullptr);
 
-/// One JSON object per report (stable keys; consumed by scripts/ and
-/// BENCH_soak.json).
+  /// Restores Rep, \p Cursor and the extra state from the newest valid
+  /// snapshot and continues the cadence from its retired count. False =>
+  /// hard failure recorded in Rep.CkptError (nothing may run).
+  bool resume(uint64_t &Cursor);
+
+  /// Called once \p Retired packets have fully landed in Rep, with the
+  /// generator at \p Cursor. Returns true when the run must stop
+  /// (StopAfter crash simulation).
+  bool onRetired(uint64_t Retired, uint64_t Cursor);
+
+private:
+  void startAt(uint64_t Retired);
+
+  const CheckpointOptions &CK;
+  ckpt::CheckpointMeta Meta;
+  SoakReport &Rep;
+  const Timer &Clock;
+  std::function<void(BinWriter &)> SaveExtra;
+  std::function<void(BinReader &)> RestoreExtra;
+  uint64_t NextCkpt = 0, NextProg = 0, LastCkpt = 0;
+};
+
+/// Zeroes the wall-clock fields (WallSeconds, TranslateSeconds) so a
+/// report compares byte-for-byte between runs (--stable-json).
+void stabilize(SoakReport &R);
+
+/// Writes the report's members into the JSON object \p J has open (the
+/// chip report extends the same object). Stable keys; consumed by
+/// scripts/ and BENCH_soak.json.
+void reportFields(JsonWriter &J, const SoakReport &R);
+
+/// The report as one JSON object.
 std::string reportJson(const SoakReport &R);
 
 /// Human-readable summary table.

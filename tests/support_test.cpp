@@ -5,8 +5,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/ArgParser.h"
 #include "support/Diagnostics.h"
 #include "support/FaultInjection.h"
+#include "support/Json.h"
 #include "support/Rng.h"
 #include "support/SourceManager.h"
 #include "support/Status.h"
@@ -14,6 +16,13 @@
 #include "support/Timer.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <unistd.h>
 
 using namespace nova;
 
@@ -112,6 +121,94 @@ TEST(StringUtils, Formatf) {
 TEST(StringUtils, Join) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({}, ","), "");
+}
+
+TEST(Json, EscapesQuotesBackslashesAndControlCharacters) {
+  JsonWriter J;
+  J.value(std::string("q\"b\\n\nt\tr\rc\x01z\x1f", 14));
+  EXPECT_EQ(J.str(), R"("q\"b\\n\nt\tr\rc\u0001z\u001f")");
+  JsonWriter K;
+  K.beginObject().field("we\"ird\\key", 1).endObject();
+  EXPECT_EQ(K.str(), R"({"we\"ird\\key":1})");
+}
+
+TEST(Json, NestsWithCommasOnlyBetweenElements) {
+  JsonWriter J;
+  J.beginArray();
+  J.beginObject()
+      .field("a", 1)
+      .field("b", -2)
+      .field("c", true)
+      .field("d", "s");
+  J.key("e").null();
+  J.key("f").beginArray().endArray();
+  J.key("g").beginObject().endObject();
+  J.key("h").array(std::vector<uint32_t>{1, 2, 3});
+  J.endObject();
+  J.beginArray().endArray();
+  J.value(false).value(uint64_t(18446744073709551615ull));
+  J.endArray();
+  EXPECT_EQ(J.str(), R"([{"a":1,"b":-2,"c":true,"d":"s","e":null,"f":[],)"
+                     R"("g":{},"h":[1,2,3]},[],false,18446744073709551615])");
+  EXPECT_EQ(JsonWriter().beginObject().endObject().str(), "{}");
+  EXPECT_EQ(JsonWriter().beginArray().endArray().str(), "[]");
+}
+
+TEST(Json, NumbersKeepTheirPrecisionAndRoundTrip) {
+  EXPECT_EQ(JsonWriter().fixed(3.2381627, 6).str(), "3.238163");
+  EXPECT_EQ(JsonWriter().fixed(0.5, 3).str(), "0.500");
+  EXPECT_EQ(JsonWriter().fixed(1234.56, 1).str(), "1234.6");
+  EXPECT_EQ(JsonWriter().general(2.2381627391, 9).str(), "2.23816274");
+  EXPECT_EQ(JsonWriter().general(1e21, 9).str(), "1e+21");
+  // What a field prints at its precision is what a reader gets back.
+  for (double V : {0.0, 1.0 / 3.0, 2.2381627391, 6.02214076e23, -1e-300}) {
+    std::string Fixed = JsonWriter().fixed(V, 6).str();
+    EXPECT_NEAR(std::strtod(Fixed.c_str(), nullptr), V, 5e-7) << Fixed;
+    std::string Exact = JsonWriter().general(V, 17).str();
+    EXPECT_EQ(std::strtod(Exact.c_str(), nullptr), V) << Exact;
+  }
+  // JSON has no spelling for these.
+  EXPECT_EQ(JsonWriter().fixed(NAN, 3).str(), "null");
+  EXPECT_EQ(JsonWriter().general(-INFINITY, 9).str(), "null");
+}
+
+TEST(Json, WritesFilesAndReportsFailures) {
+  char Dir[] = "/tmp/nova-json-test-XXXXXX";
+  ASSERT_NE(mkdtemp(Dir), nullptr);
+  std::string Path = std::string(Dir) + "/out.json";
+  JsonWriter J;
+  J.beginObject().field("k", "v").endObject();
+  ASSERT_TRUE(J.writeFile(Path).ok());
+  std::ifstream In(Path);
+  std::stringstream Text;
+  Text << In.rdbuf();
+  EXPECT_EQ(Text.str(), "{\"k\":\"v\"}\n");
+  std::remove(Path.c_str());
+  rmdir(Dir);
+
+  Status S = J.writeFile(Path); // the directory is gone
+  EXPECT_EQ(S.code(), StatusCode::IoError);
+  EXPECT_NE(S.message().find("cannot write " + Path), std::string::npos);
+}
+
+TEST(ArgParser, ValuesFlagsAndMissingValues) {
+  const char *Args[] = {"tool", "--a=1", "--b", "2", "--on", "--bb", "--c"};
+  ArgParser P{"tool", 7, const_cast<char **>(Args)};
+  std::string V;
+  EXPECT_TRUE(P.valueFlag("--a", V));
+  EXPECT_EQ(V, "1");
+  EXPECT_FALSE(P.valueFlag("--a", V));
+  EXPECT_TRUE(P.valueFlag("--b", V));
+  EXPECT_EQ(V, "2");
+  EXPECT_FALSE(P.boolFlag("--o"));
+  EXPECT_TRUE(P.boolFlag("--on"));
+  EXPECT_FALSE(P.valueFlag("--b", V)); // --bb is another flag
+  EXPECT_STREQ(P.current(), "--bb");
+  ++P.I;
+  EXPECT_FALSE(P.Failed);
+  EXPECT_TRUE(P.valueFlag("--c", V)); // no value left
+  EXPECT_TRUE(P.Failed);
+  EXPECT_TRUE(P.done());
 }
 
 TEST(Rng, Deterministic) {

@@ -8,19 +8,20 @@
 // Compiles the paper's benchmark applications once, then streams seeded
 // adversarial traffic through the allocated code with the differential
 // oracle on. Exit codes: 0 clean soak, 1 oracle divergence found,
-// 2 usage error, 4 compile/allocation failure, 5 checkpoint/resume
-// failure (no valid snapshot, or the newest snapshot belongs to a
-// different run).
+// 2 usage error or an unwritable --json file, 4 compile/allocation
+// failure, 5 checkpoint/resume failure (no valid snapshot, or the newest
+// snapshot belongs to a different run).
 //
 //===----------------------------------------------------------------------===//
 
 #include "soak/ChipSoak.h"
 #include "soak/Soak.h"
+#include "support/ArgParser.h"
 #include "support/FaultInjection.h"
+#include "support/Json.h"
 #include "support/StringUtils.h"
 
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -102,60 +103,6 @@ static void usage() {
 
 namespace {
 
-/// Same strict flag cracker as novac: "--flag value" and "--flag=value",
-/// malformed input is a usage error, never a silent zero.
-struct ArgParser {
-  int Argc;
-  char **Argv;
-  int I = 1;
-  bool Failed = false;
-
-  bool done() const { return I >= Argc || Failed; }
-  const char *current() const { return Argv[I]; }
-
-  bool valueFlag(const char *Name, std::string &Value) {
-    const char *Arg = Argv[I];
-    size_t Len = std::strlen(Name);
-    if (std::strncmp(Arg, Name, Len) != 0)
-      return false;
-    if (Arg[Len] == '=') {
-      Value = Arg + Len + 1;
-      ++I;
-      return true;
-    }
-    if (Arg[Len] != '\0')
-      return false;
-    if (I + 1 >= Argc) {
-      std::fprintf(stderr, "novasoak: %s requires a value\n", Name);
-      Failed = true;
-      return true;
-    }
-    Value = Argv[++I];
-    ++I;
-    return true;
-  }
-
-  bool boolFlag(const char *Name) {
-    if (std::strcmp(Argv[I], Name) != 0)
-      return false;
-    ++I;
-    return true;
-  }
-
-  void fail(const char *Fmt, const std::string &Value) {
-    std::fprintf(stderr, Fmt, Value.c_str());
-    Failed = true;
-  }
-};
-
-bool parseU64(const std::string &Text, uint64_t &Out) {
-  std::optional<uint64_t> V = parseInteger(Text);
-  if (!V)
-    return false;
-  Out = *V;
-  return true;
-}
-
 bool parseMix(const std::string &Text, soak::ClassMix &Mix) {
   uint64_t W[5];
   size_t Pos = 0;
@@ -163,8 +110,10 @@ bool parseMix(const std::string &Text, soak::ClassMix &Mix) {
     size_t Comma = I == 4 ? Text.size() : Text.find(',', Pos);
     if (Comma == std::string::npos)
       return false;
-    if (!parseU64(Text.substr(Pos, Comma - Pos), W[I]) || W[I] > 1000000)
+    std::optional<uint64_t> V = parseInteger(Text.substr(Pos, Comma - Pos));
+    if (!V || *V > 1000000)
       return false;
+    W[I] = *V;
     Pos = Comma + 1;
   }
   Mix.Valid = static_cast<unsigned>(W[0]);
@@ -191,29 +140,26 @@ int main(int argc, char **argv) {
   soak::SoakOptions Opts;
   driver::CompileOptions COpts = soak::AppHarness::defaultCompileOptions();
 
-  ArgParser P{argc, argv};
+  ArgParser P{"novasoak", argc, argv};
   while (!P.done()) {
+    // Numeric flags: parsed and range-checked in place.
+    const char *Positive = "a positive integer";
+    if (P.intFlag("--packets", Opts.Packets, Positive, 1) ||
+        P.intFlag("--seed", Opts.Seed, "an integer") ||
+        P.intFlag("--budget", Opts.Budget, Positive, 1) ||
+        P.intFlag("--checkpoint-every", Opts.Ckpt.Every, Positive, 1) ||
+        P.intFlag("--progress", Opts.Ckpt.ProgressEvery, Positive, 1) ||
+        P.intFlag("--kill-after", Opts.Ckpt.KillAfter, Positive, 1) ||
+        P.secondsFlag("--time-limit", COpts.Alloc.Mip.TimeLimitSeconds))
+      continue;
     std::string V;
     if (P.valueFlag("--app", V))
       AppName = V;
-    else if (P.valueFlag("--packets", V)) {
-      if (!P.Failed && (!parseU64(V, Opts.Packets) || Opts.Packets == 0))
-        P.fail("novasoak: --packets expects a positive integer, got "
-               "'%s'\n",
-               V);
-    } else if (P.valueFlag("--seed", V)) {
-      if (!P.Failed && !parseU64(V, Opts.Seed))
-        P.fail("novasoak: --seed expects an integer, got '%s'\n", V);
-    } else if (P.valueFlag("--budget", V)) {
-      if (!P.Failed && (!parseU64(V, Opts.Budget) || Opts.Budget == 0))
-        P.fail("novasoak: --budget expects a positive integer, got "
-               "'%s'\n",
-               V);
-    } else if (P.valueFlag("--mix", V)) {
+    else if (P.valueFlag("--mix", V)) {
       if (!P.Failed && !parseMix(V, Opts.Mix))
-        P.fail("novasoak: --mix expects five comma-separated weights "
-               "with a nonzero sum, got '%s'\n",
-               V);
+        P.fail("--mix expects five comma-separated weights with a nonzero "
+               "sum, got '%s'",
+               V.c_str());
     } else if (P.valueFlag("--exec", V)) {
       if (!P.Failed) {
         if (V == "interp")
@@ -221,42 +167,28 @@ int main(int argc, char **argv) {
         else if (V == "threaded")
           Opts.Exec = soak::ExecMode::Threaded;
         else
-          P.fail("novasoak: --exec expects 'interp' or 'threaded', got "
-                 "'%s'\n",
-                 V);
+          P.fail("--exec expects 'interp' or 'threaded', got '%s'", V.c_str());
       }
-    } else if (P.valueFlag("--oracle-every", V) ||
-               P.valueFlag("--oracle-rate", V)) {
+    } else if (P.intFlag("--oracle-every", Opts.OracleEvery, "an integer") ||
+               P.intFlag("--oracle-rate", Opts.OracleEvery, "an integer"))
       SawOracleEvery = true;
-      if (!P.Failed && !parseU64(V, Opts.OracleEvery))
-        P.fail("novasoak: --oracle-every expects an integer, got '%s'\n",
-               V);
-    } else if (P.boolFlag("--no-shrink"))
+    else if (P.boolFlag("--no-shrink"))
       Opts.Shrink = false;
     else if (P.boolFlag("--fail-fast"))
       Opts.FailFast = true;
     else if (P.boolFlag("--quiet"))
       Quiet = true;
-    else if (P.valueFlag("--time-limit", V)) {
-      char *End = nullptr;
-      double S = std::strtod(V.c_str(), &End);
-      if (End == V.c_str() || *End != '\0' || !(S > 0.0))
-        P.fail("novasoak: --time-limit expects a positive number of "
-               "seconds, got '%s'\n",
-               V);
-      else
-        COpts.Alloc.Mip.TimeLimitSeconds = S;
-    } else if (P.valueFlag("--inject-fault", V)) {
+    else if (P.valueFlag("--inject-fault", V)) {
       if (!P.Failed) {
         FaultSpec Spec;
         std::string Error;
         if (!parseFaultSpec(V, Spec, Error))
-          P.fail("novasoak: --inject-fault: %s\n", Error);
+          P.fail("--inject-fault: %s", Error.c_str());
         else if (faultKindDomain(Spec.Kind) != FaultDomain::Sim)
           // Strict rejection instead of the old silent no-op: a
           // solver-domain kind never reaches a packet runtime hook.
-          P.fail("novasoak: --inject-fault: fault kind '%s' is "
-                 "solver-domain (use novac --inject-fault)\n",
+          P.fail("--inject-fault: fault kind '%s' is solver-domain (use "
+                 "novac --inject-fault)",
                  faultKindName(Spec.Kind));
         else
           Faults.push_back(Spec);
@@ -266,47 +198,23 @@ int main(int argc, char **argv) {
       if (!P.Failed) {
         std::string Error;
         if (!parseFaultSchedule(V, Chip.Faults, Error))
-          P.fail("novasoak: --fault-schedule: %s\n", Error);
+          P.fail("--fault-schedule: %s", Error.c_str());
       }
     } else if (P.valueFlag("--json", V)) {
       if (!P.Failed)
         JsonPath = V;
     } else if (P.boolFlag("--chip"))
       ChipMode = true;
-    else if (P.valueFlag("--me-count", V)) {
+    else if (P.intFlag("--me-count", Chip.MP.MeCount, "an integer in 1..8", 1,
+                       8))
       SawMeCount = true;
-      uint64_t N;
-      if (!P.Failed && (!parseU64(V, N) || N < 1 || N > 8))
-        P.fail("novasoak: --me-count expects an integer in 1..8, got "
-               "'%s'\n",
-               V);
-      else if (!P.Failed)
-        Chip.MP.MeCount = static_cast<unsigned>(N);
-    } else if (P.valueFlag("--contexts", V)) {
+    else if (P.intFlag("--contexts", Chip.MP.ContextsPerMe,
+                       "an integer in 1..8", 1, 8))
       SawContexts = true;
-      uint64_t N;
-      if (!P.Failed && (!parseU64(V, N) || N < 1 || N > 8))
-        P.fail("novasoak: --contexts expects an integer in 1..8, got "
-               "'%s'\n",
-               V);
-      else if (!P.Failed)
-        Chip.MP.ContextsPerMe = static_cast<unsigned>(N);
-    } else if (P.valueFlag("--ring-depth", V)) {
+    else if (P.intFlag("--ring-depth", Chip.RingDepth, "an integer in 1..64",
+                       1, 64))
       SawRingDepth = true;
-      uint64_t N;
-      if (!P.Failed && (!parseU64(V, N) || N < 1 || N > 64))
-        P.fail("novasoak: --ring-depth expects an integer in 1..64, got "
-               "'%s'\n",
-               V);
-      else if (!P.Failed)
-        Chip.RingDepth = static_cast<unsigned>(N);
-    } else if (P.valueFlag("--checkpoint-every", V)) {
-      if (!P.Failed &&
-          (!parseU64(V, Opts.Ckpt.Every) || Opts.Ckpt.Every == 0))
-        P.fail("novasoak: --checkpoint-every expects a positive integer, "
-               "got '%s'\n",
-               V);
-    } else if (P.valueFlag("--checkpoint-dir", V)) {
+    else if (P.valueFlag("--checkpoint-dir", V)) {
       if (!P.Failed)
         Opts.Ckpt.Dir = V;
     } else if (P.valueFlag("--resume", V)) {
@@ -314,24 +222,10 @@ int main(int argc, char **argv) {
         Opts.Ckpt.Dir = V;
         Opts.Ckpt.Resume = true;
       }
-    } else if (P.valueFlag("--progress", V)) {
-      if (!P.Failed && (!parseU64(V, Opts.Ckpt.ProgressEvery) ||
-                        Opts.Ckpt.ProgressEvery == 0))
-        P.fail("novasoak: --progress expects a positive integer, got "
-               "'%s'\n",
-               V);
-    } else if (P.valueFlag("--kill-after", V)) {
-      if (!P.Failed &&
-          (!parseU64(V, Opts.Ckpt.KillAfter) || Opts.Ckpt.KillAfter == 0))
-        P.fail("novasoak: --kill-after expects a positive integer, got "
-               "'%s'\n",
-               V);
     } else if (P.boolFlag("--stable-json"))
       StableJson = true;
-    else {
-      std::fprintf(stderr, "novasoak: unknown option '%s'\n", P.current());
-      P.Failed = true;
-    }
+    else
+      P.fail("unknown option '%s'", P.current());
   }
   // Chip-mode combination rules, enforced before any compile work: the
   // topology flags only mean something with --chip, and a single-shot
@@ -340,38 +234,24 @@ int main(int argc, char **argv) {
   // the discrete-event schedule bit-identical; --inject-fault composes
   // too — an armed injector pins execution to the interpreter-exact slow
   // tier in both modes, so the retire-time oracle still catches flips.
-  if (!ChipMode && (SawMeCount || SawContexts || SawRingDepth)) {
-    std::fprintf(stderr, "novasoak: --me-count/--contexts/--ring-depth "
-                         "require --chip\n");
-    P.Failed = true;
-  }
+  if (!ChipMode && (SawMeCount || SawContexts || SawRingDepth))
+    P.fail("--me-count/--contexts/--ring-depth require --chip");
   // Chip-domain faults only exist inside the whole-chip scheduler; a
   // schedule without --chip would be a silent no-op, so reject it.
-  if (!ChipMode && SawFaultSchedule) {
-    std::fprintf(stderr, "novasoak: --fault-schedule requires --chip\n");
-    P.Failed = true;
-  }
-  if (ChipMode && Opts.FailFast) {
-    std::fprintf(stderr,
-                 "novasoak: --fail-fast is incompatible with --chip "
-                 "(a chip run drains its whole stream)\n");
-    P.Failed = true;
-  }
+  if (!ChipMode && SawFaultSchedule)
+    P.fail("--fault-schedule requires --chip");
+  if (ChipMode && Opts.FailFast)
+    P.fail("--fail-fast is incompatible with --chip (a chip run drains "
+           "its whole stream)");
   // Checkpoints are per-stream: one directory holds one (app, seed,
   // config) run's snapshots, so multi-app invocations would interleave
   // incompatible files. Require a single app.
   if ((Opts.Ckpt.active() || Opts.Ckpt.KillAfter != 0) &&
-      AppName == "all") {
-    std::fprintf(stderr, "novasoak: --checkpoint-every/--resume/"
-                         "--kill-after require a single --app\n");
-    P.Failed = true;
-  }
-  if (Opts.Ckpt.Every != 0 && Opts.Ckpt.Dir.empty()) {
-    std::fprintf(stderr,
-                 "novasoak: --checkpoint-every requires --checkpoint-dir "
-                 "(or --resume)\n");
-    P.Failed = true;
-  }
+      AppName == "all")
+    P.fail("--checkpoint-every/--resume/--kill-after require a single "
+           "--app");
+  if (Opts.Ckpt.Every != 0 && Opts.Ckpt.Dir.empty())
+    P.fail("--checkpoint-every requires --checkpoint-dir (or --resume)");
   // The fast path exists to amortize the oracle: checking every packet
   // in threaded mode would be interpreter-bound, so default to 1-in-10
   // unless the user picked a rate.
@@ -409,8 +289,12 @@ int main(int argc, char **argv) {
 
   bool AnyDivergence = false;
   bool SetupError = false;
-  std::string Json = "[";
-  for (size_t I = 0; I != Harnesses.size(); ++I) {
+  JsonWriter Json;
+  Json.beginArray();
+  for (const auto &H : Harnesses) {
+    // A standalone run fills only the report's Base; its chip fields stay
+    // default and are neither printed nor written.
+    soak::ChipSoakReport Rep;
     if (ChipMode) {
       soak::ChipSoakOptions CO;
       CO.Base = Opts;
@@ -418,61 +302,43 @@ int main(int argc, char **argv) {
       CO.Chip.Exec = Opts.Exec == soak::ExecMode::Threaded
                          ? chip::ExecModel::Threaded
                          : chip::ExecModel::Interp;
-      soak::ChipSoakReport Rep = soak::runChipSoak(*Harnesses[I], CO);
-      if (!Rep.Base.CkptError.ok()) {
-        std::fprintf(stderr, "novasoak: %s\n",
-                     Rep.Base.CkptError.message().c_str());
-        for (const std::string &H : Rep.Base.CkptError.hints())
-          std::fprintf(stderr, "novasoak: hint: %s\n", H.c_str());
-        return 5;
-      }
-      if (!Rep.Setup.ok()) {
-        std::fprintf(stderr, "novasoak: %s: %s\n",
-                     Harnesses[I]->name().c_str(),
-                     Rep.Setup.message().c_str());
-        SetupError = true;
-      }
-      if (StableJson)
-        soak::stabilize(Rep);
-      if (!Quiet)
-        soak::printChipReport(Rep, stdout);
-      if (Rep.Base.Divergences)
-        AnyDivergence = true;
-      if (I)
-        Json += ",";
-      Json += soak::chipReportJson(Rep);
-      continue;
+      Rep = soak::runChipSoak(*H, CO);
+    } else {
+      Rep.Base = soak::runSoak(*H, Opts);
     }
-    soak::SoakReport Rep = soak::runSoak(*Harnesses[I], Opts);
-    if (!Rep.CkptError.ok()) {
-      std::fprintf(stderr, "novasoak: %s\n", Rep.CkptError.message().c_str());
-      for (const std::string &H : Rep.CkptError.hints())
-        std::fprintf(stderr, "novasoak: hint: %s\n", H.c_str());
+    if (const Status &E = Rep.Base.CkptError; !E.ok()) {
+      std::fprintf(stderr, "novasoak: %s\n", E.message().c_str());
+      for (const std::string &Hint : E.hints())
+        std::fprintf(stderr, "novasoak: hint: %s\n", Hint.c_str());
       return 5;
     }
-    if (StableJson) {
-      Rep.WallSeconds = 0;
-      Rep.TranslateSeconds = 0;
+    if (!Rep.Setup.ok()) {
+      std::fprintf(stderr, "novasoak: %s: %s\n", H->name().c_str(),
+                   Rep.Setup.message().c_str());
+      SetupError = true;
     }
-    if (!Quiet)
-      soak::printReport(Rep, stdout);
-    if (Rep.Divergences)
+    if (StableJson)
+      soak::stabilize(Rep);
+    if (!Quiet && ChipMode)
+      soak::printChipReport(Rep, stdout);
+    else if (!Quiet)
+      soak::printReport(Rep.Base, stdout);
+    if (Rep.Base.Divergences)
       AnyDivergence = true;
-    if (I)
-      Json += ",";
-    Json += soak::reportJson(Rep);
+    Json.object([&] {
+      if (ChipMode)
+        soak::chipReportFields(Json, Rep);
+      else
+        soak::reportFields(Json, Rep.Base);
+    });
   }
-  Json += "]";
+  Json.endArray();
 
   if (!JsonPath.empty()) {
-    std::FILE *F = std::fopen(JsonPath.c_str(), "w");
-    if (!F) {
-      std::fprintf(stderr, "novasoak: cannot write %s\n",
-                   JsonPath.c_str());
+    if (Status S = Json.writeFile(JsonPath); !S.ok()) {
+      std::fprintf(stderr, "novasoak: %s\n", S.message().c_str());
       return 2;
     }
-    std::fprintf(F, "%s\n", Json.c_str());
-    std::fclose(F);
   }
 
   if (SetupError)
