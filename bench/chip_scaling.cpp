@@ -24,11 +24,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "soak/ChipSoak.h"
+#include "support/ArgParser.h"
 #include "support/FaultInjection.h"
 #include "support/Json.h"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <string>
 
@@ -40,32 +40,29 @@ int main(int argc, char **argv) {
   uint64_t Seed = 42;
   std::string JsonPath = "BENCH_chip.json";
   FaultSchedule Faults;
-  for (int I = 1; I < argc; ++I) {
-    auto want = [&](const char *Flag) {
-      return std::strcmp(argv[I], Flag) == 0 && I + 1 < argc;
-    };
-    if (want("--app"))
-      App = argv[++I];
-    else if (want("--packets"))
-      Packets = std::strtoull(argv[++I], nullptr, 10);
-    else if (want("--seed"))
-      Seed = std::strtoull(argv[++I], nullptr, 10);
-    else if (want("--json"))
-      JsonPath = argv[++I];
-    else if (want("--fault-schedule")) {
+  ArgParser P{"chip_scaling", argc, argv};
+  while (!P.done()) {
+    std::string V;
+    if (P.intFlag("--packets", Packets, "a positive integer", 1) ||
+        P.intFlag("--seed", Seed, "an integer"))
+      continue;
+    if (P.valueFlag("--app", V))
+      App = V;
+    else if (P.valueFlag("--json", V))
+      JsonPath = V;
+    else if (P.valueFlag("--fault-schedule", V)) {
       std::string Error;
-      if (!parseFaultSchedule(argv[++I], Faults, Error)) {
-        std::fprintf(stderr, "chip_scaling: --fault-schedule: %s\n",
-                     Error.c_str());
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr,
-                   "usage: chip_scaling [--app name] [--packets n] "
-                   "[--seed s] [--json file] "
-                   "[--fault-schedule kind@rate[~mag],...]\n");
-      return 2;
-    }
+      if (!P.Failed && !parseFaultSchedule(V, Faults, Error))
+        P.fail("--fault-schedule: %s", Error.c_str());
+    } else
+      P.fail("unknown option '%s'", P.current());
+  }
+  if (P.Failed) {
+    std::fprintf(stderr,
+                 "usage: chip_scaling [--app name] [--packets n] "
+                 "[--seed s] [--json file] "
+                 "[--fault-schedule kind@rate[~mag],...]\n");
+    return 2;
   }
 
   std::string Error;

@@ -21,32 +21,32 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench_util.h"
+#include "support/ArgParser.h"
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 using namespace nova;
 
 int main(int argc, char **argv) {
-  const char *JsonPath = "BENCH_fig7.json";
-  const char *Only = nullptr;
+  std::string JsonPath = "BENCH_fig7.json";
+  std::string Only;
   double ExpectRoot = 0.0;
   bool HaveExpectRoot = false;
-  for (int I = 1; I != argc; ++I) {
-    if (!std::strcmp(argv[I], "--json") && I + 1 < argc)
-      JsonPath = argv[++I];
-    else if (!std::strcmp(argv[I], "--only") && I + 1 < argc)
-      Only = argv[++I];
-    else if (!std::strcmp(argv[I], "--expect-root") && I + 1 < argc) {
-      ExpectRoot = std::atof(argv[++I]);
+  ArgParser P{"fig7_solver", argc, argv};
+  while (!P.done()) {
+    if (P.valueFlag("--json", JsonPath) || P.valueFlag("--only", Only))
+      continue;
+    if (P.realFlag("--expect-root", ExpectRoot, "a finite number",
+                   [](double X) { return std::isfinite(X); }))
       HaveExpectRoot = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: fig7_solver [--json <path>] "
-                   "[--only <AES|Kasumi|NAT>] [--expect-root <objective>]\n");
-      return 2;
-    }
+    else
+      P.fail("unknown option '%s'", P.current());
+  }
+  if (P.Failed) {
+    std::fprintf(stderr,
+                 "usage: fig7_solver [--json <path>] "
+                 "[--only <AES|Kasumi|NAT>] [--expect-root <objective>]\n");
+    return 2;
   }
 
   std::printf("Figure 7: solver statistics\n");
@@ -60,7 +60,7 @@ int main(int argc, char **argv) {
 
   std::vector<bench::SolverRun> Runs;
   for (const char *Name : {"AES", "Kasumi", "NAT"}) {
-    if (Only && std::strcmp(Name, Only))
+    if (!Only.empty() && Only != Name)
       continue;
     auto C = bench::compileApp(Name);
     if (!C->Ok)

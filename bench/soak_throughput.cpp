@@ -22,10 +22,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "soak/Soak.h"
+#include "support/ArgParser.h"
 #include "support/Json.h"
 #include "support/Timer.h"
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -36,23 +36,23 @@ int main(int argc, char **argv) {
   uint64_t Packets = 50'000;
   uint64_t Seed = 42;
   std::string JsonPath = "BENCH_soak_throughput.json";
-  for (int I = 1; I < argc; ++I) {
-    auto want = [&](const char *Flag) {
-      return std::strcmp(argv[I], Flag) == 0 && I + 1 < argc;
-    };
-    if (want("--app"))
-      App = argv[++I];
-    else if (want("--packets"))
-      Packets = std::strtoull(argv[++I], nullptr, 10);
-    else if (want("--seed"))
-      Seed = std::strtoull(argv[++I], nullptr, 10);
-    else if (want("--json"))
-      JsonPath = argv[++I];
-    else {
-      std::fprintf(stderr, "usage: soak_throughput [--app name] "
-                           "[--packets n] [--seed s] [--json file]\n");
-      return 2;
-    }
+  ArgParser P{"soak_throughput", argc, argv};
+  while (!P.done()) {
+    std::string V;
+    if (P.intFlag("--packets", Packets, "a positive integer", 1) ||
+        P.intFlag("--seed", Seed, "an integer"))
+      continue;
+    if (P.valueFlag("--app", V))
+      App = V;
+    else if (P.valueFlag("--json", V))
+      JsonPath = V;
+    else
+      P.fail("unknown option '%s'", P.current());
+  }
+  if (P.Failed) {
+    std::fprintf(stderr, "usage: soak_throughput [--app name] "
+                         "[--packets n] [--seed s] [--json file]\n");
+    return 2;
   }
 
   std::string Error;

@@ -93,6 +93,21 @@ timeout 120 "$BUILD/bench/fig7_solver" --only NAT \
   --json "$BUILD/BENCH_smoke.json" --expect-root 2.2381627
 json_ok "$BUILD/BENCH_smoke.json"
 
+# Bench flags are parsed strictly (support/ArgParser.h): a malformed
+# number is a usage error before any work, never a silent zero, and no
+# BENCH file is written.
+echo "== bench flag parsing (malformed --packets must be rejected) =="
+FLAG_DIR="$ODD_DIR/flags"
+mkdir "$FLAG_DIR"
+BENCH_RC=0
+(cd "$FLAG_DIR" && "$BUILD/bench/chip_scaling" --packets abc) \
+  > /dev/null 2>&1 || BENCH_RC=$?
+if [ "$BENCH_RC" -eq 0 ] || [ -n "$(ls -A "$FLAG_DIR")" ]; then
+  echo "bench flag check FAILED: chip_scaling --packets abc exited" \
+       "$BENCH_RC and left: $(ls -A "$FLAG_DIR")" >&2
+  exit 1
+fi
+
 # Adversarial soak smoke: fixed seed, all three apps, the differential
 # oracle (allocated vs functional vs CPS evaluator) on every packet. Any
 # divergence exits 1 and fails the run. Time-boxed well above the ~10s
@@ -299,9 +314,14 @@ cmake -B "$SAN_BUILD" -S "$ROOT" \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
 cmake --build "$SAN_BUILD" -j"$JOBS" --target degradation_test support_test \
   chip_fault_test checkpoint_test event_queue_test alloc_test \
-  ilp_simplex_test ilp_mip_test fastpath_test chip_test
+  ilp_simplex_test ilp_mip_test fastpath_test chip_test cps_test
 timeout 900 "$SAN_BUILD/tests/degradation_test"
 timeout 120 "$SAN_BUILD/tests/support_test"
+# The CPS evaluator's frames are reference counted and recycled per
+# scope, and its slots are indexed through the static resolution: the
+# leak checker covers frame lifetimes (closures captured by live
+# activations, Fix frames) and ASan the slot indexing.
+timeout 300 "$SAN_BUILD/tests/cps_test"
 # The LU keeps its active-submatrix workspace across rebuilds, finds
 # pivot-row entries through position hints, and walks step bitmaps and
 # the L-step list in the solves: index arithmetic that must stay in
@@ -309,8 +329,7 @@ timeout 120 "$SAN_BUILD/tests/support_test"
 timeout 300 "$SAN_BUILD/tests/ilp_simplex_test"
 timeout 600 "$SAN_BUILD/tests/ilp_mip_test"
 # Register assignment buckets stays by residency key and walks adjacency
-# lists: index arithmetic that must stay in bounds on every program. The
-# leak checker also covers the CPS oracle's closure frames here.
+# lists: index arithmetic that must stay in bounds on every program.
 timeout 900 "$SAN_BUILD/tests/alloc_test"
 # The event wheel's bucket lists, free list, and overflow migration are
 # index arithmetic over pooled nodes: out-of-bounds or stale-node reuse

@@ -306,7 +306,7 @@ fun main(pkt : word, outp : word) {
 
 namespace {
 
-template <typename MapT> void loadAesInto(MapT &Sram) {
+void loadAesInto(WordMap &Sram) {
   const auto &Te = ref::Aes128::tables();
   for (unsigned T = 0; T != 4; ++T)
     for (unsigned I = 0; I != 256; ++I)
@@ -318,8 +318,7 @@ template <typename MapT> void loadAesInto(MapT &Sram) {
     Sram[MemoryMap::RoundKeys + I] = Aes.roundKeys()[I];
 }
 
-template <typename SramT, typename ScratchT>
-void loadKasumiInto(SramT &Sram, ScratchT &Scratch) {
+void loadKasumiInto(WordMap &Sram, WordMap &Scratch) {
   for (unsigned I = 0; I != 512; ++I)
     Sram[MemoryMap::S9 + I] = ref::Kasumi::s9()[I];
   for (unsigned I = 0; I != 128; ++I)

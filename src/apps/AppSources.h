@@ -75,11 +75,9 @@ void loadKasumiEnvironment(cps::EvalMemory &Mem);
 
 /// Builds an input packet in SDRAM at \p Addr: \p Payload words preceded
 /// by nothing (the apps read payload directly). Word I lands at Addr + I
-/// with uint32 wraparound. Templated so it writes the simulator's
-/// sim::WordMap and the CPS evaluator's std::map image alike.
-template <typename SdramT>
-void storePacket(SdramT &Sdram, uint32_t Addr,
-                 const std::vector<uint32_t> &Words) {
+/// with uint32 wraparound.
+inline void storePacket(WordMap &Sdram, uint32_t Addr,
+                        const std::vector<uint32_t> &Words) {
   for (unsigned I = 0; I != Words.size(); ++I)
     Sdram[Addr + I] = Words[I];
 }

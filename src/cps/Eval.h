@@ -17,26 +17,28 @@
 #define CPS_EVAL_H
 
 #include "cps/Ir.h"
+#include "support/WordMap.h"
 
 #include <cassert>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 namespace nova {
 namespace cps {
 
-/// Word-addressed memories of the evaluation environment.
+/// Word-addressed memories of the evaluation environment, in the same
+/// paged store as sim::Memory so final images compare entry-for-entry
+/// and a table image is copied page by page.
 struct EvalMemory {
-  std::map<uint32_t, uint32_t> Sram;
-  std::map<uint32_t, uint32_t> Sdram;
-  std::map<uint32_t, uint32_t> Scratch;
+  WordMap Sram;
+  WordMap Sdram;
+  WordMap Scratch;
 
-  /// The backing map for \p S, or nullptr on an out-of-enum space — the
+  /// The backing store for \p S, or nullptr on an out-of-enum space — the
   /// evaluator reports that as an error rather than silently coercing to
   /// SRAM (mirrors sim::Memory::space; asserts in debug builds).
-  std::map<uint32_t, uint32_t> *space(MemSpace S) {
+  WordMap *space(MemSpace S) {
     switch (S) {
     case MemSpace::Sram:    return &Sram;
     case MemSpace::Sdram:   return &Sdram;
@@ -48,10 +50,7 @@ struct EvalMemory {
 
   /// Non-inserting read (absent words are 0), matching sim::Memory::load
   /// so a differential comparison of final images sees identical maps.
-  static uint32_t load(const std::map<uint32_t, uint32_t> &M, uint32_t A) {
-    auto It = M.find(A);
-    return It == M.end() ? 0 : It->second;
-  }
+  static uint32_t load(const WordMap &M, uint32_t A) { return M.get(A); }
 };
 
 struct EvalResult {

@@ -11,7 +11,7 @@ using namespace nova;
 using namespace nova::fastpath;
 
 BatchMemory::BatchMemory(const sim::Memory &Base) : Lim(Base.Limits) {
-  const sim::WordMap *Maps[3] = {&Base.Sram, &Base.Sdram, &Base.Scratch};
+  const WordMap *Maps[3] = {&Base.Sram, &Base.Sdram, &Base.Scratch};
   for (unsigned I = 0; I != 3; ++I) {
     Spc &P = Spaces[I];
     P.Bound = Lim.words(static_cast<MemSpace>(I));

@@ -38,8 +38,8 @@
 #include "alloc/Allocated.h"
 #include "ixp/MachineIr.h"
 #include "ixp/MachineParams.h"
-#include "sim/WordMap.h"
 #include "support/Status.h"
+#include "support/WordMap.h"
 
 #include <cassert>
 #include <cstdint>
@@ -90,12 +90,12 @@ struct MemLimits {
   }
 };
 
-/// Word-addressed memories (shared observable semantics with
-/// cps::EvalMemory's sparse maps), plus the address limits the runtime
-/// enforces. The images stay sparse; bounded addresses plus the
-/// instruction watchdog bound their growth per run. Backed by WordMap so
-/// the per-word load/store on the simulator and chip hot paths is O(1)
-/// instead of a red-black-tree walk.
+/// Word-addressed memories (the same WordMap images as cps::EvalMemory,
+/// so final images compare entry-for-entry), plus the address limits the
+/// runtime enforces. The images stay sparse; bounded addresses plus the
+/// instruction watchdog bound their growth per run. WordMap makes the
+/// per-word load/store on the simulator and chip hot paths O(1) instead
+/// of a red-black-tree walk.
 struct Memory {
   WordMap Sram;
   WordMap Sdram;

@@ -95,9 +95,9 @@ bool AppHarness::isAppReject(const std::vector<uint32_t> &Halt) const {
 namespace {
 
 /// First difference between two final memory images, or true when equal.
-/// Templated over the image type: the simulator's sim::WordMap and the
-/// CPS evaluator's std::map iterate the same ascending (address, value)
-/// sequence.
+/// Templated over the image type: WordMap (the simulators' and the CPS
+/// evaluator's memories) and fastpath::BatchMemory's image iterate the
+/// same ascending (address, value) sequence.
 template <typename ImgA, typename ImgB>
 bool sameImage(const ImgA &A, const ImgB &B, const char *AName,
                const char *BName, std::string &Why,
@@ -140,12 +140,6 @@ bool sameHalts(const std::vector<uint32_t> &A, const std::vector<uint32_t> &B,
   return true;
 }
 
-template <typename SdramT>
-void storeWords(SdramT &Sdram, uint32_t Addr,
-                const std::vector<uint32_t> &Words) {
-  apps::storePacket(Sdram, Addr, Words);
-}
-
 PacketOutcome runPacketInner(const AppHarness &App, const SoakPacket &P,
                              const SoakOptions &Opts, bool WithOracle,
                              sim::Memory &MA) {
@@ -159,10 +153,14 @@ PacketOutcome runPacketInner(const AppHarness &App, const SoakPacket &P,
   RO.Lat = Opts.Lat;
   RO.MaxInstructions = Opts.Budget;
 
-  storeWords(MA.Sdram, P.Args.empty() ? 0 : P.Args[0], P.Words);
+  apps::storePacket(MA.Sdram, P.Args.empty() ? 0 : P.Args[0], P.Words);
   O.Alloc = sim::runAllocated(App.compiled().Alloc.Prog, P.Args, MA, RO);
   O.AppReject = O.Alloc.Ok && App.isAppReject(O.Alloc.HaltValues);
   if (!WithOracle)
+    return O;
+  // Watchdog exhaustion is mode-specific by design (the budgets differ),
+  // so a watchdog drop is not compared and the oracle runs are skipped.
+  if (!O.Alloc.Ok && O.Alloc.Trap == sim::TrapKind::Watchdog)
     return O;
 
   // Functional oracle: same machine semantics over virtual temporaries.
@@ -171,18 +169,15 @@ PacketOutcome runPacketInner(const AppHarness &App, const SoakPacket &P,
   sim::RunOptions RF = RO;
   RF.MaxInstructions = Opts.Budget * 4;
   sim::Memory MF = App.baseSim();
-  storeWords(MF.Sdram, P.Args.empty() ? 0 : P.Args[0], P.Words);
+  apps::storePacket(MF.Sdram, P.Args.empty() ? 0 : P.Args[0], P.Words);
   sim::RunResult F =
       sim::runFunctional(App.compiled().Machine, P.Args, MF, RF);
 
   std::string Why;
   if (!O.Alloc.Ok) {
-    // Drop path. Watchdog exhaustion is mode-specific by design (the
-    // budgets differ); every other trap must strike functionally too,
-    // with the same kind — a bit flip that redirects an address shows
-    // up right here.
-    if (O.Alloc.Trap == sim::TrapKind::Watchdog)
-      return O;
+    // Drop path: every trap but the watchdog must strike functionally
+    // too, with the same kind — a bit flip that redirects an address
+    // shows up right here.
     if (F.Ok) {
       O.Diverged = true;
       O.What = formatf("allocated trapped (%s) but functional delivered",
@@ -222,7 +217,7 @@ PacketOutcome runPacketInner(const AppHarness &App, const SoakPacket &P,
   unsigned MaxSteps = static_cast<unsigned>(
       std::min<uint64_t>(Steps64, UINT_MAX));
   cps::EvalMemory ME = App.baseEval();
-  storeWords(ME.Sdram, P.Args.empty() ? 0 : P.Args[0], P.Words);
+  apps::storePacket(ME.Sdram, P.Args.empty() ? 0 : P.Args[0], P.Words);
   cps::EvalResult E =
       cps::evaluate(App.compiled().Cps, P.Args, ME, MaxSteps);
   if (!E.Ok) {
@@ -297,7 +292,7 @@ bool fastMatches(const sim::RunResult &FR, const fastpath::BatchMemory &BM,
   if (!sameHalts(FR.HaltValues, IR.HaltValues, "fastpath", "interpreter",
                  Why))
     return false;
-  const sim::WordMap *IM[3] = {&O.AllocMem.Sram, &O.AllocMem.Sdram,
+  const WordMap *IM[3] = {&O.AllocMem.Sram, &O.AllocMem.Sdram,
                                &O.AllocMem.Scratch};
   static const char *const SpaceNames[3] = {"sram", "sdram", "scratch"};
   for (unsigned S = 0; S != 3; ++S)

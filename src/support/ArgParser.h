@@ -72,19 +72,26 @@ struct ArgParser {
     return true;
   }
 
-  /// valueFlag() for a positive number of seconds.
-  bool secondsFlag(const char *Name, double &Out) {
+  /// valueFlag() for a real number that \p Ok accepts; any other value
+  /// fails the parse with "<Name> expects <What>, got '<value>'".
+  bool realFlag(const char *Name, double &Out, const char *What,
+                bool (*Ok)(double)) {
     std::string V;
     if (!valueFlag(Name, V))
       return false;
     char *End = nullptr;
-    double S = std::strtod(V.c_str(), &End);
-    if (!Failed && (End == V.c_str() || *End != '\0' || !(S > 0.0)))
-      fail("%s expects a positive number of seconds, got '%s'", Name,
-           V.c_str());
+    double X = std::strtod(V.c_str(), &End);
+    if (!Failed && (End == V.c_str() || *End != '\0' || !Ok(X)))
+      fail("%s expects %s, got '%s'", Name, What, V.c_str());
     else if (!Failed)
-      Out = S;
+      Out = X;
     return true;
+  }
+
+  /// valueFlag() for a positive number of seconds.
+  bool secondsFlag(const char *Name, double &Out) {
+    return realFlag(Name, Out, "a positive number of seconds",
+                    [](double S) { return S > 0.0; });
   }
 
   /// True (and consumed) when the current argument is exactly \p Name.

@@ -6,11 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The backing store for sim::Memory's three address spaces. The previous
-/// representation was std::map<uint32_t, uint32_t>, which put an O(log n)
-/// red-black-tree walk (plus a node allocation per first store) on every
-/// word a packet touches — the dominant cost of both the interpreter and
-/// the chip model once the fast path removed dispatch overhead.
+/// The backing store for the three address spaces of sim::Memory and of
+/// cps::EvalMemory. The previous representation was
+/// std::map<uint32_t, uint32_t>, which put an O(log n) red-black-tree walk
+/// (plus a node allocation per first store) on every word a packet
+/// touches — the dominant cost of the interpreter, the chip model and the
+/// CPS reference evaluator alike, and a node-by-node copy of every table
+/// image each packet starts from.
 ///
 /// WordMap keeps the map's observable semantics but backs the low 2^24
 /// words with lazily allocated 4096-word pages plus a presence bitmap, so
@@ -20,14 +22,14 @@
 ///    std::map::operator[]; get() reads without inserting (the
 ///    interpreter's non-inserting load);
 ///  - presence is tracked per word, so an image still compares and
-///    iterates entry-for-entry against the sparse map a differential
-///    oracle builds (stored zeros included, untouched words absent);
+///    iterates entry-for-entry against any other image of the same stores
+///    (stored zeros included, untouched words absent);
 ///  - addresses at or above 2^24 — the adversarial generator aims DMA
 ///    near address-space edges, far beyond any configured space bound —
 ///    fall back to a std::map overflow so the page table stays <= 4096
-///    slots. Every space limit (MemLimits) is <= 2^24 words, so program
-///    accesses out there always range-trap; only setup stores land in
-///    the overflow.
+///    slots. Every space limit (sim::MemLimits) is <= 2^24 words, so
+///    program accesses out there always range-trap; only setup stores
+///    land in the overflow.
 ///
 /// Iteration yields (address, value) pairs in ascending address order:
 /// dense pages first, then the overflow, whose addresses are all larger
@@ -35,8 +37,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef SIM_WORDMAP_H
-#define SIM_WORDMAP_H
+#ifndef SUPPORT_WORDMAP_H
+#define SUPPORT_WORDMAP_H
 
 #include "support/BinIO.h"
 
@@ -49,7 +51,6 @@
 #include <vector>
 
 namespace nova {
-namespace sim {
 
 class WordMap {
   static constexpr unsigned PageShift = 12; ///< 4096 words = 16 KB pages
@@ -78,13 +79,6 @@ public:
     for (size_t I = 0; I != O.Pages.size(); ++I)
       if (O.Pages[I])
         Pages[I] = std::make_unique<Page>(*O.Pages[I]);
-    return *this;
-  }
-
-  WordMap &operator=(const std::map<uint32_t, uint32_t> &M) {
-    clear();
-    for (const auto &[A, V] : M)
-      (*this)[A] = V;
     return *this;
   }
 
@@ -315,7 +309,6 @@ inline bool operator!=(const std::map<uint32_t, uint32_t> &A, const WordMap &B) 
   return !sameWords(A, B);
 }
 
-} // namespace sim
 } // namespace nova
 
-#endif // SIM_WORDMAP_H
+#endif // SUPPORT_WORDMAP_H

@@ -296,6 +296,258 @@ TEST(CpsEval, BitTestSet) {
 }
 
 //===----------------------------------------------------------------------===//
+// Hand-built IR: the evaluator's error paths and closure semantics
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Builders for hand-written CPS: each returns the new node so a test can
+/// chain it (`A->Cont = B`).
+Exp *primExp(CpsProgram &P, PrimOp Op, ValueId R, Atom A, Atom B) {
+  Exp *E = P.newExp(ExpKind::Prim);
+  E->Prim = Op;
+  E->Args = {A, B};
+  E->Results = {R};
+  return E;
+}
+
+Exp *haltExp(CpsProgram &P, std::vector<Atom> Args) {
+  Exp *E = P.newExp(ExpKind::Halt);
+  E->Args = std::move(Args);
+  return E;
+}
+
+Exp *appExp(CpsProgram &P, Atom Callee, std::vector<Atom> Args) {
+  Exp *E = P.newExp(ExpKind::App);
+  E->Callee = Callee;
+  E->Args = std::move(Args);
+  return E;
+}
+
+Exp *fixExp(CpsProgram &P, std::vector<FuncId> Funcs, Exp *Cont) {
+  Exp *E = P.newExp(ExpKind::Fix);
+  E->FixFuncs = std::move(Funcs);
+  E->Cont = Cont;
+  return E;
+}
+
+/// A function with fresh parameters; the body is set by the caller.
+FuncId defineFunc(CpsProgram &P, const char *Name, unsigned Arity,
+                  FuncKind Kind = FuncKind::UserFun) {
+  FuncId F = P.newFunction(Name, Kind);
+  for (unsigned I = 0; I != Arity; ++I)
+    P.func(F).Params.push_back(P.newValue());
+  return F;
+}
+
+Atom param(const CpsProgram &P, FuncId F, unsigned I) {
+  return Atom::temp(P.func(F).Params[I]);
+}
+
+/// main(x) { <Body> } as the program entry.
+FuncId defineMain(CpsProgram &P) {
+  FuncId Main = defineFunc(P, "main", 1);
+  P.Entry = Main;
+  return Main;
+}
+
+EvalResult run(const CpsProgram &P, std::vector<uint32_t> Args,
+               unsigned MaxSteps = 1'000'000) {
+  EvalMemory Mem;
+  return evaluate(P, Args, Mem, MaxSteps);
+}
+
+} // namespace
+
+TEST(CpsEvalErrors, UnboundValue) {
+  CpsProgram P;
+  FuncId Main = defineMain(P);
+  ValueId Late = P.newValue();
+  ValueId Y = P.newValue();
+  // y = late + 1 reads `late` before its binding in the same scope.
+  Exp *E = primExp(P, PrimOp::Add, Y, Atom::temp(Late), Atom::constant(1));
+  E->Cont = primExp(P, PrimOp::Add, Late, param(P, Main, 0),
+                    Atom::constant(1));
+  E->Cont->Cont = haltExp(P, {Atom::temp(Y)});
+  P.func(Main).Body = E;
+  EvalResult R = run(P, {5});
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "use of unbound value v" + std::to_string(Late));
+
+  // A value bound by another function is not in scope here.
+  CpsProgram Q;
+  FuncId QMain = defineMain(Q);
+  FuncId Other = defineFunc(Q, "other", 1);
+  Q.func(Other).Body = haltExp(Q, {param(Q, Other, 0)});
+  Q.func(QMain).Body = haltExp(Q, {param(Q, Other, 0)});
+  R = run(Q, {5});
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "use of unbound value v" +
+                         std::to_string(Q.func(Other).Params[0]));
+}
+
+TEST(CpsEvalErrors, ArityMismatch) {
+  CpsProgram P;
+  FuncId Main = defineMain(P);
+  FuncId F = defineFunc(P, "pair", 2);
+  P.func(F).Body = haltExp(P, {param(P, F, 0)});
+  P.func(Main).Body =
+      fixExp(P, {F}, appExp(P, Atom::label(F), {param(P, Main, 0)}));
+  EvalResult R = run(P, {5});
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "arity mismatch jumping to f1_pair");
+}
+
+TEST(CpsEvalErrors, DeadFunction) {
+  CpsProgram P;
+  FuncId Main = defineMain(P);
+  FuncId Dead = defineFunc(P, "gone", 1); // no body
+  P.func(Main).Body = appExp(P, Atom::label(Dead), {param(P, Main, 0)});
+  EvalResult R = run(P, {5});
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "jump to dead function f1_gone");
+}
+
+TEST(CpsEvalErrors, IndirectJumpToNonLabel) {
+  CpsProgram P;
+  FuncId Main = defineMain(P);
+  P.func(Main).Body = appExp(P, param(P, Main, 0), {Atom::constant(1)});
+  EvalResult R = run(P, {5});
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "indirect jump to a non-label value");
+}
+
+TEST(CpsEvalErrors, StepLimit) {
+  CpsProgram P;
+  FuncId Main = defineMain(P);
+  FuncId Loop = defineFunc(P, "spin", 1, FuncKind::Loop);
+  P.func(Loop).Body = appExp(P, Atom::label(Loop), {param(P, Loop, 0)});
+  P.func(Main).Body =
+      fixExp(P, {Loop}, appExp(P, Atom::label(Loop), {param(P, Main, 0)}));
+  EvalResult R = run(P, {5}, /*MaxSteps=*/100);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "step limit exceeded (diverging program?)");
+  EXPECT_EQ(R.Steps, 101u);
+}
+
+TEST(CpsEvalErrors, InvalidSpace) {
+  const MemSpace Bad = static_cast<MemSpace>(7);
+  const struct {
+    ExpKind Kind;
+    const char *Error;
+  } Cases[] = {
+      {ExpKind::MemRead, "memory read from an invalid space"},
+      {ExpKind::MemWrite, "memory write to an invalid space"},
+      {ExpKind::BitTestSet, "bit-test-set in an invalid space"},
+  };
+  for (const auto &C : Cases) {
+    CpsProgram P;
+    FuncId Main = defineMain(P);
+    Exp *E = P.newExp(C.Kind);
+    E->Space = Bad;
+    E->Args = {param(P, Main, 0), Atom::constant(1)};
+    if (C.Kind != ExpKind::MemWrite)
+      E->Results = {P.newValue()};
+    E->Cont = haltExp(P, {});
+    P.func(Main).Body = E;
+    // EvalMemory::space asserts on an invalid space in debug builds.
+    EvalResult R;
+    EXPECT_DEBUG_DEATH(R = run(P, {5}), "invalid MemSpace");
+#ifdef NDEBUG
+    EXPECT_FALSE(R.Ok);
+    EXPECT_EQ(R.Error, C.Error);
+#endif
+  }
+}
+
+TEST(CpsEvalErrors, FellOffTheEnd) {
+  CpsProgram P;
+  FuncId Main = defineMain(P);
+  P.func(Main).Body = primExp(P, PrimOp::Add, P.newValue(),
+                              param(P, Main, 0), Atom::constant(1));
+  EvalResult R = run(P, {5});
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "fell off the end of an expression chain");
+
+  // An entry without a body falls off at once.
+  CpsProgram Q;
+  defineMain(Q);
+  R = run(Q, {5});
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "fell off the end of an expression chain");
+}
+
+TEST(CpsEvalErrors, EntryArityAndMissingEntry) {
+  CpsProgram P;
+  FuncId Main = defineMain(P);
+  P.func(Main).Body = haltExp(P, {param(P, Main, 0)});
+  EvalResult R = run(P, {1, 2});
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "entry takes 1 args, got 2");
+
+  CpsProgram Q;
+  R = run(Q, {});
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "program has no entry");
+}
+
+TEST(CpsEval, ClosureHeldByItsOwnFrame) {
+  // main(x) { fix f(a) { halt(a) } in (c) = clone &f; jump c(x) }: the
+  // clone stores a closure over the Fix frame into that same frame. The
+  // program must run, and the frame must still be freed afterwards (the
+  // sanitizer build's leak checker runs this test).
+  CpsProgram P;
+  FuncId Main = defineMain(P);
+  FuncId F = defineFunc(P, "f", 1);
+  P.func(F).Body = haltExp(P, {param(P, F, 0)});
+  ValueId C = P.newValue();
+  Exp *Clone = P.newExp(ExpKind::Clone);
+  Clone->Args = {Atom::label(F)};
+  Clone->Results = {C};
+  Clone->Cont = appExp(P, Atom::temp(C), {param(P, Main, 0)});
+  P.func(Main).Body = fixExp(P, {F}, Clone);
+  EvalResult R = run(P, {42});
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.HaltValues, std::vector<uint32_t>{42});
+}
+
+TEST(CpsEval, LiveActivationsCaptureTheirOwnValues) {
+  // mk(x, k) { fix get(r) { jump r(x) } in jump k(&get) } hands back a
+  // closure over its own x. Two activations of mk stay live at once, and
+  // each closure must answer with the x of the activation that made it:
+  //   mk(1, k1); k1(g1) = mk(2, k2); k2(g2) = g1(k3);
+  //   k3(a) = g2(k4); k4(b) = halt(a, b)            =>  halt(1, 2)
+  CpsProgram P;
+  FuncId Main = P.newFunction("main", FuncKind::UserFun);
+  P.Entry = Main;
+  FuncId Mk = defineFunc(P, "mk", 2);
+  FuncId Get = defineFunc(P, "get", 1, FuncKind::ReturnPt);
+  P.func(Get).Body = appExp(P, param(P, Get, 0), {param(P, Mk, 0)});
+  P.func(Mk).Body = fixExp(
+      P, {Get}, appExp(P, param(P, Mk, 1), {Atom::label(Get)}));
+
+  FuncId K1 = defineFunc(P, "k1", 1, FuncKind::ReturnPt);
+  FuncId K2 = defineFunc(P, "k2", 1, FuncKind::ReturnPt);
+  FuncId K3 = defineFunc(P, "k3", 1, FuncKind::ReturnPt);
+  FuncId K4 = defineFunc(P, "k4", 1, FuncKind::ReturnPt);
+  P.func(K4).Body = haltExp(P, {param(P, K3, 0), param(P, K4, 0)});
+  P.func(K3).Body =
+      fixExp(P, {K4}, appExp(P, param(P, K2, 0), {Atom::label(K4)}));
+  P.func(K2).Body =
+      fixExp(P, {K3}, appExp(P, param(P, K1, 0), {Atom::label(K3)}));
+  P.func(K1).Body = fixExp(
+      P, {K2},
+      appExp(P, Atom::label(Mk), {Atom::constant(2), Atom::label(K2)}));
+  P.func(Main).Body = fixExp(
+      P, {K1},
+      appExp(P, Atom::label(Mk), {Atom::constant(1), Atom::label(K1)}));
+
+  EvalResult R = run(P, {});
+  ASSERT_TRUE(R.Ok) << R.Error << "\n" << P.print();
+  EXPECT_EQ(R.HaltValues, (std::vector<uint32_t>{1, 2}));
+}
+
+//===----------------------------------------------------------------------===//
 // Optimizer-specific structure checks
 //===----------------------------------------------------------------------===//
 

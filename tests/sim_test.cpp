@@ -6,12 +6,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "sim/Simulator.h"
-#include "sim/WordMap.h"
 
 #include <gtest/gtest.h>
-
-#include <map>
-#include <random>
 
 using namespace nova;
 using namespace nova::alloc;
@@ -161,89 +157,4 @@ TEST(FunctionalSim, ArgumentCountChecked) {
   sim::Memory Mem;
   EXPECT_FALSE(sim::runFunctional(M, {}, Mem).Ok);
   EXPECT_TRUE(sim::runFunctional(M, {1}, Mem).Ok);
-}
-
-namespace {
-
-/// Reference semantics of WordMap::eraseRange on a std::map.
-void eraseRef(std::map<uint32_t, uint32_t> &M, uint32_t Lo, uint64_t Hi) {
-  for (auto It = M.lower_bound(Lo); It != M.end() && It->first < Hi;)
-    It = M.erase(It);
-}
-
-/// Erases [Lo, Hi) from both stores and requires identical contents.
-void eraseBoth(sim::WordMap &W, std::map<uint32_t, uint32_t> &M, uint32_t Lo,
-               uint64_t Hi) {
-  W.eraseRange(Lo, Hi);
-  eraseRef(M, Lo, Hi);
-  ASSERT_EQ(W.size(), M.size()) << "erase [" << Lo << ", " << Hi << ")";
-  ASSERT_TRUE(W == M) << "erase [" << Lo << ", " << Hi << ")";
-}
-
-/// Pages 0, 2, 3 and the last dense page populated (page 1 absent), a
-/// few overflow words above 2^24, and the top of the address space.
-void populate(sim::WordMap &W, std::map<uint32_t, uint32_t> &M,
-              std::mt19937 &Rng) {
-  auto Put = [&](uint32_t A) {
-    uint32_t V = static_cast<uint32_t>(Rng());
-    W[A] = V;
-    M[A] = V;
-  };
-  for (uint32_t Page : {0u, 2u, 3u, 4095u})
-    for (unsigned I = 0; I != 600; ++I)
-      Put(Page * 4096 + Rng() % 4096);
-  for (uint32_t A = 0; A != 200; ++A)
-    Put(A); // a dense run straddling several bitmap words
-  for (uint32_t A : {1u << 24, (1u << 24) + 1, (1u << 24) + 4096, 0x7FFFFFFFu,
-                     0xFFFFFFFEu, 0xFFFFFFFFu})
-    Put(A);
-}
-
-} // namespace
-
-TEST(WordMap, EraseRangeMatchesMapReference) {
-  std::mt19937 Rng(7);
-  sim::WordMap W;
-  std::map<uint32_t, uint32_t> M;
-  populate(W, M, Rng);
-  ASSERT_TRUE(W == M);
-
-  eraseBoth(W, M, 5, 5);           // empty range
-  eraseBoth(W, M, 9, 3);           // inverted range is a no-op
-  eraseBoth(W, M, 3, 67);          // unaligned, inside one page, 2 words
-  eraseBoth(W, M, 64, 128);        // exactly one bitmap word
-  eraseBoth(W, M, 130, 131);       // a single word
-  eraseBoth(W, M, 4000, 3 * 4096 + 17); // spans absent page 1
-  eraseBoth(W, M, 0xFFF000 + 5, (1u << 24) + 2); // crosses dense/overflow
-  eraseBoth(W, M, 0x7FFFFFF0u, 1ull << 33);      // Hi above 2^32
-  EXPECT_FALSE(W.contains(0xFFFFFFFFu));
-
-  // Re-inserted words come back as zero-valued entries, like std::map.
-  W[70] = W[70];
-  M[70] = M[70];
-  EXPECT_TRUE(W == M);
-  EXPECT_EQ(W.get(70), 0u);
-}
-
-TEST(WordMap, RandomEraseRangesMatchMapReference) {
-  std::mt19937 Rng(11);
-  sim::WordMap W;
-  std::map<uint32_t, uint32_t> M;
-  for (unsigned Round = 0; Round != 60; ++Round) {
-    populate(W, M, Rng);
-    // Endpoints biased toward page, word, and space boundaries.
-    auto Point = [&]() -> uint64_t {
-      static const uint64_t Anchors[] = {0,       64,      4096,  3 * 4096,
-                                         1u << 24, 0xFFF000, 1ull << 32};
-      uint64_t A = Anchors[Rng() % 7];
-      int64_t Jitter = static_cast<int64_t>(Rng() % 300) - 150;
-      int64_t P = static_cast<int64_t>(A) + Jitter;
-      return P < 0 ? 0 : static_cast<uint64_t>(P);
-    };
-    uint64_t Lo = std::min<uint64_t>(Point(), 0xFFFFFFFFu);
-    uint64_t Hi = Point();
-    if (Rng() % 8 == 0)
-      Hi = 1ull << 33;
-    eraseBoth(W, M, static_cast<uint32_t>(Lo), Hi);
-  }
 }

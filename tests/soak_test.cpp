@@ -462,6 +462,40 @@ TEST(SoakCorpus, AccountingIsReproducible) {
   EXPECT_EQ(A.Stats.TotalCycles, B.Stats.TotalCycles);
 }
 
+TEST(SoakOracle, WatchdogPacketOutcomeIsPinned) {
+  // Packet 5 of NAT's seed-7 stream runs the allocated code into the
+  // watchdog. A watchdog drop is not compared against the oracles (their
+  // budgets differ by design), so its outcome is the allocated run alone,
+  // whether or not the oracle is on.
+  soak::AppHarness &Nat = harness("nat");
+  soak::SoakOptions Opts;
+  Opts.Seed = 7;
+  soak::PacketTemplateCache Tmpl;
+  soak::SoakPacket P;
+  Nat.generateInto(5, Opts.Seed, Opts.Mix, Tmpl, P);
+  soak::PacketOutcome O = soak::runPacket(Nat, P, Opts, /*WithOracle=*/true);
+  EXPECT_FALSE(O.Alloc.Ok);
+  EXPECT_EQ(O.Alloc.Trap, sim::TrapKind::Watchdog);
+  EXPECT_EQ(O.Alloc.Error.message(),
+            "watchdog: instruction budget of 50000 exhausted");
+  EXPECT_EQ(O.Alloc.Instructions, 50'001u);
+  EXPECT_EQ(O.Alloc.Cycles, 238'096u);
+  EXPECT_TRUE(O.Alloc.HaltValues.empty());
+  EXPECT_EQ(O.AllocMem.Sdram.size(), 5'888u);
+  EXPECT_FALSE(O.AppReject);
+  EXPECT_FALSE(O.Diverged);
+  EXPECT_FALSE(O.OracleBudgetMiss);
+  EXPECT_EQ(O.What, "");
+
+  soak::PacketOutcome Bare =
+      soak::runPacket(Nat, P, Opts, /*WithOracle=*/false);
+  EXPECT_EQ(Bare.Alloc.Instructions, O.Alloc.Instructions);
+  EXPECT_EQ(Bare.Alloc.Cycles, O.Alloc.Cycles);
+  EXPECT_TRUE(Bare.AllocMem.Sdram == O.AllocMem.Sdram);
+  EXPECT_FALSE(Bare.Diverged);
+  EXPECT_FALSE(Bare.OracleBudgetMiss);
+}
+
 TEST(SoakOracle, InjectedBitFlipIsCaughtAndShrunk) {
   // An ALU bit flip in allocated mode only: the differential oracle must
   // flag it, and the shrinker must hand back a reproducer that still
