@@ -90,16 +90,16 @@ int main(int argc, char **argv) {
   std::map<unsigned, uint64_t> InterpHash;
   std::map<unsigned, double> InterpWall;
   double OneMe = 0, SixMeRatio = 0;
-  for (chip::ExecModel Exec :
-       {chip::ExecModel::Interp, chip::ExecModel::Threaded}) {
-    bool Threaded = Exec == chip::ExecModel::Threaded;
+  for (sim::ExecMode Exec :
+       {sim::ExecMode::Interp, sim::ExecMode::Threaded}) {
+    bool Threaded = Exec == sim::ExecMode::Threaded;
     for (unsigned Mes : {1u, 2u, 4u, 6u}) {
       soak::ChipSoakOptions Opts;
       Opts.Base.Packets = Packets;
       Opts.Base.Seed = Seed;
       Opts.Base.OracleEvery = 0; // measured run; correctness lives in tests
+      Opts.Base.Exec = Exec;
       Opts.Chip.MP.MeCount = Mes;
-      Opts.Chip.Exec = Exec;
       Opts.Chip.Faults = Faults;
       soak::ChipSoakReport R = soak::runChipSoak(*H, Opts);
       if (!R.Setup.ok()) {
@@ -133,7 +133,7 @@ int main(int argc, char **argv) {
       std::printf(
           "%8s | %4u | %10llu %8.1f %8.3f | %10llu %10llu | %8u %8u | %5.2f "
           "| %7.1f %6.1f\n",
-          Threaded ? "threaded" : "interp", Mes,
+          sim::execModeName(Exec), Mes,
           (unsigned long long)R.Chip.FinalCycles, R.GoodputMbps,
           R.Base.WallSeconds, (unsigned long long)R.Chip.Sdram.StallCycles,
           (unsigned long long)R.Chip.Scratch.StallCycles, MaxInHw,

@@ -103,8 +103,8 @@ int main(int argc, char **argv) {
   // 1/10/100 match the EXPERIMENTS.md table. Interp at rate 0 is the
   // pure interpreter; threaded at rate 0 is the pure fast path.
   const uint64_t Rates[] = {0, 100, 10, 1};
-  for (soak::ExecMode Mode :
-       {soak::ExecMode::Interp, soak::ExecMode::Threaded}) {
+  for (sim::ExecMode Mode :
+       {sim::ExecMode::Interp, sim::ExecMode::Threaded}) {
     for (uint64_t Rate : Rates) {
       soak::SoakOptions Opts;
       Opts.Packets = Packets;
@@ -116,12 +116,12 @@ int main(int argc, char **argv) {
         std::fprintf(stderr,
                      "soak_throughput: %s rate %llu DIVERGED (packet %llu: "
                      "%s)\n",
-                     soak::execModeName(Mode), (unsigned long long)Rate,
+                     sim::execModeName(Mode), (unsigned long long)Rate,
                      (unsigned long long)R.First.Index, R.First.What.c_str());
         return 1;
       }
       std::printf("%9s | %11llu | %10.1f %9.3f | %10llu\n",
-                  soak::execModeName(Mode), (unsigned long long)Rate,
+                  sim::execModeName(Mode), (unsigned long long)Rate,
                   R.packetsPerSec(), R.WallSeconds,
                   (unsigned long long)R.OracleChecks);
       Json.object([&] { soak::reportFields(Json, R); });

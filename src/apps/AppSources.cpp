@@ -304,46 +304,30 @@ fun main(pkt : word, outp : word) {
 // Memory environments
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-void loadAesInto(WordMap &Sram) {
+void apps::loadAesEnvironment(MemImage &Mem) {
   const auto &Te = ref::Aes128::tables();
   for (unsigned T = 0; T != 4; ++T)
     for (unsigned I = 0; I != 256; ++I)
-      Sram[MemoryMap::Te0 + T * 0x100 + I] = Te[T][I];
+      Mem.Sram[MemoryMap::Te0 + T * 0x100 + I] = Te[T][I];
   for (unsigned I = 0; I != 256; ++I)
-    Sram[MemoryMap::Sbox + I] = ref::Aes128::sbox()[I];
+    Mem.Sram[MemoryMap::Sbox + I] = ref::Aes128::sbox()[I];
   ref::Aes128 Aes(aesKey());
   for (unsigned I = 0; I != 44; ++I)
-    Sram[MemoryMap::RoundKeys + I] = Aes.roundKeys()[I];
+    Mem.Sram[MemoryMap::RoundKeys + I] = Aes.roundKeys()[I];
 }
 
-void loadKasumiInto(WordMap &Sram, WordMap &Scratch) {
+void apps::loadKasumiEnvironment(MemImage &Mem) {
   for (unsigned I = 0; I != 512; ++I)
-    Sram[MemoryMap::S9 + I] = ref::Kasumi::s9()[I];
+    Mem.Sram[MemoryMap::S9 + I] = ref::Kasumi::s9()[I];
   for (unsigned I = 0; I != 128; ++I)
-    Scratch[MemoryMap::S7 + I] = ref::Kasumi::s7()[I];
+    Mem.Scratch[MemoryMap::S7 + I] = ref::Kasumi::s7()[I];
   ref::Kasumi K(kasumiKey());
   for (unsigned R = 0; R != 8; ++R) {
     const auto &Rk = K.roundKeys()[R];
     uint32_t Base = MemoryMap::SubKeys + 4 * R;
-    Scratch[Base + 0] = (static_cast<uint32_t>(Rk.KL1) << 16) | Rk.KL2;
-    Scratch[Base + 1] = (static_cast<uint32_t>(Rk.KO1) << 16) | Rk.KO2;
-    Scratch[Base + 2] = (static_cast<uint32_t>(Rk.KO3) << 16) | Rk.KI1;
-    Scratch[Base + 3] = (static_cast<uint32_t>(Rk.KI2) << 16) | Rk.KI3;
+    Mem.Scratch[Base + 0] = (static_cast<uint32_t>(Rk.KL1) << 16) | Rk.KL2;
+    Mem.Scratch[Base + 1] = (static_cast<uint32_t>(Rk.KO1) << 16) | Rk.KO2;
+    Mem.Scratch[Base + 2] = (static_cast<uint32_t>(Rk.KO3) << 16) | Rk.KI1;
+    Mem.Scratch[Base + 3] = (static_cast<uint32_t>(Rk.KI2) << 16) | Rk.KI3;
   }
-}
-
-} // namespace
-
-void apps::loadAesEnvironment(sim::Memory &Mem) { loadAesInto(Mem.Sram); }
-void apps::loadAesEnvironment(cps::EvalMemory &Mem) {
-  loadAesInto(Mem.Sram);
-}
-
-void apps::loadKasumiEnvironment(sim::Memory &Mem) {
-  loadKasumiInto(Mem.Sram, Mem.Scratch);
-}
-void apps::loadKasumiEnvironment(cps::EvalMemory &Mem) {
-  loadKasumiInto(Mem.Sram, Mem.Scratch);
 }

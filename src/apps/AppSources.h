@@ -65,13 +65,10 @@ std::string aesNovaSource();
 std::string kasumiNovaSource();
 std::string natNovaSource();
 
-/// Populates the table/key areas of a memory image.
-void loadAesEnvironment(sim::Memory &Mem);
-void loadKasumiEnvironment(sim::Memory &Mem);
-
-/// Same, for the CPS evaluator's memory.
-void loadAesEnvironment(cps::EvalMemory &Mem);
-void loadKasumiEnvironment(cps::EvalMemory &Mem);
+/// Populates the table/key areas of a memory image (the simulators'
+/// sim::Memory and the CPS evaluator's memory alike).
+void loadAesEnvironment(MemImage &Mem);
+void loadKasumiEnvironment(MemImage &Mem);
 
 /// Builds an input packet in SDRAM at \p Addr: \p Payload words preceded
 /// by nothing (the apps read payload directly). Word I lands at Addr + I

@@ -57,7 +57,7 @@ inline constexpr uint32_t FileVersion = 1;
 struct CheckpointMeta {
   std::string App;        ///< "aes" | "kasumi" | "nat"
   uint64_t Seed = 0;
-  uint8_t Exec = 0;       ///< soak::ExecMode as integer
+  uint8_t Exec = 0;       ///< sim::ExecMode as integer
   bool Chip = false;      ///< whole-chip run vs standalone stream
   uint64_t Packets = 0;   ///< requested stream length
   uint64_t OracleEvery = 0;

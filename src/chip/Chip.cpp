@@ -374,7 +374,7 @@ struct Chip::Impl {
       Step = std::max<uint32_t>(Step, Pr->NumSpillSlots);
     SpillStep = Step;
 
-    if (P.Exec == ExecModel::Threaded)
+    if (P.Exec == sim::ExecMode::Threaded)
       for (const alloc::AllocatedProgram *Pr : Progs)
         if (!Trans.count(Pr))
           Trans.emplace(Pr, fastpath::translate(*Pr, Opts.Lat));
@@ -387,7 +387,7 @@ struct Chip::Impl {
       for (unsigned C = 0; C != P.MP.ContextsPerMe; ++C) {
         HwCtx &Cx = Mes[M].Ctx[C];
         uint32_t Rebase = (M * P.MP.ContextsPerMe + C) * Step;
-        if (P.Exec == ExecModel::Threaded) {
+        if (P.Exec == sim::ExecMode::Threaded) {
           Cx.Threaded = true;
           Cx.Seg.setProgram(&Trans.at(Progs[M]));
           Cx.Seg.setSpillRebase(Rebase);
@@ -1296,7 +1296,6 @@ struct Chip::Impl {
     H = traceFold(H, Tx.traceHash());
     H = traceFold(H, RetireFold);
     St.TraceHash = H;
-    St.Exec = P.Exec;
     St.Recovery = Sup.stats();
     for (const auto &KV : Trans) {
       St.Superblocks += KV.second.Superblocks;

@@ -64,22 +64,20 @@
 namespace nova {
 namespace chip {
 
+/// The chip's older name for sim::ExecMode (perfbench spells it so).
+using ExecModel = sim::ExecMode;
+
 /// Chip-level configuration: the shared machine description plus the
 /// queueing/isolation knobs of the whole-chip model.
-/// How hardware contexts execute their program between swap points.
-/// Both models yield at the same memory references with the same data
-/// effects and burst cycles, so the discrete-event schedule — and every
-/// stat derived from it — is bit-identical between them.
-enum class ExecModel : uint8_t {
-  Interp,  ///< sim::AllocContext: resumable per-instruction interpreter
-  Threaded ///< fastpath::SegmentContext: resumable translated fast path
-};
-
 struct ChipParams {
   ixp::MachineParams MP; ///< topology, clock, latencies, issue intervals
 
-  /// Context execution model (see ExecModel).
-  ExecModel Exec = ExecModel::Interp;
+  /// How hardware contexts execute their program between swap points:
+  /// sim::AllocContext (Interp) or fastpath::SegmentContext (Threaded).
+  /// Both yield at the same memory references with the same data effects
+  /// and burst cycles, so the discrete-event schedule — and every stat
+  /// derived from it — is bit-identical between them.
+  sim::ExecMode Exec = sim::ExecMode::Interp;
 
   /// Capacity of each RX->ME input ring and of the shared ME->TX ring.
   unsigned RingDepth = 4;
@@ -179,7 +177,6 @@ struct ChipRunStats {
   RingStats TxRing;
   unsigned ReorderHighWater = 0; ///< TX reorder-buffer peak occupancy
   uint64_t RxDmaTransactions = 0;
-  ExecModel Exec = ExecModel::Interp; ///< how contexts executed
   uint64_t Superblocks = 0;    ///< chains collapsed (threaded mode only)
   uint64_t SuperblockOps = 0;  ///< ops in superblock streams (threaded)
   /// Fault-injection + supervisor recovery ledger (all zero when no

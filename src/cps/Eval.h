@@ -17,9 +17,8 @@
 #define CPS_EVAL_H
 
 #include "cps/Ir.h"
-#include "support/WordMap.h"
+#include "support/MemImage.h"
 
-#include <cassert>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -27,31 +26,9 @@
 namespace nova {
 namespace cps {
 
-/// Word-addressed memories of the evaluation environment, in the same
-/// paged store as sim::Memory so final images compare entry-for-entry
-/// and a table image is copied page by page.
-struct EvalMemory {
-  WordMap Sram;
-  WordMap Sdram;
-  WordMap Scratch;
-
-  /// The backing store for \p S, or nullptr on an out-of-enum space — the
-  /// evaluator reports that as an error rather than silently coercing to
-  /// SRAM (mirrors sim::Memory::space; asserts in debug builds).
-  WordMap *space(MemSpace S) {
-    switch (S) {
-    case MemSpace::Sram:    return &Sram;
-    case MemSpace::Sdram:   return &Sdram;
-    case MemSpace::Scratch: return &Scratch;
-    }
-    assert(false && "invalid MemSpace");
-    return nullptr;
-  }
-
-  /// Non-inserting read (absent words are 0), matching sim::Memory::load
-  /// so a differential comparison of final images sees identical maps.
-  static uint32_t load(const WordMap &M, uint32_t A) { return M.get(A); }
-};
+/// The evaluation environment's memory: the same image type the
+/// simulators run on, so final images compare entry-for-entry.
+using EvalMemory = MemImage;
 
 struct EvalResult {
   bool Ok = false;

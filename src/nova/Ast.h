@@ -18,6 +18,7 @@
 #ifndef NOVA_AST_H
 #define NOVA_AST_H
 
+#include "support/MemImage.h" // MemSpace
 #include "support/SourceManager.h"
 
 #include <memory>
@@ -107,9 +108,6 @@ enum class BinaryOp : uint8_t {
   Eq, Ne, Lt, Gt, Le, Ge,
   LogAnd, LogOr,
 };
-
-/// Address spaces of the IXP1200 memory hierarchy.
-enum class MemSpace : uint8_t { Sram, Sdram, Scratch };
 
 /// A call/record-literal/raise argument, optionally labeled (`x = e`).
 struct Arg {

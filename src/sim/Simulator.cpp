@@ -31,6 +31,10 @@ const char *sim::trapKindName(TrapKind K) {
   return "unknown";
 }
 
+const char *sim::execModeName(ExecMode M) {
+  return M == ExecMode::Threaded ? "threaded" : "interp";
+}
+
 //===----------------------------------------------------------------------===//
 // Cycle histogram / stream stats
 //===----------------------------------------------------------------------===//

@@ -39,7 +39,7 @@
 #include "ixp/MachineIr.h"
 #include "ixp/MachineParams.h"
 #include "support/Status.h"
-#include "support/WordMap.h"
+#include "support/MemImage.h"
 
 #include <cassert>
 #include <cstdint>
@@ -90,33 +90,13 @@ struct MemLimits {
   }
 };
 
-/// Word-addressed memories (the same WordMap images as cps::EvalMemory,
-/// so final images compare entry-for-entry), plus the address limits the
-/// runtime enforces. The images stay sparse; bounded addresses plus the
-/// instruction watchdog bound their growth per run. WordMap makes the
-/// per-word load/store on the simulator and chip hot paths O(1) instead
-/// of a red-black-tree walk.
-struct Memory {
-  WordMap Sram;
-  WordMap Sdram;
-  WordMap Scratch;
+/// The simulators' memory: the three word images (MemImage, the type the
+/// CPS evaluator runs on too, so final images compare entry-for-entry),
+/// plus the address limits the runtime enforces. The images stay sparse;
+/// bounded addresses plus the instruction watchdog bound their growth
+/// per run.
+struct Memory : MemImage {
   MemLimits Limits;
-
-  /// The backing map for \p S, or nullptr when S is not a valid space —
-  /// an invalid space is a trap for the interpreter, never a silent
-  /// coercion to SRAM (and an assert under debug builds).
-  WordMap *space(MemSpace S) {
-    switch (S) {
-    case MemSpace::Sram:    return &Sram;
-    case MemSpace::Sdram:   return &Sdram;
-    case MemSpace::Scratch: return &Scratch;
-    }
-    assert(false && "invalid MemSpace");
-    return nullptr;
-  }
-  const WordMap *space(MemSpace S) const {
-    return const_cast<Memory *>(this)->space(S);
-  }
 
   const MemLimits &limits() const { return Limits; }
 
@@ -126,17 +106,6 @@ struct Memory {
     uint32_t Bound = Limits.words(S);
     return Count <= Bound && Addr <= Bound - Count;
   }
-
-  /// Non-inserting read: absent words are 0 without growing the map, so
-  /// a read-heavy hostile packet cannot balloon the image and the final
-  /// maps of two agreeing executions compare equal entry-for-entry.
-  static uint32_t load(const WordMap &M, uint32_t A) { return M.get(A); }
-
-  /// Word access by space, with fastpath::BatchMemory's signatures so
-  /// the allocated-code step is written once for both memory types.
-  /// \p S must be a valid space.
-  uint32_t load(MemSpace S, uint32_t A) const { return space(S)->get(A); }
-  void store(MemSpace S, uint32_t A, uint32_t V) { (*space(S))[A] = V; }
 
   /// Checkpoint serialization: all three images plus the limits.
   void saveState(BinWriter &W) const;
@@ -215,6 +184,15 @@ inline int frameSlot(alloc::PhysLoc L) {
   unsigned Size = L.B == ixp::Bank::A || L.B == ixp::Bank::B ? 16 : 8;
   return L.Reg < Size ? static_cast<int>(Base + L.Reg) : -1;
 }
+
+/// How allocated code executes, in a soak stream and in the chip's
+/// hardware contexts alike. The two give bit-identical results; the
+/// checkpoint meta stores the value, so the numbering is fixed.
+enum class ExecMode : uint8_t {
+  Interp = 0,  ///< the per-instruction interpreter (detail::step)
+  Threaded = 1 ///< the fast path's translated op stream (fastpath)
+};
+const char *execModeName(ExecMode M);
 
 /// Execution knobs shared by both modes.
 struct RunOptions {

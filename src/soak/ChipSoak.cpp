@@ -19,14 +19,14 @@ ChipSoakReport soak::runChipSoak(const AppHarness &App,
   Rep.Base.App = App.name();
   Rep.Base.Seed = Opts.Base.Seed;
   Rep.Base.OracleEvery = Opts.Base.OracleEvery;
-  Rep.Base.Exec = Opts.Chip.Exec == chip::ExecModel::Threaded
-                      ? ExecMode::Threaded
-                      : ExecMode::Interp;
+  Rep.Base.Exec = Opts.Base.Exec;
 
   chip::ChipParams CP = Opts.Chip;
   // One watchdog for chip and oracle: the standalone re-run is then
-  // instruction-identical, so even watchdog traps must agree.
+  // instruction-identical, so even watchdog traps must agree. The exec
+  // mode has one knob too, so the checkpoint meta records what runs.
   CP.Budget = Opts.Base.Budget;
+  CP.Exec = Opts.Base.Exec;
   Rep.Params = CP;
   Rep.Setup = chip::validateChipSetup(CP, App.compiled().Alloc.Prog,
                                       App.baseSim().Limits);
@@ -42,7 +42,7 @@ ChipSoakReport soak::runChipSoak(const AppHarness &App,
   chip::Chip C(CP, Progs, App.baseSim());
   // Chip construction covers the one-time program translation in
   // threaded mode; report it like the standalone soak does.
-  if (CP.Exec == chip::ExecModel::Threaded)
+  if (CP.Exec == sim::ExecMode::Threaded)
     Rep.Base.TranslateSeconds = Clock.seconds();
 
   // Checkpoint identity: the standalone meta plus the chip topology and
@@ -83,7 +83,8 @@ ChipSoakReport soak::runChipSoak(const AppHarness &App,
   // cross-check MUST diverge, and the shrinker replays the flip.
   chip::Supervisor Plan(CP.Faults, CP.Sup);
 
-  SoakPacket Q; // reused oracle-rerun packet across retirements
+  SoakPacket Q;         // reused oracle-rerun packet across retirements
+  SoakPacket FlipStage; // reused flip-replay candidate while shrinking
   chip::Chip::RetireFn Retire = [&](chip::RetiredPacket &&RP) {
     bool Reject = RP.Result.Ok && App.isAppReject(RP.Result.HaltValues);
     // The histogram gets residence time (dispatch -> in-order retire);
@@ -115,62 +116,47 @@ ChipSoakReport soak::runChipSoak(const AppHarness &App,
     if (O.OracleBudgetMiss)
       ++Rep.Base.OracleBudgetMisses;
 
-    std::string What;
-    bool Mismatch = false;
+    // Shrinking targets the standalone differential.
     if (O.Diverged) {
-      What = O.What;
-    } else if (O.Alloc.Ok != RP.Result.Ok ||
-               O.Alloc.Trap != RP.Result.Trap) {
-      Mismatch = true;
+      noteDivergence(Rep.Base, Q, std::move(O.What), SO.Shrink,
+                     [&](const SoakPacket &Cand) {
+                       return runPacket(App, Cand, SO, /*WithOracle=*/true)
+                           .Diverged;
+                     });
+      return;
+    }
+    std::string What;
+    if (O.Alloc.Ok != RP.Result.Ok || O.Alloc.Trap != RP.Result.Trap)
       What = formatf(
           "chip outcome differs from standalone: chip %s(%s), "
           "standalone %s(%s)",
           RP.Result.Ok ? "ok" : "trap", sim::trapKindName(RP.Result.Trap),
           O.Alloc.Ok ? "ok" : "trap", sim::trapKindName(O.Alloc.Trap));
-    } else if (O.Alloc.Ok && O.Alloc.HaltValues != RP.Result.HaltValues) {
-      Mismatch = true;
+    else if (O.Alloc.Ok && O.Alloc.HaltValues != RP.Result.HaltValues)
       What = "chip halt values differ from standalone allocated run";
-    }
     if (What.empty())
       return;
-
-    ++Rep.Base.Divergences;
-    if (Mismatch)
-      ++Rep.ChipOutcomeMismatches;
-    // A pure chip mismatch with no known injected corruption keeps the
-    // packet as record() stored it; the cases below shrink it.
-    if (!Rep.Base.First.Found) {
-      Rep.Base.First.record(Q, What);
-      if (O.Diverged && SO.Shrink) {
-        // Shrinking targets the standalone differential.
-        Rep.Base.First.ShrunkWords =
-            shrinkDivergence(App, Q, SO, Rep.Base.First.ShrinkRuns);
-      } else if (Mismatch && SO.Shrink &&
-                 Plan.planPacket(RP.Pkt.Seq).SdramFlip) {
-        // A chip-vs-standalone mismatch on a packet the fault schedule
-        // deliberately corrupted: delta-debug the packet against a
-        // predicate that replays the flip (flipped run vs clean run),
-        // so the reproducer isolates the corruption-sensitive words.
-        uint64_t Seq = RP.Pkt.Seq;
-        SoakPacket Flip; // reused candidate staging
-        auto FlipDiverges = [&](const SoakPacket &Cand) {
-          if (Cand.Words.empty())
-            return false;
-          Flip = Cand;
-          uint32_t NumWords = static_cast<uint32_t>(Flip.Words.size());
-          uint32_t W = chip::Supervisor::flipWordIndex(Seq, NumWords);
-          uint32_t B = chip::Supervisor::flipBit(Seq);
-          Flip.Words[W] ^= 1u << B;
-          PacketOutcome OF = runPacket(App, Flip, SO, /*WithOracle=*/false);
-          PacketOutcome OC = runPacket(App, Cand, SO, /*WithOracle=*/false);
-          return OF.Alloc.Ok != OC.Alloc.Ok ||
-                 OF.Alloc.Trap != OC.Alloc.Trap ||
-                 (OF.Alloc.Ok && OF.Alloc.HaltValues != OC.Alloc.HaltValues);
-        };
-        Rep.Base.First.ShrunkWords = shrinkDivergenceWith(
-            Q, Rep.Base.First.ShrinkRuns, FlipDiverges);
-      }
-    }
+    ++Rep.ChipOutcomeMismatches;
+    // A chip-vs-standalone mismatch on a packet the fault schedule
+    // deliberately corrupted is delta-debugged against a replay of the
+    // flip (flipped run vs clean run), so the reproducer isolates the
+    // corruption-sensitive words; any other chip mismatch keeps the
+    // packet as found.
+    const uint64_t Seq = RP.Pkt.Seq;
+    auto FlipReplay = [&](const SoakPacket &Cand) {
+      if (Cand.Words.empty())
+        return false;
+      FlipStage = Cand;
+      uint32_t NumWords = static_cast<uint32_t>(FlipStage.Words.size());
+      uint32_t W = chip::Supervisor::flipWordIndex(Seq, NumWords);
+      FlipStage.Words[W] ^= 1u << chip::Supervisor::flipBit(Seq);
+      PacketOutcome OF = runPacket(App, FlipStage, SO, /*WithOracle=*/false);
+      PacketOutcome OC = runPacket(App, Cand, SO, /*WithOracle=*/false);
+      return OF.Alloc.Ok != OC.Alloc.Ok || OF.Alloc.Trap != OC.Alloc.Trap ||
+             (OF.Alloc.Ok && OF.Alloc.HaltValues != OC.Alloc.HaltValues);
+    };
+    noteDivergence(Rep.Base, Q, std::move(What),
+                   SO.Shrink && Plan.planPacket(Seq).SdramFlip, FlipReplay);
   };
 
   // A snapshot extends the stream's progress with the
@@ -272,8 +258,7 @@ void soak::chipReportFields(JsonWriter &J, const ChipSoakReport &R) {
   J.field("sram", C.Sram.Transactions).field("sdram", C.Sdram.Transactions);
   J.field("scratch", C.Scratch.Transactions).endObject();
   J.field("rx_dma_transactions", C.RxDmaTransactions);
-  J.field("exec_mode",
-          C.Exec == chip::ExecModel::Threaded ? "threaded" : "interp");
+  J.field("exec_mode", sim::execModeName(R.Params.Exec));
   J.field("superblocks", C.Superblocks);
   J.field("superblock_ops", C.SuperblockOps);
   J.field("trace_hash", Hex(C.TraceHash));
@@ -331,7 +316,7 @@ void soak::printChipReport(const ChipSoakReport &R, std::FILE *Out) {
                "cycles  goodput=%.1f Mbps%s\n",
                R.Params.MP.MeCount, R.Params.MP.ContextsPerMe,
                R.Params.RingDepth,
-               C.Exec == chip::ExecModel::Threaded ? "threaded" : "interp",
+               sim::execModeName(R.Params.Exec),
                (unsigned long long)C.FinalCycles, R.GoodputMbps,
                C.Deadlock ? "  DEADLOCK" : "");
   std::fprintf(Out,

@@ -40,10 +40,12 @@ namespace nova {
 namespace soak {
 
 struct ChipSoakOptions {
-  SoakOptions Base;      ///< packets, seed, mix, budget, oracle sampling
-  chip::ChipParams Chip; ///< topology and queueing (Budget is overridden
-                         ///< by Base.Budget so the oracle cross-check is
-                         ///< instruction-exact)
+  /// Packets, seed, mix, budget, exec mode, oracle sampling.
+  SoakOptions Base;
+  /// Topology and queueing. Its Budget and Exec are overridden by
+  /// Base.Budget (so the oracle cross-check is instruction-exact) and
+  /// Base.Exec (so the checkpoint meta names the mode that ran).
+  chip::ChipParams Chip;
 };
 
 struct ChipSoakReport {

@@ -304,13 +304,13 @@ void AppHarness::generateInto(uint64_t Index, uint64_t StreamSeed,
   P.Class = drawClass(R, Mix);
   switch (Id) {
   case AppId::Aes:
-    genAes(R, P.Class, BaseSim.Limits, Cache, P);
+    genAes(R, P.Class, Base.Limits, Cache, P);
     break;
   case AppId::Kasumi:
-    genKasumi(R, P.Class, BaseSim.Limits, Cache, P);
+    genKasumi(R, P.Class, Base.Limits, Cache, P);
     break;
   case AppId::Nat:
-    genNat(R, P.Class, BaseSim.Limits, Cache, P);
+    genNat(R, P.Class, Base.Limits, Cache, P);
     break;
   }
 }

@@ -21,10 +21,6 @@
 using namespace nova;
 using namespace nova::soak;
 
-const char *soak::execModeName(ExecMode M) {
-  return M == ExecMode::Threaded ? "threaded" : "interp";
-}
-
 //===----------------------------------------------------------------------===//
 // AppHarness
 //===----------------------------------------------------------------------===//
@@ -64,12 +60,10 @@ AppHarness::create(const std::string &Name, std::string &Error,
   }
   switch (H->Id) {
   case AppId::Aes:
-    apps::loadAesEnvironment(H->BaseSim);
-    apps::loadAesEnvironment(H->BaseEval);
+    apps::loadAesEnvironment(H->Base);
     break;
   case AppId::Kasumi:
-    apps::loadKasumiEnvironment(H->BaseSim);
-    apps::loadKasumiEnvironment(H->BaseEval);
+    apps::loadKasumiEnvironment(H->Base);
     break;
   case AppId::Nat:
     break; // NAT needs no table environment
@@ -140,10 +134,13 @@ bool sameHalts(const std::vector<uint32_t> &A, const std::vector<uint32_t> &B,
   return true;
 }
 
-PacketOutcome runPacketInner(const AppHarness &App, const SoakPacket &P,
-                             const SoakOptions &Opts, bool WithOracle,
-                             sim::Memory &MA) {
+} // namespace
+
+PacketOutcome soak::runPacket(const AppHarness &App, const SoakPacket &P,
+                              const SoakOptions &Opts, bool WithOracle) {
   PacketOutcome O;
+  sim::Memory &MA = O.AllocMem;
+  MA = App.baseSim();
   // Per-packet injection windows: a diverging packet reproduces
   // stand-alone, which is what makes shrinking deterministic.
   if (FaultInjector::armed())
@@ -238,16 +235,6 @@ PacketOutcome runPacketInner(const AppHarness &App, const SoakPacket &P,
   return O;
 }
 
-} // namespace
-
-PacketOutcome soak::runPacket(const AppHarness &App, const SoakPacket &P,
-                              const SoakOptions &Opts, bool WithOracle) {
-  sim::Memory MA = App.baseSim();
-  PacketOutcome O = runPacketInner(App, P, Opts, WithOracle, MA);
-  O.AllocMem = std::move(MA); // map moves: O(1), no image copies
-  return O;
-}
-
 //===----------------------------------------------------------------------===//
 // Fast-path vs interpreter comparison (threaded mode)
 //===----------------------------------------------------------------------===//
@@ -292,13 +279,13 @@ bool fastMatches(const sim::RunResult &FR, const fastpath::BatchMemory &BM,
   if (!sameHalts(FR.HaltValues, IR.HaltValues, "fastpath", "interpreter",
                  Why))
     return false;
-  const WordMap *IM[3] = {&O.AllocMem.Sram, &O.AllocMem.Sdram,
-                               &O.AllocMem.Scratch};
   static const char *const SpaceNames[3] = {"sram", "sdram", "scratch"};
-  for (unsigned S = 0; S != 3; ++S)
-    if (!sameImage(BM.image(static_cast<MemSpace>(S)), *IM[S], "fastpath",
+  for (unsigned S = 0; S != 3; ++S) {
+    MemSpace Space = static_cast<MemSpace>(S);
+    if (!sameImage(BM.image(Space), *O.AllocMem.space(Space), "fastpath",
                    "interpreter", Why, SpaceNames[S]))
       return false;
+  }
   return true;
 }
 
@@ -308,9 +295,13 @@ bool fastMatches(const sim::RunResult &FR, const fastpath::BatchMemory &BM,
 // Shrinker
 //===----------------------------------------------------------------------===//
 
-std::vector<uint32_t> soak::shrinkDivergenceWith(
-    const SoakPacket &P, unsigned &Runs,
-    const std::function<bool(const SoakPacket &)> &Diverges) {
+namespace {
+
+/// Delta-debugs \p P.Words against \p Diverges; \p Runs counts the
+/// candidate executions (bounded).
+std::vector<uint32_t>
+shrinkWords(const SoakPacket &P, unsigned &Runs,
+            const std::function<bool(const SoakPacket &)> &Diverges) {
   constexpr unsigned MaxRuns = 600;
   std::vector<uint32_t> Cur = P.Words;
   SoakPacket Q = P; // reused candidate: only Words vary per run
@@ -347,13 +338,24 @@ std::vector<uint32_t> soak::shrinkDivergenceWith(
   return Cur;
 }
 
-std::vector<uint32_t> soak::shrinkDivergence(const AppHarness &App,
-                                             const SoakPacket &P,
-                                             const SoakOptions &Opts,
-                                             unsigned &Runs) {
-  return shrinkDivergenceWith(P, Runs, [&](const SoakPacket &Q) {
-    return runPacket(App, Q, Opts, /*WithOracle=*/true).Diverged;
-  });
+} // namespace
+
+void soak::noteDivergence(
+    SoakReport &Rep, const SoakPacket &P, std::string What, bool Shrink,
+    const std::function<bool(const SoakPacket &)> &Diverges) {
+  ++Rep.Divergences;
+  Divergence &D = Rep.First;
+  if (D.Found)
+    return;
+  D.Found = true;
+  D.Index = P.Index;
+  D.Seed = P.Seed;
+  D.Class = P.Class;
+  D.What = std::move(What);
+  D.Words = D.ShrunkWords = P.Words;
+  D.Args = P.Args;
+  if (Shrink)
+    D.ShrunkWords = shrinkWords(P, D.ShrinkRuns, Diverges);
 }
 
 //===----------------------------------------------------------------------===//
@@ -493,125 +495,58 @@ bool CkptDriver::onRetired(uint64_t Retired, uint64_t Cursor) {
 
 namespace {
 
-/// Threaded mode: translate once, run batches on the fast path, sample
-/// the interpreter + functional + CPS oracles every OracleEvery'th
-/// packet. The sampled interpreter run doubles as the bit-exactness
-/// check on the fast path itself (fastMatches).
-SoakReport runSoakThreaded(const AppHarness &App, const SoakOptions &Opts) {
-  SoakReport Rep;
-  Rep.App = App.name();
-  Rep.Seed = Opts.Seed;
-  Rep.Exec = ExecMode::Threaded;
-  Rep.OracleEvery = Opts.OracleEvery;
-  Timer Clock;
+/// Threaded mode's executor: the program translated once and run packet
+/// by packet on fastpath::Engine over BatchMemory. An oracle-sampled
+/// packet also goes through runPacket, whose interpreter run doubles as
+/// the bit-exactness check on the fast path itself (fastMatches).
+struct FastStream {
+  FastStream(const AppHarness &App, const SoakOptions &Opts)
+      : App(App), Opts(Opts),
+        T(fastpath::translate(App.compiled().Alloc.Prog, Opts.Lat)), Eng(T),
+        BM(App.baseSim()) {
+    RO.Lat = Opts.Lat;
+    RO.MaxInstructions = Opts.Budget;
+  }
 
-  CkptDriver CD(Opts.Ckpt, checkpointMeta(App, Opts), Rep, Clock);
-  uint64_t Start = 0;
-  if (Opts.Ckpt.Resume && !CD.resume(Start))
-    return Rep;
-
-  Timer TranslateClock;
-  fastpath::Translated T =
-      fastpath::translate(App.compiled().Alloc.Prog, Opts.Lat);
-  fastpath::Engine Eng(T);
-  fastpath::BatchMemory BM(App.baseSim());
-  Rep.TranslateSeconds = TranslateClock.seconds();
-
-  sim::RunOptions RO;
-  RO.Lat = Opts.Lat;
-  RO.MaxInstructions = Opts.Budget;
-  const bool Armed = FaultInjector::armed();
-
-  // Re-runs packet Q on both executions; true when anything disagrees
-  // (the 3-way oracle or the fast-vs-interpreter contract). Used for
-  // shrinking, so every run re-arms the injector first.
-  auto threadedDiverges = [&](const SoakPacket &Q) {
-    if (Armed)
+  /// runPacket's verdict, but Alloc and AppReject are the fast path's
+  /// run, which is what the stream accounts.
+  PacketOutcome run(const SoakPacket &P, bool WithOracle) {
+    if (FaultInjector::armed())
       FaultInjector::instance().rearm();
     BM.reset();
-    BM.storePacket(Q.Args.empty() ? 0 : Q.Args[0], Q.Words);
-    sim::RunResult QR = Eng.run(Q.Args, BM, RO);
-    PacketOutcome QO = runPacket(App, Q, Opts, /*WithOracle=*/true);
-    std::string QWhy;
-    return QO.Diverged || !fastMatches(QR, BM, QO, QWhy);
-  };
-
-  constexpr uint64_t BatchSize = 256;
-  std::vector<SoakPacket> Batch;
-  PacketTemplateCache Tmpl;
-  bool Stop = false;
-
-  // Resuming mid-stream is safe at any index: packet I is a pure
-  // function of (seed, I) and the oracle decision uses the absolute
-  // index, so batch alignment carries no state.
-  for (uint64_t Base = Start; Base < Opts.Packets && !Stop;
-       Base += BatchSize) {
-    const uint64_t N = std::min<uint64_t>(BatchSize, Opts.Packets - Base);
-    // Batch slots and their Words/Args buffers are reused across
-    // batches; only the first batch allocates.
-    App.generateBatch(Base, N, Opts.Seed, Opts.Mix, Tmpl, Batch);
-
-    for (uint64_t K = 0; K != N; ++K) {
-      const SoakPacket &P = Batch[K];
-      ++Rep.ClassCounts[static_cast<unsigned>(P.Class)];
-      if (Armed)
-        FaultInjector::instance().rearm();
-      BM.reset();
-      BM.storePacket(P.Args.empty() ? 0 : P.Args[0], P.Words);
-      sim::RunResult FR = Eng.run(P.Args, BM, RO);
-      Rep.Stats.account(FR, FR.Ok && App.isAppReject(FR.HaltValues),
-                        P.PayloadBytes);
-
-      bool WithOracle =
-          Opts.OracleEvery != 0 && (Base + K) % Opts.OracleEvery == 0;
-      if (WithOracle) {
-        ++Rep.OracleChecks;
-        // The oracle rerun re-arms the injector itself, so the
-        // interpreter replays the exact draw sequence the fast path saw.
-        PacketOutcome O = runPacket(App, P, Opts, /*WithOracle=*/true);
-        if (O.OracleBudgetMiss)
-          ++Rep.OracleBudgetMisses;
-        std::string Why;
-        if (!O.Diverged && !fastMatches(FR, BM, O, Why)) {
-          O.Diverged = true;
-          O.What = "fastpath vs interpreter: " + Why;
-        }
-        if (O.Diverged) {
-          ++Rep.Divergences;
-          if (!Rep.First.Found) {
-            Rep.First.record(P, O.What);
-            if (Opts.Shrink)
-              Rep.First.ShrunkWords = shrinkDivergenceWith(
-                  P, Rep.First.ShrinkRuns, threadedDiverges);
-          }
-          if (Opts.FailFast) {
-            Stop = true;
-            break;
-          }
-        }
-      }
-      // Snapshot/heartbeat only after the packet's accounting (and any
-      // oracle bookkeeping) has fully landed in Rep.
-      if (CD.onRetired(Base + K + 1, Base + K + 1)) {
-        Rep.Stopped = true;
-        Stop = true;
-        break;
+    BM.storePacket(P.Args.empty() ? 0 : P.Args[0], P.Words);
+    sim::RunResult FR = Eng.run(P.Args, BM, RO);
+    PacketOutcome O;
+    if (WithOracle) {
+      // runPacket re-arms the injector itself, so the interpreter
+      // replays the exact draw sequence the fast path saw.
+      O = runPacket(App, P, Opts, /*WithOracle=*/true);
+      std::string Why;
+      if (!O.Diverged && !fastMatches(FR, BM, O, Why)) {
+        O.Diverged = true;
+        O.What = "fastpath vs interpreter: " + Why;
       }
     }
+    O.AppReject = FR.Ok && App.isAppReject(FR.HaltValues);
+    O.Alloc = std::move(FR);
+    return O;
   }
-  Rep.WallSeconds = Clock.seconds();
-  return Rep;
-}
+
+  const AppHarness &App;
+  const SoakOptions &Opts;
+  fastpath::Translated T;
+  fastpath::Engine Eng; ///< runs T, so T must not move
+  fastpath::BatchMemory BM;
+  sim::RunOptions RO;
+};
 
 } // namespace
 
 SoakReport soak::runSoak(const AppHarness &App, const SoakOptions &Opts) {
-  if (Opts.Exec == ExecMode::Threaded)
-    return runSoakThreaded(App, Opts);
   SoakReport Rep;
   Rep.App = App.name();
   Rep.Seed = Opts.Seed;
-  Rep.Exec = ExecMode::Interp;
+  Rep.Exec = Opts.Exec;
   Rep.OracleEvery = Opts.OracleEvery;
   Timer Clock;
 
@@ -620,29 +555,45 @@ SoakReport soak::runSoak(const AppHarness &App, const SoakOptions &Opts) {
   if (Opts.Ckpt.Resume && !CD.resume(Start))
     return Rep;
 
+  // The executor, picked once: the interpreter via runPacket, or the
+  // fast path. A packet's own run, oracle included, is also what the
+  // shrinker asks whether a candidate still diverges.
+  std::unique_ptr<FastStream> Fast;
+  if (Opts.Exec == sim::ExecMode::Threaded) {
+    Timer TranslateClock;
+    Fast = std::make_unique<FastStream>(App, Opts);
+    Rep.TranslateSeconds = TranslateClock.seconds();
+  }
+  auto Run = [&](const SoakPacket &Q, bool WithOracle) {
+    return Fast ? Fast->run(Q, WithOracle)
+                : runPacket(App, Q, Opts, WithOracle);
+  };
+  auto Diverges = [&](const SoakPacket &Q) {
+    return Run(Q, /*WithOracle=*/true).Diverged;
+  };
+
+  // Resuming mid-stream is safe at any index: packet I is a pure
+  // function of (seed, I) and the oracle decision uses the absolute
+  // index.
   SoakPacket P;
   PacketTemplateCache Tmpl;
   for (uint64_t I = Start; I != Opts.Packets; ++I) {
     App.generateInto(I, Opts.Seed, Opts.Mix, Tmpl, P);
     ++Rep.ClassCounts[static_cast<unsigned>(P.Class)];
     bool WithOracle = Opts.OracleEvery != 0 && I % Opts.OracleEvery == 0;
-    PacketOutcome O = runPacket(App, P, Opts, WithOracle);
+    PacketOutcome O = Run(P, WithOracle);
     Rep.Stats.account(O.Alloc, O.AppReject, P.PayloadBytes);
     if (WithOracle)
       ++Rep.OracleChecks;
     if (O.OracleBudgetMiss)
       ++Rep.OracleBudgetMisses;
     if (O.Diverged) {
-      ++Rep.Divergences;
-      if (!Rep.First.Found) {
-        Rep.First.record(P, O.What);
-        if (Opts.Shrink)
-          Rep.First.ShrunkWords =
-              shrinkDivergence(App, P, Opts, Rep.First.ShrinkRuns);
-      }
+      noteDivergence(Rep, P, std::move(O.What), Opts.Shrink, Diverges);
       if (Opts.FailFast)
         break;
     }
+    // Snapshot/heartbeat only after the packet's accounting (and any
+    // oracle bookkeeping) has fully landed in Rep.
     if (CD.onRetired(I + 1, I + 1)) {
       Rep.Stopped = true;
       break;
@@ -679,7 +630,7 @@ void soak::reportFields(JsonWriter &J, const SoakReport &R) {
   J.field("total_cycles", S.TotalCycles);
   J.field("total_instructions", S.TotalInstructions);
   J.key("delivered_mbps").fixed(S.deliveredMbps(), 3);
-  J.field("exec_mode", execModeName(R.Exec));
+  J.field("exec_mode", sim::execModeName(R.Exec));
   J.field("oracle_rate", R.OracleEvery);
   J.key("translate_seconds").fixed(R.TranslateSeconds, 6);
   J.field("oracle_checks", R.OracleChecks);
@@ -711,8 +662,8 @@ void soak::printReport(const SoakReport &R, std::FILE *Out) {
   std::fprintf(Out, "== %s: %llu packets, seed %llu ==\n", R.App.c_str(),
                (unsigned long long)S.Packets, (unsigned long long)R.Seed);
   std::fprintf(Out, "  exec      : %s  oracle-rate=%llu",
-               execModeName(R.Exec), (unsigned long long)R.OracleEvery);
-  if (R.Exec == ExecMode::Threaded)
+               sim::execModeName(R.Exec), (unsigned long long)R.OracleEvery);
+  if (R.Exec == sim::ExecMode::Threaded)
     std::fprintf(Out, "  translate=%.3fs", R.TranslateSeconds);
   std::fprintf(Out, "\n");
   std::fprintf(Out, "  classes   :");

@@ -104,13 +104,6 @@ struct PacketTemplateCache {
   int PrimedFor = -1;            ///< generator tag Args was built for
 };
 
-/// How the soak stream executes allocated code.
-enum class ExecMode : uint8_t {
-  Interp,  ///< sim::runAllocated per packet (the reference)
-  Threaded ///< fastpath::Engine batches with a sampled interpreter oracle
-};
-const char *execModeName(ExecMode M);
-
 /// Checkpoint / crash-recovery knobs (novasoak's --checkpoint-every,
 /// --checkpoint-dir, --resume, --progress, --kill-after). A soak run
 /// with Every > 0 snapshots its complete resumable state every N
@@ -135,11 +128,13 @@ struct SoakOptions {
   uint64_t Packets = 10'000;
   uint64_t Seed = 1;
   ClassMix Mix;
-  /// Threaded mode translates the program once and runs batches on the
-  /// fast path; every OracleEvery'th packet is re-run on the interpreter
-  /// (which must match the fast path bit-for-bit) plus the functional
-  /// and CPS oracles.
-  ExecMode Exec = ExecMode::Interp;
+  /// Interp runs sim::runAllocated per packet (the reference). Threaded
+  /// translates the program once and runs packets on fastpath::Engine
+  /// over BatchMemory; every OracleEvery'th packet is re-run on the
+  /// interpreter (which must match the fast path bit-for-bit) plus the
+  /// functional and CPS oracles. A chip soak runs its contexts in this
+  /// mode too.
+  sim::ExecMode Exec = sim::ExecMode::Interp;
   /// Per-packet instruction watchdog for the allocated run; the
   /// functional oracle gets 4x and the CPS evaluator 64x (steps per
   /// machine instruction are not one-to-one).
@@ -168,24 +163,13 @@ struct Divergence {
   /// shrinking is off or nothing could be removed).
   std::vector<uint32_t> ShrunkWords;
   unsigned ShrinkRuns = 0; ///< candidate executions the shrinker spent
-
-  /// Records \p P as the diverging packet, unshrunk.
-  void record(const SoakPacket &P, std::string Why) {
-    Found = true;
-    Index = P.Index;
-    Seed = P.Seed;
-    Class = P.Class;
-    What = std::move(Why);
-    Words = ShrunkWords = P.Words;
-    Args = P.Args;
-  }
 };
 
 /// Everything one soak run produced.
 struct SoakReport {
   std::string App;
   uint64_t Seed = 0;
-  ExecMode Exec = ExecMode::Interp;
+  sim::ExecMode Exec = sim::ExecMode::Interp;
   uint64_t OracleEvery = 1; ///< sampling rate the run used (0 = never)
   /// One-time cost of translating the program for the fast path
   /// (threaded mode only).
@@ -217,7 +201,7 @@ struct SoakReport {
 };
 
 /// A benchmark application compiled once and ready to run packets: the
-/// compile artifacts plus pristine base memory images with the app's
+/// compile artifacts plus a pristine base memory image with the app's
 /// tables loaded (each packet run copies the base, never mutates it).
 class AppHarness {
 public:
@@ -233,8 +217,10 @@ public:
 
   const std::string &name() const { return Name; }
   const driver::CompileResult &compiled() const { return *App; }
-  const sim::Memory &baseSim() const { return BaseSim; }
-  const cps::EvalMemory &baseEval() const { return BaseEval; }
+  /// The base image with the simulators' limits, and the same image as
+  /// the CPS evaluator's memory.
+  const sim::Memory &baseSim() const { return Base; }
+  const cps::EvalMemory &baseEval() const { return Base; }
 
   /// Deterministically generates packet \p Index of the stream seeded
   /// \p StreamSeed.
@@ -271,8 +257,7 @@ private:
   std::string Name;
   AppId Id = AppId::Aes;
   std::unique_ptr<driver::CompileResult> App;
-  sim::Memory BaseSim;
-  cps::EvalMemory BaseEval;
+  sim::Memory Base;
 };
 
 /// Outcome of running one packet (exposed for tests; runSoak folds these
@@ -280,7 +265,7 @@ private:
 struct PacketOutcome {
   sim::RunResult Alloc;
   /// Final memory state of the allocated run — all three spaces. The
-  /// threaded driver compares these against BatchMemory::image to hold
+  /// threaded stream compares these against BatchMemory::image to hold
   /// the fast path to bit-identical memory effects.
   sim::Memory AllocMem;
   bool AppReject = false;
@@ -295,22 +280,20 @@ struct PacketOutcome {
 PacketOutcome runPacket(const AppHarness &App, const SoakPacket &P,
                         const SoakOptions &Opts, bool WithOracle);
 
-/// Delta-debugs \p P.Words to a minimal subsequence that still diverges
-/// under runPacket. Returns the shrunk words; \p Runs counts candidate
-/// executions (bounded internally).
-std::vector<uint32_t> shrinkDivergence(const AppHarness &App,
-                                       const SoakPacket &P,
-                                       const SoakOptions &Opts,
-                                       unsigned &Runs);
+/// Counts one diverging packet \p P in \p Rep. The stream's first is
+/// recorded in Rep.First with \p What and, when \p Shrink, delta-debugged
+/// to a minimal subsequence of its words that still satisfies
+/// \p Diverges (a bounded number of candidate runs, counted in
+/// ShrinkRuns). Every runner's divergences go through here: the
+/// standalone stream with its own per-packet run as the predicate, the
+/// chip's retire hook with the standalone differential or a replay of
+/// an injected flip.
+void noteDivergence(SoakReport &Rep, const SoakPacket &P, std::string What,
+                    bool Shrink,
+                    const std::function<bool(const SoakPacket &)> &Diverges);
 
-/// Generalized shrinker: minimizes \p P.Words against an arbitrary
-/// "still diverges" predicate (the threaded driver passes one that
-/// re-runs the packet on both the fast path and the interpreter).
-std::vector<uint32_t>
-shrinkDivergenceWith(const SoakPacket &P, unsigned &Runs,
-                     const std::function<bool(const SoakPacket &)> &Diverges);
-
-/// Streams Opts.Packets packets through \p App under the drop policy.
+/// Streams Opts.Packets packets through \p App under the drop policy,
+/// executed as Opts.Exec picks (see SoakOptions::Exec).
 SoakReport runSoak(const AppHarness &App, const SoakOptions &Opts);
 
 /// Checkpoint identity record for a standalone (non-chip) soak of

@@ -61,6 +61,10 @@ const char *nova::faultDomainName(FaultDomain D) {
   return "unknown";
 }
 
+/// SplitMix64 starting state of every draw stream. Constant, so a
+/// jittered run's cycle counts are a pure function of the plan.
+static constexpr uint64_t DrawSeed = 0x5eedf417ull + 0x9e3779b97f4a7c15ull;
+
 FaultInjector &FaultInjector::instance() {
   static FaultInjector I;
   return I;
@@ -74,8 +78,7 @@ void FaultInjector::arm(std::vector<FaultSpec> Specs) {
     Slot &S = Slots[static_cast<unsigned>(Spec.Kind)];
     S.Spec = Spec;
     S.Active = true;
-    // SplitMix64 state; offset so Seed 0 still produces a usable stream.
-    S.RngState = Spec.Seed + 0x9e3779b97f4a7c15ull;
+    S.RngState = DrawSeed;
   }
   // An empty plan arms nothing: armed() gates the fast path's
   // per-instruction slow tier (and a mutex on every draw), so arming
@@ -98,7 +101,7 @@ void FaultInjector::rearm() {
       continue;
     S.Opportunities = 0;
     S.Fired = 0;
-    S.RngState = S.Spec.Seed + 0x9e3779b97f4a7c15ull;
+    S.RngState = DrawSeed;
   }
 }
 
@@ -120,8 +123,6 @@ bool FaultInjector::shouldFire(FaultKind K) {
   if (Opportunity < S.Spec.After)
     return false;
   if (S.Fired >= S.Spec.Times)
-    return false;
-  if (S.Spec.Probability < 1.0 && nextUnit(S.RngState) >= S.Spec.Probability)
     return false;
   ++S.Fired;
   return true;

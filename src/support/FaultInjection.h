@@ -16,7 +16,7 @@
 ///
 /// Firing is deterministic: each spec counts *opportunities* (times its
 /// hook site was reached) and fires from opportunity `After` on, at most
-/// `Times` times, optionally gated by a seeded Bernoulli draw. Tests arm
+/// `Times` times. Tests arm
 /// a plan with ScopedFaultInjection, run the pipeline, and assert both
 /// the recovery rung taken and that the emitted code still runs packets
 /// correctly.
@@ -96,10 +96,6 @@ struct FaultSpec {
   /// Kind-specific knob: relative pivot perturbation for EtaDrift
   /// (default 1e-3), stall seconds for WorkerStall (default 0.02).
   double Magnitude = 0.0;
-  /// Bernoulli gate applied after the After/Times window; 1.0 = always.
-  double Probability = 1.0;
-  /// Seed for the gate's deterministic PRNG.
-  uint64_t Seed = 0x5eedf417u;
 };
 
 /// Parses a CLI fault spec: `kind[@after][xTimes][~magnitude]`, e.g.
@@ -151,7 +147,7 @@ public:
   /// Removes the plan; hooks go back to the single-load fast path.
   void disarm();
 
-  /// Resets opportunity/fire counters and RNG state while keeping the
+  /// Resets opportunity/fire counters and draw streams while keeping the
   /// armed plan. The soak harness calls this before every packet so a
   /// spec's @after/xTimes window is counted per packet — a failing
   /// packet then reproduces stand-alone, which is what makes shrinking
@@ -166,7 +162,8 @@ public:
   double magnitude(FaultKind K, double Default) const;
 
   /// Deterministic draw in [1, max(1, magnitude(K, Default))] from the
-  /// spec's seeded stream; the per-fire extra-cycle count for MemJitter.
+  /// kind's fixed-seed stream; the per-fire extra-cycle count for
+  /// MemJitter.
   unsigned drawCycles(FaultKind K, double Default);
 
   /// Total fires of \p K since the last arm() — test observability.

@@ -6,8 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The backing store for the three address spaces of sim::Memory and of
-/// cps::EvalMemory. The previous representation was
+/// The backing store for the three address spaces of a MemImage (the
+/// simulators' and the CPS evaluator's memory). The previous
+/// representation was
 /// std::map<uint32_t, uint32_t>, which put an O(log n) red-black-tree walk
 /// (plus a node allocation per first store) on every word a packet
 /// touches — the dominant cost of the interpreter, the chip model and the

@@ -396,7 +396,7 @@ namespace {
 /// configuration: uninterrupted, versus stopped at StopAt (the
 /// in-process crash simulation) and resumed — the stable reports must
 /// be byte-identical.
-void expectStandaloneResumeEquality(soak::ExecMode Exec) {
+void expectStandaloneResumeEquality(sim::ExecMode Exec) {
   soak::AppHarness &H = natHarness();
   TempDir D;
   soak::SoakOptions Opts;
@@ -427,7 +427,7 @@ void expectStandaloneResumeEquality(soak::ExecMode Exec) {
 /// Same contract for the whole-chip soak, optionally under an armed
 /// fault schedule (the supervisor ordinals and recovery ledger must
 /// survive the round-trip too).
-void expectChipResumeEquality(soak::ExecMode Exec, bool WithFaults) {
+void expectChipResumeEquality(sim::ExecMode Exec, bool WithFaults) {
   soak::AppHarness &H = natHarness();
   TempDir D;
   soak::ChipSoakOptions Opts;
@@ -435,9 +435,6 @@ void expectChipResumeEquality(soak::ExecMode Exec, bool WithFaults) {
   Opts.Base.Seed = 42;
   Opts.Base.Exec = Exec;
   Opts.Base.OracleEvery = 10;
-  Opts.Chip.Exec = Exec == soak::ExecMode::Threaded
-                       ? chip::ExecModel::Threaded
-                       : chip::ExecModel::Interp;
   if (WithFaults) {
     std::string Error;
     ASSERT_TRUE(parseFaultSchedule("ctx-lockup@500,chan-brownout@800~4",
@@ -472,27 +469,27 @@ void expectChipResumeEquality(soak::ExecMode Exec, bool WithFaults) {
 } // namespace
 
 TEST(ResumeEquality, StandaloneInterp) {
-  expectStandaloneResumeEquality(soak::ExecMode::Interp);
+  expectStandaloneResumeEquality(sim::ExecMode::Interp);
 }
 
 TEST(ResumeEquality, StandaloneThreaded) {
-  expectStandaloneResumeEquality(soak::ExecMode::Threaded);
+  expectStandaloneResumeEquality(sim::ExecMode::Threaded);
 }
 
 TEST(ResumeEquality, ChipInterp) {
-  expectChipResumeEquality(soak::ExecMode::Interp, /*WithFaults=*/false);
+  expectChipResumeEquality(sim::ExecMode::Interp, /*WithFaults=*/false);
 }
 
 TEST(ResumeEquality, ChipThreaded) {
-  expectChipResumeEquality(soak::ExecMode::Threaded, /*WithFaults=*/false);
+  expectChipResumeEquality(sim::ExecMode::Threaded, /*WithFaults=*/false);
 }
 
 TEST(ResumeEquality, ChipInterpWithFaultSchedule) {
-  expectChipResumeEquality(soak::ExecMode::Interp, /*WithFaults=*/true);
+  expectChipResumeEquality(sim::ExecMode::Interp, /*WithFaults=*/true);
 }
 
 TEST(ResumeEquality, ChipThreadedWithFaultSchedule) {
-  expectChipResumeEquality(soak::ExecMode::Threaded, /*WithFaults=*/true);
+  expectChipResumeEquality(sim::ExecMode::Threaded, /*WithFaults=*/true);
 }
 
 TEST(ResumeEquality, ResumeIntoFreshDirectoryIsTypedError) {
@@ -506,4 +503,41 @@ TEST(ResumeEquality, ResumeIntoFreshDirectoryIsTypedError) {
   ASSERT_FALSE(R.CkptError.ok());
   EXPECT_EQ(R.CkptError.code(), StatusCode::CheckpointCorrupt);
   EXPECT_EQ(R.Stats.Packets, 0u); // nothing ran
+}
+
+// A chip soak has one exec knob, Base.Exec: the chip runs it, the report
+// names it and the checkpoint meta records it. A threaded run's snapshot
+// resumed as interp is therefore a different run (CheckpointMismatch on
+// the exec mode), not a chip state that fails to parse.
+TEST(ResumeEquality, ChipSnapshotRecordsTheExecModeThatRan) {
+  soak::AppHarness &H = natHarness();
+  TempDir D;
+  soak::ChipSoakOptions Opts;
+  Opts.Base.Packets = 600;
+  Opts.Base.Seed = 42;
+  Opts.Base.OracleEvery = 0;
+  Opts.Base.Exec = sim::ExecMode::Threaded;
+  Opts.Base.Ckpt.Every = 200;
+  Opts.Base.Ckpt.Dir = D.Path;
+  soak::ChipSoakReport R = soak::runChipSoak(H, Opts);
+  ASSERT_TRUE(R.Setup.ok()) << R.Setup.message();
+  ASSERT_FALSE(R.Base.Stopped);
+  std::string J = soak::chipReportJson(R);
+  // Once at the top level, once in the chip object.
+  size_t First = J.find("\"exec_mode\":\"threaded\"");
+  ASSERT_NE(First, std::string::npos) << J;
+  EXPECT_NE(J.find("\"exec_mode\":\"threaded\"", First + 1),
+            std::string::npos)
+      << J;
+  EXPECT_EQ(J.find("\"exec_mode\":\"interp\""), std::string::npos) << J;
+
+  Opts.Base.Exec = sim::ExecMode::Interp;
+  Opts.Base.Ckpt.Resume = true;
+  soak::ChipSoakReport Resumed = soak::runChipSoak(H, Opts);
+  ASSERT_FALSE(Resumed.Base.CkptError.ok());
+  EXPECT_EQ(Resumed.Base.CkptError.code(), StatusCode::CheckpointMismatch)
+      << Resumed.Base.CkptError.message();
+  EXPECT_NE(Resumed.Base.CkptError.message().find("exec"), std::string::npos)
+      << Resumed.Base.CkptError.message();
+  EXPECT_EQ(Resumed.Base.Stats.Packets, 0u); // nothing ran
 }

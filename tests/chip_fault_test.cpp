@@ -518,12 +518,10 @@ TEST(ChipFaultRun, ThreadedMatchesInterpUnderFaults) {
   // per-packet outcomes whether contexts run interpreted or translated.
   AllocatedProgram Prog = heavyProgram(8);
   chip::ChipParams CP = stormyParams();
-  CP.Exec = chip::ExecModel::Interp;
+  CP.Exec = sim::ExecMode::Interp;
   DriveResult A = drive(Prog, CP, 64);
-  CP.Exec = chip::ExecModel::Threaded;
+  CP.Exec = sim::ExecMode::Threaded;
   DriveResult B = drive(Prog, CP, 64);
-  EXPECT_EQ(A.Stats.Exec, chip::ExecModel::Interp);
-  EXPECT_EQ(B.Stats.Exec, chip::ExecModel::Threaded);
   EXPECT_TRUE(A.Stats.Recovery.anyInjected());
   expectSameRun(A, B);
 }
@@ -584,8 +582,8 @@ TEST(ChipFaultRun, SnapshotsBeyondTheWheelHorizonResumeIdentically) {
   CP.Faults = schedule("ctx-lockup@5~2,ring-stall@9~5000,chan-brownout@40~4");
   CP.Sup.BackoffBase = 4500;
   CP.Sup.BrownoutWindow = 6000;
-  for (chip::ExecModel Exec :
-       {chip::ExecModel::Interp, chip::ExecModel::Threaded}) {
+  for (sim::ExecMode Exec :
+       {sim::ExecMode::Interp, sim::ExecMode::Threaded}) {
     CP.Exec = Exec;
     DriveResult Ref = drive(Prog, CP, 64);
     ASSERT_EQ(Ref.Retired.size(), 64u);
@@ -594,7 +592,7 @@ TEST(ChipFaultRun, SnapshotsBeyondTheWheelHorizonResumeIdentically) {
     EXPECT_TRUE(Ref.Stats.Recovery.allAccounted());
     for (uint64_t StopAt : {1u, 9u, 23u, 40u, 57u}) {
       SCOPED_TRACE(::testing::Message()
-                   << (Exec == chip::ExecModel::Threaded ? "threaded"
+                   << (Exec == sim::ExecMode::Threaded ? "threaded"
                                                          : "interp")
                    << " stop at " << StopAt);
       DriveResult Res = driveThroughSnapshot(Prog, CP, 64, StopAt);
@@ -641,7 +639,7 @@ chip::Chip::Source mixedSource(uint64_t &Next, uint64_t N,
 }
 
 /// The bytes Chip::saveState writes at the first retirement >= StopAt.
-std::string stormySnapshot(chip::ExecModel Exec, uint64_t StopAt) {
+std::string stormySnapshot(sim::ExecMode Exec, uint64_t StopAt) {
   AllocatedProgram Prog = heavyProgram(8);
   chip::ChipParams CP = stormyParams();
   CP.Exec = Exec;
@@ -671,17 +669,17 @@ TEST(ChipSnapshot, BytesArePinned) {
   // events in the overflow heap. Save and restore may change only
   // together with a FileVersion bump.
   struct Case {
-    chip::ExecModel Exec;
+    sim::ExecMode Exec;
     size_t Bytes;
     uint64_t Hash;
   };
   for (const Case &K :
-       {Case{chip::ExecModel::Interp, 15782, 0xa19b4af25ab0412dull},
-        Case{chip::ExecModel::Threaded, 16382, 0x870317b7575118c2ull}}) {
+       {Case{sim::ExecMode::Interp, 15782, 0xa19b4af25ab0412dull},
+        Case{sim::ExecMode::Threaded, 16382, 0x870317b7575118c2ull}}) {
     std::string Snap = stormySnapshot(K.Exec, 10);
     EXPECT_EQ(Snap.size(), K.Bytes);
     EXPECT_EQ(fnv1a64(Snap.data(), Snap.size()), K.Hash)
-        << (K.Exec == chip::ExecModel::Threaded ? "threaded" : "interp");
+        << (K.Exec == sim::ExecMode::Threaded ? "threaded" : "interp");
   }
 }
 
@@ -701,9 +699,9 @@ void hostileSnapshotSweep(const FaultSchedule &Faults) {
   CP.Faults = Faults;
   CP.Sup = quickSup();
   std::vector<const AllocatedProgram *> Progs(CP.MP.MeCount, &Prog);
-  for (chip::ExecModel Exec :
-       {chip::ExecModel::Interp, chip::ExecModel::Threaded}) {
-    SCOPED_TRACE(Exec == chip::ExecModel::Threaded ? "threaded" : "interp");
+  for (sim::ExecMode Exec :
+       {sim::ExecMode::Interp, sim::ExecMode::Threaded}) {
+    SCOPED_TRACE(Exec == sim::ExecMode::Threaded ? "threaded" : "interp");
     CP.Exec = Exec;
     std::string Snap;
     uint64_t Next = 0, SnapNext = 0;

@@ -668,11 +668,11 @@ TEST(ThreadedSoak, StatsMatchInterpreter) {
   Opts.Seed = 11;
   Opts.OracleEvery = 1;
   soak::SoakReport RI = soak::runSoak(harness("nat"), Opts);
-  Opts.Exec = soak::ExecMode::Threaded;
+  Opts.Exec = sim::ExecMode::Threaded;
   soak::SoakReport RT = soak::runSoak(harness("nat"), Opts);
 
-  EXPECT_EQ(RI.Exec, soak::ExecMode::Interp);
-  EXPECT_EQ(RT.Exec, soak::ExecMode::Threaded);
+  EXPECT_EQ(RI.Exec, sim::ExecMode::Interp);
+  EXPECT_EQ(RT.Exec, sim::ExecMode::Threaded);
   EXPECT_EQ(RT.Divergences, 0u);
   EXPECT_EQ(RI.Divergences, 0u);
   EXPECT_EQ(RT.Stats.Packets, RI.Stats.Packets);
@@ -692,7 +692,7 @@ TEST(ThreadedSoak, ReportJsonHasExecKeys) {
   soak::SoakOptions Opts;
   Opts.Packets = 50;
   Opts.Seed = 2;
-  Opts.Exec = soak::ExecMode::Threaded;
+  Opts.Exec = sim::ExecMode::Threaded;
   Opts.OracleEvery = 10;
   soak::SoakReport R = soak::runSoak(harness("nat"), Opts);
   std::string J = soak::reportJson(R);
@@ -714,7 +714,7 @@ TEST(ThreadedSoak, BitFlipNegativeControl) {
   soak::SoakOptions Opts;
   Opts.Packets = 50;
   Opts.Seed = 3;
-  Opts.Exec = soak::ExecMode::Threaded;
+  Opts.Exec = sim::ExecMode::Threaded;
   Opts.OracleEvery = 1;
   soak::SoakReport R = soak::runSoak(harness("nat"), Opts);
   EXPECT_GT(R.Divergences, 0u);

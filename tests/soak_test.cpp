@@ -650,7 +650,7 @@ TEST(ChipSoak, FaultScheduleRecoversWithZeroDivergences) {
   EXPECT_EQ(A.Chip.Recovery.fold(), B.Chip.Recovery.fold());
 
   // Same schedule, translated fast path: identical schedule and ledger.
-  Opts.Chip.Exec = chip::ExecModel::Threaded;
+  Opts.Base.Exec = sim::ExecMode::Threaded;
   Opts.Base.OracleEvery = 10;
   soak::ChipSoakReport T = soak::runChipSoak(harness("nat"), Opts);
   ASSERT_TRUE(T.Setup.ok()) << T.Setup.message();
@@ -727,4 +727,109 @@ TEST(SoakReport, JsonHasStableKeys) {
         "\"oracle_rate\":1", "\"translate_seconds\"",
         "\"divergences\":0", "\"first_divergence\":null"})
     EXPECT_NE(J.find(Key), std::string::npos) << Key << " in " << J;
+}
+
+//===----------------------------------------------------------------------===//
+// Whole-report pins: the stabilized JSON of one run per stream shape
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// FNV-1a-64 over the bytes of \p S.
+uint64_t fnv1a64(const std::string &S) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (unsigned char C : S) {
+    H ^= C;
+    H *= 0x100000001b3ull;
+  }
+  return H;
+}
+
+/// Runs a standalone nat soak and returns its stabilized report.
+std::string stableNatReport(const soak::SoakOptions &Opts) {
+  soak::SoakReport R = soak::runSoak(harness("nat"), Opts);
+  EXPECT_FALSE(R.Stopped);
+  soak::stabilize(R);
+  return soak::reportJson(R);
+}
+
+soak::SoakOptions bitFlipOptions(sim::ExecMode Exec) {
+  soak::SoakOptions Opts;
+  Opts.Packets = 60;
+  Opts.Seed = 3;
+  Opts.Exec = Exec;
+  Opts.OracleEvery = Exec == sim::ExecMode::Threaded ? 10 : 1;
+  return Opts;
+}
+
+/// A 6-ME nat chip under a lockup + brownout schedule; its stabilized
+/// report.
+std::string stableChipReport(sim::ExecMode Exec) {
+  soak::ChipSoakOptions Opts;
+  Opts.Base.Packets = 1'500;
+  Opts.Base.Seed = 42;
+  Opts.Base.OracleEvery = 10;
+  Opts.Base.Exec = Exec;
+  Opts.Chip.MP.MeCount = 6;
+  std::string Error;
+  EXPECT_TRUE(parseFaultSchedule("ctx-lockup@500,chan-brownout@1000~4",
+                                 Opts.Chip.Faults, Error))
+      << Error;
+  soak::ChipSoakReport R = soak::runChipSoak(harness("nat"), Opts);
+  EXPECT_TRUE(R.Setup.ok()) << R.Setup.message();
+  EXPECT_GT(R.Chip.Recovery.LockupsInjected, 0u);
+  EXPECT_GT(R.Chip.Recovery.BrownoutsInjected, 0u);
+  soak::stabilize(R);
+  return soak::chipReportJson(R);
+}
+
+} // namespace
+
+TEST(SoakReportPin, NatInterpEveryPacket) {
+  soak::SoakOptions Opts;
+  Opts.Packets = 400;
+  Opts.Seed = 42;
+  std::string J = stableNatReport(Opts);
+  EXPECT_EQ(fnv1a64(J), 0x1ca3e555242ee4ecull) << J;
+}
+
+TEST(SoakReportPin, NatThreadedOracleRateTen) {
+  soak::SoakOptions Opts;
+  Opts.Packets = 2'000;
+  Opts.Seed = 42;
+  Opts.Exec = sim::ExecMode::Threaded;
+  Opts.OracleEvery = 10;
+  std::string J = stableNatReport(Opts);
+  EXPECT_EQ(fnv1a64(J), 0xbc622b99a8a6329aull) << J;
+}
+
+TEST(SoakReportPin, BitFlipDivergenceInterp) {
+  FaultSpec Spec;
+  std::string Error;
+  ASSERT_TRUE(parseFaultSpec("sim-bitflip@40", Spec, Error)) << Error;
+  ScopedFaultInjection Armed({Spec});
+  std::string J = stableNatReport(bitFlipOptions(sim::ExecMode::Interp));
+  EXPECT_NE(J.find("\"shrunk_words\":["), std::string::npos) << J;
+  EXPECT_EQ(fnv1a64(J), 0x4075e50969ee102cull) << J;
+}
+
+TEST(SoakReportPin, BitFlipDivergenceThreaded) {
+  FaultSpec Spec;
+  std::string Error;
+  ASSERT_TRUE(parseFaultSpec("sim-bitflip@40", Spec, Error)) << Error;
+  ScopedFaultInjection Armed({Spec});
+  std::string J =
+      stableNatReport(bitFlipOptions(sim::ExecMode::Threaded));
+  EXPECT_NE(J.find("\"shrunk_words\":["), std::string::npos) << J;
+  EXPECT_EQ(fnv1a64(J), 0x11621b683ba02746ull) << J;
+}
+
+TEST(SoakReportPin, ChipFaultScheduleInterp) {
+  std::string J = stableChipReport(sim::ExecMode::Interp);
+  EXPECT_EQ(fnv1a64(J), 0xb38bb2664ce79e9full) << J;
+}
+
+TEST(SoakReportPin, ChipFaultScheduleThreaded) {
+  std::string J = stableChipReport(sim::ExecMode::Threaded);
+  EXPECT_EQ(fnv1a64(J), 0xfd35eaeef266f09full) << J;
 }

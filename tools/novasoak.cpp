@@ -162,10 +162,10 @@ int main(int argc, char **argv) {
                V.c_str());
     } else if (P.valueFlag("--exec", V)) {
       if (!P.Failed) {
-        if (V == "interp")
-          Opts.Exec = soak::ExecMode::Interp;
-        else if (V == "threaded")
-          Opts.Exec = soak::ExecMode::Threaded;
+        if (V == sim::execModeName(sim::ExecMode::Interp))
+          Opts.Exec = sim::ExecMode::Interp;
+        else if (V == sim::execModeName(sim::ExecMode::Threaded))
+          Opts.Exec = sim::ExecMode::Threaded;
         else
           P.fail("--exec expects 'interp' or 'threaded', got '%s'", V.c_str());
       }
@@ -255,7 +255,7 @@ int main(int argc, char **argv) {
   // The fast path exists to amortize the oracle: checking every packet
   // in threaded mode would be interpreter-bound, so default to 1-in-10
   // unless the user picked a rate.
-  if (!SawOracleEvery && Opts.Exec == soak::ExecMode::Threaded)
+  if (!SawOracleEvery && Opts.Exec == sim::ExecMode::Threaded)
     Opts.OracleEvery = 10;
   if (P.Failed) {
     usage();
@@ -299,9 +299,6 @@ int main(int argc, char **argv) {
       soak::ChipSoakOptions CO;
       CO.Base = Opts;
       CO.Chip = Chip;
-      CO.Chip.Exec = Opts.Exec == soak::ExecMode::Threaded
-                         ? chip::ExecModel::Threaded
-                         : chip::ExecModel::Interp;
       Rep = soak::runChipSoak(*H, CO);
     } else {
       Rep.Base = soak::runSoak(*H, Opts);
