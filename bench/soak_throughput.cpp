@@ -10,17 +10,23 @@
 // the differential oracle's verdict: any divergence fails the bench,
 // so the numbers are always measured on verified-identical execution.
 //
-// The absolute numbers are environment-bound (this is a 1-core CI box;
-// see EXPERIMENTS.md "Soak throughput" for the analysis): watchdog-class
-// packets execute their full 50k-instruction budget in *both* modes by
-// construction, packet generation costs ~4us/packet, and every oracle
-// sample runs three extra semantic models. The interesting output is
+// The absolute numbers are environment-bound (see EXPERIMENTS.md "Soak
+// throughput" for the analysis): watchdog-class packets execute their
+// full 50k-instruction budget in *both* modes by construction, packet
+// generation costs ~4us/packet, and every oracle sample runs three
+// extra semantic models. The interesting output is
 // the interp/threaded ratio per rate, not any single pkt/s figure.
+//
+// The first JSON row is the fast path's translation shape for the app
+// (exec_mode "translation"): ops in the stream, ops in superblock
+// streams, adjacent ops merged by fusion, and allocated instructions per
+// op of the per-block streams, which cover every instruction once.
 //
 //   bench/soak_throughput [--app nat] [--packets N] [--seed S] [--json F]
 //
 //===----------------------------------------------------------------------===//
 
+#include "fastpath/FastPath.h"
 #include "soak/Soak.h"
 #include "support/ArgParser.h"
 #include "support/Json.h"
@@ -68,12 +74,35 @@ int main(int argc, char **argv) {
   std::printf("%9s | %11s | %10s %9s | %10s\n", "exec", "oracle-rate",
               "pkt/s", "wall-s", "checks");
 
+  JsonWriter Json;
+  Json.beginArray();
+  {
+    const alloc::AllocatedProgram &Prog = H->compiled().Alloc.Prog;
+    fastpath::Translated T =
+        fastpath::translate(Prog, soak::SoakOptions().Lat);
+    uint64_t Instrs = 0;
+    for (const alloc::AllocBlock &B : Prog.Blocks)
+      Instrs += B.Instrs.size();
+    const uint64_t Ops = T.Ops.size();
+    const uint64_t BlockOps = Ops - T.SuperblockOps;
+    const double PerOp = BlockOps ? double(Instrs) / double(BlockOps) : 0;
+    std::printf("translation: %llu ops (%u in %u superblocks), %u fused, "
+                "%.3f instructions/op\n",
+                (unsigned long long)Ops, T.SuperblockOps, T.Superblocks,
+                T.FusedOps, PerOp);
+    Json.beginObject().field("app", App).field("exec_mode", "translation");
+    Json.field("instructions", Instrs).field("ops", Ops);
+    Json.field("superblocks", T.Superblocks);
+    Json.field("superblock_ops", T.SuperblockOps);
+    Json.field("fused_ops", T.FusedOps);
+    Json.key("instructions_per_op").fixed(PerOp, 3);
+    Json.endObject();
+  }
+
   // Generator-only baseline: the same batched stream with execution
   // stubbed out entirely. This is the hard ceiling any exec mode is
   // measured against — generator cost is recorded, not inferred from
   // the gap between modes.
-  JsonWriter Json;
-  Json.beginArray();
   {
     soak::ClassMix Mix;
     soak::PacketTemplateCache Cache;

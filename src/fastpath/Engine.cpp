@@ -20,13 +20,15 @@
 //    operand, or the watchdog could fire inside the block. It hands
 //    back to the fast tier when a branch or jump changes the block.
 //
-// The tiers interleave freely: control returns to BlockEntry at every
-// block boundary with exact counters either way.
+// The tiers interleave freely: control returns to a block's or
+// superblock's gate at every block boundary with exact counters either
+// way. An edge into a superblock runs that gate in the edge's own
+// handler (SUPER_GATE), so a loop back edge costs no extra dispatch.
 //
 // The loop is instantiated twice (see runStream in FastPath.h): flat on
 // BatchMemory for Engine, resumable on sim::Memory for SegmentContext.
-// PC and the counters live in locals during a burst and are written back
-// to the context only at yields and exits.
+// The op pointer and the counters live in locals during a burst and are
+// written back to the context only at yields and exits.
 //
 //===----------------------------------------------------------------------===//
 
@@ -107,7 +109,7 @@ Stepped slowTier(StreamContext &Ctx, MemT &Mem, const sim::RunOptions &Opts,
 } // namespace
 
 #define VM_CASE(K) L_##K:
-#define VM_DISPATCH() goto *JT[static_cast<unsigned>(Ops[PC].Kind)]
+#define VM_DISPATCH() goto *JT[static_cast<unsigned>(IP->Kind)]
 
 template <class MemT>
 Yield fastpath::runStream(StreamContext &Ctx, MemT &Mem,
@@ -130,14 +132,20 @@ Yield fastpath::runStream(StreamContext &Ctx, MemT &Mem,
   const uint32_t Rebase = Flat ? 0 : Ctx.SpillRebase;
   const uint64_t BurstStart = R.Cycles;
 
+  // The op being executed, as a pointer so that a dispatch is one load
+  // and one indirect jump; cold paths convert it back to an op index.
+  const FastOp *IP = Ops + Ctx.PC;
+  auto index = [Ops](const FastOp *At) {
+    return static_cast<uint32_t>(At - Ops);
+  };
   // Live counters: exact at every block boundary. Interior fast ops
   // never touch them; exits rebuild them from Start + cold data.
-  uint32_t PC = Ctx.PC;
   uint64_t Ins = Ctx.Ins, Cyc = Ctx.Cyc;
   uint64_t StartIns = Ctx.StartIns, StartCyc = Ctx.StartCyc;
+  uint32_t Ea; // a memory op's effective address, before spill rebasing
 
   auto park = [&] {
-    Ctx.PC = PC;
+    Ctx.PC = index(IP);
     Ctx.Ins = Ins;
     Ctx.Cyc = Cyc;
     Ctx.StartIns = StartIns;
@@ -156,8 +164,8 @@ Yield fastpath::runStream(StreamContext &Ctx, MemT &Mem,
   // The resumable loop's end of a memory op: yield the reference, with
   // its data effect applied, to the caller who charges it.
   auto yieldMem = [&](MemSpace S) -> Yield {
-    materialize(PC);
-    Ctx.YieldPC = PC;
+    materialize(index(IP));
+    Ctx.YieldPC = index(IP);
     Ctx.FastYield = true;
     park();
     return {Yield::Kind::Mem, S, R.Cycles - BurstStart};
@@ -176,7 +184,15 @@ Yield fastpath::runStream(StreamContext &Ctx, MemT &Mem,
       &&L_FuseCopyXor, &&L_FuseCopyShl, &&L_FuseCopyShr, &&L_FuseCopyNot,
       &&L_FuseCopyCopy, &&L_FuseShlAdd,
       &&L_FuseCopyMemRead, &&L_FuseCopyMemWrite,
+      &&L_FuseAddMemRead, &&L_FuseAddMemWrite,
+      &&L_FuseAddCopyMemRead, &&L_FuseAddCopyMemWrite,
+      &&L_FuseCopyAddMemRead, &&L_FuseCopyAddMemWrite,
+      &&L_FuseCopyAddCopyMemRead, &&L_FuseCopyAddCopyMemWrite,
+      &&L_FuseShlAddMemRead, &&L_FuseShlAddMemWrite,
+      &&L_FuseShlAddCopyMemRead, &&L_FuseShlAddCopyMemWrite,
   };
+  static_assert(sizeof(JT) / sizeof(JT[0]) ==
+                static_cast<unsigned>(FOp::FuseShlAddCopyMemWrite) + 1);
 
   if (Ctx.InSlow)
     goto Slow;
@@ -187,13 +203,13 @@ Yield fastpath::runStream(StreamContext &Ctx, MemT &Mem,
     const ColdInfo &C = ColdA[Ctx.YieldPC];
     StartIns = R.Instructions - C.InsDelta;
     StartCyc = R.Cycles - C.CycPrefix;
-    PC = Ctx.YieldPC + 1;
+    IP = Ops + Ctx.YieldPC + 1;
     Ctx.FastYield = false;
   }
   VM_DISPATCH();
 
   VM_CASE(BlockEntry) {
-    const FastOp &O = Ops[PC];
+    const FastOp &O = *IP;
     const BlockMeta &M = Meta[O.X];
     if (SlowAll || M.ForceSlow || Ins + M.MaxPath > MaxIns) {
       R.Instructions = Ins;
@@ -205,31 +221,48 @@ Yield fastpath::runStream(StreamContext &Ctx, MemT &Mem,
     }
     StartIns = Ins;
     StartCyc = Cyc;
-    ++PC;
+    ++IP;
     VM_DISPATCH();
   }
 
+// The superblock gate for the SuperEntry at IP: the chain's whole path
+// must fit in the remaining budget (and the per-instruction escape
+// hatches must be off) to run on from its first interior op; otherwise
+// fall back to the head block's own stream, whose BlockEntry gate
+// decides at block granularity.
+#define SUPER_GATE()                                                      \
+  {                                                                       \
+    const FastOp &E = *IP;                                                \
+    if (SlowAll || Ins + E.Y > MaxIns) {                                  \
+      IP = Ops + Meta[E.X].FirstOp;                                       \
+    } else {                                                              \
+      StartIns = Ins;                                                     \
+      StartCyc = Cyc;                                                     \
+      ++IP;                                                               \
+    }                                                                     \
+  }
+
+// Control transfer along a resolved edge, with Ins/Cyc exact: an edge
+// into a superblock runs the gate in the edge's own handler, saving the
+// SuperEntry's dispatch on every loop back edge.
+#define VM_GOTO(TARGET)                                                   \
+  {                                                                       \
+    IP = Ops + (TARGET);                                                  \
+    if (IP->Kind == FOp::SuperEntry)                                      \
+      SUPER_GATE();                                                       \
+    VM_DISPATCH();                                                        \
+  }
+
   VM_CASE(SuperEntry) {
-    const FastOp &O = Ops[PC];
-    // The chain's whole path must fit in the remaining budget (and the
-    // per-instruction escape hatches must be off); otherwise fall back
-    // to the head block's own stream, whose BlockEntry gate decides at
-    // block granularity.
-    if (SlowAll || Ins + O.Y > MaxIns) {
-      PC = Meta[O.X].FirstOp;
-      VM_DISPATCH();
-    }
-    StartIns = Ins;
-    StartCyc = Cyc;
-    ++PC;
+    SUPER_GATE();
     VM_DISPATCH();
   }
 
 #define ALU_CASE(NAME, PRIM)                                              \
   VM_CASE(NAME) {                                                         \
-    const FastOp &O = Ops[PC];                                            \
+    const FastOp &O = *IP;                                                \
     F[O.D] = cps::evalPrim(cps::PrimOp::PRIM, F[O.A], F[O.B]);            \
-    ++PC;                                                                 \
+    ++IP;                                                                 \
     VM_DISPATCH();                                                        \
   }
   ALU_CASE(AluAdd, Add)
@@ -243,21 +276,24 @@ Yield fastpath::runStream(StreamContext &Ctx, MemT &Mem,
 #undef ALU_CASE
 
   VM_CASE(Copy) {
-    const FastOp &O = Ops[PC];
+    const FastOp &O = *IP;
     F[O.D] = F[O.A];
-    ++PC;
+    ++IP;
     VM_DISPATCH();
   }
 
-// Fused pairs: the leading copy writes before the second op reads, so
-// a second op that reads (or overwrites) the copy's destination sees
-// exactly the unfused frame state.
+// Fused copy pairs: the translator forwarded the second op's reads of
+// the copy's destination to its source, so every source is read before
+// the first write, and the writes land in program order (a second op
+// that overwrites the copy's destination wins, as unfused).
 #define FUSE_CASE(NAME, PRIM)                                             \
   VM_CASE(FuseCopy##NAME) {                                               \
-    const FastOp &O = Ops[PC];                                            \
-    F[O.X] = F[O.Y];                                                      \
-    F[O.D] = cps::evalPrim(cps::PrimOp::PRIM, F[O.A], F[O.B]);            \
-    ++PC;                                                                 \
+    const FastOp &O = *IP;                                                \
+    uint32_t V = F[O.Y];                                                  \
+    uint32_t Res = cps::evalPrim(cps::PrimOp::PRIM, F[O.A], F[O.B]);      \
+    F[O.X] = V;                                                           \
+    F[O.D] = Res;                                                         \
+    ++IP;                                                                 \
     VM_DISPATCH();                                                        \
   }
   FUSE_CASE(Add, Add)
@@ -271,50 +307,110 @@ Yield fastpath::runStream(StreamContext &Ctx, MemT &Mem,
 #undef FUSE_CASE
 
   VM_CASE(FuseCopyCopy) {
-    const FastOp &O = Ops[PC];
-    F[O.X] = F[O.Y];
-    F[O.D] = F[O.A];
-    ++PC;
+    const FastOp &O = *IP;
+    uint32_t V = F[O.Y], W = F[O.A];
+    F[O.X] = V;
+    F[O.D] = W;
+    ++IP;
     VM_DISPATCH();
   }
 
   VM_CASE(FuseShlAdd) {
-    const FastOp &O = Ops[PC];
+    const FastOp &O = *IP;
     F[O.D] = cps::evalPrim(cps::PrimOp::Add, F[O.X],
                            cps::evalPrim(cps::PrimOp::Shl, F[O.A], F[O.B]));
-    ++PC;
+    ++IP;
     VM_DISPATCH();
   }
 
   VM_CASE(Hash) {
-    const FastOp &O = Ops[PC];
+    const FastOp &O = *IP;
     F[O.D] = hwHash(F[O.A]);
-    ++PC;
+    ++IP;
     VM_DISPATCH();
   }
 
-  // A fused copy retires before its memory op issues. The fused op's
-  // other fields are the memory op's, so the op's own handler runs it.
-  VM_CASE(FuseCopyMemRead) {
-    const FastOp &O = Ops[PC];
-    F[O.D] = F[O.B];
-    goto L_MemRead;
+// The effective address of a memory op, computed by its fused producer
+// (if any), whose registers are written first. The producer's copy or
+// base slot sits in the pool after the memory op's word list.
+#define EX(K) Pool[O.X + O.N + (K)]
+#define EA_REG Ea = F[O.A];
+#define EA_ADD                                                            \
+  Ea = cps::evalPrim(cps::PrimOp::Add, F[O.A], F[O.B]);                   \
+  F[O.D] = Ea;
+#define EA_COPYADD                                                        \
+  {                                                                       \
+    uint32_t V = F[EX(1)];                                                \
+    Ea = cps::evalPrim(cps::PrimOp::Add, F[O.A], F[O.B]);                 \
+    F[EX(0)] = V;                                                         \
+    F[O.D] = Ea;                                                          \
   }
-  VM_CASE(FuseCopyMemWrite) {
-    const FastOp &O = Ops[PC];
-    F[O.D] = F[O.B];
-    goto L_MemWrite;
+#define EA_SHLADD                                                         \
+  Ea = cps::evalPrim(cps::PrimOp::Add, F[EX(0)],                          \
+                     cps::evalPrim(cps::PrimOp::Shl, F[O.A], F[O.B]));    \
+  F[O.D] = Ea;
+// A copy fused into the memory op: it retires after the producer and
+// before the access. Plain FuseCopyMem* ops carry it in B (src) and D
+// (dst); address-mode ops at EX(K) (dst), EX(K + 1) (src).
+#define COPY_BD F[O.D] = F[O.B];
+#define COPY_EX(K) F[EX(K)] = F[EX((K) + 1)];
+
+// One memory handler per (producer, fused copy, access) combination:
+// each computes the effective address into Ea and goes on to the shared
+// access below. A fused op carries the memory op's cold data: it is the
+// trap and yield point, and every earlier write in it has retired by
+// then, as unfused.
+#define MEM_CASE(NAME, PRODUCE, COPY, ACCESS)                             \
+  VM_CASE(NAME) {                                                         \
+    const FastOp &O = *IP;                                                \
+    PRODUCE                                                               \
+    COPY                                                                  \
+    goto ACCESS;                                                          \
+  }
+  MEM_CASE(MemRead, EA_REG, , MemReadAccess)
+  MEM_CASE(MemWrite, EA_REG, , MemWriteAccess)
+  MEM_CASE(FuseCopyMemRead, EA_REG, COPY_BD, MemReadAccess)
+  MEM_CASE(FuseCopyMemWrite, EA_REG, COPY_BD, MemWriteAccess)
+  MEM_CASE(FuseAddMemRead, EA_ADD, , MemReadAccess)
+  MEM_CASE(FuseAddMemWrite, EA_ADD, , MemWriteAccess)
+  MEM_CASE(FuseAddCopyMemRead, EA_ADD, COPY_EX(0), MemReadAccess)
+  MEM_CASE(FuseAddCopyMemWrite, EA_ADD, COPY_EX(0), MemWriteAccess)
+  MEM_CASE(FuseCopyAddMemRead, EA_COPYADD, , MemReadAccess)
+  MEM_CASE(FuseCopyAddMemWrite, EA_COPYADD, , MemWriteAccess)
+  MEM_CASE(FuseCopyAddCopyMemRead, EA_COPYADD, COPY_EX(2), MemReadAccess)
+  MEM_CASE(FuseCopyAddCopyMemWrite, EA_COPYADD, COPY_EX(2), MemWriteAccess)
+  MEM_CASE(FuseShlAddMemRead, EA_SHLADD, , MemReadAccess)
+  MEM_CASE(FuseShlAddMemWrite, EA_SHLADD, , MemWriteAccess)
+  MEM_CASE(FuseShlAddCopyMemRead, EA_SHLADD, COPY_EX(1), MemReadAccess)
+  MEM_CASE(FuseShlAddCopyMemWrite, EA_SHLADD, COPY_EX(1), MemWriteAccess)
+#undef MEM_CASE
+#undef COPY_EX
+#undef COPY_BD
+#undef EA_SHLADD
+#undef EA_COPYADD
+#undef EA_ADD
+#undef EA_REG
+#undef EX
+
+  // Memory accesses at Ea: after the data effect, the flat loop charges
+  // the op's flat cost (only once in range) and runs on; the resumable
+  // loop yields.
+#define MEM_DONE(S)                                                       \
+  if constexpr (Flat) {                                                   \
+    StartCyc += O.Y;                                                      \
+    ++IP;                                                                 \
+    VM_DISPATCH();                                                        \
+  } else {                                                                \
+    return yieldMem(S);                                                   \
   }
 
-  // Memory ops: after the data effect, the flat loop charges the op's
-  // flat cost (only once in range) and runs on; the resumable loop
-  // yields.
-  VM_CASE(MemRead) {
-    const FastOp &O = Ops[PC];
+MemReadAccess:
+  {
+    const FastOp &O = *IP;
     MemSpace S = static_cast<MemSpace>(O.Aux);
-    uint32_t Addr = spillRebased(P, Rebase, S, F[O.A]);
+    uint32_t Addr = spillRebased(P, Rebase, S, Ea);
     if (!Mem.inRange(S, Addr, O.N)) {
-      materialize(PC);
+      materialize(index(IP));
       trap(R, rangeTrapFor(S),
            formatf("%s read of %u words at 0x%x (limit 0x%x)",
                    spaceName(S), O.N, Addr, Mem.limits().words(S)));
@@ -323,21 +419,16 @@ Yield fastpath::runStream(StreamContext &Ctx, MemT &Mem,
     const uint16_t *Dst = Pool + O.X;
     for (uint32_t K = 0; K != O.N; ++K)
       F[Dst[K]] = Mem.load(S, Addr + K);
-    if constexpr (Flat) {
-      StartCyc += O.Y;
-      ++PC;
-      VM_DISPATCH();
-    } else {
-      return yieldMem(S);
-    }
+    MEM_DONE(S)
   }
 
-  VM_CASE(MemWrite) {
-    const FastOp &O = Ops[PC];
+MemWriteAccess:
+  {
+    const FastOp &O = *IP;
     MemSpace S = static_cast<MemSpace>(O.Aux);
-    uint32_t Addr = spillRebased(P, Rebase, S, F[O.A]);
+    uint32_t Addr = spillRebased(P, Rebase, S, Ea);
     if (!Mem.inRange(S, Addr, O.N)) {
-      materialize(PC);
+      materialize(index(IP));
       trap(R, rangeTrapFor(S),
            formatf("%s write of %u words at 0x%x (limit 0x%x)",
                    spaceName(S), O.N, Addr, Mem.limits().words(S)));
@@ -346,21 +437,15 @@ Yield fastpath::runStream(StreamContext &Ctx, MemT &Mem,
     const uint16_t *Src = Pool + O.X;
     for (uint32_t K = 0; K != O.N; ++K)
       Mem.store(S, Addr + K, F[Src[K]]);
-    if constexpr (Flat) {
-      StartCyc += O.Y;
-      ++PC;
-      VM_DISPATCH();
-    } else {
-      return yieldMem(S);
-    }
+    MEM_DONE(S)
   }
 
   VM_CASE(BitTestSet) {
-    const FastOp &O = Ops[PC];
+    const FastOp &O = *IP;
     MemSpace S = static_cast<MemSpace>(O.Aux);
     uint32_t Addr = spillRebased(P, Rebase, S, F[O.A]);
     if (!Mem.inRange(S, Addr, 1)) {
-      materialize(PC);
+      materialize(index(IP));
       trap(R, rangeTrapFor(S),
            formatf("%s bit-test-set at 0x%x (limit 0x%x)", spaceName(S),
                    Addr, Mem.limits().words(S)));
@@ -369,23 +454,17 @@ Yield fastpath::runStream(StreamContext &Ctx, MemT &Mem,
     uint32_t Old = Mem.load(S, Addr);
     Mem.store(S, Addr, Old | F[O.B]);
     F[O.D] = Old;
-    if constexpr (Flat) {
-      StartCyc += O.Y;
-      ++PC;
-      VM_DISPATCH();
-    } else {
-      return yieldMem(S);
-    }
+    MEM_DONE(S)
   }
+#undef MEM_DONE
 
 #define BRANCH_CASE(NAME, CMP)                                            \
   VM_CASE(NAME) {                                                         \
-    const FastOp &O = Ops[PC];                                            \
-    const ColdInfo &C = ColdA[PC];                                        \
+    const FastOp &O = *IP;                                                \
+    const ColdInfo &C = ColdA[index(IP)];                                 \
     Ins = StartIns + C.InsDelta;                                          \
     Cyc = StartCyc + C.CycPrefix + BranchCost;                            \
-    PC = cps::evalCmp(cps::CmpOp::CMP, F[O.A], F[O.B]) ? O.X : O.Y;       \
-    VM_DISPATCH();                                                        \
+    VM_GOTO(cps::evalCmp(cps::CmpOp::CMP, F[O.A], F[O.B]) ? O.X : O.Y);   \
   }
   BRANCH_CASE(BranchEq, Eq)
   BRANCH_CASE(BranchNe, Ne)
@@ -401,16 +480,15 @@ Yield fastpath::runStream(StreamContext &Ctx, MemT &Mem,
 // comparison that continues the chain.
 #define GUARD_CASE(NAME, CMP)                                             \
   VM_CASE(NAME) {                                                         \
-    const FastOp &O = Ops[PC];                                            \
+    const FastOp &O = *IP;                                                \
     if (cps::evalCmp(cps::CmpOp::CMP, F[O.A], F[O.B]) == (O.Aux != 0)) {  \
-      ++PC;                                                               \
+      ++IP;                                                               \
       VM_DISPATCH();                                                      \
     }                                                                     \
-    const ColdInfo &C = ColdA[PC];                                        \
+    const ColdInfo &C = ColdA[index(IP)];                                 \
     Ins = StartIns + C.InsDelta;                                          \
     Cyc = StartCyc + C.CycPrefix + BranchCost;                            \
-    PC = O.X;                                                             \
-    VM_DISPATCH();                                                        \
+    VM_GOTO(O.X);                                                         \
   }
   GUARD_CASE(GuardEq, Eq)
   GUARD_CASE(GuardNe, Ne)
@@ -421,17 +499,16 @@ Yield fastpath::runStream(StreamContext &Ctx, MemT &Mem,
 #undef GUARD_CASE
 
   VM_CASE(Jump) {
-    const FastOp &O = Ops[PC];
-    const ColdInfo &C = ColdA[PC];
+    const FastOp &O = *IP;
+    const ColdInfo &C = ColdA[index(IP)];
     Ins = StartIns + C.InsDelta;
     Cyc = StartCyc + C.CycPrefix + BranchCost;
-    PC = O.X;
-    VM_DISPATCH();
+    VM_GOTO(O.X);
   }
 
   VM_CASE(Halt) {
-    const FastOp &O = Ops[PC];
-    materialize(PC);
+    const FastOp &O = *IP;
+    materialize(index(IP));
     const uint16_t *Src = Pool + O.X;
     for (uint32_t K = 0; K != O.N; ++K)
       R.HaltValues.push_back(F[Src[K]]);
@@ -440,8 +517,8 @@ Yield fastpath::runStream(StreamContext &Ctx, MemT &Mem,
   }
 
   VM_CASE(TrapStatic) {
-    const FastOp &O = Ops[PC];
-    materialize(PC);
+    const FastOp &O = *IP;
+    materialize(index(IP));
     trap(R, static_cast<sim::TrapKind>(O.Aux), T.Messages[O.X]);
     return finish();
   }
@@ -454,7 +531,7 @@ Slow:
       Ctx.InSlow = false;
       Ins = R.Instructions;
       Cyc = R.Cycles;
-      PC = Meta[Ctx.SB].EnterOp;
+      IP = Ops + Meta[Ctx.SB].EnterOp;
       VM_DISPATCH();
     }
     if (S.K == Stepped::Mem) {
@@ -465,6 +542,8 @@ Slow:
   }
 }
 
+#undef VM_GOTO
+#undef SUPER_GATE
 #undef VM_CASE
 #undef VM_DISPATCH
 

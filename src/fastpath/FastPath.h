@@ -33,10 +33,34 @@
 ///    counters saved at block entry. Latency costs (including the
 ///    per-Imm 1-vs-2-cycle split) are folded at translation time, which
 ///    is why the translation is specific to one LatencyModel;
-///  - adjacent simple ops fuse into one dispatch (FuseCopy*/FuseShlAdd):
-///    interior op indices are never control-flow targets and interior
-///    ops touch no counters, so merging two ops is invisible to both
-///    control flow and the reconstructed counts.
+///  - adjacent ops fuse into superinstructions. Interior op indices are
+///    never control-flow targets and interior ops touch no counters, so
+///    merging ops is invisible to both control flow and the reconstructed
+///    counts. The rules key on opcodes and dataflow within the linear run
+///    of a block or superblock, never on an app or a profile:
+///      * copy pairs: a Copy followed by an ALU op, a Copy or a memory op
+///        becomes FuseCopy* (and AluShl feeding one AluAdd operand into
+///        the same register becomes FuseShlAdd);
+///      * operand forwarding: the second op of a copy pair reads the
+///        copy's source wherever it would read the copy's destination,
+///        so the handler reads every source before its first write and
+///        no value round-trips through the frame within the pair;
+///      * address-mode memory ops: a MemRead, MemWrite or FuseCopyMem*
+///        whose address is the destination of the AluAdd, FuseCopyAdd or
+///        FuseShlAdd just before it absorbs that producer. One dispatch
+///        writes the producer's registers in program order, computes the
+///        address in a register and accesses memory; it carries the
+///        memory op's cold data, being the trap and yield point;
+///      * back-edge gates: a jump, branch or guard edge whose target is a
+///        SuperEntry runs the superblock's budget gate in its own handler
+///        and continues at the target's first interior op (or falls back
+///        to the head block's BlockEntry), saving a dispatch per loop
+///        iteration.
+///    Fused forms keep FastOp at 20 bytes: the extra slots of an
+///    address-mode op (a producer's copy or base, the consumer's copy)
+///    sit in the Pool right after its memory word list. Fusion adds no
+///    constants, so frameSize() — and a snapshot's frame — is the same
+///    with or without it.
 ///
 /// Superblocks: hot single-predecessor block chains are additionally
 /// collapsed into superblock streams (SuperEntry + interior ops with
@@ -105,13 +129,23 @@ enum class FOp : uint8_t {
   FuseCopyAdd, FuseCopySub, FuseCopyAnd, FuseCopyOr, FuseCopyXor,
   FuseCopyShl, FuseCopyShr, FuseCopyNot,
               ///< fused pair: Frame[X] = Frame[Y], then the ALU op
-              ///< A,B -> D — both writes in program order, one dispatch
+              ///< A,B -> D (operands forwarded past the copy)
   FuseCopyCopy, ///< fused pair: Frame[X] = Frame[Y]; Frame[D] = Frame[A]
   FuseShlAdd,   ///< fused address idiom: D = Frame[X] + (Frame[A]<<Frame[B])
   FuseCopyMemRead, FuseCopyMemWrite,
               ///< Frame[D] = Frame[B], then the memory op (A=addr, N,
               ///< X=pool, Y=cost, Aux=space); carries the memory op's
               ///< cold data — it is a trap and yield point
+  FuseAddMemRead, FuseAddMemWrite, FuseAddCopyMemRead, FuseAddCopyMemWrite,
+  FuseCopyAddMemRead, FuseCopyAddMemWrite, FuseCopyAddCopyMemRead,
+  FuseCopyAddCopyMemWrite,
+  FuseShlAddMemRead, FuseShlAddMemWrite, FuseShlAddCopyMemRead,
+  FuseShlAddCopyMemWrite,
+              ///< address-mode memory ops: the producer (AluAdd,
+              ///< FuseCopyAdd or FuseShlAdd: A, B -> D, its copy or base
+              ///< at Pool[X+N..]) computes the address, then the memory
+              ///< op (plain or copy-fused, its copy next in the pool)
+              ///< accesses it; Aux, N, X, Y and cold data as MemRead
 };
 
 struct FastOp {

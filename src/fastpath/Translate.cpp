@@ -20,6 +20,10 @@
 // the branch's own cold data and a pre-formatted message — the taken-edge
 // check costs nothing at runtime.
 //
+// Ops of a block's (or superblock's) linear run are emitted through the
+// fusion rules of FastPath.h (Translator::fuse). Every non-fusible op
+// closes the run.
+//
 // Superblocks (TranslateOptions::Superblocks, on by default): after the
 // per-block pass, single-predecessor chains of non-ForceSlow blocks are
 // re-emitted as one linear stream headed by a SuperEntry gate. Interior
@@ -39,6 +43,7 @@
 #include "sim/SimUtil.h"
 #include "support/StringUtils.h"
 
+#include <cassert>
 #include <map>
 
 using namespace nova;
@@ -106,81 +111,156 @@ struct Translator {
     return static_cast<uint32_t>(T.Messages.size() - 1);
   }
 
-  /// Index of the last emitted op while it is still a fusion candidate
-  /// (a Copy or AluShl with nothing emitted after it), else -1.
-  int Pending = -1;
+  /// Start of the current linear run: ops from here to the end of the
+  /// stream are still open to fusion. Every non-fusible emission (entry,
+  /// exit, trap) closes the run; a superblock's interior jump emits
+  /// nothing, so the run continues across it on purpose.
+  size_t FuseFrom = 0;
 
   void emit(const FastOp &O, const ColdInfo &C) {
-    Pending = -1;
     T.Ops.push_back(O);
     T.Cold.push_back(C);
+    FuseFrom = T.Ops.size();
   }
 
-  /// Emission with pairwise fusion: two stream-adjacent simple ops
-  /// collapse into one dispatch. Legal because interior op indices are
-  /// never control-flow targets (all transfers land on BlockEntry/
-  /// SuperEntry or appendix traps) and interior ops touch no counters —
-  /// cold data reconstructs exact counts at exits either way. The fused
-  /// handlers perform both writes in program order, so the pair stays
-  /// exact even when the second op reads or overwrites the first's
-  /// destination. Pending survives a superblock's interior jump on
-  /// purpose: the stream is linear across that boundary too.
+  /// Emission with fusion: after appending \p O, the last two ops of the
+  /// run merge while a rule in fuse() matches. A merged op may complete
+  /// a pair with the op before it (an address producer ahead of a
+  /// copy-fused memory op), hence the loop.
   void emitFusible(const FastOp &O, const ColdInfo &C) {
-    if (Pending >= 0) {
-      FastOp &Pr = T.Ops[static_cast<size_t>(Pending)];
-      bool SecondIsAlu = O.Kind >= FOp::AluAdd && O.Kind <= FOp::AluNot;
-      if (Pr.Kind == FOp::Copy && (SecondIsAlu || O.Kind == FOp::Copy)) {
-        FastOp N = O;
-        N.Kind = O.Kind == FOp::Copy
-                     ? FOp::FuseCopyCopy
-                     : static_cast<FOp>(
-                           static_cast<unsigned>(FOp::FuseCopyAdd) +
-                           (static_cast<unsigned>(O.Kind) -
-                            static_cast<unsigned>(FOp::AluAdd)));
-        N.X = Pr.D; // copy destination
-        N.Y = Pr.A; // copy source
-        Pr = N;
-        ++T.FusedOps;
-        Pending = -1;
-        return;
-      }
-      // A copy staging a memory op's address or data: the mem op's B and
-      // D fields are free, and its cold data moves onto the fused op —
-      // unlike pure-ALU fusions it can trap and (in SegmentContext)
-      // yield, and both read ColdA at the op's own index.
-      if (Pr.Kind == FOp::Copy &&
-          (O.Kind == FOp::MemRead || O.Kind == FOp::MemWrite)) {
-        FastOp N = O;
-        N.Kind = O.Kind == FOp::MemRead ? FOp::FuseCopyMemRead
-                                        : FOp::FuseCopyMemWrite;
-        N.B = Pr.A; // copy source
-        N.D = Pr.D; // copy destination
-        Pr = N;
-        T.Cold[static_cast<size_t>(Pending)] = C;
-        ++T.FusedOps;
-        Pending = -1;
-        return;
-      }
-      // Address idiom: the shifted value feeds exactly one add operand
-      // and dies into the add's destination, so it needs no frame slot.
-      if (Pr.Kind == FOp::AluShl && O.Kind == FOp::AluAdd && O.D == Pr.D &&
-          ((O.A == Pr.D) != (O.B == Pr.D))) {
-        FastOp N;
-        N.Kind = FOp::FuseShlAdd;
-        N.A = Pr.A;
-        N.B = Pr.B;
-        N.D = O.D;
-        N.X = O.A == Pr.D ? O.B : O.A; // the add's other operand
-        Pr = N;
-        ++T.FusedOps;
-        Pending = -1;
-        return;
-      }
+    T.Ops.push_back(O);
+    T.Cold.push_back(C);
+    while (T.Ops.size() - FuseFrom >= 2) {
+      size_t I = T.Ops.size() - 2;
+      if (!fuse(T.Ops[I], T.Ops[I + 1]))
+        break;
+      // The later op's cold data: it is the one a fused memory op traps
+      // and yields with, and ALU ops never read theirs.
+      T.Cold[I] = T.Cold[I + 1];
+      T.Ops.pop_back();
+      T.Cold.pop_back();
+      ++T.FusedOps;
     }
-    int Idx = static_cast<int>(T.Ops.size());
-    emit(O, C);
-    if (O.Kind == FOp::Copy || O.Kind == FOp::AluShl)
-      Pending = Idx;
+  }
+
+  static bool isAlu(FOp K) { return K >= FOp::AluAdd && K <= FOp::AluNot; }
+  static unsigned offset(FOp K, FOp Base) {
+    return static_cast<unsigned>(K) - static_cast<unsigned>(Base);
+  }
+  static FOp shifted(FOp Base, unsigned By) {
+    return static_cast<FOp>(static_cast<unsigned>(Base) + By);
+  }
+
+  /// The address-mode rule's producers and memory consumers, in the
+  /// order of the FuseAddMemRead.. opcode block.
+  static int producerIndex(FOp K) {
+    switch (K) {
+    case FOp::AluAdd:      return 0;
+    case FOp::FuseCopyAdd: return 1;
+    case FOp::FuseShlAdd:  return 2;
+    default:               return -1;
+    }
+  }
+  static int consumerIndex(FOp K) {
+    switch (K) {
+    case FOp::MemRead:          return 0;
+    case FOp::MemWrite:         return 1;
+    case FOp::FuseCopyMemRead:  return 2;
+    case FOp::FuseCopyMemWrite: return 3;
+    default:                    return -1;
+    }
+  }
+
+  /// The fusion rules. Each merges the stream-adjacent pair \p First;
+  /// \p Second into \p First and returns true. Legal because interior op
+  /// indices are never control-flow targets (transfers land on
+  /// BlockEntry/SuperEntry, one past a SuperEntry, or appendix traps) and
+  /// interior ops touch no counters, so cold data reconstructs exact
+  /// counts at every exit either way. Every fused handler performs the
+  /// pair's writes in program order. The rules key on opcodes and
+  /// dataflow only.
+  bool fuse(FastOp &First, const FastOp &Second) {
+    // Operand forwarding: the second op of a copy pair reads the
+    // copy's source wherever it would read the copy's destination, so a
+    // handler may read all sources before its first write.
+    auto Fwd = [&](uint16_t S) { return S == First.D ? First.A : S; };
+
+    if (First.Kind == FOp::Copy &&
+        (isAlu(Second.Kind) || Second.Kind == FOp::Copy)) {
+      FastOp N = Second;
+      N.Kind = Second.Kind == FOp::Copy
+                   ? FOp::FuseCopyCopy
+                   : shifted(FOp::FuseCopyAdd,
+                             offset(Second.Kind, FOp::AluAdd));
+      N.A = Fwd(Second.A);
+      N.B = Fwd(Second.B);
+      N.X = First.D; // copy destination
+      N.Y = First.A; // copy source
+      First = N;
+      return true;
+    }
+    // A copy staging a memory op's address or data: the memory op's B
+    // and D fields are free and carry the copy.
+    if (First.Kind == FOp::Copy &&
+        (Second.Kind == FOp::MemRead || Second.Kind == FOp::MemWrite)) {
+      FastOp N = Second;
+      N.Kind = Second.Kind == FOp::MemRead ? FOp::FuseCopyMemRead
+                                           : FOp::FuseCopyMemWrite;
+      N.A = Fwd(Second.A);
+      if (Second.Kind == FOp::MemWrite)
+        for (uint32_t K = 0; K != Second.N; ++K)
+          T.Pool[Second.X + K] = Fwd(T.Pool[Second.X + K]);
+      N.B = First.A;
+      N.D = First.D;
+      First = N;
+      return true;
+    }
+    // Address idiom: the shifted value feeds exactly one add operand and
+    // dies into the add's destination, so it needs no frame slot.
+    if (First.Kind == FOp::AluShl && Second.Kind == FOp::AluAdd &&
+        Second.D == First.D &&
+        ((Second.A == First.D) != (Second.B == First.D))) {
+      FastOp N;
+      N.Kind = FOp::FuseShlAdd;
+      N.A = First.A;
+      N.B = First.B;
+      N.D = Second.D;
+      N.X = Second.A == First.D ? Second.B : Second.A; // the add's base
+      First = N;
+      return true;
+    }
+    // Address-mode memory ops: a memory op whose address is the
+    // destination of the add just before it absorbs that producer and
+    // computes the address in the same dispatch. The add's operands take
+    // the free A/B/D fields; a producer's copy or base slot and the
+    // consumer's own copy go to the pool right after the memory op's
+    // word list (Pool[X+N..]).
+    int Prod = producerIndex(First.Kind);
+    int Cons = consumerIndex(Second.Kind);
+    if (Prod >= 0 && Cons >= 0 && Second.A == First.D) {
+      assert(T.Pool.size() == size_t(Second.X) + Second.N &&
+             "a fusing memory op's word list ends the pool");
+      if (First.Kind == FOp::FuseCopyAdd) {
+        T.Pool.push_back(static_cast<uint16_t>(First.X)); // copy dst
+        T.Pool.push_back(static_cast<uint16_t>(First.Y)); // copy src
+      } else if (First.Kind == FOp::FuseShlAdd) {
+        T.Pool.push_back(static_cast<uint16_t>(First.X)); // base
+      }
+      if (Cons >= 2) {
+        T.Pool.push_back(Second.D); // the consumer copy's dst
+        T.Pool.push_back(Second.B); // and src
+      }
+      FastOp N = Second;
+      N.Kind = shifted(FOp::FuseAddMemRead,
+                       4 * static_cast<unsigned>(Prod) +
+                           static_cast<unsigned>(Cons));
+      N.A = First.A;
+      N.B = First.B;
+      N.D = First.D;
+      First = N;
+      return true;
+    }
+    return false;
   }
 
   /// True when every register operand \p I names exists (constants are

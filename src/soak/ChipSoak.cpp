@@ -165,6 +165,7 @@ ChipSoakReport soak::runChipSoak(const AppHarness &App,
   // The retire hook fires between events with the chip quiescent, so the
   // dispatch cursor, report fold and chip image are coherent.
   const CheckpointOptions &CK = SO.Ckpt;
+  uint64_t RestoredMismatches = 0; // committed only by a resume that parsed
   CkptDriver CD(
       CK, std::move(Meta), Rep.Base, Clock,
       [&](BinWriter &W) {
@@ -172,11 +173,14 @@ ChipSoakReport soak::runChipSoak(const AppHarness &App,
         C.saveState(W);
       },
       [&](BinReader &R) {
-        io(R, Rep.ChipOutcomeMismatches);
+        io(R, RestoredMismatches);
         C.restoreState(R);
       });
-  if (CK.Resume && !CD.resume(Next))
-    return Rep;
+  if (CK.Resume) {
+    if (!CD.resume(Next))
+      return Rep;
+    Rep.ChipOutcomeMismatches = RestoredMismatches;
+  }
   if (CK.Every || CK.ProgressEvery || CK.KillAfter || CK.StopAfter)
     C.setRetireHook([&](uint64_t Retired, uint64_t) {
       return CD.onRetired(Retired, Next);

@@ -437,8 +437,13 @@ bool CkptDriver::resume(uint64_t &Cursor) {
     Rep.CkptError = S;
     return false;
   }
+  // Restore into scratch copies and commit only once the whole state
+  // section parsed: a failed resume leaves the report and the cursor as
+  // they were.
   BinReader R = LC.stateReader();
-  restoreSoakProgress(R, Rep, Cursor);
+  SoakReport Restored = Rep;
+  uint64_t RestoredCursor = Cursor;
+  restoreSoakProgress(R, Restored, RestoredCursor);
   if (RestoreExtra)
     RestoreExtra(R);
   if (R.failed() || R.remaining() != 0) {
@@ -447,6 +452,8 @@ bool CkptDriver::resume(uint64_t &Cursor) {
         "checkpoint " + LC.Path + ": state section malformed");
     return false;
   }
+  Rep = std::move(Restored);
+  Cursor = RestoredCursor;
   Rep.ResumedFrom = LC.Path;
   std::fprintf(stderr, "novasoak: resumed %s from %s (%llu retired)\n",
                Rep.App.c_str(), LC.Path.c_str(),

@@ -326,7 +326,12 @@ public:
 
   /// Restores Rep, \p Cursor and the extra state from the newest valid
   /// snapshot and continues the cadence from its retired count. False =>
-  /// hard failure recorded in Rep.CkptError (nothing may run).
+  /// hard failure recorded in Rep.CkptError (nothing may run); Rep's
+  /// counters and \p Cursor are then untouched, because the progress is
+  /// restored into scratch copies and committed only once the whole
+  /// state section parsed. \p RestoreExtra commits its own state the
+  /// same way (the chip runner keeps the restored mismatch counter
+  /// aside until resume() succeeds).
   bool resume(uint64_t &Cursor);
 
   /// Called once \p Retired packets have fully landed in Rep, with the

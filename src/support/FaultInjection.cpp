@@ -11,7 +11,7 @@
 
 using namespace nova;
 
-std::atomic<bool> FaultInjector::ArmedFlag{false};
+bool FaultInjector::Armed = false;
 
 const char *nova::faultKindName(FaultKind K) {
   switch (K) {
@@ -71,7 +71,6 @@ FaultInjector &FaultInjector::instance() {
 }
 
 void FaultInjector::arm(std::vector<FaultSpec> Specs) {
-  std::lock_guard<std::mutex> Lock(Mu);
   for (Slot &S : Slots)
     S = Slot();
   for (const FaultSpec &Spec : Specs) {
@@ -81,21 +80,19 @@ void FaultInjector::arm(std::vector<FaultSpec> Specs) {
     S.RngState = DrawSeed;
   }
   // An empty plan arms nothing: armed() gates the fast path's
-  // per-instruction slow tier (and a mutex on every draw), so arming
-  // without any active fault would silently cost an order of magnitude
-  // in throughput for a guaranteed no-op.
-  ArmedFlag.store(!Specs.empty(), std::memory_order_relaxed);
+  // per-instruction slow tier, so arming without any active fault would
+  // silently cost an order of magnitude in throughput for a guaranteed
+  // no-op.
+  Armed = !Specs.empty();
 }
 
 void FaultInjector::disarm() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  ArmedFlag.store(false, std::memory_order_relaxed);
+  Armed = false;
   for (Slot &S : Slots)
     S = Slot();
 }
 
 void FaultInjector::rearm() {
-  std::lock_guard<std::mutex> Lock(Mu);
   for (Slot &S : Slots) {
     if (!S.Active)
       continue;
@@ -115,7 +112,6 @@ static double nextUnit(uint64_t &State) {
 }
 
 bool FaultInjector::shouldFire(FaultKind K) {
-  std::lock_guard<std::mutex> Lock(Mu);
   Slot &S = Slots[static_cast<unsigned>(K)];
   if (!S.Active)
     return false;
@@ -129,7 +125,6 @@ bool FaultInjector::shouldFire(FaultKind K) {
 }
 
 double FaultInjector::magnitude(FaultKind K, double Default) const {
-  std::lock_guard<std::mutex> Lock(Mu);
   const Slot &S = Slots[static_cast<unsigned>(K)];
   if (!S.Active || S.Spec.Magnitude == 0.0)
     return Default;
@@ -137,7 +132,6 @@ double FaultInjector::magnitude(FaultKind K, double Default) const {
 }
 
 unsigned FaultInjector::drawCycles(FaultKind K, double Default) {
-  std::lock_guard<std::mutex> Lock(Mu);
   Slot &S = Slots[static_cast<unsigned>(K)];
   double Mag = (!S.Active || S.Spec.Magnitude == 0.0) ? Default
                                                       : S.Spec.Magnitude;
@@ -146,12 +140,10 @@ unsigned FaultInjector::drawCycles(FaultKind K, double Default) {
 }
 
 unsigned FaultInjector::fired(FaultKind K) const {
-  std::lock_guard<std::mutex> Lock(Mu);
   return Slots[static_cast<unsigned>(K)].Fired;
 }
 
 unsigned FaultInjector::opportunities(FaultKind K) const {
-  std::lock_guard<std::mutex> Lock(Mu);
   return Slots[static_cast<unsigned>(K)].Opportunities;
 }
 

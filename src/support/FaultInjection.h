@@ -21,17 +21,16 @@
 /// the recovery rung taken and that the emitted code still runs packets
 /// correctly.
 ///
-/// The disarmed fast path is one relaxed atomic load, so the hooks are
-/// free in production use.
+/// The disarmed fast path is one load of a plain flag, so the hooks are
+/// free in production use. No code in the project starts a thread, so
+/// the registry takes no lock.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SUPPORT_FAULTINJECTION_H
 #define SUPPORT_FAULTINJECTION_H
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -130,16 +129,14 @@ using FaultSchedule = std::vector<FaultScheduleEntry>;
 bool parseFaultSchedule(const std::string &Text, FaultSchedule &Out,
                         std::string &Error);
 
-/// Process-wide injection registry. Thread-safe; deterministic for a
-/// fixed plan and a serial (or deterministic-mode) solve.
+/// Process-wide injection registry; deterministic for a fixed plan.
+/// Single-threaded, like every caller.
 class FaultInjector {
 public:
   static FaultInjector &instance();
 
   /// True when any plan is armed — the only check on hot paths.
-  static bool armed() {
-    return ArmedFlag.load(std::memory_order_relaxed);
-  }
+  static bool armed() { return Armed; }
 
   /// Installs \p Specs as the active plan, resetting all counters.
   void arm(std::vector<FaultSpec> Specs);
@@ -184,9 +181,8 @@ private:
   };
 
   static constexpr unsigned NumKinds = 12;
-  static std::atomic<bool> ArmedFlag;
+  static bool Armed;
 
-  mutable std::mutex Mu;
   Slot Slots[NumKinds];
 };
 

@@ -18,10 +18,17 @@
 //     illegal register on a memory op traps only after the memory
 //     charge), the test also pins the absolute counts.
 //
+//     The superinstruction tests build each fused form on purpose —
+//     every address-mode memory form's range trap, forwarded copy
+//     pairs, watchdog expiry at back-edge gates, spill rebasing of a
+//     fused address and snapshots taken at a fused yield — and hold
+//     them to the same bit-identical contract.
+//
 //  2. Differential fuzz: the three benchmark apps (compiled once,
 //     cached in-process like soak_test) under 200+ adversarial stream
 //     seeds; every packet must match across halts, all three memory
-//     images, trap kind + message, cycles and instructions.
+//     images, trap kind + message, cycles and instructions. Each app's
+//     translation shape (frame size, fused op count) is pinned.
 //
 //  3. The threaded soak driver: stats bit-identical to the interpreter
 //     driver, and a negative control — an injected ALU bit flip must
@@ -35,7 +42,10 @@
 #include "fastpath/FastPath.h"
 #include "fastpath/Segment.h"
 #include "soak/Soak.h"
+#include "sim/SimUtil.h"
+#include "support/BinIO.h"
 #include "support/FaultInjection.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -112,6 +122,14 @@ AllocInstr memWrite(MemSpace S, AOperand Addr, std::vector<AOperand> Vals) {
   I.Space = S;
   I.Srcs = {Addr};
   I.Srcs.insert(I.Srcs.end(), Vals.begin(), Vals.end());
+  return I;
+}
+
+AllocInstr move(AOperand Src, PhysLoc Dst) {
+  AllocInstr I;
+  I.Op = MOp::Move;
+  I.Srcs = {Src};
+  I.Dsts = {Dst};
   return I;
 }
 
@@ -556,6 +574,365 @@ TEST(FastPath, EngineIsReusableAndDeterministic) {
 }
 
 //===----------------------------------------------------------------------===//
+// Superinstructions: address-mode memory ops, forwarding, back-edge gates
+//===----------------------------------------------------------------------===//
+
+using sim::detail::rangeTrapFor;
+using sim::detail::spaceName;
+
+bool hasKind(const fastpath::Translated &T, fastpath::FOp K) {
+  for (const fastpath::FastOp &O : T.Ops)
+    if (O.Kind == K)
+      return true;
+  return false;
+}
+
+/// True when some op of kind \p K transfers to a SuperEntry through its
+/// X target (or its Y target, for a branch).
+bool edgeIntoSuperEntry(const fastpath::Translated &T, fastpath::FOp K) {
+  for (const fastpath::FastOp &O : T.Ops)
+    if (O.Kind == K &&
+        (T.Ops[O.X].Kind == fastpath::FOp::SuperEntry ||
+         (K >= fastpath::FOp::BranchEq && K <= fastpath::FOp::BranchGe &&
+          T.Ops[O.Y].Kind == fastpath::FOp::SuperEntry)))
+      return true;
+  return false;
+}
+
+/// One block: producer \p Prod (0 add, 1 copy+add, 2 shl+add) computes
+/// an address into A1; consumer \p Cons (0 read, 1 write, 2 copy+read,
+/// 3 copy+write) accesses two words of \p S there. The consumer's copy
+/// reads the producer's result, and the access reads or overwrites the
+/// address register, so every write of the fused op is order-sensitive.
+AllocatedProgram addressModeProgram(unsigned Prod, unsigned Cons,
+                                    MemSpace S) {
+  const PhysLoc Addr = loc(Bank::A, 1);
+  const AOperand AddrR = AOperand::reg(Addr);
+  std::vector<AllocInstr> Is;
+  if (Prod == 0) {
+    Is.push_back(alu(cps::PrimOp::Add, AOperand::reg(loc(Bank::A, 0)),
+                     AOperand::constant(16), Addr));
+  } else if (Prod == 1) {
+    Is.push_back(imm(16, loc(Bank::A, 2)));
+    Is.push_back(alu(cps::PrimOp::Add, AOperand::reg(loc(Bank::A, 0)),
+                     AOperand::reg(loc(Bank::A, 2)), Addr));
+  } else {
+    Is.push_back(alu(cps::PrimOp::Shl, AOperand::reg(loc(Bank::A, 0)),
+                     AOperand::constant(2), Addr));
+    Is.push_back(alu(cps::PrimOp::Add, AddrR,
+                     AOperand::reg(loc(Bank::A, 3)), Addr));
+  }
+  if (Cons >= 2)
+    Is.push_back(move(AddrR, loc(Bank::B, 1)));
+  if (Cons % 2 == 0)
+    Is.push_back(memRead(S, AddrR, {loc(Bank::B, 0), Addr}));
+  else
+    Is.push_back(memWrite(S, AddrR,
+                          {AddrR, AOperand::reg(loc(Bank::B, Cons >= 2))}));
+  Is.push_back(haltOf({AOperand::reg(loc(Bank::B, 0)), AddrR,
+                       AOperand::reg(loc(Bank::B, 1))}));
+  return oneBlock(std::move(Is));
+}
+
+TEST(FastPathFusion, AddressModeFormsMatchAndRangeTrap) {
+  // Every producer x consumer form, in every space: in range the fused
+  // op's writes and memory effects match the interpreter; at the limit
+  // (one word past it, and a two-word access straddling it) the fused op
+  // range-traps with the interpreter's kind, message, instruction count
+  // and cycles.
+  sim::MemLimits Lim;
+  sim::Memory Base;
+  for (MemSpace S : {MemSpace::Sram, MemSpace::Sdram, MemSpace::Scratch}) {
+    Base.store(S, 24, 0x1111);
+    Base.store(S, 25, 0x2222);
+    Base.store(S, 132, 0x3333);
+  }
+  for (MemSpace S : {MemSpace::Sram, MemSpace::Sdram, MemSpace::Scratch})
+    for (unsigned Prod = 0; Prod != 3; ++Prod)
+      for (unsigned Cons = 0; Cons != 4; ++Cons) {
+        std::string Label = formatf("%s prod %u cons %u", spaceName(S),
+                                    Prod, Cons);
+        SCOPED_TRACE(Label);
+        AllocatedProgram P = addressModeProgram(Prod, Cons, S);
+        fastpath::Translated T = fastpath::translate(P, sim::LatencyModel());
+        EXPECT_TRUE(hasKind(T, static_cast<fastpath::FOp>(
+                                   static_cast<unsigned>(
+                                       fastpath::FOp::FuseAddMemRead) +
+                                   4 * Prod + Cons)));
+        EXPECT_EQ(T.FusedOps, 1u + (Prod == 1) + (Prod == 2) + (Cons >= 2));
+        // Shl+add: (A0 << 2) + A3; add: A0 + 16.
+        uint32_t Limit = Lim.words(S);
+        auto args = [&](uint32_t At) -> std::vector<uint32_t> {
+          if (Prod == 2)
+            return {0, 0, 0, At};
+          return {At - 16};
+        };
+        expectSame(P, Prod == 2 ? std::vector<uint32_t>{8, 0, 0, 100}
+                                : std::vector<uint32_t>{8},
+                   Base, sim::RunOptions(), "in range");
+        const char *What = Cons % 2 == 0 ? "read of 2 words"
+                                         : "write of 2 words";
+        sim::RunResult R = expectTrap(P, args(Limit), rangeTrapFor(S), What,
+                                      "past the limit");
+        EXPECT_EQ(R.Instructions, P.Blocks[0].Instrs.size() - 1);
+        expectTrap(P, args(Limit - 1), rangeTrapFor(S), What,
+                   "straddling the limit");
+      }
+}
+
+TEST(FastPathFusion, ForwardedCopyPairsMatch) {
+  // The second op of each copy pair reads the copy's destination (and a
+  // copy of a register onto itself): forwarding must read the source.
+  AllocatedProgram P = oneBlock(
+      {move(AOperand::reg(loc(Bank::A, 0)), loc(Bank::A, 1)),
+       alu(cps::PrimOp::Sub, AOperand::reg(loc(Bank::A, 1)),
+           AOperand::reg(loc(Bank::A, 1)), loc(Bank::A, 2)),
+       imm(5, loc(Bank::A, 3)),
+       alu(cps::PrimOp::Add, AOperand::reg(loc(Bank::A, 3)),
+           AOperand::reg(loc(Bank::A, 0)), loc(Bank::A, 3)),
+       move(AOperand::reg(loc(Bank::A, 3)), loc(Bank::A, 4)),
+       move(AOperand::reg(loc(Bank::A, 4)), loc(Bank::A, 5)),
+       move(AOperand::reg(loc(Bank::A, 5)), loc(Bank::A, 5)),
+       memWrite(MemSpace::Sram, AOperand::reg(loc(Bank::A, 5)),
+                {AOperand::reg(loc(Bank::A, 5)),
+                 AOperand::reg(loc(Bank::A, 4))}),
+       move(AOperand::reg(loc(Bank::A, 0)), loc(Bank::B, 0)),
+       memRead(MemSpace::Sram, AOperand::reg(loc(Bank::B, 0)),
+               {loc(Bank::B, 0), loc(Bank::B, 1)}),
+       haltOf({AOperand::reg(loc(Bank::A, 2)),
+               AOperand::reg(loc(Bank::A, 3)),
+               AOperand::reg(loc(Bank::B, 0)),
+               AOperand::reg(loc(Bank::B, 1))})});
+  fastpath::Translated T = fastpath::translate(P, sim::LatencyModel());
+  EXPECT_TRUE(hasKind(T, fastpath::FOp::FuseCopySub));
+  EXPECT_TRUE(hasKind(T, fastpath::FOp::FuseCopyAdd));
+  EXPECT_TRUE(hasKind(T, fastpath::FOp::FuseCopyCopy));
+  EXPECT_TRUE(hasKind(T, fastpath::FOp::FuseCopyMemWrite));
+  EXPECT_TRUE(hasKind(T, fastpath::FOp::FuseCopyMemRead));
+  for (uint32_t A0 : {0u, 7u, 0x40u})
+    expectSame(P, {A0}, formatf("a0=%u", A0).c_str());
+}
+
+/// A loop whose head heads a superblock, entered from b0. \p Shape picks
+/// the edge back into the loop's SuperEntry: 0 a jump, 1 a branch, 2 a
+/// jump plus a guard whose exit lands on a second superblock's entry.
+/// A0 counts iterations up to A1.
+AllocatedProgram gatedLoop(unsigned Shape) {
+  const AOperand I = AOperand::reg(loc(Bank::A, 0));
+  const AOperand N = AOperand::reg(loc(Bank::A, 1));
+  AllocInstr Step = alu(cps::PrimOp::Add, I, AOperand::reg(loc(Bank::A, 2)),
+                        loc(Bank::A, 0));
+  AllocatedProgram P;
+  P.Entry = 0;
+  P.Blocks.push_back({{jump(1)}});
+  if (Shape == 1) {
+    P.Blocks.push_back({{imm(1, loc(Bank::A, 2)), Step, jump(2)}});
+    P.Blocks.push_back(
+        {{alu(cps::PrimOp::Add, AOperand::reg(loc(Bank::B, 0)), I,
+              loc(Bank::B, 0)),
+          branch(cps::CmpOp::Lt, I, N, 1, 3)}});
+    P.Blocks.push_back({{haltOf({I, AOperand::reg(loc(Bank::B, 0))})}});
+    return P;
+  }
+  P.Blocks.push_back({{imm(1, loc(Bank::A, 2)), Step,
+                       branch(cps::CmpOp::Lt, I, N, 2, 3)}});
+  P.Blocks.push_back({{alu(cps::PrimOp::Add, AOperand::reg(loc(Bank::B, 0)),
+                           I, loc(Bank::B, 0)),
+                       jump(1)}});
+  if (Shape == 0) {
+    P.Blocks.push_back({{haltOf({I, AOperand::reg(loc(Bank::B, 0))})}});
+    return P;
+  }
+  // The loop exit is a guard side-exit into the chain b3 -> b4.
+  P.Blocks.push_back({{imm(9, loc(Bank::B, 1)), jump(4)}});
+  P.Blocks.push_back(
+      {{haltOf({I, AOperand::reg(loc(Bank::B, 0)),
+                AOperand::reg(loc(Bank::B, 1))})}});
+  return P;
+}
+
+TEST(FastPathFusion, WatchdogAtBackEdgeGate) {
+  // Every budget from 1 to past the whole run: some expire exactly at a
+  // back-edge whose handler runs the superblock gate (the gate fails and
+  // the run falls back to the head block's per-block stream), others
+  // inside the chain or at the guard's exit into the second superblock.
+  for (unsigned Shape = 0; Shape != 3; ++Shape) {
+    SCOPED_TRACE(formatf("shape %u", Shape));
+    AllocatedProgram P = gatedLoop(Shape);
+    fastpath::Translated T = fastpath::translate(P, sim::LatencyModel());
+    EXPECT_EQ(T.Superblocks, Shape == 2 ? 2u : 1u);
+    EXPECT_TRUE(edgeIntoSuperEntry(
+        T, Shape == 1 ? fastpath::FOp::BranchLt : fastpath::FOp::Jump));
+    if (Shape == 2) {
+      EXPECT_TRUE(edgeIntoSuperEntry(T, fastpath::FOp::GuardLt));
+    }
+    const std::vector<uint32_t> Args = {0, 6};
+    sim::Memory Mem;
+    sim::RunResult Full = sim::runAllocated(P, Args, Mem, sim::RunOptions());
+    ASSERT_TRUE(Full.Ok);
+    unsigned Traps = 0;
+    for (uint64_t Budget = 1; Budget <= Full.Instructions + 1; ++Budget) {
+      sim::RunOptions RO;
+      RO.MaxInstructions = Budget;
+      expectSame(P, Args, sim::Memory(), RO,
+                 formatf("budget %llu", (unsigned long long)Budget).c_str());
+      sim::Memory MI;
+      Traps += sim::runAllocated(P, Args, MI, RO).Trap ==
+               sim::TrapKind::Watchdog;
+    }
+    EXPECT_EQ(Traps, Full.Instructions - 1); // a budget of N runs N
+  }
+}
+
+/// A payload-copy loop in the shape of NAT's: each iteration reads a
+/// word through a shift-add address and writes it through an add
+/// address with a copy in between, i.e. FuseShlAddMemRead and
+/// FuseAddCopyMemWrite. A0 = source base (scratch), A1 = index, A2 =
+/// count, A3 = destination offset.
+AllocatedProgram copyLoop() {
+  const PhysLoc Src = loc(Bank::B, 2), Dst = loc(Bank::B, 5);
+  AllocatedProgram P;
+  P.Entry = 0;
+  P.Blocks.push_back({{jump(1)}});
+  P.Blocks.push_back({{branch(cps::CmpOp::Lt, AOperand::reg(loc(Bank::A, 1)),
+                              AOperand::reg(loc(Bank::A, 2)), 2, 3)}});
+  P.Blocks.push_back(
+      {{alu(cps::PrimOp::Shl, AOperand::reg(loc(Bank::A, 1)),
+            AOperand::constant(1), Src),
+        alu(cps::PrimOp::Add, AOperand::reg(Src),
+            AOperand::reg(loc(Bank::A, 0)), Src),
+        memRead(MemSpace::Scratch, AOperand::reg(Src), {loc(Bank::B, 3)}),
+        alu(cps::PrimOp::Add, AOperand::reg(Src),
+            AOperand::reg(loc(Bank::A, 3)), Dst),
+        move(AOperand::reg(loc(Bank::B, 3)), loc(Bank::B, 4)),
+        memWrite(MemSpace::Scratch, AOperand::reg(Dst),
+                 {AOperand::reg(loc(Bank::B, 4))}),
+        alu(cps::PrimOp::Add, AOperand::reg(loc(Bank::A, 1)),
+            AOperand::constant(1), loc(Bank::A, 1)),
+        jump(1)}});
+  P.Blocks.push_back({{haltOf({AOperand::reg(loc(Bank::A, 1))})}});
+  return P;
+}
+
+/// A resumable run of \p T on \p Mem with flat charges; returns the
+/// sequence of yields (space, burst cycles) and leaves the context done.
+std::vector<std::pair<MemSpace, uint64_t>>
+drain(fastpath::SegmentContext &Seg, sim::Memory &Mem,
+      const sim::RunOptions &RO) {
+  std::vector<std::pair<MemSpace, uint64_t>> Yields;
+  while (!Seg.done()) {
+    sim::AllocContext::Yield Y = Seg.resume(Mem, RO);
+    if (Y.K != sim::AllocContext::Yield::Kind::Mem)
+      break;
+    Yields.push_back({Y.Space, Y.Cycles});
+    Seg.charge(RO.Lat.memAccess(Y.Space));
+  }
+  return Yields;
+}
+
+TEST(FastPathFusion, SpillRebasedFusedAddress) {
+  // The resumable stream rebases a fused op's computed address into the
+  // context's spill window exactly as the interpreter's context does:
+  // same yields, same result, same scratch image. A0 = the first index
+  // puts the accesses inside the window, past it, or (with the window at
+  // the scratch limit) rebased out of range.
+  sim::MemLimits Lim;
+  for (uint32_t SpillBase : {0x8000u, Lim.ScratchWords - 8}) {
+    AllocatedProgram P = copyLoop();
+    P.SpillBase = SpillBase;
+    P.NumSpillSlots = 8;
+    fastpath::Translated T = fastpath::translate(P, sim::LatencyModel());
+    ASSERT_TRUE(hasKind(T, fastpath::FOp::FuseShlAddMemRead));
+    ASSERT_TRUE(hasKind(T, fastpath::FOp::FuseAddCopyMemWrite));
+    for (uint32_t First : {0u, 2u, 4u}) {
+      SCOPED_TRACE(formatf("spill base 0x%x first %u", SpillBase, First));
+      std::vector<uint32_t> Args = {SpillBase, First, First + 3, 1};
+      sim::Memory Base;
+      for (uint32_t K = 0; K != 16; ++K)
+        Base.store(MemSpace::Scratch, SpillBase + 64 + K, 0xA0 + K);
+      sim::RunOptions RO;
+
+      sim::Memory MI = Base;
+      sim::AllocContext AC(&P);
+      AC.setSpillRebase(64);
+      AC.reset(Args);
+      std::vector<std::pair<MemSpace, uint64_t>> Want;
+      while (!AC.done()) {
+        sim::AllocContext::Yield Y = AC.resume(MI, RO);
+        if (Y.K != sim::AllocContext::Yield::Kind::Mem)
+          break;
+        Want.push_back({Y.Space, Y.Cycles});
+        AC.charge(RO.Lat.memAccess(Y.Space));
+      }
+      sim::RunResult IR = AC.takeResult();
+      if (SpillBase == 0x8000u)
+        EXPECT_FALSE(Want.empty());
+      else // the first rebased access lands past the scratch limit
+        EXPECT_EQ(IR.Trap, sim::TrapKind::ScratchOutOfRange);
+
+      sim::Memory MS = Base;
+      fastpath::SegmentContext Seg(&T);
+      Seg.setSpillRebase(64);
+      Seg.reset(Args);
+      EXPECT_EQ(drain(Seg, MS, RO), Want);
+      expectSameResult(Seg.takeResult(), IR);
+      EXPECT_EQ(MS.Scratch, MI.Scratch);
+    }
+  }
+}
+
+TEST(FastPathFusion, SnapshotAtFusedYieldResumesIdentically) {
+  // Every memory op of the loop is fused, so every yield of the stream
+  // is inside a fused op. Snapshot the context at each yield in turn,
+  // restore into a fresh context, and finish both: the rest of the run
+  // (yields, result, image) is identical, and equals the interpreter.
+  AllocatedProgram P = copyLoop();
+  fastpath::Translated T = fastpath::translate(P, sim::LatencyModel());
+  for (fastpath::FOp K : {fastpath::FOp::MemRead, fastpath::FOp::MemWrite,
+                          fastpath::FOp::BitTestSet})
+    ASSERT_FALSE(hasKind(T, K));
+  std::vector<uint32_t> Args = {0x100, 0, 4, 0x40};
+  sim::Memory Base;
+  for (uint32_t K = 0; K != 8; ++K)
+    Base.store(MemSpace::Scratch, 0x100 + K, 0x5000 + K);
+  sim::RunOptions RO;
+  sim::Memory MI = Base;
+  sim::RunResult IR = sim::runAllocated(P, Args, MI, RO);
+  ASSERT_TRUE(IR.Ok);
+
+  for (unsigned At = 1; At <= 8; ++At) {
+    SCOPED_TRACE(formatf("snapshot at yield %u", At));
+    sim::Memory M = Base;
+    fastpath::SegmentContext A(&T);
+    A.reset(Args);
+    for (unsigned Y = 0; Y != At; ++Y) {
+      sim::AllocContext::Yield Yd = A.resume(M, RO);
+      ASSERT_EQ(Yd.K, sim::AllocContext::Yield::Kind::Mem);
+      A.charge(RO.Lat.memAccess(Yd.Space));
+    }
+    BinWriter W;
+    A.saveState(W);
+    fastpath::SegmentContext B(&T);
+    BinReader R(W.bytes().data(), W.bytes().size());
+    B.restoreState(R);
+    ASSERT_FALSE(R.failed());
+    EXPECT_EQ(R.remaining(), 0u);
+    BinWriter W2;
+    B.saveState(W2);
+    EXPECT_EQ(W2.bytes(), W.bytes());
+
+    sim::Memory MB = M;
+    std::vector<std::pair<MemSpace, uint64_t>> YA = drain(A, M, RO);
+    std::vector<std::pair<MemSpace, uint64_t>> YB = drain(B, MB, RO);
+    EXPECT_EQ(YA, YB);
+    expectSameResult(A.takeResult(), IR);
+    expectSameResult(B.takeResult(), IR);
+    EXPECT_EQ(M.Scratch, MI.Scratch);
+    EXPECT_EQ(MB.Scratch, MI.Scratch);
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // 2. Differential fuzz over the benchmark apps
 //===----------------------------------------------------------------------===//
 
@@ -657,6 +1034,32 @@ void fuzzApp(const std::string &Name, uint64_t Seeds, uint64_t PerSeed) {
 TEST(FastPathFuzz, Aes) { fuzzApp("aes", 210, 2); }
 TEST(FastPathFuzz, Kasumi) { fuzzApp("kasumi", 210, 2); }
 TEST(FastPathFuzz, Nat) { fuzzApp("nat", 210, 2); }
+
+// The translation's shape per app, with superblocks on (the soak and
+// chip default) and off. frameSize() pins the constant pool: a
+// SegmentContext snapshot serializes the whole frame, so the chip's
+// checkpoint bytes depend on it. FusedOps pins the fusion rules: a
+// change that silently stops fusing fails here.
+TEST(FastPathShape, FrameSizeAndFusedOpsArePinned) {
+  struct Case {
+    const char *App;
+    unsigned Frame, Fused, FusedPerBlock;
+  };
+  for (const Case &K : {Case{"aes", 86, 174, 119}, Case{"kasumi", 80, 205, 103},
+                        Case{"nat", 85, 59, 44}}) {
+    SCOPED_TRACE(K.App);
+    const AllocatedProgram &P = harness(K.App).compiled().Alloc.Prog;
+    sim::LatencyModel Lat = soak::SoakOptions().Lat;
+    fastpath::Translated T = fastpath::translate(P, Lat);
+    EXPECT_EQ(T.frameSize(), K.Frame);
+    EXPECT_EQ(T.FusedOps, K.Fused);
+    fastpath::TranslateOptions NoSB;
+    NoSB.Superblocks = false;
+    fastpath::Translated TP = fastpath::translate(P, Lat, NoSB);
+    EXPECT_EQ(TP.frameSize(), K.Frame);
+    EXPECT_EQ(TP.FusedOps, K.FusedPerBlock);
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // 3. The threaded soak driver

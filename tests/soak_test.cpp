@@ -26,11 +26,15 @@
 #include "soak/ChipSoak.h"
 #include "soak/Soak.h"
 
+#include "checkpoint/Checkpoint.h"
 #include "cps/Eval.h"
 #include "support/FaultInjection.h"
+#include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <map>
 
 using namespace nova;
@@ -714,6 +718,86 @@ TEST(ChipSoak, JsonCarriesRecoveryLedger) {
     EXPECT_NE(J.find(Key), std::string::npos) << Key << " in " << J;
 }
 
+namespace {
+
+/// The newest snapshot a checkpointed run left in \p Dir.
+ckpt::LoadedCheckpoint newestSnapshot(const std::string &Dir) {
+  ckpt::LoadedCheckpoint Newest;
+  for (const auto &E : std::filesystem::directory_iterator(Dir)) {
+    ckpt::LoadedCheckpoint LC;
+    if (ckpt::readCheckpoint(E.path().string(), LC).ok() &&
+        (Newest.Path.empty() ||
+         LC.Meta.PacketsRetired > Newest.Meta.PacketsRetired))
+      Newest = std::move(LC);
+  }
+  return Newest;
+}
+
+} // namespace
+
+// A resume that fails commits nothing: the caller's report keeps its
+// counters and the generator cursor keeps its value. First the run is a
+// different one (a threaded chip snapshot resumed as interp); then the
+// snapshot matches but its state section does not parse past the
+// progress section (the chip state fails to restore).
+TEST(ChipSoak, FailedResumeLeavesReportAndCursorUntouched) {
+  char Tmpl[] = "/tmp/nova-soak-test-XXXXXX";
+  ASSERT_NE(mkdtemp(Tmpl), nullptr);
+  const std::string Dir = Tmpl;
+  soak::ChipSoakOptions Opts;
+  Opts.Base.Packets = 600;
+  Opts.Base.Seed = 42;
+  Opts.Base.OracleEvery = 0;
+  Opts.Base.Exec = sim::ExecMode::Threaded;
+  Opts.Base.Ckpt.Every = 200;
+  Opts.Base.Ckpt.Dir = Dir;
+  soak::ChipSoakReport Ran = soak::runChipSoak(harness("nat"), Opts);
+  ASSERT_TRUE(Ran.Setup.ok()) << Ran.Setup.message();
+  ASSERT_FALSE(Ran.Base.Stopped);
+  ckpt::LoadedCheckpoint LC = newestSnapshot(Dir);
+  ASSERT_FALSE(LC.Path.empty());
+  ASSERT_GT(LC.Meta.PacketsRetired, 0u);
+
+  Opts.Base.Exec = sim::ExecMode::Interp;
+  Opts.Base.Ckpt.Resume = true;
+  soak::ChipSoakReport Resumed = soak::runChipSoak(harness("nat"), Opts);
+  EXPECT_EQ(Resumed.Base.CkptError.code(), StatusCode::CheckpointMismatch)
+      << Resumed.Base.CkptError.message();
+  EXPECT_EQ(Resumed.Base.Stats.Packets, 0u);
+  EXPECT_EQ(Resumed.ChipOutcomeMismatches, 0u);
+
+  soak::CheckpointOptions CK;
+  CK.Dir = Dir;
+  CK.Resume = true;
+  Timer Clock;
+  bool ExtraRan = false;
+  for (sim::ExecMode Exec :
+       {sim::ExecMode::Interp, sim::ExecMode::Threaded}) {
+    SCOPED_TRACE(sim::execModeName(Exec));
+    ckpt::CheckpointMeta Meta = LC.Meta;
+    Meta.Exec = static_cast<uint8_t>(Exec);
+    soak::SoakReport Rep;
+    soak::CkptDriver CD(CK, Meta, Rep, Clock, nullptr, [&](BinReader &R) {
+      uint64_t Mismatches = 0;
+      io(R, Mismatches);
+      ExtraRan = true;
+      R.check(false); // a chip state that does not restore
+    });
+    uint64_t Cursor = 12345;
+    EXPECT_FALSE(CD.resume(Cursor));
+    EXPECT_EQ(Rep.CkptError.code(), Exec == sim::ExecMode::Interp
+                                        ? StatusCode::CheckpointMismatch
+                                        : StatusCode::CheckpointCorrupt)
+        << Rep.CkptError.message();
+    EXPECT_EQ(Rep.Stats.Packets, 0u);
+    EXPECT_EQ(Rep.OracleChecks, 0u);
+    EXPECT_TRUE(Rep.ResumedFrom.empty());
+    EXPECT_EQ(Cursor, 12345u);
+  }
+  EXPECT_TRUE(ExtraRan); // the threaded resume got past the progress
+  std::filesystem::remove_all(Dir);
+}
+
 TEST(SoakReport, JsonHasStableKeys) {
   soak::SoakOptions Opts;
   Opts.Packets = 100;
@@ -829,7 +913,10 @@ TEST(SoakReportPin, ChipFaultScheduleInterp) {
   EXPECT_EQ(fnv1a64(J), 0xb38bb2664ce79e9full) << J;
 }
 
+// The threaded chip report also carries the translation's
+// superblock_ops, so a change to op fusion moves this pin by design (and
+// only through that field: every simulated figure matches the interp pin).
 TEST(SoakReportPin, ChipFaultScheduleThreaded) {
   std::string J = stableChipReport(sim::ExecMode::Threaded);
-  EXPECT_EQ(fnv1a64(J), 0xfd35eaeef266f09full) << J;
+  EXPECT_EQ(fnv1a64(J), 0x6e333ded6576303bull) << J;
 }
