@@ -314,7 +314,8 @@ cmake -B "$SAN_BUILD" -S "$ROOT" \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
 cmake --build "$SAN_BUILD" -j"$JOBS" --target degradation_test support_test \
   chip_fault_test checkpoint_test event_queue_test alloc_test \
-  ilp_simplex_test ilp_mip_test fastpath_test chip_test cps_test soak_test
+  ilp_simplex_test ilp_mip_test fastpath_test chip_test cps_test soak_test \
+  sim_test
 timeout 900 "$SAN_BUILD/tests/degradation_test"
 timeout 120 "$SAN_BUILD/tests/support_test"
 # The CPS evaluator's frames are reference counted and recycled per
@@ -349,6 +350,9 @@ timeout 900 "$SAN_BUILD/tests/checkpoint_test"
 # there reads or writes a neighbouring slot instead of failing a test.
 timeout 900 "$SAN_BUILD/tests/fastpath_test"
 timeout 300 "$SAN_BUILD/tests/chip_test"
+# The functional simulator and the interpreter share the entry checks and
+# the trap formatters (sim/SimUtil.h): every trap path of both runs here.
+timeout 120 "$SAN_BUILD/tests/sim_test"
 # The soak runner's one packet loop: both executors, the oracle's image
 # compares, the shrinker's candidate packets and the chip retire hook.
 timeout 300 "$SAN_BUILD/tests/soak_test"

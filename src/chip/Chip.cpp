@@ -1297,10 +1297,8 @@ struct Chip::Impl {
     H = traceFold(H, RetireFold);
     St.TraceHash = H;
     St.Recovery = Sup.stats();
-    for (const auto &KV : Trans) {
+    for (const auto &KV : Trans)
       St.Superblocks += KV.second.Superblocks;
-      St.SuperblockOps += KV.second.SuperblockOps;
-    }
     return St;
   }
 };

@@ -178,7 +178,6 @@ struct ChipRunStats {
   unsigned ReorderHighWater = 0; ///< TX reorder-buffer peak occupancy
   uint64_t RxDmaTransactions = 0;
   uint64_t Superblocks = 0;    ///< chains collapsed (threaded mode only)
-  uint64_t SuperblockOps = 0;  ///< ops in superblock streams (threaded)
   /// Fault-injection + supervisor recovery ledger (all zero when no
   /// schedule was armed).
   RecoveryStats Recovery;

@@ -59,21 +59,9 @@ void StreamContext::reset(const std::vector<uint32_t> &Args) {
   Ins = Cyc = 0;
   StartIns = StartCyc = 0;
   std::memset(Frame.data(), 0, FrameRegs * sizeof(uint32_t));
-
-  if (!T->EntryValid) {
-    trap(R, sim::TrapKind::MalformedProgram, "no entry block");
-    Finished = true;
-    return;
-  }
-  if (Args.size() > 15) {
-    trap(R, sim::TrapKind::MalformedProgram, "too many entry arguments");
-    Finished = true;
-    return;
-  }
-  for (unsigned I = 0; I != Args.size(); ++I)
-    Frame[I] = Args[I];
-  PC = T->Meta[T->Prog->Entry].EnterOp;
-  Finished = false;
+  Finished = !enterAllocated(*T->Prog, Args, Frame.data(), R);
+  if (!Finished)
+    PC = T->Meta[T->Prog->Entry].EnterOp;
 }
 
 Engine::Engine(const Translated &Tr) { C.bind(&Tr); }
@@ -411,9 +399,7 @@ MemReadAccess:
     uint32_t Addr = spillRebased(P, Rebase, S, Ea);
     if (!Mem.inRange(S, Addr, O.N)) {
       materialize(index(IP));
-      trap(R, rangeTrapFor(S),
-           formatf("%s read of %u words at 0x%x (limit 0x%x)",
-                   spaceName(S), O.N, Addr, Mem.limits().words(S)));
+      readRangeTrap(R, S, O.N, Addr, Mem.limits().words(S));
       return finish();
     }
     const uint16_t *Dst = Pool + O.X;
@@ -429,9 +415,7 @@ MemWriteAccess:
     uint32_t Addr = spillRebased(P, Rebase, S, Ea);
     if (!Mem.inRange(S, Addr, O.N)) {
       materialize(index(IP));
-      trap(R, rangeTrapFor(S),
-           formatf("%s write of %u words at 0x%x (limit 0x%x)",
-                   spaceName(S), O.N, Addr, Mem.limits().words(S)));
+      writeRangeTrap(R, S, O.N, Addr, Mem.limits().words(S));
       return finish();
     }
     const uint16_t *Src = Pool + O.X;
@@ -446,9 +430,7 @@ MemWriteAccess:
     uint32_t Addr = spillRebased(P, Rebase, S, F[O.A]);
     if (!Mem.inRange(S, Addr, 1)) {
       materialize(index(IP));
-      trap(R, rangeTrapFor(S),
-           formatf("%s bit-test-set at 0x%x (limit 0x%x)", spaceName(S),
-                   Addr, Mem.limits().words(S)));
+      bitTestSetRangeTrap(R, S, Addr, Mem.limits().words(S));
       return finish();
     }
     uint32_t Old = Mem.load(S, Addr);

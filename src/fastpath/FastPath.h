@@ -181,7 +181,6 @@ struct BlockMeta {
 /// the plain per-block translation to triangulate.
 struct TranslateOptions {
   bool Superblocks = true; ///< collapse single-predecessor chains
-  unsigned MaxChain = 32;  ///< longest chain merged into one superblock
 };
 
 /// A translated program. Holds a pointer to the source program (for the

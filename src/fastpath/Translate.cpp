@@ -20,16 +20,19 @@
 // the branch's own cold data and a pre-formatted message — the taken-edge
 // check costs nothing at runtime.
 //
-// Ops of a block's (or superblock's) linear run are emitted through the
-// fusion rules of FastPath.h (Translator::fuse). Every non-fusible op
-// closes the run.
+// One emitter, Translator::emitRun, writes every linear run: a chain of
+// blocks, each of whose terminals continues into the next. A block's
+// stream is the run of a one-block chain after its BlockEntry; a
+// superblock's is the run of its chain after its SuperEntry. Ops go
+// through the fusion rules of FastPath.h (Translator::fuse), and every
+// non-fusible op closes the fusion window.
 //
 // Superblocks (TranslateOptions::Superblocks, on by default): after the
 // per-block pass, single-predecessor chains of non-ForceSlow blocks are
-// re-emitted as one linear stream headed by a SuperEntry gate. Interior
-// jumps vanish (their instruction+branch cost folds into the cumulative
-// cold bases), interior branches become Guard side-exits, and every op's
-// cold data is cumulative from the superblock entry, so any exit still
+// emitted again as one run headed by a SuperEntry gate. Interior jumps
+// vanish (their instruction+branch cost folds into the cumulative cold
+// bases), interior branches become Guard side-exits, and every op's cold
+// data is cumulative from the superblock entry, so any exit still
 // reconstructs exact interpreter counts. The per-block streams survive
 // unchanged — they are the watchdog/slow-path fallback and the target of
 // edges into chain interiors. Predecessor counts include a virtual edge
@@ -41,7 +44,6 @@
 #include "fastpath/FastPath.h"
 
 #include "sim/SimUtil.h"
-#include "support/StringUtils.h"
 
 #include <cassert>
 #include <map>
@@ -58,17 +60,13 @@ namespace {
 
 using sim::frameSlot;
 
+/// The longest chain merged into one superblock.
+constexpr size_t MaxChain = 32;
+
 /// True when \p I ends the block's linear execution unconditionally.
 bool isTerminal(const AllocInstr &I) {
-  if (I.Op == MOp::Branch || I.Op == MOp::Jump || I.Op == MOp::Halt ||
-      I.Op == MOp::Clone)
-    return true;
-  // An invalid memory space traps before operands are read.
-  if ((I.Op == MOp::MemRead || I.Op == MOp::MemWrite ||
-       I.Op == MOp::BitTestSet) &&
-      !validSpace(I.Space))
-    return true;
-  return false;
+  return I.Op == MOp::Branch || I.Op == MOp::Jump || I.Op == MOp::Halt ||
+         I.Op == MOp::Clone || hasInvalidSpace(I);
 }
 
 struct Translator {
@@ -338,6 +336,107 @@ struct Translator {
     return O;
   }
 
+  /// A trap op whose message is formatted now, at translation time.
+  void emitTrap(sim::TrapKind K, std::string Message, const ColdInfo &C) {
+    FastOp O;
+    O.Kind = FOp::TrapStatic;
+    O.Aux = static_cast<uint8_t>(K);
+    O.X = message(std::move(Message));
+    emit(O, C);
+  }
+
+  /// The op for terminal \p I of block \p B that leaves its run: a
+  /// static trap, a branch or jump to be resolved, or a halt.
+  void emitExit(const AllocInstr &I, uint32_t B, const ColdInfo &C) {
+    FastOp O;
+    switch (I.Op) {
+    case MOp::Clone:
+      emitTrap(sim::TrapKind::MalformedProgram, ClonePseudoMessage, C);
+      return;
+    case MOp::Branch:
+      O.Kind = static_cast<FOp>(static_cast<unsigned>(FOp::BranchEq) +
+                                static_cast<unsigned>(I.Cmp));
+      O.A = static_cast<uint16_t>(srcSlot(I.Srcs[0]));
+      O.B = static_cast<uint16_t>(srcSlot(I.Srcs[1]));
+      O.X = I.Target;     // block ids until the patch pass
+      O.Y = I.TargetElse;
+      Edges.push_back({static_cast<uint32_t>(T.Ops.size()), B, Edge::KBranch});
+      break;
+    case MOp::Jump:
+      O.Kind = FOp::Jump;
+      O.X = I.Target;
+      Edges.push_back({static_cast<uint32_t>(T.Ops.size()), B, Edge::KJump});
+      break;
+    case MOp::Halt:
+      O.Kind = FOp::Halt;
+      O.N = static_cast<uint32_t>(I.Srcs.size());
+      O.X = static_cast<uint32_t>(T.Pool.size());
+      for (const AOperand &S : I.Srcs)
+        T.Pool.push_back(static_cast<uint16_t>(srcSlot(S)));
+      break;
+    default: // a memory op on an invalid space
+      emitTrap(sim::TrapKind::IllegalMemSpace,
+               invalidSpaceMessage(I.Space, B), C);
+      return;
+    }
+    emit(O, C);
+  }
+
+  /// Emits the linear run of \p Chain, a chain of blocks each of whose
+  /// terminals continues into the next: every instruction up to the last
+  /// block's terminal (or its end, which traps). Cold data is cumulative
+  /// from the run's start. Between two chain blocks a jump emits nothing
+  /// (its fetch and branch cost fold into the cumulative bases) and a
+  /// branch becomes a Guard that side-exits off the chain. Returns the
+  /// last block's path: the instructions a traversal of it can consume.
+  uint32_t emitRun(const std::vector<uint32_t> &Chain) {
+    // Instructions retired and cycles charged by the chain *before* the
+    // current block (memory-op costs excluded: they accrue into the
+    // runtime cycle base as the ops execute).
+    uint32_t InsBase = 0, CycBase = 0;
+    for (size_t J = 0;; ++J) {
+      uint32_t B = Chain[J];
+      const std::vector<AllocInstr> &Instrs = P.Blocks[B].Instrs;
+      uint32_t K = 0, CycPrefix = 0;
+      for (; K != Instrs.size() && !isTerminal(Instrs[K]); ++K) {
+        ColdInfo C{InsBase + K + 1, CycBase + CycPrefix};
+        emitFusible(decodeSimple(Instrs[K]), C);
+        // Memory ops add 0: their flat cost is FastOp::Y, charged as the
+        // op executes so the stream stays resumable.
+        CycPrefix += Lat.opCycles(Instrs[K]);
+      }
+      ColdInfo C{InsBase + K + 1, CycBase + CycPrefix};
+      if (K == Instrs.size()) {
+        // Fell off the end: one more instruction fetch, then the trap
+        // (only in the last block: a block with no terminal has no
+        // successor).
+        emitTrap(sim::TrapKind::MalformedProgram, fellOffMessage(B), C);
+        return K + 1;
+      }
+      const AllocInstr &I = Instrs[K];
+      if (J + 1 == Chain.size()) {
+        emitExit(I, B, C);
+        return K + 1;
+      }
+      if (I.Op == MOp::Branch) {
+        // Interior branch: a Guard that continues into the next chain
+        // block and side-exits with cumulative counts.
+        bool ContinueOnTrue = Chain[J + 1] == I.Target;
+        FastOp O;
+        O.Kind = static_cast<FOp>(static_cast<unsigned>(FOp::GuardEq) +
+                                  static_cast<unsigned>(I.Cmp));
+        O.Aux = ContinueOnTrue ? 1 : 0;
+        O.A = static_cast<uint16_t>(srcSlot(I.Srcs[0]));
+        O.B = static_cast<uint16_t>(srcSlot(I.Srcs[1]));
+        O.X = ContinueOnTrue ? I.TargetElse : I.Target;
+        Edges.push_back({static_cast<uint32_t>(T.Ops.size()), B, Edge::KGuard});
+        emit(O, C);
+      }
+      InsBase += K + 1;
+      CycBase += CycPrefix + Lat.opCycles(I);
+    }
+  }
+
   void translateBlock(uint32_t B) {
     const std::vector<AllocInstr> &Instrs = P.Blocks[B].Instrs;
     BlockMeta &M = T.Meta[B];
@@ -352,93 +451,17 @@ struct Translator {
     // block to the slow path (the Err latch makes per-instruction timing
     // observable from the first instruction that touches it).
     for (const AllocInstr &I : Instrs) {
-      bool Terminal = isTerminal(I);
-      bool ReadsOperands =
-          I.Op != MOp::Clone &&
-          !((I.Op == MOp::MemRead || I.Op == MOp::MemWrite ||
-             I.Op == MOp::BitTestSet) &&
-            !validSpace(I.Space));
+      bool ReadsOperands = I.Op != MOp::Clone && !hasInvalidSpace(I);
       if (ReadsOperands && !operandsLegal(I)) {
         M.ForceSlow = true;
         ++T.SlowBlocks;
         M.MaxPath = static_cast<uint32_t>(Instrs.size()) + 1;
         return;
       }
-      if (Terminal)
+      if (isTerminal(I))
         break;
     }
-
-    uint32_t CycPrefix = 0;
-    for (uint32_t K = 0; K != Instrs.size(); ++K) {
-      const AllocInstr &I = Instrs[K];
-      ColdInfo C{K + 1, CycPrefix};
-      FastOp O;
-
-      if ((I.Op == MOp::MemRead || I.Op == MOp::MemWrite ||
-           I.Op == MOp::BitTestSet) &&
-          !validSpace(I.Space)) {
-        O.Kind = FOp::TrapStatic;
-        O.Aux = static_cast<uint8_t>(sim::TrapKind::IllegalMemSpace);
-        O.X = message(
-            formatf("memory space %u in block b%u", (unsigned)I.Space, B));
-        emit(O, C);
-        M.MaxPath = K + 1;
-        return;
-      }
-
-      switch (I.Op) {
-      case MOp::Clone:
-        O.Kind = FOp::TrapStatic;
-        O.Aux = static_cast<uint8_t>(sim::TrapKind::MalformedProgram);
-        O.X = message("clone pseudo in allocated code");
-        emit(O, C);
-        M.MaxPath = K + 1;
-        return;
-      case MOp::Branch:
-        O.Kind = static_cast<FOp>(static_cast<unsigned>(FOp::BranchEq) +
-                                  static_cast<unsigned>(I.Cmp));
-        O.A = static_cast<uint16_t>(srcSlot(I.Srcs[0]));
-        O.B = static_cast<uint16_t>(srcSlot(I.Srcs[1]));
-        O.X = I.Target;     // block ids until the patch pass
-        O.Y = I.TargetElse;
-        Edges.push_back(
-            {static_cast<uint32_t>(T.Ops.size()), B, Edge::KBranch});
-        emit(O, C);
-        M.MaxPath = K + 1;
-        return;
-      case MOp::Jump:
-        O.Kind = FOp::Jump;
-        O.X = I.Target;
-        Edges.push_back(
-            {static_cast<uint32_t>(T.Ops.size()), B, Edge::KJump});
-        emit(O, C);
-        M.MaxPath = K + 1;
-        return;
-      case MOp::Halt:
-        O.Kind = FOp::Halt;
-        O.N = static_cast<uint32_t>(I.Srcs.size());
-        O.X = static_cast<uint32_t>(T.Pool.size());
-        for (const AOperand &S : I.Srcs)
-          T.Pool.push_back(static_cast<uint16_t>(srcSlot(S)));
-        emit(O, C);
-        M.MaxPath = K + 1;
-        return;
-      default:
-        emitFusible(decodeSimple(I), C);
-        // Memory ops add 0: their flat cost is FastOp::Y, charged as the
-        // op executes so the stream stays resumable.
-        CycPrefix += Lat.opCycles(I);
-        break;
-      }
-    }
-
-    // Fell off the end: one more instruction fetch, then the trap.
-    FastOp O;
-    O.Kind = FOp::TrapStatic;
-    O.Aux = static_cast<uint8_t>(sim::TrapKind::MalformedProgram);
-    O.X = message(formatf("fell off the end of block b%u", B));
-    emit(O, {static_cast<uint32_t>(Instrs.size()) + 1, CycPrefix});
-    M.MaxPath = static_cast<uint32_t>(Instrs.size()) + 1;
+    M.MaxPath = emitRun({B});
   }
 
   /// The first terminal instruction of \p B, or null when the block
@@ -486,7 +509,7 @@ struct Translator {
         continue;
       std::vector<uint32_t> Chain{B};
       uint32_t Cur = B;
-      while (Chain.size() < Options.MaxChain) {
+      while (Chain.size() < MaxChain) {
         const AllocInstr *I = terminalOf(Cur);
         uint32_t Next = ixp::NoBlock;
         if (I && I->Op == MOp::Jump && eligible(I->Target, B)) {
@@ -521,113 +544,7 @@ struct Translator {
     E.X = Chain.front();
     E.Y = static_cast<uint32_t>(CumPath);
     emit(E, {});
-
-    // Cumulative bases: instructions retired and cycles charged by the
-    // chain *before* the current block (memory-op costs excluded — they
-    // accrue into the runtime cycle base as the ops execute).
-    uint32_t InsBase = 0, CycBase = 0;
-    for (size_t J = 0; J != Chain.size(); ++J) {
-      uint32_t B = Chain[J];
-      bool Last = J + 1 == Chain.size();
-      uint32_t NextB = Last ? ixp::NoBlock : Chain[J + 1];
-      const std::vector<AllocInstr> &Instrs = P.Blocks[B].Instrs;
-      uint32_t CycPrefix = 0;
-      bool Terminated = false;
-      for (uint32_t K = 0; K != Instrs.size() && !Terminated; ++K) {
-        const AllocInstr &I = Instrs[K];
-        ColdInfo C{InsBase + K + 1, CycBase + CycPrefix};
-        FastOp O;
-
-        if ((I.Op == MOp::MemRead || I.Op == MOp::MemWrite ||
-             I.Op == MOp::BitTestSet) &&
-            !validSpace(I.Space)) {
-          O.Kind = FOp::TrapStatic;
-          O.Aux = static_cast<uint8_t>(sim::TrapKind::IllegalMemSpace);
-          O.X = message(formatf("memory space %u in block b%u",
-                                (unsigned)I.Space, B));
-          emit(O, C);
-          Terminated = true;
-          break;
-        }
-
-        switch (I.Op) {
-        case MOp::Clone:
-          O.Kind = FOp::TrapStatic;
-          O.Aux = static_cast<uint8_t>(sim::TrapKind::MalformedProgram);
-          O.X = message("clone pseudo in allocated code");
-          emit(O, C);
-          Terminated = true;
-          break;
-        case MOp::Branch:
-          if (!Last && (NextB == I.Target || NextB == I.TargetElse)) {
-            // Interior branch: a Guard that continues into the next
-            // chain block and side-exits with cumulative counts.
-            bool ContinueOnTrue = NextB == I.Target;
-            O.Kind = static_cast<FOp>(static_cast<unsigned>(FOp::GuardEq) +
-                                      static_cast<unsigned>(I.Cmp));
-            O.Aux = ContinueOnTrue ? 1 : 0;
-            O.A = static_cast<uint16_t>(srcSlot(I.Srcs[0]));
-            O.B = static_cast<uint16_t>(srcSlot(I.Srcs[1]));
-            O.X = ContinueOnTrue ? I.TargetElse : I.Target;
-            Edges.push_back(
-                {static_cast<uint32_t>(T.Ops.size()), B, Edge::KGuard});
-            emit(O, C);
-            InsBase += K + 1;
-            CycBase += CycPrefix + Lat.opCycles(I);
-          } else {
-            O.Kind = static_cast<FOp>(static_cast<unsigned>(FOp::BranchEq) +
-                                      static_cast<unsigned>(I.Cmp));
-            O.A = static_cast<uint16_t>(srcSlot(I.Srcs[0]));
-            O.B = static_cast<uint16_t>(srcSlot(I.Srcs[1]));
-            O.X = I.Target;
-            O.Y = I.TargetElse;
-            Edges.push_back(
-                {static_cast<uint32_t>(T.Ops.size()), B, Edge::KBranch});
-            emit(O, C);
-          }
-          Terminated = true;
-          break;
-        case MOp::Jump:
-          if (!Last && NextB == I.Target) {
-            // Interior jump: no op at all — the instruction fetch and
-            // branch cost fold into the cumulative bases.
-            InsBase += K + 1;
-            CycBase += CycPrefix + Lat.opCycles(I);
-          } else {
-            O.Kind = FOp::Jump;
-            O.X = I.Target;
-            Edges.push_back(
-                {static_cast<uint32_t>(T.Ops.size()), B, Edge::KJump});
-            emit(O, C);
-          }
-          Terminated = true;
-          break;
-        case MOp::Halt:
-          O.Kind = FOp::Halt;
-          O.N = static_cast<uint32_t>(I.Srcs.size());
-          O.X = static_cast<uint32_t>(T.Pool.size());
-          for (const AOperand &S : I.Srcs)
-            T.Pool.push_back(static_cast<uint16_t>(srcSlot(S)));
-          emit(O, C);
-          Terminated = true;
-          break;
-        default:
-          emitFusible(decodeSimple(I), C);
-          CycPrefix += Lat.opCycles(I);
-          break;
-        }
-      }
-      if (!Terminated) {
-        // Fell off the end (only possible in the last chain block: a
-        // block with no terminal has no successor).
-        FastOp O;
-        O.Kind = FOp::TrapStatic;
-        O.Aux = static_cast<uint8_t>(sim::TrapKind::MalformedProgram);
-        O.X = message(formatf("fell off the end of block b%u", B));
-        emit(O, {InsBase + static_cast<uint32_t>(Instrs.size()) + 1,
-                 CycBase + CycPrefix});
-      }
-    }
+    emitRun(Chain);
 
     T.Meta[Chain.front()].EnterOp = EntryIdx;
     ++T.Superblocks;
@@ -640,14 +557,10 @@ struct Translator {
                        const char *What) {
     if (TargetBlock < T.Meta.size())
       return T.Meta[TargetBlock].EnterOp;
-    FastOp O;
-    O.Kind = FOp::TrapStatic;
-    O.Aux = static_cast<uint8_t>(sim::TrapKind::MalformedProgram);
-    O.X = message(
-        formatf("%s in block b%u targets b%u", What, E.Block, TargetBlock));
     uint32_t Idx = static_cast<uint32_t>(T.Ops.size());
     ColdInfo C = T.Cold[E.OpIdx]; // taken-branch counts, sans branch cost
-    emit(O, C);
+    emitTrap(sim::TrapKind::MalformedProgram,
+             badTargetMessage(What, E.Block, TargetBlock), C);
     return Idx;
   }
 

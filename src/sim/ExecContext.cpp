@@ -31,20 +31,7 @@ void AllocContext::reset(const std::vector<uint32_t> &Args) {
   B = Prog->Entry;
   Idx = 0;
   std::memset(Frame, 0, sizeof(Frame));
-
-  if (Prog->Entry == ixp::NoBlock || Prog->Entry >= Prog->Blocks.size()) {
-    trap(R, TrapKind::MalformedProgram, "no entry block");
-    Finished = true;
-    return;
-  }
-  if (Args.size() > 15) {
-    trap(R, TrapKind::MalformedProgram, "too many entry arguments");
-    Finished = true;
-    return;
-  }
-  for (unsigned I = 0; I != Args.size(); ++I)
-    Frame[I] = Args[I]; // A0..A(n-1)
-  Finished = false;
+  Finished = !enterAllocated(*Prog, Args, Frame, R);
 }
 
 AllocContext::Yield AllocContext::resume(Memory &Mem, const RunOptions &Opts) {

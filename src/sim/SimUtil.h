@@ -6,9 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Trap-construction and MemSpace helpers shared by the functional
-/// interpreter (Simulator.cpp) and the allocated-mode executors, plus
-/// step(): the one definition of what an allocated instruction does.
+/// Trap construction, the shared trap messages, the program-entry checks
+/// and MemSpace helpers used by the functional interpreter
+/// (Simulator.cpp) and the allocated-mode executors, plus step(): the
+/// one definition of what an allocated instruction does.
 /// Internal to the simulators (src/sim and src/fastpath) — not part of
 /// the public API.
 ///
@@ -36,6 +37,39 @@ inline RunResult &trap(RunResult &R, TrapKind K, const std::string &Detail) {
   return R;
 }
 
+//===----------------------------------------------------------------------===//
+// The trap vocabulary. Every executor (the functional simulator, the
+// interpreter's step(), the fast path's handlers and its translator's
+// pre-formatted TrapStatic messages) spells a shared trap through these,
+// so the executors' messages agree byte for byte by construction.
+//===----------------------------------------------------------------------===//
+
+inline std::string invalidSpaceMessage(MemSpace S, ixp::BlockId B) {
+  return formatf("memory space %u in block b%u", (unsigned)S, B);
+}
+
+inline std::string fellOffMessage(ixp::BlockId B) {
+  return formatf("fell off the end of block b%u", B);
+}
+
+/// \p What is "branch" or "jump".
+inline std::string badTargetMessage(const char *What, ixp::BlockId B,
+                                    ixp::BlockId Target) {
+  return formatf("%s in block b%u targets b%u", What, B, Target);
+}
+
+inline std::string budgetMessage(uint64_t MaxInstructions) {
+  return formatf("instruction budget of %llu exhausted",
+                 (unsigned long long)MaxInstructions);
+}
+
+inline std::string shiftMessage(uint32_t Count, ixp::BlockId B) {
+  return formatf("shift count %u in block b%u", Count, B);
+}
+
+inline constexpr const char *ClonePseudoMessage =
+    "clone pseudo in allocated code";
+
 inline TrapKind rangeTrapFor(MemSpace S) {
   switch (S) {
   case MemSpace::Sram:    return TrapKind::SramOutOfRange;
@@ -50,6 +84,15 @@ inline bool validSpace(MemSpace S) {
          S == MemSpace::Scratch;
 }
 
+/// True when \p I (machine or allocated code) is a memory op on a space
+/// outside the enum, which can only come from corrupt code: it traps
+/// before reading its operands.
+template <class InstrT> inline bool hasInvalidSpace(const InstrT &I) {
+  return (I.Op == ixp::MOp::MemRead || I.Op == ixp::MOp::MemWrite ||
+          I.Op == ixp::MOp::BitTestSet) &&
+         !validSpace(I.Space);
+}
+
 inline const char *spaceName(MemSpace S) {
   switch (S) {
   case MemSpace::Sram:    return "sram";
@@ -57,6 +100,55 @@ inline const char *spaceName(MemSpace S) {
   case MemSpace::Scratch: return "scratch";
   }
   return "?";
+}
+
+/// The three range traps, raised when an access to \p S at \p Addr
+/// leaves the space's \p Limit words.
+inline RunResult &readRangeTrap(RunResult &R, MemSpace S, uint32_t Count,
+                                uint32_t Addr, uint32_t Limit) {
+  return trap(R, rangeTrapFor(S),
+              formatf("%s read of %u words at 0x%x (limit 0x%x)",
+                      spaceName(S), Count, Addr, Limit));
+}
+
+inline RunResult &writeRangeTrap(RunResult &R, MemSpace S, uint32_t Count,
+                                 uint32_t Addr, uint32_t Limit) {
+  return trap(R, rangeTrapFor(S),
+              formatf("%s write of %u words at 0x%x (limit 0x%x)",
+                      spaceName(S), Count, Addr, Limit));
+}
+
+inline RunResult &bitTestSetRangeTrap(RunResult &R, MemSpace S,
+                                      uint32_t Addr, uint32_t Limit) {
+  return trap(R, rangeTrapFor(S),
+              formatf("%s bit-test-set at 0x%x (limit 0x%x)", spaceName(S),
+                      Addr, Limit));
+}
+
+/// True when \p P (machine or allocated code) names an entry block;
+/// otherwise traps \p R.
+template <class ProgT> inline bool hasEntry(const ProgT &P, RunResult &R) {
+  if (P.Entry != ixp::NoBlock && P.Entry < P.Blocks.size())
+    return true;
+  trap(R, TrapKind::MalformedProgram, "no entry block");
+  return false;
+}
+
+/// Program entry for allocated code: loads \p Args into A0..A(n-1) of
+/// \p Frame, or traps \p R and returns false when \p P has no entry
+/// block or there are more than 15 arguments.
+inline bool enterAllocated(const alloc::AllocatedProgram &P,
+                           const std::vector<uint32_t> &Args,
+                           uint32_t *Frame, RunResult &R) {
+  if (!hasEntry(P, R))
+    return false;
+  if (Args.size() > 15) {
+    trap(R, TrapKind::MalformedProgram, "too many entry arguments");
+    return false;
+  }
+  for (unsigned I = 0; I != Args.size(); ++I)
+    Frame[I] = Args[I];
+  return true;
 }
 
 /// \p Addr shifted by \p Rebase when it lands in \p P's scratch spill
@@ -138,26 +230,20 @@ inline Stepped step(const alloc::AllocatedProgram &P, uint32_t *Frame,
     return done();
   }
   if (++R.Instructions > Opts.MaxInstructions) {
-    trap(R, TrapKind::Watchdog,
-         formatf("instruction budget of %llu exhausted",
-                 (unsigned long long)Opts.MaxInstructions));
+    trap(R, TrapKind::Watchdog, budgetMessage(Opts.MaxInstructions));
     return done();
   }
   if (Idx >= P.Blocks[B].Instrs.size()) {
-    trap(R, TrapKind::MalformedProgram,
-         formatf("fell off the end of block b%u", B));
+    trap(R, TrapKind::MalformedProgram, fellOffMessage(B));
     return done();
   }
   const alloc::AllocInstr &I = P.Blocks[B].Instrs[Idx++];
 
   // One validity check covers the memory accessors, memAccess(), and the
-  // range trap: an out-of-enum MemSpace can only come from corrupt code.
+  // range trap.
   const MemSpace S = I.Space;
-  if ((I.Op == MOp::MemRead || I.Op == MOp::MemWrite ||
-       I.Op == MOp::BitTestSet) &&
-      !validSpace(S)) {
-    trap(R, TrapKind::IllegalMemSpace,
-         formatf("memory space %u in block b%u", (unsigned)S, B));
+  if (hasInvalidSpace(I)) {
+    trap(R, TrapKind::IllegalMemSpace, invalidSpaceMessage(S, B));
     return done();
   }
 
@@ -166,8 +252,7 @@ inline Stepped step(const alloc::AllocatedProgram &P, uint32_t *Frame,
     uint32_t A = read(I.Srcs[0]);
     uint32_t Bv = I.Srcs.size() > 1 ? read(I.Srcs[1]) : 0;
     if (Opts.TrapOnShiftRange && cps::shiftOutOfRange(I.Alu, Bv)) {
-      trap(R, TrapKind::ShiftRange,
-           formatf("shift count %u in block b%u", Bv, B));
+      trap(R, TrapKind::ShiftRange, shiftMessage(Bv, B));
       return done();
     }
     uint32_t V = cps::evalPrim(I.Alu, A, Bv);
@@ -190,9 +275,7 @@ inline Stepped step(const alloc::AllocatedProgram &P, uint32_t *Frame,
     uint32_t Addr = spillRebased(P, SpillRebase, S, read(I.Srcs[0]));
     uint32_t Count = static_cast<uint32_t>(I.Dsts.size());
     if (!Err && !Mem.inRange(S, Addr, Count)) {
-      trap(R, rangeTrapFor(S),
-           formatf("%s read of %u words at 0x%x (limit 0x%x)", spaceName(S),
-                   Count, Addr, Mem.limits().words(S)));
+      readRangeTrap(R, S, Count, Addr, Mem.limits().words(S));
       return done();
     }
     for (unsigned K = 0; K != Count; ++K)
@@ -204,9 +287,7 @@ inline Stepped step(const alloc::AllocatedProgram &P, uint32_t *Frame,
     uint32_t Addr = spillRebased(P, SpillRebase, S, read(I.Srcs[0]));
     uint32_t Count = static_cast<uint32_t>(I.Srcs.size() - 1);
     if (!Err && !Mem.inRange(S, Addr, Count)) {
-      trap(R, rangeTrapFor(S),
-           formatf("%s write of %u words at 0x%x (limit 0x%x)",
-                   spaceName(S), Count, Addr, Mem.limits().words(S)));
+      writeRangeTrap(R, S, Count, Addr, Mem.limits().words(S));
       return done();
     }
     for (unsigned K = 0; K != Count; ++K)
@@ -218,9 +299,7 @@ inline Stepped step(const alloc::AllocatedProgram &P, uint32_t *Frame,
     uint32_t Addr = spillRebased(P, SpillRebase, S, read(I.Srcs[0]));
     uint32_t Bits = read(I.Srcs[1]);
     if (!Err && !Mem.inRange(S, Addr, 1)) {
-      trap(R, rangeTrapFor(S),
-           formatf("%s bit-test-set at 0x%x (limit 0x%x)", spaceName(S),
-                   Addr, Mem.limits().words(S)));
+      bitTestSetRangeTrap(R, S, Addr, Mem.limits().words(S));
       return done();
     }
     uint32_t Old = Mem.load(S, Addr);
@@ -229,15 +308,14 @@ inline Stepped step(const alloc::AllocatedProgram &P, uint32_t *Frame,
     return {Stepped::Mem, S};
   }
   case MOp::Clone:
-    trap(R, TrapKind::MalformedProgram, "clone pseudo in allocated code");
+    trap(R, TrapKind::MalformedProgram, ClonePseudoMessage);
     return done();
   case MOp::Branch: {
     ixp::BlockId T = cps::evalCmp(I.Cmp, read(I.Srcs[0]), read(I.Srcs[1]))
                          ? I.Target
                          : I.TargetElse;
     if (T >= P.Blocks.size()) {
-      trap(R, TrapKind::MalformedProgram,
-           formatf("branch in block b%u targets b%u", B, T));
+      trap(R, TrapKind::MalformedProgram, badTargetMessage("branch", B, T));
       return done();
     }
     B = T;
@@ -247,7 +325,7 @@ inline Stepped step(const alloc::AllocatedProgram &P, uint32_t *Frame,
   case MOp::Jump:
     if (I.Target >= P.Blocks.size()) {
       trap(R, TrapKind::MalformedProgram,
-           formatf("jump in block b%u targets b%u", B, I.Target));
+           badTargetMessage("jump", B, I.Target));
       return done();
     }
     B = I.Target;

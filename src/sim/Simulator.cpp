@@ -179,8 +179,8 @@ RunResult sim::runFunctional(const MachineProgram &M,
                              const std::vector<uint32_t> &Args, Memory &Mem,
                              const RunOptions &Opts) {
   RunResult R;
-  if (M.Entry == NoBlock || M.Entry >= M.Blocks.size())
-    return trap(R, TrapKind::MalformedProgram, "no entry block");
+  if (!hasEntry(M, R))
+    return R;
   if (Args.size() != M.EntryParams.size())
     return trap(R, TrapKind::MalformedProgram,
                 formatf("entry takes %zu args, got %zu",
@@ -210,28 +210,21 @@ RunResult sim::runFunctional(const MachineProgram &M,
   unsigned Idx = 0;
   while (true) {
     if (++R.Instructions > Opts.MaxInstructions)
-      return trap(R, TrapKind::Watchdog,
-                  formatf("instruction budget of %llu exhausted",
-                          (unsigned long long)Opts.MaxInstructions));
+      return trap(R, TrapKind::Watchdog, budgetMessage(Opts.MaxInstructions));
     if (Idx >= M.Blocks[B].Instrs.size())
-      return trap(R, TrapKind::MalformedProgram,
-                  formatf("fell off the end of block b%u", B));
+      return trap(R, TrapKind::MalformedProgram, fellOffMessage(B));
     const MachineInstr &I = M.Blocks[B].Instrs[Idx++];
 
-    if ((I.Op == MOp::MemRead || I.Op == MOp::MemWrite ||
-         I.Op == MOp::BitTestSet) &&
-        !validSpace(I.Space))
+    if (hasInvalidSpace(I))
       return trap(R, TrapKind::IllegalMemSpace,
-                  formatf("memory space %u in block b%u",
-                          (unsigned)I.Space, B));
+                  invalidSpaceMessage(I.Space, B));
 
     switch (I.Op) {
     case MOp::Alu: {
       uint32_t A = Val(I.Srcs[0]);
       uint32_t Bv = I.Srcs.size() > 1 ? Val(I.Srcs[1]) : 0;
       if (Opts.TrapOnShiftRange && cps::shiftOutOfRange(I.Alu, Bv))
-        return trap(R, TrapKind::ShiftRange,
-                    formatf("shift count %u in block b%u", Bv, B));
+        return trap(R, TrapKind::ShiftRange, shiftMessage(Bv, B));
       Set(I.Dsts[0], cps::evalPrim(I.Alu, A, Bv));
       break;
     }
@@ -245,10 +238,8 @@ RunResult sim::runFunctional(const MachineProgram &M,
       uint32_t Addr = Val(I.Srcs[0]);
       uint32_t Count = static_cast<uint32_t>(I.Dsts.size());
       if (!Err && !Mem.inRange(I.Space, Addr, Count))
-        return trap(R, rangeTrapFor(I.Space),
-                    formatf("%s read of %u words at 0x%x (limit 0x%x)",
-                            spaceName(I.Space), Count, Addr,
-                            Mem.Limits.words(I.Space)));
+        return readRangeTrap(R, I.Space, Count, Addr,
+                             Mem.Limits.words(I.Space));
       auto &Space = *Mem.space(I.Space);
       for (unsigned K = 0; K != I.Dsts.size(); ++K)
         Set(I.Dsts[K], Memory::load(Space, Addr + K));
@@ -258,10 +249,8 @@ RunResult sim::runFunctional(const MachineProgram &M,
       uint32_t Addr = Val(I.Srcs[0]);
       uint32_t Count = static_cast<uint32_t>(I.Srcs.size() - 1);
       if (!Err && !Mem.inRange(I.Space, Addr, Count))
-        return trap(R, rangeTrapFor(I.Space),
-                    formatf("%s write of %u words at 0x%x (limit 0x%x)",
-                            spaceName(I.Space), Count, Addr,
-                            Mem.Limits.words(I.Space)));
+        return writeRangeTrap(R, I.Space, Count, Addr,
+                              Mem.Limits.words(I.Space));
       auto &Space = *Mem.space(I.Space);
       for (unsigned K = 1; K != I.Srcs.size(); ++K)
         Space[Addr + K - 1] = Val(I.Srcs[K]);
@@ -274,10 +263,8 @@ RunResult sim::runFunctional(const MachineProgram &M,
       uint32_t Addr = Val(I.Srcs[0]);
       uint32_t Bits = Val(I.Srcs[1]);
       if (!Err && !Mem.inRange(I.Space, Addr, 1))
-        return trap(R, rangeTrapFor(I.Space),
-                    formatf("%s bit-test-set at 0x%x (limit 0x%x)",
-                            spaceName(I.Space), Addr,
-                            Mem.Limits.words(I.Space)));
+        return bitTestSetRangeTrap(R, I.Space, Addr,
+                                   Mem.Limits.words(I.Space));
       auto &Space = *Mem.space(I.Space);
       uint32_t Old = Memory::load(Space, Addr);
       Space[Addr] = Old | Bits;
@@ -294,7 +281,7 @@ RunResult sim::runFunctional(const MachineProgram &M,
                         : I.TargetElse;
       if (Tgt >= M.Blocks.size())
         return trap(R, TrapKind::MalformedProgram,
-                    formatf("branch in block b%u targets b%u", B, Tgt));
+                    badTargetMessage("branch", B, Tgt));
       B = Tgt;
       Idx = 0;
       break;
@@ -302,7 +289,7 @@ RunResult sim::runFunctional(const MachineProgram &M,
     case MOp::Jump:
       if (I.Target >= M.Blocks.size())
         return trap(R, TrapKind::MalformedProgram,
-                    formatf("jump in block b%u targets b%u", B, I.Target));
+                    badTargetMessage("jump", B, I.Target));
       B = I.Target;
       Idx = 0;
       break;

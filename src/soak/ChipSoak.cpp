@@ -264,7 +264,6 @@ void soak::chipReportFields(JsonWriter &J, const ChipSoakReport &R) {
   J.field("rx_dma_transactions", C.RxDmaTransactions);
   J.field("exec_mode", sim::execModeName(R.Params.Exec));
   J.field("superblocks", C.Superblocks);
-  J.field("superblock_ops", C.SuperblockOps);
   J.field("trace_hash", Hex(C.TraceHash));
   J.field("image_hash", Hex(R.ImageHash));
   J.key("kernel").beginObject().field("events", C.events());

@@ -635,7 +635,6 @@ TEST(ChipRun, ThreadedMatchesInterpThroughSuperblocks) {
   CP.Exec = sim::ExecMode::Threaded;
   DriveResult B = drive(Prog, CP, 96);
   EXPECT_GT(B.Stats.Superblocks, 0u);
-  EXPECT_GT(B.Stats.SuperblockOps, 0u);
   expectThreadedMatchesInterp(Prog, CP, 96);
 }
 

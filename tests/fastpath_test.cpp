@@ -426,6 +426,65 @@ TEST(FastPath, ClonePseudo) {
              "clone pseudo in allocated code", "clone");
 }
 
+// A superblock whose last block ends in a static trap: it falls off its
+// end, names an invalid memory space, or holds a clone pseudo. The
+// chain's head reaches that block by a jump (which vanishes) or by a
+// branch (a guard); either way the trap must match the interpreter bit
+// for bit with superblocks on and off.
+TEST(FastPath, SuperblockTailTraps) {
+  AllocInstr Clone;
+  Clone.Op = MOp::Clone;
+  Clone.Srcs = {AOperand::constant(1)};
+  Clone.Dsts = {loc(Bank::A, 0)};
+  struct Tail {
+    const char *Label;
+    std::vector<AllocInstr> Instrs;
+    sim::TrapKind K;
+    const char *Msg;
+  };
+  for (const Tail &Tl :
+       {Tail{"fell off", {}, sim::TrapKind::MalformedProgram,
+             "fell off the end of block b1"},
+        Tail{"invalid space",
+             {memRead(static_cast<MemSpace>(9), AOperand::constant(0),
+                      {loc(Bank::A, 3)}),
+              haltOf({})},
+             sim::TrapKind::IllegalMemSpace, "memory space 9 in block b1"},
+        Tail{"clone", {Clone, haltOf({})}, sim::TrapKind::MalformedProgram,
+             "clone pseudo in allocated code"}}) {
+    for (bool ViaBranch : {false, true}) {
+      SCOPED_TRACE(ViaBranch ? "via branch" : "via jump");
+      AllocatedProgram P;
+      P.Entry = 0;
+      P.Blocks.push_back(
+          {{imm(7, loc(Bank::A, 1)),
+            ViaBranch ? branch(cps::CmpOp::Eq, AOperand::reg(loc(Bank::A, 0)),
+                               AOperand::constant(0), 1, 2)
+                      : jump(1)}});
+      std::vector<AllocInstr> Body = {
+          imm(3, loc(Bank::A, 2)),
+          alu(cps::PrimOp::Add, AOperand::reg(loc(Bank::A, 1)),
+              AOperand::reg(loc(Bank::A, 2)), loc(Bank::B, 0))};
+      Body.insert(Body.end(), Tl.Instrs.begin(), Tl.Instrs.end());
+      P.Blocks.push_back({Body});
+      P.Blocks.push_back({{haltOf({})}});
+
+      sim::RunOptions RO;
+      EXPECT_EQ(fastpath::translate(P, RO.Lat).Superblocks, 1u);
+      sim::RunResult FR = expectTrap(P, {0}, Tl.K, Tl.Msg, Tl.Label);
+      EXPECT_EQ(FR.Instructions, 5u); // b0's two, b1's two, the trap
+      fastpath::TranslateOptions NoSB;
+      NoSB.Superblocks = false;
+      fastpath::Translated TP = fastpath::translate(P, RO.Lat, NoSB);
+      fastpath::Engine Eng(TP);
+      sim::Memory Base;
+      fastpath::BatchMemory BM(Base);
+      SCOPED_TRACE("per-block translation");
+      expectSameResult(Eng.run({0}, BM, RO), FR);
+    }
+  }
+}
+
 TEST(FastPath, InvalidMemSpace) {
   AllocInstr M = memRead(static_cast<MemSpace>(9), AOperand::constant(0),
                          {loc(Bank::A, 0)});
@@ -1058,6 +1117,69 @@ TEST(FastPathShape, FrameSizeAndFusedOpsArePinned) {
     fastpath::Translated TP = fastpath::translate(P, Lat, NoSB);
     EXPECT_EQ(TP.frameSize(), K.Frame);
     EXPECT_EQ(TP.FusedOps, K.FusedPerBlock);
+  }
+}
+
+/// FNV-1a-64 of every field of \p T a run reads: the op stream, its cold
+/// data, the operand pool, the constants, the trap messages, the block
+/// metadata and the shape counters. Fields are folded one by one, so
+/// the hash does not depend on struct padding.
+uint64_t translationHash(const fastpath::Translated &T) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  auto fold = [&H](uint64_t V) { H = fnv1a64(&V, sizeof V, H); };
+  fold(T.Ops.size());
+  for (const fastpath::FastOp &O : T.Ops)
+    for (uint64_t V : {uint64_t(O.Kind), uint64_t(O.Aux), uint64_t(O.A),
+                       uint64_t(O.B), uint64_t(O.D), uint64_t(O.N),
+                       uint64_t(O.X), uint64_t(O.Y)})
+      fold(V);
+  fold(T.Cold.size());
+  for (const fastpath::ColdInfo &C : T.Cold) {
+    fold(C.InsDelta);
+    fold(C.CycPrefix);
+  }
+  fold(T.Pool.size());
+  for (uint16_t S : T.Pool)
+    fold(S);
+  fold(T.Consts.size());
+  for (uint32_t V : T.Consts)
+    fold(V);
+  fold(T.Messages.size());
+  for (const std::string &M : T.Messages) {
+    fold(M.size());
+    H = fnv1a64(M.data(), M.size(), H);
+  }
+  fold(T.Meta.size());
+  for (const fastpath::BlockMeta &M : T.Meta)
+    for (uint64_t V : {uint64_t(M.FirstOp), uint64_t(M.EnterOp),
+                       uint64_t(M.MaxPath), uint64_t(M.ForceSlow)})
+      fold(V);
+  for (uint64_t V : {uint64_t(T.EntryValid), uint64_t(T.SlowBlocks),
+                     uint64_t(T.Superblocks), uint64_t(T.SuperblockOps),
+                     uint64_t(T.FusedOps)})
+    fold(V);
+  return H;
+}
+
+// The whole translation per app, with superblocks on and off: a change
+// to how the translator emits a stream that is meant to leave its output
+// alone must leave these hashes alone.
+TEST(FastPathShape, TranslationIsPinned) {
+  struct Case {
+    const char *App;
+    uint64_t Super, PerBlock;
+  };
+  for (const Case &K :
+       {Case{"aes", 0x12d4b27f7bca500eull, 0x40c21d94bf6896aeull},
+        Case{"kasumi", 0x62ce81eff6f0e8f3ull, 0x418f810baa4aaae3ull},
+        Case{"nat", 0xfc609358000e7196ull, 0xde3ce8b2436c5130ull}}) {
+    SCOPED_TRACE(K.App);
+    const AllocatedProgram &P = harness(K.App).compiled().Alloc.Prog;
+    sim::LatencyModel Lat = soak::SoakOptions().Lat;
+    fastpath::TranslateOptions NoSB;
+    NoSB.Superblocks = false;
+    EXPECT_EQ(translationHash(fastpath::translate(P, Lat)), K.Super);
+    EXPECT_EQ(translationHash(fastpath::translate(P, Lat, NoSB)), K.PerBlock);
   }
 }
 
