@@ -5,9 +5,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/AppSources.h"
+#include "sim/ExecContext.h"
 #include "sim/Simulator.h"
+#include "soak/Soak.h"
+#include "support/BinIO.h"
+#include "support/FaultInjection.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <memory>
 
 using namespace nova;
 using namespace nova::alloc;
@@ -341,5 +349,498 @@ TEST(FunctionalSim, TrapKindsAndMessagesArePinned) {
     EXPECT_EQ(R.Trap, sim::TrapKind::ShiftRange);
     EXPECT_EQ(R.Error.message(), "shift-range: shift count 40 in block b0");
     EXPECT_EQ(R.Instructions, 1u);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The allocated-code interpreter, pinned on its own. The fast path's trap
+// tests compare the fast path against the interpreter, so they cannot see
+// a drift in the interpreter itself; these record its absolute results.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+PhysLoc loc(Bank B, unsigned Reg) { return {B, static_cast<uint16_t>(Reg)}; }
+
+AOperand reg(Bank B, unsigned Reg) { return AOperand::reg(loc(B, Reg)); }
+
+AllocInstr ainstr(MOp Op, std::vector<AOperand> Srcs = {},
+                  std::vector<PhysLoc> Dsts = {},
+                  MemSpace S = MemSpace::Sram) {
+  AllocInstr I;
+  I.Op = Op;
+  I.Space = S;
+  I.Srcs = std::move(Srcs);
+  I.Dsts = std::move(Dsts);
+  return I;
+}
+
+AllocInstr aluOf(cps::PrimOp Op, std::vector<AOperand> Srcs, PhysLoc Dst) {
+  AllocInstr I = ainstr(MOp::Alu, std::move(Srcs), {Dst});
+  I.Alu = Op;
+  return I;
+}
+
+AllocInstr branchOf(AOperand A, AOperand B, BlockId Then, BlockId Else) {
+  AllocInstr I = ainstr(MOp::Branch, {A, B});
+  I.Cmp = cps::CmpOp::Eq;
+  I.Target = Then;
+  I.TargetElse = Else;
+  return I;
+}
+
+AllocInstr jumpTo(BlockId T) {
+  AllocInstr I = ainstr(MOp::Jump);
+  I.Target = T;
+  return I;
+}
+
+AllocatedProgram allocBlocks(std::vector<std::vector<AllocInstr>> Blocks) {
+  AllocatedProgram P;
+  P.Entry = 0;
+  for (std::vector<AllocInstr> &B : Blocks)
+    P.Blocks.push_back({std::move(B)});
+  return P;
+}
+
+/// An AllocContext driven to completion with flat memory charges, the
+/// way runAllocated drives it, with spill window displacement \p Rebase.
+sim::RunResult runContext(const AllocatedProgram &P,
+                          const std::vector<uint32_t> &Args, sim::Memory &Mem,
+                          const sim::RunOptions &Opts, uint32_t Rebase = 0) {
+  sim::AllocContext C(&P);
+  C.setSpillRebase(Rebase);
+  C.reset(Args);
+  while (!C.done()) {
+    sim::AllocContext::Yield Y = C.resume(Mem, Opts);
+    if (Y.K == sim::AllocContext::Yield::Kind::Mem)
+      C.charge(Opts.Lat.memAccess(Y.Space));
+  }
+  return C.takeResult();
+}
+
+struct AllocTrapCase {
+  const char *Label;
+  AllocatedProgram P;
+  std::vector<uint32_t> Args;
+  sim::TrapKind Kind;
+  const char *Message;
+  uint64_t Instructions, Cycles;
+  sim::RunOptions Opts = {};
+};
+
+void expectPinnedTrap(const sim::RunResult &R, const AllocTrapCase &K) {
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Trap, K.Kind);
+  EXPECT_EQ(R.Error.code(), StatusCode::SimTrap);
+  EXPECT_EQ(R.Error.message(), K.Message);
+  EXPECT_EQ(R.Instructions, K.Instructions);
+  EXPECT_EQ(R.Cycles, K.Cycles);
+}
+
+} // namespace
+
+// Every trap path of runAllocated and AllocContext, with its exact kind,
+// message, instruction count and cycle count (default LatencyModel: ALU,
+// branch and small immediate 1, hash 16, SRAM 20, SDRAM 33, scratch 12).
+TEST(AllocatedSim, TrapsArePinned) {
+  const AOperand C0 = AOperand::constant(0);
+  const AOperand C1 = AOperand::constant(1);
+  const char *IllegalB0 =
+      "illegal-register: illegal register access in block b0";
+  std::vector<AllocTrapCase> Cases;
+
+  // Illegal registers latch the error; an ALU-class op traps at the
+  // bottom of its own step, after its cycle charge.
+  Cases.push_back({"illegal read",
+                   allocBlocks({{ainstr(MOp::Move, {reg(Bank::A, 20)},
+                                        {loc(Bank::B, 0)}),
+                                 ainstr(MOp::Halt)}}),
+                   {}, sim::TrapKind::IllegalRegister, IllegalB0, 1, 1});
+  Cases.push_back({"illegal write",
+                   allocBlocks({{ainstr(MOp::Imm, {}, {loc(Bank::L, 12)}),
+                                 ainstr(MOp::Halt)}}),
+                   {}, sim::TrapKind::IllegalRegister, IllegalB0, 1, 1});
+  Cases.push_back({"illegal ALU source",
+                   allocBlocks({{aluOf(cps::PrimOp::Add,
+                                       {reg(Bank::A, 0), reg(Bank::B, 40)},
+                                       loc(Bank::A, 1)),
+                                 ainstr(MOp::Halt)}}),
+                   {}, sim::TrapKind::IllegalRegister, IllegalB0, 1, 1});
+  Cases.push_back({"illegal ALU destination",
+                   allocBlocks({{aluOf(cps::PrimOp::Xor, {reg(Bank::A, 0), C1},
+                                       loc(Bank::S, 9)),
+                                 ainstr(MOp::Halt)}}),
+                   {}, sim::TrapKind::IllegalRegister, IllegalB0, 1, 1});
+  Cases.push_back({"illegal hash source",
+                   allocBlocks({{ainstr(MOp::Imm, {}, {loc(Bank::A, 1)}),
+                                 ainstr(MOp::Hash, {reg(Bank::A, 16)},
+                                        {loc(Bank::A, 2)}),
+                                 ainstr(MOp::Halt)}}),
+                   {}, sim::TrapKind::IllegalRegister, IllegalB0, 2, 17});
+  Cases.push_back({"bank M source",
+                   allocBlocks({{ainstr(MOp::Move, {reg(Bank::M, 0)},
+                                        {loc(Bank::A, 0)}),
+                                 ainstr(MOp::Halt)}}),
+                   {}, sim::TrapKind::IllegalRegister, IllegalB0, 1, 1});
+  Cases.push_back({"bank C destination",
+                   allocBlocks({{ainstr(MOp::Imm, {}, {loc(Bank::C, 0)}),
+                                 ainstr(MOp::Halt)}}),
+                   {}, sim::TrapKind::IllegalRegister, IllegalB0, 1, 1});
+  // A branch retargets before it traps, so the message names the taken
+  // block: the bad operand reads as 0, and 0 == 0 takes b1.
+  Cases.push_back({"illegal branch operand",
+                   allocBlocks({{branchOf(reg(Bank::A, 20), C0, 1, 2)},
+                                {ainstr(MOp::Halt)},
+                                {ainstr(MOp::Halt)}}),
+                   {}, sim::TrapKind::IllegalRegister,
+                   "illegal-register: illegal register access in block b1", 1,
+                   1});
+  // On a memory op the trap fires at the top of the next step, after the
+  // caller's memory charge.
+  Cases.push_back({"illegal memory address",
+                   allocBlocks({{ainstr(MOp::Imm, {}, {loc(Bank::A, 0)}),
+                                 ainstr(MOp::MemRead, {reg(Bank::A, 20)},
+                                        {loc(Bank::B, 0)}),
+                                 ainstr(MOp::Halt)}}),
+                   {}, sim::TrapKind::IllegalRegister, IllegalB0, 2, 21});
+  Cases.push_back({"illegal memory destination",
+                   allocBlocks({{ainstr(MOp::MemRead, {AOperand::constant(4)},
+                                        {loc(Bank::B, 0), loc(Bank::L, 12)},
+                                        MemSpace::Scratch),
+                                 ainstr(MOp::Halt)}}),
+                   {}, sim::TrapKind::IllegalRegister, IllegalB0, 1, 12});
+  Cases.push_back({"illegal store source",
+                   allocBlocks({{ainstr(MOp::MemWrite,
+                                        {AOperand::constant(8), C1,
+                                         reg(Bank::SD, 9)},
+                                        {}, MemSpace::Sdram),
+                                 ainstr(MOp::Halt)}}),
+                   {}, sim::TrapKind::IllegalRegister, IllegalB0, 1, 33});
+  Cases.push_back(
+      {"illegal bit mask past the limit",
+       allocBlocks({{ainstr(MOp::BitTestSet,
+                            {AOperand::constant(sim::MemLimits().ScratchWords +
+                                                5),
+                             reg(Bank::B, 40)},
+                            {loc(Bank::A, 0)}, MemSpace::Scratch),
+                     ainstr(MOp::Halt)}}),
+       {}, sim::TrapKind::IllegalRegister, IllegalB0, 1, 12});
+  Cases.push_back({"illegal register at halt",
+                   allocBlocks({{ainstr(MOp::Halt,
+                                        {C1, reg(Bank::SD, 9)})}}),
+                   {}, sim::TrapKind::IllegalRegister,
+                   "illegal-register: illegal register access at halt", 1, 0});
+
+  // Static traps: they fire before the op's cycle charge.
+  Cases.push_back({"fell off the end",
+                   allocBlocks({{ainstr(MOp::Imm, {}, {loc(Bank::A, 0)})}}), {},
+                   sim::TrapKind::MalformedProgram,
+                   "malformed-program: fell off the end of block b0", 2, 1});
+  Cases.push_back({"empty block", allocBlocks({{}}), {},
+                   sim::TrapKind::MalformedProgram,
+                   "malformed-program: fell off the end of block b0", 1, 0});
+  Cases.push_back({"invalid space 9",
+                   allocBlocks({{ainstr(MOp::Imm, {}, {loc(Bank::A, 0)}),
+                                 ainstr(MOp::MemRead, {C0}, {loc(Bank::A, 1)},
+                                        static_cast<MemSpace>(9)),
+                                 ainstr(MOp::Halt)}}),
+                   {}, sim::TrapKind::IllegalMemSpace,
+                   "illegal-mem-space: memory space 9 in block b0", 2, 1});
+  // The space check comes before any operand is read.
+  Cases.push_back({"invalid space before an illegal register",
+                   allocBlocks({{ainstr(MOp::MemWrite,
+                                        {reg(Bank::A, 20), reg(Bank::M, 1)},
+                                        {}, static_cast<MemSpace>(9))}}),
+                   {}, sim::TrapKind::IllegalMemSpace,
+                   "illegal-mem-space: memory space 9 in block b0", 1, 0});
+  Cases.push_back({"clone pseudo",
+                   allocBlocks({{ainstr(MOp::Imm, {}, {loc(Bank::A, 1)}),
+                                 ainstr(MOp::Clone, {C1}, {loc(Bank::A, 0)}),
+                                 ainstr(MOp::Halt)}}),
+                   {}, sim::TrapKind::MalformedProgram,
+                   "malformed-program: clone pseudo in allocated code", 2, 1});
+  Cases.push_back({"branch target",
+                   allocBlocks({{branchOf(reg(Bank::A, 0), C1, 9, 1)},
+                                {ainstr(MOp::Halt)}}),
+                   {1}, sim::TrapKind::MalformedProgram,
+                   "malformed-program: branch in block b0 targets b9", 1, 0});
+  Cases.push_back({"jump target",
+                   allocBlocks({{ainstr(MOp::Imm, {}, {loc(Bank::A, 0)}),
+                                 jumpTo(3)}}),
+                   {}, sim::TrapKind::MalformedProgram,
+                   "malformed-program: jump in block b0 targets b3", 2, 1});
+
+  // The three range traps in each space, one word or more past the end;
+  // they fire before the access is charged.
+  struct Space {
+    MemSpace S;
+    sim::TrapKind Kind;
+    uint32_t Limit;
+    const char *Read, *Write, *Bts;
+  };
+  sim::MemLimits Lim;
+  for (const Space &K :
+       {Space{MemSpace::Sram, sim::TrapKind::SramOutOfRange, Lim.SramWords,
+              "sram-out-of-range: sram read of 2 words at 0x1fffff "
+              "(limit 0x200000)",
+              "sram-out-of-range: sram write of 1 words at 0x200000 "
+              "(limit 0x200000)",
+              "sram-out-of-range: sram bit-test-set at 0x200000 "
+              "(limit 0x200000)"},
+        Space{MemSpace::Sdram, sim::TrapKind::SdramOutOfRange,
+              Lim.SdramWords,
+              "sdram-out-of-range: sdram read of 2 words at 0xffffff "
+              "(limit 0x1000000)",
+              "sdram-out-of-range: sdram write of 1 words at 0x1000000 "
+              "(limit 0x1000000)",
+              "sdram-out-of-range: sdram bit-test-set at 0x1000000 "
+              "(limit 0x1000000)"},
+        Space{MemSpace::Scratch, sim::TrapKind::ScratchOutOfRange,
+              Lim.ScratchWords,
+              "scratch-out-of-range: scratch read of 2 words at 0xffff "
+              "(limit 0x10000)",
+              "scratch-out-of-range: scratch write of 1 words at 0x10000 "
+              "(limit 0x10000)",
+              "scratch-out-of-range: scratch bit-test-set at 0x10000 "
+              "(limit 0x10000)"}}) {
+    AOperand Last = AOperand::constant(K.Limit - 1);
+    AOperand End = AOperand::constant(K.Limit);
+    Cases.push_back({"read",
+                     allocBlocks({{ainstr(MOp::Imm, {}, {loc(Bank::A, 2)}),
+                                   ainstr(MOp::MemRead, {Last},
+                                          {loc(Bank::A, 0), loc(Bank::A, 1)},
+                                          K.S)}}),
+                     {}, K.Kind, K.Read, 2, 1});
+    Cases.push_back({"write",
+                     allocBlocks({{ainstr(MOp::MemWrite, {End, C0}, {}, K.S)}}),
+                     {}, K.Kind, K.Write, 1, 0});
+    Cases.push_back({"bit-test-set",
+                     allocBlocks({{ainstr(MOp::BitTestSet, {End, C0},
+                                          {loc(Bank::A, 0)}, K.S)}}),
+                     {}, K.Kind, K.Bts, 1, 0});
+  }
+
+  // Program entry.
+  AllocatedProgram NoEntry;
+  Cases.push_back({"no entry", NoEntry, {}, sim::TrapKind::MalformedProgram,
+                   "malformed-program: no entry block", 0, 0});
+  AllocatedProgram PastEnd = allocBlocks({{ainstr(MOp::Halt)}});
+  PastEnd.Entry = 1;
+  Cases.push_back({"entry past the end", PastEnd, {},
+                   sim::TrapKind::MalformedProgram,
+                   "malformed-program: no entry block", 0, 0});
+  Cases.push_back({"16 arguments", allocBlocks({{ainstr(MOp::Halt)}}),
+                   std::vector<uint32_t>(16, 1),
+                   sim::TrapKind::MalformedProgram,
+                   "malformed-program: too many entry arguments", 0, 0});
+
+  // Run options: the watchdog (at an even and an odd budget, so it fires
+  // on either instruction of the loop) and the strict shift trap.
+  AllocatedProgram Loop = allocBlocks(
+      {{aluOf(cps::PrimOp::Add, {reg(Bank::A, 0), C1}, loc(Bank::A, 0)),
+        jumpTo(0)}});
+  AllocTrapCase Watchdog{"watchdog",
+                         Loop,
+                         {0},
+                         sim::TrapKind::Watchdog,
+                         "watchdog: instruction budget of 1000 exhausted",
+                         1001,
+                         1000};
+  Watchdog.Opts.MaxInstructions = 1000;
+  Cases.push_back(Watchdog);
+  AllocTrapCase WatchdogOdd{"watchdog odd",
+                            Loop,
+                            {0},
+                            sim::TrapKind::Watchdog,
+                            "watchdog: instruction budget of 999 exhausted",
+                            1000,
+                            999};
+  WatchdogOdd.Opts.MaxInstructions = 999;
+  Cases.push_back(WatchdogOdd);
+  AllocInstr Forty = ainstr(MOp::Imm, {}, {loc(Bank::A, 1)});
+  Forty.Imm = 40;
+  AllocTrapCase Shift{"strict shift",
+                      allocBlocks({{Forty,
+                                    aluOf(cps::PrimOp::Shl,
+                                          {reg(Bank::A, 0), reg(Bank::A, 1)},
+                                          loc(Bank::B, 0)),
+                                    ainstr(MOp::Halt)}}),
+                      {5},
+                      sim::TrapKind::ShiftRange,
+                      "shift-range: shift count 40 in block b0",
+                      2,
+                      1};
+  Shift.Opts.TrapOnShiftRange = true;
+  Cases.push_back(Shift);
+
+  // Every cycle class under a non-default LatencyModel, ending in a
+  // fall off b2: small and large immediates, move, ALU, hash, SRAM write,
+  // branch, SDRAM read, jump, scratch bit-test-set.
+  AllocInstr Large = ainstr(MOp::Imm, {}, {loc(Bank::A, 1)});
+  Large.Imm = 0x12345678;
+  AllocInstr Small = ainstr(MOp::Imm, {}, {loc(Bank::A, 0)});
+  Small.Imm = 5;
+  AllocTrapCase Classes{
+      "every cycle class",
+      allocBlocks(
+          {{Small, Large,
+            ainstr(MOp::Move, {reg(Bank::A, 1)}, {loc(Bank::B, 0)}),
+            aluOf(cps::PrimOp::Add, {reg(Bank::A, 0), reg(Bank::B, 0)},
+                  loc(Bank::A, 2)),
+            ainstr(MOp::Hash, {reg(Bank::A, 2)}, {loc(Bank::A, 3)}),
+            ainstr(MOp::MemWrite, {reg(Bank::A, 0), reg(Bank::A, 3)}),
+            branchOf(reg(Bank::A, 0), AOperand::constant(5), 1, 2)},
+           {ainstr(MOp::MemRead, {C0}, {loc(Bank::B, 1)}, MemSpace::Sdram),
+            jumpTo(2)},
+           {ainstr(MOp::BitTestSet, {C1, reg(Bank::B, 1)}, {loc(Bank::B, 2)},
+                   MemSpace::Scratch)}}),
+      {},
+      sim::TrapKind::MalformedProgram,
+      "malformed-program: fell off the end of block b2",
+      11,
+      2 + 3 + 3 + 3 + 17 + 7 + 5 + 11 + 5 + 13};
+  Classes.Opts.Lat.Alu = 3;
+  Classes.Opts.Lat.Branch = 5;
+  Classes.Opts.Lat.Imm = 2;
+  Classes.Opts.Lat.HashOp = 17;
+  Classes.Opts.Lat.SramAccess = 7;
+  Classes.Opts.Lat.SdramAccess = 11;
+  Classes.Opts.Lat.ScratchAccess = 13;
+  Cases.push_back(Classes);
+
+  for (const AllocTrapCase &K : Cases) {
+    SCOPED_TRACE(K.Label);
+    {
+      SCOPED_TRACE("runAllocated");
+      sim::Memory Mem;
+      expectPinnedTrap(sim::runAllocated(K.P, K.Args, Mem, K.Opts), K);
+    }
+    {
+      SCOPED_TRACE("AllocContext");
+      sim::Memory Mem;
+      expectPinnedTrap(runContext(K.P, K.Args, Mem, K.Opts), K);
+    }
+  }
+
+  // Spill rebasing: a scratch access inside the program's spill window
+  // moves by the context's displacement; one outside it does not.
+  AllocatedProgram Spill = allocBlocks(
+      {{ainstr(MOp::MemWrite, {AOperand::constant(0x8001), reg(Bank::A, 0)},
+               {}, MemSpace::Scratch),
+        ainstr(MOp::MemWrite, {AOperand::constant(0x8002), C1}, {},
+               MemSpace::Scratch),
+        ainstr(MOp::MemRead, {AOperand::constant(0x8001)}, {loc(Bank::B, 0)},
+               MemSpace::Scratch),
+        ainstr(MOp::Halt, {reg(Bank::B, 0)})}});
+  Spill.SpillBase = 0x8000;
+  Spill.NumSpillSlots = 2;
+  {
+    sim::Memory Mem;
+    sim::RunResult R = runContext(Spill, {7}, Mem, {}, 0x100);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.HaltValues, std::vector<uint32_t>{7});
+    EXPECT_EQ(R.Instructions, 4u);
+    EXPECT_EQ(R.Cycles, 36u);
+    EXPECT_EQ(Mem.Scratch, (std::map<uint32_t, uint32_t>{{0x8002, 1},
+                                                          {0x8101, 7}}));
+  }
+  {
+    AllocTrapCase K{"spill-rebased past the limit", Spill, {7},
+                    sim::TrapKind::ScratchOutOfRange,
+                    "scratch-out-of-range: scratch write of 1 words at "
+                    "0x10000 (limit 0x10000)",
+                    1, 0};
+    SCOPED_TRACE(K.Label);
+    sim::Memory Mem;
+    expectPinnedTrap(runContext(Spill, {7}, Mem, {}, 0x7fff), K);
+  }
+}
+
+namespace {
+
+/// Folds one run into \p H: its verdict and trap message, halt values,
+/// counts and final SDRAM image, field by field.
+void foldRun(uint64_t &H, const sim::RunResult &R, const sim::Memory &Mem) {
+  auto fold = [&H](uint64_t V) { H = fnv1a64(&V, sizeof V, H); };
+  fold(R.Ok);
+  fold(static_cast<uint64_t>(R.Trap));
+  const std::string &Msg = R.Error.message();
+  fold(Msg.size());
+  H = fnv1a64(Msg.data(), Msg.size(), H);
+  fold(R.HaltValues.size());
+  for (uint32_t V : R.HaltValues)
+    fold(V);
+  fold(R.Cycles);
+  fold(R.Instructions);
+  fold(Mem.Sdram.size());
+  for (const auto &[Addr, V] : Mem.Sdram) {
+    fold(Addr);
+    fold(V);
+  }
+}
+
+/// FNV-1a-64 over 200 packets of the seed-42 stream drawn from \p Mix,
+/// each run by runAllocated from the app's base image under the soak
+/// defaults, with the fault injector re-armed per packet as the soak
+/// harness does.
+uint64_t appRunsHash(const soak::AppHarness &App, const soak::ClassMix &Mix) {
+  soak::SoakOptions SO;
+  sim::RunOptions RO;
+  RO.Lat = SO.Lat;
+  RO.MaxInstructions = SO.Budget;
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (uint64_t I = 0; I != 200; ++I) {
+    soak::SoakPacket P = App.generate(I, 42, Mix);
+    sim::Memory Mem = App.baseSim();
+    apps::storePacket(Mem.Sdram, P.Args.empty() ? 0 : P.Args[0], P.Words);
+    if (FaultInjector::armed())
+      FaultInjector::instance().rearm();
+    foldRun(H, sim::runAllocated(App.compiled().Alloc.Prog, P.Args, Mem, RO),
+            Mem);
+  }
+  return H;
+}
+
+} // namespace
+
+// The interpreter on the three benchmark apps: 200 valid and 200
+// adversarial seed-42 packets each, plain and under sim-bitflip plus
+// mem-jitter (which pins the injector's draw points and order).
+TEST(AllocatedSim, AppRunsArePinned) {
+  soak::ClassMix Valid;
+  Valid.Truncated = Valid.Oversized = Valid.Corrupt = Valid.Fuzz = 0;
+  soak::ClassMix Adversarial;
+  Adversarial.Valid = 0;
+  struct Case {
+    const char *App;
+    uint64_t Valid, Adversarial, FaultedValid, FaultedAdversarial;
+  };
+  for (const Case &K :
+       {Case{"aes", 0xa31aa9d595b0f1a6ull, 0x9dfb912cccd704e1ull,
+             0x39c1b1671100aebcull, 0x1f0e21c459f71675ull},
+        Case{"kasumi", 0x6a8ac099f7483cf4ull, 0x2381329108a9c503ull,
+             0xbfb6ff3d49125968ull, 0xc195997b114e882bull},
+        Case{"nat", 0x48e42240169f2aefull, 0x659da8aa47bc0864ull,
+             0xc0acc92d9230906cull, 0x81fd2b31e2248388ull}}) {
+    SCOPED_TRACE(K.App);
+    driver::CompileOptions Opts = soak::AppHarness::defaultCompileOptions();
+    Opts.Alloc.Mip.TimeLimitSeconds = 30.0;
+    std::string Error;
+    std::unique_ptr<soak::AppHarness> App =
+        soak::AppHarness::create(K.App, Error, Opts);
+    ASSERT_TRUE(App) << Error;
+    EXPECT_EQ(appRunsHash(*App, Valid), K.Valid);
+    EXPECT_EQ(appRunsHash(*App, Adversarial), K.Adversarial);
+    FaultSpec Flip;
+    Flip.Kind = FaultKind::SimBitFlip;
+    Flip.After = 300;
+    Flip.Times = 2;
+    FaultSpec Jitter;
+    Jitter.Kind = FaultKind::MemJitter;
+    Jitter.After = 3;
+    ScopedFaultInjection Armed({Flip, Jitter});
+    EXPECT_EQ(appRunsHash(*App, Valid), K.FaultedValid);
+    EXPECT_EQ(appRunsHash(*App, Adversarial), K.FaultedAdversarial);
   }
 }
