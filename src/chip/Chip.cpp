@@ -288,8 +288,10 @@ template <class Ar, class Self> void recFields(Ar &A, Self &Rec) {
 struct Chip::Impl {
   ChipParams P;
   std::vector<const alloc::AllocatedProgram *> Progs;
-  /// Threaded mode: each unique program translated once, shared by every
-  /// context that runs it (the map keeps addresses stable).
+  /// Each unique program decoded (interp mode) or translated (threaded
+  /// mode) once, shared by every context that runs it (the maps keep
+  /// addresses stable).
+  std::map<const alloc::AllocatedProgram *, sim::Decoded> Codes;
   std::map<const alloc::AllocatedProgram *, fastpath::Translated> Trans;
   sim::Memory Mem;
   /// Pristine copy of the base image; quarantined tail packets run on a
@@ -374,10 +376,14 @@ struct Chip::Impl {
       Step = std::max<uint32_t>(Step, Pr->NumSpillSlots);
     SpillStep = Step;
 
-    if (P.Exec == sim::ExecMode::Threaded)
-      for (const alloc::AllocatedProgram *Pr : Progs)
+    for (const alloc::AllocatedProgram *Pr : Progs) {
+      if (P.Exec == sim::ExecMode::Threaded) {
         if (!Trans.count(Pr))
           Trans.emplace(Pr, fastpath::translate(*Pr, Opts.Lat));
+      } else if (!Codes.count(Pr)) {
+        Codes.emplace(Pr, sim::decode(*Pr));
+      }
+    }
 
     Mes.resize(P.MP.MeCount);
     Consumers.resize(P.MP.MeCount);
@@ -392,7 +398,7 @@ struct Chip::Impl {
           Cx.Seg.setProgram(&Trans.at(Progs[M]));
           Cx.Seg.setSpillRebase(Rebase);
         } else {
-          Cx.Exec.setProgram(Progs[M]);
+          Cx.Exec.setProgram(&Codes.at(Progs[M]));
           Cx.Exec.setSpillRebase(Rebase);
         }
         Consumers[M].push_back(C); // all contexts start parked, in order
@@ -1029,7 +1035,7 @@ struct Chip::Impl {
 
   // Every mutable field of the simulation, in declaration order, as one
   // list for both directions. Construction-derived state (P, Progs,
-  // Trans, BaseImage, Opts, SpillStep, SdramBaseInterval, NumSlots,
+  // Codes, Trans, BaseImage, Opts, SpillStep, SdramBaseInterval, NumSlots,
   // spill rebases, ring geometry) is rebuilt deterministically by the
   // constructor and NOT saved; Ran/Src/Retire/Hook are per-run wiring.
   // The event queue travels as its (Time, Order)-sorted pending list.

@@ -59,9 +59,9 @@ void StreamContext::reset(const std::vector<uint32_t> &Args) {
   Ins = Cyc = 0;
   StartIns = StartCyc = 0;
   std::memset(Frame.data(), 0, FrameRegs * sizeof(uint32_t));
-  Finished = !enterAllocated(*T->Prog, Args, Frame.data(), R);
+  Finished = !enterAllocated(T->Code, Args, Frame.data(), R);
   if (!Finished)
-    PC = T->Meta[T->Prog->Entry].EnterOp;
+    PC = T->Meta[T->Code.Entry].EnterOp;
 }
 
 Engine::Engine(const Translated &Tr) { C.bind(&Tr); }
@@ -83,7 +83,7 @@ template <class MemT>
 Stepped slowTier(StreamContext &Ctx, MemT &Mem, const sim::RunOptions &Opts,
                  uint32_t Rebase) {
   while (true) {
-    Stepped S = step(*Ctx.T->Prog, Ctx.Frame.data(), Ctx.R, Ctx.Err, Ctx.SB,
+    Stepped S = step(Ctx.T->Code, Ctx.Frame.data(), Ctx.R, Ctx.Err, Ctx.SB,
                      Ctx.SIdx, Mem, Opts, Rebase);
     if (S.K == Stepped::Next)
       continue;
@@ -107,7 +107,7 @@ Yield fastpath::runStream(StreamContext &Ctx, MemT &Mem,
   assert(!Ctx.Finished && "runStream() on a completed context");
 
   const Translated &T = *Ctx.T;
-  const alloc::AllocatedProgram &P = *T.Prog;
+  const sim::Decoded &P = T.Code;
   const FastOp *Ops = T.Ops.data();
   const ColdInfo *ColdA = T.Cold.data();
   const uint16_t *Pool = T.Pool.data();

@@ -94,6 +94,7 @@
 #define FASTPATH_FASTPATH_H
 
 #include "fastpath/BatchMemory.h"
+#include "sim/Decoded.h"
 #include "sim/ExecContext.h"
 #include "sim/Simulator.h"
 
@@ -183,10 +184,10 @@ struct TranslateOptions {
   bool Superblocks = true; ///< collapse single-predecessor chains
 };
 
-/// A translated program. Holds a pointer to the source program (for the
-/// per-instruction slow tier), so the AllocatedProgram must outlive it.
+/// A translated program. It stands alone: the per-instruction slow tier
+/// steps its own decode of the source program.
 struct Translated {
-  const alloc::AllocatedProgram *Prog = nullptr;
+  sim::Decoded Code;     ///< what the slow tier steps (sim::detail::step)
   sim::LatencyModel Lat; ///< the model the cycle folding assumed
   std::vector<FastOp> Ops;
   std::vector<ColdInfo> Cold;     ///< parallel to Ops
@@ -194,7 +195,6 @@ struct Translated {
   std::vector<uint32_t> Consts;   ///< frame slots FrameRegs..
   std::vector<std::string> Messages;
   std::vector<BlockMeta> Meta;
-  bool EntryValid = false;
   unsigned SlowBlocks = 0;    ///< blocks pinned to the slow path
   unsigned Superblocks = 0;   ///< single-predecessor chains collapsed
   unsigned SuperblockOps = 0; ///< ops emitted into superblock streams

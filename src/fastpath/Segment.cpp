@@ -33,9 +33,9 @@ template <class Ar, class Ctx> void streamFields(Ar &A, Ctx &C) {
   A.check(T && C.Frame.size() == T->frameSize());
   if (!T || C.Finished)
     return;
-  const auto &Blocks = T->Prog->Blocks;
+  const auto &Blocks = T->Code.Blocks;
   if (C.InSlow)
-    A.check(C.SB < Blocks.size() && C.SIdx <= Blocks[C.SB].Instrs.size());
+    A.check(C.SB < Blocks.size() && C.SIdx <= Blocks[C.SB].Count);
   else if (C.FastYield)
     A.check(C.YieldPC + 1 < T->Ops.size());
   else

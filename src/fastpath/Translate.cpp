@@ -480,7 +480,7 @@ struct Translator {
   void buildSuperblocks() {
     const uint32_t N = static_cast<uint32_t>(P.Blocks.size());
     std::vector<uint32_t> Pred(N, 0);
-    if (T.EntryValid)
+    if (validEntry(P))
       ++Pred[P.Entry]; // virtual edge: keeps chains out of the entry
     for (uint32_t B = 0; B != N; ++B) {
       const AllocInstr *I = terminalOf(B);
@@ -565,11 +565,9 @@ struct Translator {
   }
 
   Translated run() {
-    T.Prog = &P;
+    T.Code = sim::decode(P);
     T.Lat = Lat;
     T.Meta.resize(P.Blocks.size());
-    T.EntryValid =
-        P.Entry != ixp::NoBlock && P.Entry < P.Blocks.size();
     for (uint32_t B = 0; B != P.Blocks.size(); ++B)
       translateBlock(B);
     for (uint32_t B = 0; B != P.Blocks.size(); ++B)

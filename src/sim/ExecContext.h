@@ -12,8 +12,9 @@
 /// memory reference — the IXP's signature latency-hiding trick — while
 /// runAllocated remains a thin driver with bit-identical behaviour.
 ///
-/// resume() loops detail::step() — the one definition of allocated-code
-/// semantics, which the fast path's slow tier also runs — until the run
+/// resume() loops detail::step() over the program decoded once
+/// (sim::Decoded) — the one definition of allocated-code semantics, which
+/// the fast path's slow tier also runs — until the run
 /// completes (halt or trap) or a memory reference is issued. Memory
 /// *data* effects apply at issue, in the issuing context's program
 /// order; the caller decides what the reference costs (flat
@@ -23,7 +24,7 @@
 /// register files, exactly like the hardware.
 ///
 /// Spill isolation: allocated code addresses its spill slots as absolute
-/// scratch words from AllocatedProgram::SpillBase. On a chip, several
+/// scratch words from its SpillBase. On a chip, several
 /// contexts run the same program image concurrently, so each context gets
 /// a private spill window: setSpillRebase() shifts every scratch access
 /// that lands inside the program's spill window by a per-context offset.
@@ -33,6 +34,7 @@
 #ifndef SIM_EXECCONTEXT_H
 #define SIM_EXECCONTEXT_H
 
+#include "sim/Decoded.h"
 #include "sim/Simulator.h"
 
 namespace nova {
@@ -58,10 +60,10 @@ public:
   };
 
   AllocContext() = default;
-  explicit AllocContext(const alloc::AllocatedProgram *P) : Prog(P) {}
+  explicit AllocContext(const Decoded *P) : Prog(P) {}
 
-  void setProgram(const alloc::AllocatedProgram *P) { Prog = P; }
-  const alloc::AllocatedProgram *program() const { return Prog; }
+  /// Binds the decoded program, which must outlive the context.
+  void setProgram(const Decoded *P) { Prog = P; }
 
   /// Per-context spill window displacement in scratch words (see file
   /// comment). 0 = run at the program's own spill addresses.
@@ -107,7 +109,7 @@ public:
 private:
   template <class Ar, class Self> static void fields(Ar &A, Self &C);
 
-  const alloc::AllocatedProgram *Prog = nullptr;
+  const Decoded *Prog = nullptr;
   RunResult R;
   bool Finished = true; ///< no run in progress until reset()
   bool Err = false;     ///< illegal-register latch (see detail::step)

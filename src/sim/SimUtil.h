@@ -18,6 +18,7 @@
 #ifndef SIM_SIMUTIL_H
 #define SIM_SIMUTIL_H
 
+#include "sim/Decoded.h"
 #include "sim/Simulator.h"
 #include "support/FaultInjection.h"
 #include "support/HwHash.h"
@@ -125,10 +126,15 @@ inline RunResult &bitTestSetRangeTrap(RunResult &R, MemSpace S,
                       Addr, Limit));
 }
 
-/// True when \p P (machine or allocated code) names an entry block;
-/// otherwise traps \p R.
+/// True when \p P (machine or decoded code) names one of its blocks as
+/// the entry.
+template <class ProgT> inline bool validEntry(const ProgT &P) {
+  return P.Entry != ixp::NoBlock && P.Entry < P.Blocks.size();
+}
+
+/// True when \p P names an entry block; otherwise traps \p R.
 template <class ProgT> inline bool hasEntry(const ProgT &P, RunResult &R) {
-  if (P.Entry != ixp::NoBlock && P.Entry < P.Blocks.size())
+  if (validEntry(P))
     return true;
   trap(R, TrapKind::MalformedProgram, "no entry block");
   return false;
@@ -137,8 +143,7 @@ template <class ProgT> inline bool hasEntry(const ProgT &P, RunResult &R) {
 /// Program entry for allocated code: loads \p Args into A0..A(n-1) of
 /// \p Frame, or traps \p R and returns false when \p P has no entry
 /// block or there are more than 15 arguments.
-inline bool enterAllocated(const alloc::AllocatedProgram &P,
-                           const std::vector<uint32_t> &Args,
+inline bool enterAllocated(const Decoded &P, const std::vector<uint32_t> &Args,
                            uint32_t *Frame, RunResult &R) {
   if (!hasEntry(P, R))
     return false;
@@ -154,8 +159,8 @@ inline bool enterAllocated(const alloc::AllocatedProgram &P,
 /// \p Addr shifted by \p Rebase when it lands in \p P's scratch spill
 /// window: each concurrent chip context gets a private spill area in the
 /// shared scratch space. Rebase 0 (standalone runs) is the identity.
-inline uint32_t spillRebased(const alloc::AllocatedProgram &P,
-                             uint32_t Rebase, MemSpace S, uint32_t Addr) {
+inline uint32_t spillRebased(const Decoded &P, uint32_t Rebase, MemSpace S,
+                             uint32_t Addr) {
   if (Rebase && S == MemSpace::Scratch && Addr >= P.SpillBase &&
       Addr - P.SpillBase < P.NumSpillSlots)
     return Addr + Rebase;
@@ -175,12 +180,42 @@ struct Stepped {
   MemSpace Space = MemSpace::Sram;
 };
 
+/// The value of \p O over \p Frame. Reading a register that does not
+/// exist latches \p Err and reads 0.
+inline uint32_t readOperand(const DOperand &O, const uint32_t *Frame,
+                            bool &Err) {
+  if (O.K == DOperand::Slot)
+    return Frame[O.V];
+  if (O.K == DOperand::Const)
+    return O.V;
+  Err = true;
+  return 0;
+}
+
+/// Stores \p V to \p O; writing a register that does not exist latches
+/// \p Err instead.
+inline void writeOperand(const DOperand &O, uint32_t V, uint32_t *Frame,
+                         bool &Err) {
+  if (O.K == DOperand::Slot)
+    Frame[O.V] = V;
+  else
+    Err = true;
+}
+
+/// The mem-jitter draw of a MemRead or MemWrite issue.
+inline void memJitter(RunResult &R) {
+  if (FaultInjector::armed() &&
+      FaultInjector::instance().shouldFire(FaultKind::MemJitter))
+    R.Cycles += FaultInjector::instance().drawCycles(FaultKind::MemJitter, 16);
+}
+
 /// Executes one allocated instruction: the instruction at (\p B, \p Idx)
-/// over the register frame \p Frame (FrameRegs words, see frameSlot),
-/// accounting into \p R. \p MemT is sim::Memory or
-/// fastpath::BatchMemory; \p SpillRebase is the context's spill window
-/// displacement (spillRebased). This is the interpreter
-/// (AllocContext::resume loops it) and the fast path's slow tier.
+/// of the decoded program \p P over the register frame \p Frame
+/// (FrameRegs words, see frameSlot), accounting into \p R. \p MemT is
+/// sim::Memory or fastpath::BatchMemory; \p SpillRebase is the context's
+/// spill window displacement (spillRebased). This is the interpreter
+/// (AllocContext::resume and runAllocated loop it) and the fast path's
+/// slow tier.
 ///
 /// Trap precedence: a latched illegal register, then the watchdog, then
 /// falling off the block's end, then an invalid memory space, then the
@@ -193,159 +228,156 @@ struct Stepped {
 /// fault injector's draws keep their order: the ALU bit flip uses the
 /// live instruction count, and mem-jitter is drawn at MemRead/MemWrite
 /// issue, never at BitTestSet.
+///
+/// Always inlined, and written without closures, so that each caller's
+/// loop keeps the position, the latch and the frame pointer in registers.
 template <class MemT>
-inline Stepped step(const alloc::AllocatedProgram &P, uint32_t *Frame,
-                    RunResult &R, bool &Err, ixp::BlockId &B, unsigned &Idx,
-                    MemT &Mem, const RunOptions &Opts, uint32_t SpillRebase) {
-  using ixp::MOp;
-  auto done = [] { return Stepped{Stepped::Done}; };
-  auto read = [&](const alloc::AOperand &O) -> uint32_t {
-    if (O.IsConst)
-      return O.Value;
-    int Slot = frameSlot(O.Loc);
-    if (Slot < 0) {
-      Err = true;
-      return 0;
-    }
-    return Frame[Slot];
-  };
-  auto write = [&](alloc::PhysLoc L, uint32_t V) {
-    int Slot = frameSlot(L);
-    if (Slot < 0) {
-      Err = true;
-      return;
-    }
-    Frame[Slot] = V;
-  };
-  auto jitter = [&] {
-    if (FaultInjector::armed() &&
-        FaultInjector::instance().shouldFire(FaultKind::MemJitter))
-      R.Cycles +=
-          FaultInjector::instance().drawCycles(FaultKind::MemJitter, 16);
-  };
-
+[[gnu::always_inline]] inline Stepped
+step(const Decoded &P, uint32_t *Frame, RunResult &R, bool &Err,
+     ixp::BlockId &B, unsigned &Idx, MemT &Mem, const RunOptions &Opts,
+     uint32_t SpillRebase) {
+  constexpr Stepped Done{Stepped::Done};
   if (Err) {
     trap(R, TrapKind::IllegalRegister,
          formatf("illegal register access in block b%u", B));
-    return done();
+    return Done;
   }
   if (++R.Instructions > Opts.MaxInstructions) {
     trap(R, TrapKind::Watchdog, budgetMessage(Opts.MaxInstructions));
-    return done();
+    return Done;
   }
-  if (Idx >= P.Blocks[B].Instrs.size()) {
+  const Decoded::Block &Blk = P.Blocks[B];
+  if (Idx >= Blk.Count) {
     trap(R, TrapKind::MalformedProgram, fellOffMessage(B));
-    return done();
+    return Done;
   }
-  const alloc::AllocInstr &I = P.Blocks[B].Instrs[Idx++];
-
-  // One validity check covers the memory accessors, memAccess(), and the
-  // range trap.
+  const DInstr &I = P.Instrs[Blk.First + Idx++];
   const MemSpace S = I.Space;
-  if (hasInvalidSpace(I)) {
-    trap(R, TrapKind::IllegalMemSpace, invalidSpaceMessage(S, B));
-    return done();
-  }
 
   switch (I.Op) {
-  case MOp::Alu: {
-    uint32_t A = read(I.Srcs[0]);
-    uint32_t Bv = I.Srcs.size() > 1 ? read(I.Srcs[1]) : 0;
-    if (Opts.TrapOnShiftRange && cps::shiftOutOfRange(I.Alu, Bv)) {
-      trap(R, TrapKind::ShiftRange, shiftMessage(Bv, B));
-      return done();
-    }
-    uint32_t V = cps::evalPrim(I.Alu, A, Bv);
-    if (FaultInjector::armed() &&
-        FaultInjector::instance().shouldFire(FaultKind::SimBitFlip))
-      V ^= 1u << (R.Instructions & 31);
-    write(I.Dsts[0], V);
-    break;
+#define ALU_CASE(NAME)                                                    \
+  case DOp::Alu##NAME: {                                                  \
+    uint32_t A = readOperand(I.A, Frame, Err);                            \
+    uint32_t Bv = readOperand(I.B, Frame, Err);                           \
+    if (Opts.TrapOnShiftRange &&                                          \
+        cps::shiftOutOfRange(cps::PrimOp::NAME, Bv)) {                    \
+      trap(R, TrapKind::ShiftRange, shiftMessage(Bv, B));                 \
+      return Done;                                                        \
+    }                                                                     \
+    uint32_t V = cps::evalPrim(cps::PrimOp::NAME, A, Bv);                 \
+    if (FaultInjector::armed() &&                                         \
+        FaultInjector::instance().shouldFire(FaultKind::SimBitFlip))      \
+      V ^= 1u << (R.Instructions & 31);                                   \
+    writeOperand(I.D, V, Frame, Err);                                     \
+    break;                                                                \
   }
-  case MOp::Imm:
-    write(I.Dsts[0], I.Imm);
+    ALU_CASE(Add)
+    ALU_CASE(Sub)
+    ALU_CASE(And)
+    ALU_CASE(Or)
+    ALU_CASE(Xor)
+    ALU_CASE(Shl)
+    ALU_CASE(Shr)
+    ALU_CASE(Not)
+#undef ALU_CASE
+  case DOp::Move:
+    writeOperand(I.D, readOperand(I.A, Frame, Err), Frame, Err);
     break;
-  case MOp::Move:
-    write(I.Dsts[0], read(I.Srcs[0]));
+  case DOp::Hash:
+    writeOperand(I.D, hwHash(readOperand(I.A, Frame, Err)), Frame, Err);
     break;
-  case MOp::Hash:
-    write(I.Dsts[0], hwHash(read(I.Srcs[0])));
-    break;
-  case MOp::MemRead: {
-    uint32_t Addr = spillRebased(P, SpillRebase, S, read(I.Srcs[0]));
-    uint32_t Count = static_cast<uint32_t>(I.Dsts.size());
-    if (!Err && !Mem.inRange(S, Addr, Count)) {
-      readRangeTrap(R, S, Count, Addr, Mem.limits().words(S));
-      return done();
+  case DOp::MemRead: {
+    uint32_t Addr =
+        spillRebased(P, SpillRebase, S, readOperand(I.A, Frame, Err));
+    if (!Err && !Mem.inRange(S, Addr, I.Y)) {
+      readRangeTrap(R, S, I.Y, Addr, Mem.limits().words(S));
+      return Done;
     }
-    for (unsigned K = 0; K != Count; ++K)
-      write(I.Dsts[K], Mem.load(S, Addr + K));
-    jitter();
+    const DOperand *Dst = P.Pool.data() + I.X;
+    for (uint32_t K = 0; K != I.Y; ++K)
+      writeOperand(Dst[K], Mem.load(S, Addr + K), Frame, Err);
+    memJitter(R);
     return {Stepped::Mem, S};
   }
-  case MOp::MemWrite: {
-    uint32_t Addr = spillRebased(P, SpillRebase, S, read(I.Srcs[0]));
-    uint32_t Count = static_cast<uint32_t>(I.Srcs.size() - 1);
-    if (!Err && !Mem.inRange(S, Addr, Count)) {
-      writeRangeTrap(R, S, Count, Addr, Mem.limits().words(S));
-      return done();
+  case DOp::MemWrite: {
+    uint32_t Addr =
+        spillRebased(P, SpillRebase, S, readOperand(I.A, Frame, Err));
+    if (!Err && !Mem.inRange(S, Addr, I.Y)) {
+      writeRangeTrap(R, S, I.Y, Addr, Mem.limits().words(S));
+      return Done;
     }
-    for (unsigned K = 0; K != Count; ++K)
-      Mem.store(S, Addr + K, read(I.Srcs[K + 1]));
-    jitter();
+    const DOperand *Src = P.Pool.data() + I.X;
+    for (uint32_t K = 0; K != I.Y; ++K)
+      Mem.store(S, Addr + K, readOperand(Src[K], Frame, Err));
+    memJitter(R);
     return {Stepped::Mem, S};
   }
-  case MOp::BitTestSet: {
-    uint32_t Addr = spillRebased(P, SpillRebase, S, read(I.Srcs[0]));
-    uint32_t Bits = read(I.Srcs[1]);
+  case DOp::BitTestSet: {
+    uint32_t Addr =
+        spillRebased(P, SpillRebase, S, readOperand(I.A, Frame, Err));
+    uint32_t Bits = readOperand(I.B, Frame, Err);
     if (!Err && !Mem.inRange(S, Addr, 1)) {
       bitTestSetRangeTrap(R, S, Addr, Mem.limits().words(S));
-      return done();
+      return Done;
     }
     uint32_t Old = Mem.load(S, Addr);
     Mem.store(S, Addr, Old | Bits);
-    write(I.Dsts[0], Old);
+    writeOperand(I.D, Old, Frame, Err);
     return {Stepped::Mem, S};
   }
-  case MOp::Clone:
-    trap(R, TrapKind::MalformedProgram, ClonePseudoMessage);
-    return done();
-  case MOp::Branch: {
-    ixp::BlockId T = cps::evalCmp(I.Cmp, read(I.Srcs[0]), read(I.Srcs[1]))
-                         ? I.Target
-                         : I.TargetElse;
-    if (T >= P.Blocks.size()) {
-      trap(R, TrapKind::MalformedProgram, badTargetMessage("branch", B, T));
-      return done();
-    }
-    B = T;
-    Idx = 0;
-    break;
+#define BRANCH_CASE(NAME)                                                 \
+  case DOp::Branch##NAME: {                                               \
+    uint32_t A = readOperand(I.A, Frame, Err);                            \
+    uint32_t Bv = readOperand(I.B, Frame, Err);                           \
+    ixp::BlockId T = cps::evalCmp(cps::CmpOp::NAME, A, Bv) ? I.X : I.Y;   \
+    if (T >= P.Blocks.size()) {                                           \
+      trap(R, TrapKind::MalformedProgram, badTargetMessage("branch", B, T)); \
+      return Done;                                                        \
+    }                                                                     \
+    B = T;                                                                \
+    Idx = 0;                                                              \
+    break;                                                                \
   }
-  case MOp::Jump:
-    if (I.Target >= P.Blocks.size()) {
-      trap(R, TrapKind::MalformedProgram,
-           badTargetMessage("jump", B, I.Target));
-      return done();
+    BRANCH_CASE(Eq)
+    BRANCH_CASE(Ne)
+    BRANCH_CASE(Lt)
+    BRANCH_CASE(Gt)
+    BRANCH_CASE(Le)
+    BRANCH_CASE(Ge)
+#undef BRANCH_CASE
+  case DOp::Jump:
+    if (I.X >= P.Blocks.size()) {
+      trap(R, TrapKind::MalformedProgram, badTargetMessage("jump", B, I.X));
+      return Done;
     }
-    B = I.Target;
+    B = I.X;
     Idx = 0;
     break;
-  case MOp::Halt:
-    for (const alloc::AOperand &Src : I.Srcs)
-      R.HaltValues.push_back(read(Src));
+  case DOp::Halt: {
+    const DOperand *Src = P.Pool.data() + I.X;
+    for (uint32_t K = 0; K != I.Y; ++K)
+      R.HaltValues.push_back(readOperand(Src[K], Frame, Err));
     if (Err) {
       trap(R, TrapKind::IllegalRegister, "illegal register access at halt");
-      return done();
+      return Done;
     }
     R.Ok = true;
-    return done();
+    return Done;
   }
-  R.Cycles += Opts.Lat.opCycles(I);
+  case DOp::Clone:
+    trap(R, TrapKind::MalformedProgram, ClonePseudoMessage);
+    return Done;
+  case DOp::InvalidSpace:
+    trap(R, TrapKind::IllegalMemSpace, invalidSpaceMessage(S, B));
+    return Done;
+  case DOp::Nop:
+    break;
+  }
+  R.Cycles += Opts.Lat.cycles(I.Cyc);
   if (Err) {
     trap(R, TrapKind::IllegalRegister,
          formatf("illegal register access in block b%u", B));
-    return done();
+    return Done;
   }
   return {Idx == 0 ? Stepped::Block : Stepped::Next};
 }

@@ -112,6 +112,17 @@ struct Memory : MemImage {
   void restoreState(BinReader &R);
 };
 
+/// What an instruction charges itself, before a LatencyModel prices it
+/// (LatencyModel::cycleClass is the rule).
+enum class CycleClass : uint8_t {
+  None,     ///< memory ops (their access is charged apart), Halt, Clone
+  Alu,      ///< ALU ops and moves
+  Imm,      ///< an immediate that fits one instruction
+  LargeImm, ///< an immediate that needs two
+  Hash,
+  Branch    ///< the branch/jump transfer
+};
+
 /// Latency model in micro-engine cycles. Defaults are the shared chip
 /// description's (ixp::MachineParams) — one definition for the
 /// simulator, the chip contention model, and the ILP cost model.
@@ -125,26 +136,39 @@ struct LatencyModel {
   unsigned ScratchAccess = ixp::MachineParams{}.ScratchAccessCycles;
   unsigned HashOp = ixp::MachineParams{}.HashCycles;
 
-  /// Cycles \p I charges itself: ALU and moves, immediates (large
-  /// constants need two instructions on the IXP, paper §12), hashes,
-  /// and the branch/jump transfer. Memory ops charge 0 here — their
-  /// access is the caller's to charge (memAccess, or the chip's
-  /// contention model) — and so do Halt and the Clone pseudo.
-  unsigned opCycles(const alloc::AllocInstr &I) const {
+  /// The cycle rule: what \p I charges itself. ALU ops and moves,
+  /// immediates (large constants need two instructions on the IXP, paper
+  /// §12), hashes, and the branch/jump transfer. Memory ops charge
+  /// nothing here — their access is the caller's to charge (memAccess,
+  /// or the chip's contention model) — and neither do Halt and the
+  /// Clone pseudo.
+  static CycleClass cycleClass(const alloc::AllocInstr &I) {
     switch (I.Op) {
     case ixp::MOp::Alu:
     case ixp::MOp::Move:
-      return Alu;
+      return CycleClass::Alu;
     case ixp::MOp::Imm:
-      return I.Imm <= 0xFFFF || (I.Imm & 0xFFFF) == 0 ? Imm : Imm + 1;
+      return I.Imm <= 0xFFFF || (I.Imm & 0xFFFF) == 0 ? CycleClass::Imm
+                                                      : CycleClass::LargeImm;
     case ixp::MOp::Hash:
-      return HashOp;
+      return CycleClass::Hash;
     case ixp::MOp::Branch:
     case ixp::MOp::Jump:
-      return Branch;
+      return CycleClass::Branch;
     default:
-      return 0;
+      return CycleClass::None;
     }
+  }
+
+  /// Cycles an instruction of class \p C charges itself.
+  unsigned cycles(CycleClass C) const {
+    const unsigned ByClass[] = {0, Alu, Imm, Imm + 1, HashOp, Branch};
+    return ByClass[static_cast<unsigned>(C)];
+  }
+
+  /// Cycles \p I charges itself (the translator folds these).
+  unsigned opCycles(const alloc::AllocInstr &I) const {
+    return cycles(cycleClass(I));
   }
 
   /// Cost of an access to \p S. Invalid spaces are rejected by the
@@ -171,18 +195,13 @@ inline constexpr unsigned FrameRegs = 64;
 /// Frame slot of \p L, or -1 when its bank has no register file (M, C)
 /// or its index is off the end of the bank.
 inline int frameSlot(alloc::PhysLoc L) {
-  unsigned Base;
-  switch (L.B) {
-  case ixp::Bank::A:  Base = 0; break;
-  case ixp::Bank::B:  Base = 16; break;
-  case ixp::Bank::L:  Base = 32; break;
-  case ixp::Bank::S:  Base = 40; break;
-  case ixp::Bank::LD: Base = 48; break;
-  case ixp::Bank::SD: Base = 56; break;
-  default:            return -1;
-  }
-  unsigned Size = L.B == ixp::Bank::A || L.B == ixp::Bank::B ? 16 : 8;
-  return L.Reg < Size ? static_cast<int>(Base + L.Reg) : -1;
+  // Base slot and register count of each bank, in ixp::Bank order.
+  static constexpr uint8_t Base[] = {0, 16, 32, 40, 48, 56};
+  static constexpr uint8_t Size[] = {16, 16, 8, 8, 8, 8};
+  unsigned B = static_cast<unsigned>(L.B);
+  if (B >= sizeof(Size) || L.Reg >= Size[B])
+    return -1;
+  return Base[B] + L.Reg;
 }
 
 /// How allocated code executes, in a soak stream and in the chip's
@@ -286,12 +305,18 @@ RunResult runFunctional(const ixp::MachineProgram &M,
                         const std::vector<uint32_t> &Args, Memory &Mem,
                         uint64_t MaxInstructions = 10'000'000);
 
+struct Decoded;
+
 /// Executes register-allocated code on the modeled micro-engine:
 /// physical banks, runtime-enforced data-path legality, bounds-checked
 /// memory, and cycle accounting. Arguments arrive in A0..A(n-1). When a
 /// FaultInjector plan is armed, mem-jitter inflates memory latencies and
 /// sim-bitflip perturbs ALU results (the soak oracle's injected
-/// divergence).
+/// divergence). The AllocatedProgram forms decode \p P for the one run;
+/// a holder that runs a program many times decodes it once (sim::decode,
+/// Decoded.h) and calls the Decoded form.
+RunResult runAllocated(const Decoded &P, const std::vector<uint32_t> &Args,
+                       Memory &Mem, const RunOptions &Opts);
 RunResult runAllocated(const alloc::AllocatedProgram &P,
                        const std::vector<uint32_t> &Args, Memory &Mem,
                        const RunOptions &Opts);

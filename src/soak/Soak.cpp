@@ -58,6 +58,7 @@ AppHarness::create(const std::string &Name, std::string &Error,
     Error = H->App->ErrorText;
     return nullptr;
   }
+  H->Code = sim::decode(H->App->Alloc.Prog);
   switch (H->Id) {
   case AppId::Aes:
     apps::loadAesEnvironment(H->Base);
@@ -151,7 +152,7 @@ PacketOutcome soak::runPacket(const AppHarness &App, const SoakPacket &P,
   RO.MaxInstructions = Opts.Budget;
 
   apps::storePacket(MA.Sdram, P.Args.empty() ? 0 : P.Args[0], P.Words);
-  O.Alloc = sim::runAllocated(App.compiled().Alloc.Prog, P.Args, MA, RO);
+  O.Alloc = sim::runAllocated(App.decoded(), P.Args, MA, RO);
   O.AppReject = O.Alloc.Ok && App.isAppReject(O.Alloc.HaltValues);
   if (!WithOracle)
     return O;

@@ -42,6 +42,7 @@
 #include "checkpoint/Checkpoint.h"
 #include "cps/Eval.h"
 #include "driver/Compiler.h"
+#include "sim/Decoded.h"
 #include "sim/Simulator.h"
 #include "support/Json.h"
 #include "support/Timer.h"
@@ -217,6 +218,8 @@ public:
 
   const std::string &name() const { return Name; }
   const driver::CompileResult &compiled() const { return *App; }
+  /// The allocated program, decoded once for the interpreter.
+  const sim::Decoded &decoded() const { return Code; }
   /// The base image with the simulators' limits, and the same image as
   /// the CPS evaluator's memory.
   const sim::Memory &baseSim() const { return Base; }
@@ -257,6 +260,7 @@ private:
   std::string Name;
   AppId Id = AppId::Aes;
   std::unique_ptr<driver::CompileResult> App;
+  sim::Decoded Code;
   sim::Memory Base;
 };
 

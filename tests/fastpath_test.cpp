@@ -912,7 +912,8 @@ TEST(FastPathFusion, SpillRebasedFusedAddress) {
       sim::RunOptions RO;
 
       sim::Memory MI = Base;
-      sim::AllocContext AC(&P);
+      sim::Decoded Code = sim::decode(P);
+      sim::AllocContext AC(&Code);
       AC.setSpillRebase(64);
       AC.reset(Args);
       std::vector<std::pair<MemSpace, uint64_t>> Want;
@@ -1120,11 +1121,14 @@ TEST(FastPathShape, FrameSizeAndFusedOpsArePinned) {
   }
 }
 
-/// FNV-1a-64 of every field of \p T a run reads: the op stream, its cold
-/// data, the operand pool, the constants, the trap messages, the block
-/// metadata and the shape counters. Fields are folded one by one, so
-/// the hash does not depend on struct padding.
-uint64_t translationHash(const fastpath::Translated &T) {
+/// FNV-1a-64 of every field of \p T, translated from \p P, a run reads:
+/// the op stream, its cold data, the operand pool, the constants, the
+/// trap messages, the block metadata and the shape counters, plus
+/// whether \p P names a valid entry block (which superblock formation
+/// consults). Fields are folded one by one, so the hash does not depend
+/// on struct padding.
+uint64_t translationHash(const fastpath::Translated &T,
+                         const AllocatedProgram &P) {
   uint64_t H = 0xcbf29ce484222325ull;
   auto fold = [&H](uint64_t V) { H = fnv1a64(&V, sizeof V, H); };
   fold(T.Ops.size());
@@ -1154,7 +1158,8 @@ uint64_t translationHash(const fastpath::Translated &T) {
     for (uint64_t V : {uint64_t(M.FirstOp), uint64_t(M.EnterOp),
                        uint64_t(M.MaxPath), uint64_t(M.ForceSlow)})
       fold(V);
-  for (uint64_t V : {uint64_t(T.EntryValid), uint64_t(T.SlowBlocks),
+  for (uint64_t V : {uint64_t(sim::detail::validEntry(P)),
+                     uint64_t(T.SlowBlocks),
                      uint64_t(T.Superblocks), uint64_t(T.SuperblockOps),
                      uint64_t(T.FusedOps)})
     fold(V);
@@ -1178,8 +1183,9 @@ TEST(FastPathShape, TranslationIsPinned) {
     sim::LatencyModel Lat = soak::SoakOptions().Lat;
     fastpath::TranslateOptions NoSB;
     NoSB.Superblocks = false;
-    EXPECT_EQ(translationHash(fastpath::translate(P, Lat)), K.Super);
-    EXPECT_EQ(translationHash(fastpath::translate(P, Lat, NoSB)), K.PerBlock);
+    EXPECT_EQ(translationHash(fastpath::translate(P, Lat), P), K.Super);
+    EXPECT_EQ(translationHash(fastpath::translate(P, Lat, NoSB), P),
+              K.PerBlock);
   }
 }
 

@@ -408,7 +408,8 @@ AllocatedProgram allocBlocks(std::vector<std::vector<AllocInstr>> Blocks) {
 sim::RunResult runContext(const AllocatedProgram &P,
                           const std::vector<uint32_t> &Args, sim::Memory &Mem,
                           const sim::RunOptions &Opts, uint32_t Rebase = 0) {
-  sim::AllocContext C(&P);
+  sim::Decoded Code = sim::decode(P);
+  sim::AllocContext C(&Code);
   C.setSpillRebase(Rebase);
   C.reset(Args);
   while (!C.done()) {
@@ -843,4 +844,175 @@ TEST(AllocatedSim, AppRunsArePinned) {
     EXPECT_EQ(appRunsHash(*App, Valid), K.FaultedValid);
     EXPECT_EQ(appRunsHash(*App, Adversarial), K.FaultedAdversarial);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The decoder on hostile programs. sim_test runs under ASan+UBSan in the
+// tier-1 script, so an out-of-bounds index in decode() or in a step over
+// its output fails there.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The decoded block table covers the instruction array exactly, and
+/// every word list lies inside the pool.
+void expectWellFormed(const sim::Decoded &D, const AllocatedProgram &P) {
+  ASSERT_EQ(D.Blocks.size(), P.Blocks.size());
+  EXPECT_EQ(D.Entry, P.Entry);
+  uint32_t Next = 0;
+  for (size_t B = 0; B != P.Blocks.size(); ++B) {
+    EXPECT_EQ(D.Blocks[B].First, Next);
+    EXPECT_EQ(D.Blocks[B].Count, P.Blocks[B].Instrs.size());
+    Next += D.Blocks[B].Count;
+  }
+  EXPECT_EQ(Next, D.Instrs.size());
+  auto expectInFrame = [](const sim::DOperand &O) {
+    if (O.K == sim::DOperand::Slot) {
+      EXPECT_LT(O.V, sim::FrameRegs);
+    }
+  };
+  for (const sim::DInstr &I : D.Instrs) {
+    if (I.Op == sim::DOp::MemRead || I.Op == sim::DOp::MemWrite ||
+        I.Op == sim::DOp::Halt) {
+      EXPECT_LE(uint64_t(I.X) + I.Y, D.Pool.size());
+    }
+    for (const sim::DOperand &O : {I.A, I.B, I.D})
+      expectInFrame(O);
+  }
+  for (const sim::DOperand &O : D.Pool)
+    expectInFrame(O);
+}
+
+} // namespace
+
+TEST(AllocatedSim, DecodeHostilePrograms) {
+  const AOperand C1 = AOperand::constant(1);
+  const char *IllegalB0 =
+      "illegal-register: illegal register access in block b0";
+  std::vector<AllocTrapCase> Cases;
+  Cases.push_back({"bank M and C operands",
+                   allocBlocks({{ainstr(MOp::MemRead, {reg(Bank::M, 2)},
+                                        {loc(Bank::C, 0), loc(Bank::M, 7)}),
+                                 ainstr(MOp::Halt, {reg(Bank::C, 3)})}}),
+                   {}, sim::TrapKind::IllegalRegister, IllegalB0, 1, 20});
+  Cases.push_back({"register index 40 in every bank",
+                   allocBlocks({{ainstr(MOp::MemWrite,
+                                        {C1, reg(Bank::A, 40), reg(Bank::B, 40),
+                                         reg(Bank::L, 40), reg(Bank::S, 40),
+                                         reg(Bank::LD, 40), reg(Bank::SD, 40)},
+                                        {}, MemSpace::Scratch),
+                                 ainstr(MOp::Halt)}}),
+                   {}, sim::TrapKind::IllegalRegister, IllegalB0, 1, 12});
+  Cases.push_back({"register index 40 at halt",
+                   allocBlocks({{ainstr(MOp::Halt, {reg(Bank::SD, 40)})}}), {},
+                   sim::TrapKind::IllegalRegister,
+                   "illegal-register: illegal register access at halt", 1, 0});
+  Cases.push_back({"an empty block after a jump",
+                   allocBlocks({{jumpTo(1)}, {}}), {},
+                   sim::TrapKind::MalformedProgram,
+                   "malformed-program: fell off the end of block b1", 2, 1});
+  AllocatedProgram PastEnd = allocBlocks({{ainstr(MOp::Halt)}, {}});
+  PastEnd.Entry = 2;
+  Cases.push_back({"entry past the end", PastEnd, {},
+                   sim::TrapKind::MalformedProgram,
+                   "malformed-program: no entry block", 0, 0});
+  AllocatedProgram NoEntry = allocBlocks({});
+  NoEntry.Entry = NoBlock;
+  Cases.push_back({"no blocks", NoEntry, {}, sim::TrapKind::MalformedProgram,
+                   "malformed-program: no entry block", 0, 0});
+  // Operands an instruction lacks decode as illegal registers.
+  Cases.push_back({"ALU op without operands",
+                   allocBlocks({{ainstr(MOp::Alu), ainstr(MOp::Halt)}}), {},
+                   sim::TrapKind::IllegalRegister, IllegalB0, 1, 1});
+  Cases.push_back({"store without an address",
+                   allocBlocks({{ainstr(MOp::MemWrite), ainstr(MOp::Halt)}}),
+                   {}, sim::TrapKind::IllegalRegister, IllegalB0, 1, 20});
+  Cases.push_back({"branch without operands",
+                   allocBlocks({{branchOf(C1, C1, 0, 0)}}), {},
+                   sim::TrapKind::IllegalRegister, IllegalB0, 1, 1});
+  Cases.back().P.Blocks[0].Instrs[0].Srcs.clear();
+  // Operations and comparisons outside their enums evaluate to 0 and
+  // false (cps::evalPrim, cps::evalCmp) and still latch an illegal
+  // operand; an opcode outside the enum retires with no effect.
+  AllocInstr BadAlu = aluOf(cps::PrimOp::Add, {C1, reg(Bank::B, 40)},
+                            loc(Bank::A, 0));
+  BadAlu.Alu = static_cast<cps::PrimOp>(12);
+  Cases.push_back({"ALU operation 12 with an illegal operand",
+                   allocBlocks({{BadAlu, ainstr(MOp::Halt)}}), {},
+                   sim::TrapKind::IllegalRegister, IllegalB0, 1, 1});
+  AllocInstr BadCmp = branchOf(reg(Bank::A, 0), reg(Bank::A, 0), 9, 1);
+  BadCmp.Cmp = static_cast<cps::CmpOp>(9);
+  Cases.push_back({"comparison 9 takes the else edge",
+                   allocBlocks({{BadCmp}, {jumpTo(4)}}), {},
+                   sim::TrapKind::MalformedProgram,
+                   "malformed-program: jump in block b1 targets b4", 2, 1});
+  AllocInstr BadOp = ainstr(static_cast<MOp>(40), {reg(Bank::A, 40)});
+  Cases.push_back({"opcode 40 retires as a no-op",
+                   allocBlocks({{BadOp, ainstr(MOp::Imm, {}, {loc(Bank::L, 9)})}}),
+                   {}, sim::TrapKind::IllegalRegister, IllegalB0, 2, 1});
+
+  for (const AllocTrapCase &K : Cases) {
+    SCOPED_TRACE(K.Label);
+    sim::Decoded D = sim::decode(K.P);
+    expectWellFormed(D, K.P);
+    sim::Memory Mem;
+    expectPinnedTrap(sim::runAllocated(D, K.Args, Mem, K.Opts), K);
+    sim::Memory MemC;
+    expectPinnedTrap(runContext(K.P, K.Args, MemC, K.Opts), K);
+  }
+
+  // The AluXor/BranchNe stand-ins still compute 0 and false.
+  AllocInstr Zero = aluOf(cps::PrimOp::Add, {reg(Bank::A, 0), C1},
+                          loc(Bank::B, 0));
+  Zero.Alu = static_cast<cps::PrimOp>(8);
+  sim::Memory Mem;
+  sim::RunResult R = sim::runAllocated(
+      allocBlocks({{Zero, ainstr(MOp::Halt, {reg(Bank::B, 0)})}}), {7}, Mem);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.HaltValues, std::vector<uint32_t>{0});
+}
+
+// An AllocContext snapshot restores only into a context whose decoded
+// program has the block and the index it was taken at.
+TEST(AllocatedSim, SnapshotOutsideTheBlockTableIsRejected) {
+  // b0 jumps to b2, whose third instruction is the first memory op.
+  AllocatedProgram Big = allocBlocks(
+      {{jumpTo(2)},
+       {ainstr(MOp::Halt)},
+       {ainstr(MOp::Imm, {}, {loc(Bank::A, 0)}),
+        ainstr(MOp::Imm, {}, {loc(Bank::A, 1)}),
+        ainstr(MOp::MemWrite, {AOperand::constant(4), reg(Bank::A, 0)}),
+        ainstr(MOp::Halt, {reg(Bank::A, 1)})}});
+  sim::Decoded BigCode = sim::decode(Big);
+  sim::AllocContext C(&BigCode);
+  C.reset({});
+  sim::Memory Mem;
+  sim::RunOptions Opts;
+  ASSERT_EQ(C.resume(Mem, Opts).K, sim::AllocContext::Yield::Kind::Mem);
+  BinWriter W;
+  C.saveState(W); // in flight at (b2, 3)
+
+  auto restoresInto = [&W](const AllocatedProgram &P) {
+    sim::Decoded Code = sim::decode(P);
+    sim::AllocContext Into(&Code);
+    BinReader R(W.bytes().data(), W.bytes().size());
+    Into.restoreState(R);
+    return !R.failed();
+  };
+  EXPECT_TRUE(restoresInto(Big));
+  // Block 2 is past the end of a two-block table.
+  EXPECT_FALSE(restoresInto(allocBlocks({{jumpTo(1)}, {ainstr(MOp::Halt)}})));
+  // Block 2 exists but ends before index 3.
+  EXPECT_FALSE(restoresInto(allocBlocks(
+      {{jumpTo(2)}, {ainstr(MOp::Halt)}, {ainstr(MOp::Halt), jumpTo(0)}})));
+  // Index 3 may equal the block's count: the next step traps there.
+  EXPECT_TRUE(restoresInto(allocBlocks(
+      {{jumpTo(2)},
+       {ainstr(MOp::Halt)},
+       {ainstr(MOp::Halt), ainstr(MOp::Halt), ainstr(MOp::Halt)}})));
+  // An unbound context rejects any run in flight.
+  sim::AllocContext Unbound;
+  BinReader R(W.bytes().data(), W.bytes().size());
+  Unbound.restoreState(R);
+  EXPECT_TRUE(R.failed());
 }
