@@ -315,7 +315,7 @@ cmake -B "$SAN_BUILD" -S "$ROOT" \
 cmake --build "$SAN_BUILD" -j"$JOBS" --target degradation_test support_test \
   chip_fault_test checkpoint_test event_queue_test alloc_test \
   ilp_simplex_test ilp_mip_test fastpath_test chip_test cps_test soak_test \
-  sim_test
+  sim_test apps_test
 timeout 900 "$SAN_BUILD/tests/degradation_test"
 timeout 120 "$SAN_BUILD/tests/support_test"
 # The CPS evaluator's frames are reference counted and recycled per
@@ -351,8 +351,14 @@ timeout 900 "$SAN_BUILD/tests/checkpoint_test"
 timeout 900 "$SAN_BUILD/tests/fastpath_test"
 timeout 300 "$SAN_BUILD/tests/chip_test"
 # The functional simulator and the interpreter share the entry checks and
-# the trap formatters (sim/SimUtil.h): every trap path of both runs here.
+# the trap formatters (sim/SimUtil.h): every trap path of both runs here,
+# and so do the decoder (sim/Decoded.h) on hostile programs and the
+# interpreter's pinned runs of the three apps.
 timeout 120 "$SAN_BUILD/tests/sim_test"
+# The only suite that checks runAllocated on the three real apps against
+# the independent AES and Kasumi reference implementations: the decoded
+# operand pools of real programs, under the sanitizers.
+timeout 600 "$SAN_BUILD/tests/apps_test"
 # The soak runner's one packet loop: both executors, the oracle's image
 # compares, the shrinker's candidate packets and the chip retire hook.
 timeout 300 "$SAN_BUILD/tests/soak_test"

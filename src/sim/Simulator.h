@@ -160,7 +160,9 @@ struct LatencyModel {
     }
   }
 
-  /// Cycles an instruction of class \p C charges itself.
+  /// Cycles an instruction of class \p C charges itself. A table in
+  /// CycleClass order rather than a switch: the interpreter prices every
+  /// instruction with it.
   unsigned cycles(CycleClass C) const {
     const unsigned ByClass[] = {0, Alu, Imm, Imm + 1, HashOp, Branch};
     return ByClass[static_cast<unsigned>(C)];
@@ -195,13 +197,18 @@ inline constexpr unsigned FrameRegs = 64;
 /// Frame slot of \p L, or -1 when its bank has no register file (M, C)
 /// or its index is off the end of the bank.
 inline int frameSlot(alloc::PhysLoc L) {
-  // Base slot and register count of each bank, in ixp::Bank order.
-  static constexpr uint8_t Base[] = {0, 16, 32, 40, 48, 56};
-  static constexpr uint8_t Size[] = {16, 16, 8, 8, 8, 8};
-  unsigned B = static_cast<unsigned>(L.B);
-  if (B >= sizeof(Size) || L.Reg >= Size[B])
-    return -1;
-  return Base[B] + L.Reg;
+  unsigned Base;
+  switch (L.B) {
+  case ixp::Bank::A:  Base = 0; break;
+  case ixp::Bank::B:  Base = 16; break;
+  case ixp::Bank::L:  Base = 32; break;
+  case ixp::Bank::S:  Base = 40; break;
+  case ixp::Bank::LD: Base = 48; break;
+  case ixp::Bank::SD: Base = 56; break;
+  default:            return -1;
+  }
+  unsigned Size = L.B == ixp::Bank::A || L.B == ixp::Bank::B ? 16 : 8;
+  return L.Reg < Size ? static_cast<int>(Base + L.Reg) : -1;
 }
 
 /// How allocated code executes, in a soak stream and in the chip's

@@ -948,7 +948,8 @@ TEST(AllocatedSim, DecodeHostilePrograms) {
                    "malformed-program: jump in block b1 targets b4", 2, 1});
   AllocInstr BadOp = ainstr(static_cast<MOp>(40), {reg(Bank::A, 40)});
   Cases.push_back({"opcode 40 retires as a no-op",
-                   allocBlocks({{BadOp, ainstr(MOp::Imm, {}, {loc(Bank::L, 9)})}}),
+                   allocBlocks(
+                       {{BadOp, ainstr(MOp::Imm, {}, {loc(Bank::L, 9)})}}),
                    {}, sim::TrapKind::IllegalRegister, IllegalB0, 2, 1});
 
   for (const AllocTrapCase &K : Cases) {
