@@ -214,8 +214,7 @@ inline void memJitter(RunResult &R) {
 /// (FrameRegs words, see frameSlot), accounting into \p R. \p MemT is
 /// sim::Memory or fastpath::BatchMemory; \p SpillRebase is the context's
 /// spill window displacement (spillRebased). This is the interpreter
-/// (AllocContext::resume and runAllocated loop it) and the fast path's
-/// slow tier.
+/// (AllocContext::resume loops it) and the fast path's slow tier.
 ///
 /// Trap precedence: a latched illegal register, then the watchdog, then
 /// falling off the block's end, then an invalid memory space, then the
