@@ -7,21 +7,22 @@
 ///
 /// \file
 /// A translating execution mode for alloc::AllocatedProgram: each program
-/// is pre-translated once into a flat, pre-decoded op stream executed by
-/// a computed-goto dispatch loop (src/fastpath/Engine.cpp). The fast path
-/// is itself a compiler, so it plugs into the soak harness's differential
-/// oracle with the interpreter (sim::AllocContext) as the reference — the
+/// is decoded once (sim::decode, the interpreter's own decoder) and its
+/// decode translated into a flat op stream executed by a computed-goto
+/// dispatch loop (src/fastpath/Engine.cpp). The fast path is itself a
+/// compiler, so it plugs into the soak harness's differential oracle
+/// with the interpreter (sim::AllocContext) as the reference — the
 /// contract is *bit-identical* RunResults: same trap kinds and message
 /// strings, same instruction and cycle counts at the trap point, same
 /// halt values and final memory images, same fault-injector draw
 /// sequences.
 ///
 /// Translation scheme:
-///  - operands become direct offsets into a flat register frame (the six
-///    banks at fixed bases) with constants folded into frame slots, so
-///    an operand read is one unchecked array index;
-///  - PrimOp/CmpOp are folded into specialized opcodes (AluAdd..AluNot,
-///    BranchEq..BranchGe) whose handlers call the centralized
+///  - the decode's frame slots become direct offsets into a flat register
+///    frame with constants folded into slots after the registers, so an
+///    operand read is one unchecked array index;
+///  - the decode's fused opcodes map onto specialized opcodes (AluAdd..
+///    AluNot, BranchEq..BranchGe) whose handlers call the centralized
 ///    cps::evalPrim/evalCmp with a compile-time op;
 ///  - block targets resolve to op indices; a branch edge to an invalid
 ///    block resolves to a pre-formatted trap op, so the runtime check
@@ -75,7 +76,8 @@
 /// latch), an armed fault injector, strict shift trapping, or a watchdog
 /// that may fire inside the block — runs on the slow tier, which is the
 /// interpreter's own per-instruction step (sim::detail::step) over the
-/// same register frame. Everything else runs on the threaded dispatch
+/// same register frame and decode. So does a block with a constant past
+/// the 16-bit slot space. Everything else runs on the threaded dispatch
 /// loop with zero per-instruction bookkeeping.
 ///
 /// Memory-access cycle costs are *not* folded into the cold prefix sums:
@@ -105,8 +107,8 @@
 namespace nova {
 namespace fastpath {
 
-/// Frame layout: the interpreter's FrameRegs register slots
-/// (sim::frameSlot), then folded constants.
+/// Frame layout: the interpreter's FrameRegs register slots, then
+/// folded constants.
 using sim::FrameRegs;
 
 /// Specialized opcodes of the pre-decoded stream.
@@ -174,7 +176,8 @@ struct BlockMeta {
                         ///< entry when this block heads a chain, else
                         ///< FirstOp
   uint32_t MaxPath = 0; ///< max instruction count a traversal can consume
-  bool ForceSlow = false; ///< statically illegal register operand inside
+  bool ForceSlow = false; ///< illegal register operand or constant slot
+                          ///< overflow inside
 };
 
 /// Translation knobs. The default — superblocks on — is what both the
@@ -205,9 +208,10 @@ struct Translated {
   }
 };
 
-/// Translates \p P for execution under \p Lat. Never fails: malformed
-/// constructs translate to trap ops with the interpreter's exact
-/// messages.
+/// Translates \p P for execution under \p Lat. Never fails on a program
+/// sim::decode accepts, which is every program: malformed constructs
+/// translate to trap ops with the interpreter's exact messages, or to
+/// slow-tier blocks.
 Translated translate(const alloc::AllocatedProgram &P,
                      const sim::LatencyModel &Lat);
 Translated translate(const alloc::AllocatedProgram &P,

@@ -1,20 +1,26 @@
-//===- Translate.cpp - AllocatedProgram -> flat pre-decoded op stream -----===//
+//===- Translate.cpp - Decoded allocated code -> flat op stream -----------===//
 //
 // Part of the nova-ixp project: a reproduction of "Taming the IXP Network
 // Processor" (PLDI 2003).
 //
 //===----------------------------------------------------------------------===//
 //
+// The input is the decode the slow tier steps (Translated::Code, built
+// by sim::decode): ops, operands, cycle classes and the illegal-register
+// fact all come from it, so the fast path and the interpreter read
+// allocated code through one decoder.
+//
 // One pass per block, stopping at the first terminal instruction (branch,
 // jump, halt, clone pseudo, invalid memory space): everything past it is
 // unreachable — blocks have a single entry and execute linearly. Ops past
-// the terminal therefore never inflate the block's watchdog bound. Blocks
-// that contain a statically illegal register operand are pinned to the
-// per-instruction slow path (Meta.ForceSlow): the Err-latch timing of the
-// interpreter is observable (which instruction traps, whether a memory
-// charge lands first), so those blocks keep the interpreter's exact
-// step-by-step schedule. Real allocator output never contains them; the
-// hostile hand-built programs in the test suite do.
+// the terminal therefore never inflate the block's watchdog bound. A Nop
+// emits nothing but counts as an instruction. A block that reads or
+// writes an illegal register (DInstr::ReadsIllegal), or has a constant
+// that finds no 16-bit frame slot, is pinned to the per-instruction slow
+// path (Meta.ForceSlow): it keeps the interpreter's exact Err-latch
+// timing (which instruction traps, whether a memory charge lands first)
+// and reads its constants from the decode. Real allocator output has
+// neither; the hostile programs in the test suite do.
 //
 // Branch edges to invalid blocks resolve to appendix trap ops that carry
 // the branch's own cold data and a pre-formatted message — the taken-edge
@@ -51,30 +57,70 @@
 using namespace nova;
 using namespace nova::fastpath;
 using namespace nova::sim::detail;
-using alloc::AllocInstr;
-using alloc::AOperand;
-using alloc::PhysLoc;
-using ixp::MOp;
+using sim::DInstr;
+using sim::DOp;
+using sim::DOperand;
 
 namespace {
-
-using sim::frameSlot;
 
 /// The longest chain merged into one superblock.
 constexpr size_t MaxChain = 32;
 
-/// True when \p I ends the block's linear execution unconditionally.
-bool isTerminal(const AllocInstr &I) {
-  return I.Op == MOp::Branch || I.Op == MOp::Jump || I.Op == MOp::Halt ||
-         I.Op == MOp::Clone || hasInvalidSpace(I);
+template <class OpT> constexpr unsigned offset(OpT K, OpT Base) {
+  return static_cast<unsigned>(K) - static_cast<unsigned>(Base);
+}
+
+constexpr FOp shifted(FOp Base, unsigned By) {
+  return static_cast<FOp>(static_cast<unsigned>(Base) + By);
+}
+
+/// The FastOp kind of a decoded op in DOp's AluAdd..Halt run.
+constexpr FOp fastKind(DOp Op) {
+  return shifted(FOp::AluAdd, offset(Op, DOp::AluAdd));
+}
+
+// The translator maps DOp's AluAdd..Halt run onto FOp's by offset, and a
+// branch onto its Guard by its offset in the comparison run; the ALU and
+// comparison runs (copy-fused ALU ops too) follow cps::PrimOp and
+// cps::CmpOp order, which the decoder and the handlers rely on.
+#define ALU(N)                                                            \
+  fastKind(DOp::Alu##N) == FOp::Alu##N &&                                 \
+      offset(DOp::Alu##N, DOp::AluAdd) == unsigned(cps::PrimOp::N) &&     \
+      offset(FOp::FuseCopy##N, FOp::FuseCopyAdd) == unsigned(cps::PrimOp::N)
+#define CMP(C)                                                            \
+  fastKind(DOp::Branch##C) == FOp::Branch##C &&                           \
+      offset(DOp::Branch##C, DOp::BranchEq) == unsigned(cps::CmpOp::C) && \
+      offset(FOp::Guard##C, FOp::GuardEq) == unsigned(cps::CmpOp::C)
+static_assert(ALU(Add) && ALU(Sub) && ALU(And) && ALU(Or) && ALU(Xor) &&
+              ALU(Shl) && ALU(Shr) && ALU(Not));
+static_assert(CMP(Eq) && CMP(Ne) && CMP(Lt) && CMP(Gt) && CMP(Le) && CMP(Ge));
+static_assert(fastKind(DOp::Move) == FOp::Copy &&
+              fastKind(DOp::Hash) == FOp::Hash &&
+              fastKind(DOp::MemRead) == FOp::MemRead &&
+              fastKind(DOp::MemWrite) == FOp::MemWrite &&
+              fastKind(DOp::BitTestSet) == FOp::BitTestSet &&
+              fastKind(DOp::Jump) == FOp::Jump &&
+              fastKind(DOp::Halt) == FOp::Halt);
+#undef CMP
+#undef ALU
+
+bool isBranch(DOp Op) { return Op >= DOp::BranchEq && Op <= DOp::BranchGe; }
+
+/// True when \p Op ends the block's linear execution unconditionally.
+bool isTerminal(DOp Op) {
+  return isBranch(Op) || Op == DOp::Jump || Op == DOp::Halt ||
+         Op == DOp::Clone || Op == DOp::InvalidSpace;
 }
 
 struct Translator {
-  const alloc::AllocatedProgram &P;
   const sim::LatencyModel &Lat;
   const TranslateOptions &Options;
   Translated T;
+  const sim::Decoded &Code = T.Code;
   std::map<uint32_t, uint16_t> ConstSlots;
+  /// Set when the block being translated reads an illegal register or
+  /// a constant finds no 16-bit frame slot: it runs on the slow tier.
+  bool Slow = false;
 
   /// Pending branch/jump/guard edges: resolved to op indices once every
   /// block has its entry ops placed.
@@ -86,22 +132,38 @@ struct Translator {
   };
   std::vector<Edge> Edges;
 
-  Translator(const alloc::AllocatedProgram &Prog, const sim::LatencyModel &L,
-             const TranslateOptions &O)
-      : P(Prog), Lat(L), Options(O) {}
+  Translator(const sim::LatencyModel &L, const TranslateOptions &O)
+      : Lat(L), Options(O) {}
 
   uint16_t constSlot(uint32_t V) {
     auto It = ConstSlots.find(V);
     if (It != ConstSlots.end())
       return It->second;
-    uint16_t S = static_cast<uint16_t>(FrameRegs + T.Consts.size());
-    ConstSlots.emplace(V, S);
+    size_t S = FrameRegs + T.Consts.size();
+    if (S > UINT16_MAX) {
+      Slow = true;
+      return 0;
+    }
+    ConstSlots.emplace(V, static_cast<uint16_t>(S));
     T.Consts.push_back(V);
-    return S;
+    return static_cast<uint16_t>(S);
   }
 
-  int srcSlot(const AOperand &O) {
-    return O.IsConst ? constSlot(O.Value) : frameSlot(O.Loc);
+  /// The frame slot of \p O, a register or a constant. An operand the
+  /// op does not use is Illegal and gives 0; a block whose ops use an
+  /// Illegal one is taken back (DInstr::ReadsIllegal).
+  uint16_t slot(const DOperand &O) {
+    return O.K == DOperand::Const ? constSlot(O.V)
+                                  : static_cast<uint16_t>(O.V);
+  }
+
+  /// Appends the slots of \p I's word list to the pool; returns where
+  /// they start.
+  uint32_t poolWords(const DInstr &I) {
+    uint32_t At = static_cast<uint32_t>(T.Pool.size());
+    for (uint32_t K = 0; K != I.Y; ++K)
+      T.Pool.push_back(slot(Code.Pool[I.X + K]));
+    return At;
   }
 
   uint32_t message(std::string M) {
@@ -142,12 +204,6 @@ struct Translator {
   }
 
   static bool isAlu(FOp K) { return K >= FOp::AluAdd && K <= FOp::AluNot; }
-  static unsigned offset(FOp K, FOp Base) {
-    return static_cast<unsigned>(K) - static_cast<unsigned>(Base);
-  }
-  static FOp shifted(FOp Base, unsigned By) {
-    return static_cast<FOp>(static_cast<unsigned>(Base) + By);
-  }
 
   /// The address-mode rule's producers and memory consumers, in the
   /// order of the FuseAddMemRead.. opcode block.
@@ -261,77 +317,21 @@ struct Translator {
     return false;
   }
 
-  /// True when every register operand \p I names exists (constants are
-  /// always fine). Terminal-before-read cases never reach here.
-  bool operandsLegal(const AllocInstr &I) {
-    for (const AOperand &S : I.Srcs)
-      if (!S.IsConst && frameSlot(S.Loc) < 0)
-        return false;
-    for (PhysLoc D : I.Dsts)
-      if (frameSlot(D) < 0)
-        return false;
-    return true;
-  }
-
-  /// Decodes a non-terminal instruction into a FastOp. Terminals and
-  /// invalid-space memory ops never reach here; operands are legal (the
-  /// block passed the pre-scan).
-  FastOp decodeSimple(const AllocInstr &I) {
+  /// The FastOp of \p I, an op in DOp's AluAdd..BitTestSet run. An
+  /// operand the op does not use decodes as Illegal, so its field is 0.
+  FastOp simpleOp(const DInstr &I) {
     FastOp O;
-    switch (I.Op) {
-    case MOp::Alu:
-      O.Kind = static_cast<FOp>(static_cast<unsigned>(FOp::AluAdd) +
-                                static_cast<unsigned>(I.Alu));
-      O.A = static_cast<uint16_t>(srcSlot(I.Srcs[0]));
-      O.B = static_cast<uint16_t>(
-          I.Srcs.size() > 1 ? srcSlot(I.Srcs[1]) : constSlot(0));
-      O.D = static_cast<uint16_t>(frameSlot(I.Dsts[0]));
-      break;
-    case MOp::Imm:
-      O.Kind = FOp::Copy;
-      O.A = constSlot(I.Imm);
-      O.D = static_cast<uint16_t>(frameSlot(I.Dsts[0]));
-      break;
-    case MOp::Move:
-      O.Kind = FOp::Copy;
-      O.A = static_cast<uint16_t>(srcSlot(I.Srcs[0]));
-      O.D = static_cast<uint16_t>(frameSlot(I.Dsts[0]));
-      break;
-    case MOp::Hash:
-      O.Kind = FOp::Hash;
-      O.A = static_cast<uint16_t>(srcSlot(I.Srcs[0]));
-      O.D = static_cast<uint16_t>(frameSlot(I.Dsts[0]));
-      break;
-    case MOp::MemRead:
-      O.Kind = FOp::MemRead;
+    O.Kind = fastKind(I.Op);
+    O.A = slot(I.A);
+    O.B = slot(I.B);
+    O.D = slot(I.D);
+    if (I.Op >= DOp::MemRead) {
       O.Aux = static_cast<uint8_t>(I.Space);
-      O.A = static_cast<uint16_t>(srcSlot(I.Srcs[0]));
-      O.N = static_cast<uint32_t>(I.Dsts.size());
-      O.X = static_cast<uint32_t>(T.Pool.size());
       O.Y = Lat.memAccess(I.Space);
-      for (PhysLoc D : I.Dsts)
-        T.Pool.push_back(static_cast<uint16_t>(frameSlot(D)));
-      break;
-    case MOp::MemWrite:
-      O.Kind = FOp::MemWrite;
-      O.Aux = static_cast<uint8_t>(I.Space);
-      O.A = static_cast<uint16_t>(srcSlot(I.Srcs[0]));
-      O.N = static_cast<uint32_t>(I.Srcs.size() - 1);
-      O.X = static_cast<uint32_t>(T.Pool.size());
-      O.Y = Lat.memAccess(I.Space);
-      for (size_t S = 1; S != I.Srcs.size(); ++S)
-        T.Pool.push_back(static_cast<uint16_t>(srcSlot(I.Srcs[S])));
-      break;
-    case MOp::BitTestSet:
-      O.Kind = FOp::BitTestSet;
-      O.Aux = static_cast<uint8_t>(I.Space);
-      O.A = static_cast<uint16_t>(srcSlot(I.Srcs[0]));
-      O.B = static_cast<uint16_t>(srcSlot(I.Srcs[1]));
-      O.D = static_cast<uint16_t>(frameSlot(I.Dsts[0]));
-      O.Y = Lat.memAccess(I.Space);
-      break;
-    default:
-      break; // unreachable: terminals handled by callers
+      if (I.Op != DOp::BitTestSet) {
+        O.N = I.Y;
+        O.X = poolWords(I);
+      }
     }
     return O;
   }
@@ -347,37 +347,28 @@ struct Translator {
 
   /// The op for terminal \p I of block \p B that leaves its run: a
   /// static trap, a branch or jump to be resolved, or a halt.
-  void emitExit(const AllocInstr &I, uint32_t B, const ColdInfo &C) {
-    FastOp O;
-    switch (I.Op) {
-    case MOp::Clone:
+  void emitExit(const DInstr &I, uint32_t B, const ColdInfo &C) {
+    if (I.Op == DOp::Clone) {
       emitTrap(sim::TrapKind::MalformedProgram, ClonePseudoMessage, C);
       return;
-    case MOp::Branch:
-      O.Kind = static_cast<FOp>(static_cast<unsigned>(FOp::BranchEq) +
-                                static_cast<unsigned>(I.Cmp));
-      O.A = static_cast<uint16_t>(srcSlot(I.Srcs[0]));
-      O.B = static_cast<uint16_t>(srcSlot(I.Srcs[1]));
-      O.X = I.Target;     // block ids until the patch pass
-      O.Y = I.TargetElse;
-      Edges.push_back({static_cast<uint32_t>(T.Ops.size()), B, Edge::KBranch});
-      break;
-    case MOp::Jump:
-      O.Kind = FOp::Jump;
-      O.X = I.Target;
-      Edges.push_back({static_cast<uint32_t>(T.Ops.size()), B, Edge::KJump});
-      break;
-    case MOp::Halt:
-      O.Kind = FOp::Halt;
-      O.N = static_cast<uint32_t>(I.Srcs.size());
-      O.X = static_cast<uint32_t>(T.Pool.size());
-      for (const AOperand &S : I.Srcs)
-        T.Pool.push_back(static_cast<uint16_t>(srcSlot(S)));
-      break;
-    default: // a memory op on an invalid space
+    }
+    if (I.Op == DOp::InvalidSpace) {
       emitTrap(sim::TrapKind::IllegalMemSpace,
                invalidSpaceMessage(I.Space, B), C);
       return;
+    }
+    FastOp O;
+    O.Kind = fastKind(I.Op);
+    if (I.Op == DOp::Halt) {
+      O.N = I.Y;
+      O.X = poolWords(I);
+    } else { // a branch or a jump, whose unused fields decode as 0
+      O.A = slot(I.A);
+      O.B = slot(I.B);
+      O.X = I.X; // block ids until the patch pass
+      O.Y = I.Y;
+      Edges.push_back({static_cast<uint32_t>(T.Ops.size()), B,
+                       I.Op == DOp::Jump ? Edge::KJump : Edge::KBranch});
     }
     emit(O, C);
   }
@@ -396,49 +387,51 @@ struct Translator {
     uint32_t InsBase = 0, CycBase = 0;
     for (size_t J = 0;; ++J) {
       uint32_t B = Chain[J];
-      const std::vector<AllocInstr> &Instrs = P.Blocks[B].Instrs;
+      const DInstr *Instrs = Code.Instrs.data() + Code.Blocks[B].First;
+      const uint32_t Count = Code.Blocks[B].Count;
       uint32_t K = 0, CycPrefix = 0;
-      for (; K != Instrs.size() && !isTerminal(Instrs[K]); ++K) {
+      for (; K != Count && !isTerminal(Instrs[K].Op); ++K) {
+        Slow |= Instrs[K].ReadsIllegal;
         ColdInfo C{InsBase + K + 1, CycBase + CycPrefix};
-        emitFusible(decodeSimple(Instrs[K]), C);
+        if (Instrs[K].Op != DOp::Nop)
+          emitFusible(simpleOp(Instrs[K]), C);
         // Memory ops add 0: their flat cost is FastOp::Y, charged as the
         // op executes so the stream stays resumable.
-        CycPrefix += Lat.opCycles(Instrs[K]);
+        CycPrefix += Lat.cycles(Instrs[K].Cyc);
       }
       ColdInfo C{InsBase + K + 1, CycBase + CycPrefix};
-      if (K == Instrs.size()) {
+      if (K == Count) {
         // Fell off the end: one more instruction fetch, then the trap
         // (only in the last block: a block with no terminal has no
         // successor).
         emitTrap(sim::TrapKind::MalformedProgram, fellOffMessage(B), C);
         return K + 1;
       }
-      const AllocInstr &I = Instrs[K];
+      const DInstr &I = Instrs[K];
+      Slow |= I.ReadsIllegal;
       if (J + 1 == Chain.size()) {
         emitExit(I, B, C);
         return K + 1;
       }
-      if (I.Op == MOp::Branch) {
+      if (isBranch(I.Op)) {
         // Interior branch: a Guard that continues into the next chain
         // block and side-exits with cumulative counts.
-        bool ContinueOnTrue = Chain[J + 1] == I.Target;
+        bool ContinueOnTrue = Chain[J + 1] == I.X;
         FastOp O;
-        O.Kind = static_cast<FOp>(static_cast<unsigned>(FOp::GuardEq) +
-                                  static_cast<unsigned>(I.Cmp));
+        O.Kind = shifted(FOp::GuardEq, offset(I.Op, DOp::BranchEq));
         O.Aux = ContinueOnTrue ? 1 : 0;
-        O.A = static_cast<uint16_t>(srcSlot(I.Srcs[0]));
-        O.B = static_cast<uint16_t>(srcSlot(I.Srcs[1]));
-        O.X = ContinueOnTrue ? I.TargetElse : I.Target;
+        O.A = slot(I.A);
+        O.B = slot(I.B);
+        O.X = ContinueOnTrue ? I.Y : I.X;
         Edges.push_back({static_cast<uint32_t>(T.Ops.size()), B, Edge::KGuard});
         emit(O, C);
       }
       InsBase += K + 1;
-      CycBase += CycPrefix + Lat.opCycles(I);
+      CycBase += CycPrefix + Lat.cycles(I.Cyc);
     }
   }
 
   void translateBlock(uint32_t B) {
-    const std::vector<AllocInstr> &Instrs = P.Blocks[B].Instrs;
     BlockMeta &M = T.Meta[B];
     M.FirstOp = static_cast<uint32_t>(T.Ops.size());
 
@@ -447,29 +440,36 @@ struct Translator {
     Entry.X = B;
     emit(Entry, {});
 
-    // Legality pre-scan: one statically illegal register pins the whole
-    // block to the slow path (the Err latch makes per-instruction timing
-    // observable from the first instruction that touches it).
-    for (const AllocInstr &I : Instrs) {
-      bool ReadsOperands = I.Op != MOp::Clone && !hasInvalidSpace(I);
-      if (ReadsOperands && !operandsLegal(I)) {
-        M.ForceSlow = true;
-        ++T.SlowBlocks;
-        M.MaxPath = static_cast<uint32_t>(Instrs.size()) + 1;
-        return;
-      }
-      if (isTerminal(I))
-        break;
-    }
+    const size_t Ops = T.Ops.size(), Pool = T.Pool.size(),
+                 Messages = T.Messages.size(), NumEdges = Edges.size();
+    const unsigned Fused = T.FusedOps;
     M.MaxPath = emitRun({B});
+    if (!Slow)
+      return;
+    // One illegal register pins the whole block to the slow path (the
+    // Err latch makes per-instruction timing observable from the first
+    // instruction that touches it), and so does a constant without a
+    // slot. The block's ops are taken back; constants that got a slot
+    // keep it.
+    Slow = false;
+    T.Ops.resize(Ops);
+    T.Cold.resize(Ops);
+    T.Pool.resize(Pool);
+    T.Messages.resize(Messages);
+    Edges.resize(NumEdges);
+    T.FusedOps = Fused;
+    M.ForceSlow = true;
+    ++T.SlowBlocks;
+    M.MaxPath = Code.Blocks[B].Count + 1;
   }
 
   /// The first terminal instruction of \p B, or null when the block
   /// falls off its end.
-  const AllocInstr *terminalOf(uint32_t B) const {
-    for (const AllocInstr &I : P.Blocks[B].Instrs)
-      if (isTerminal(I))
-        return &I;
+  const DInstr *terminalOf(uint32_t B) const {
+    const DInstr *Instrs = Code.Instrs.data() + Code.Blocks[B].First;
+    for (uint32_t K = 0; K != Code.Blocks[B].Count; ++K)
+      if (isTerminal(Instrs[K].Op))
+        return &Instrs[K];
     return nullptr;
   }
 
@@ -478,25 +478,18 @@ struct Translator {
   /// block keeps its standalone stream; Meta.EnterOp redirects resolved
   /// edges at chain heads into the superblock.
   void buildSuperblocks() {
-    const uint32_t N = static_cast<uint32_t>(P.Blocks.size());
+    const uint32_t N = static_cast<uint32_t>(Code.Blocks.size());
     std::vector<uint32_t> Pred(N, 0);
-    if (validEntry(P))
-      ++Pred[P.Entry]; // virtual edge: keeps chains out of the entry
+    if (validEntry(Code))
+      ++Pred[Code.Entry]; // virtual edge: keeps chains out of the entry
     for (uint32_t B = 0; B != N; ++B) {
-      const AllocInstr *I = terminalOf(B);
-      if (!I)
-        continue;
-      if (I->Op == MOp::Jump) {
-        if (I->Target < N)
-          ++Pred[I->Target];
-      } else if (I->Op == MOp::Branch) {
-        // Target == TargetElse counts twice on purpose: a degenerate
-        // guard (exit == continue) is never worth forming.
-        if (I->Target < N)
-          ++Pred[I->Target];
-        if (I->TargetElse < N)
-          ++Pred[I->TargetElse];
-      }
+      // A branch whose targets agree counts twice on purpose: a
+      // degenerate guard (exit == continue) is never worth forming.
+      const DInstr *I = terminalOf(B);
+      if (I && (I->Op == DOp::Jump || isBranch(I->Op)) && I->X < N)
+        ++Pred[I->X];
+      if (I && isBranch(I->Op) && I->Y < N)
+        ++Pred[I->Y];
     }
 
     std::vector<uint8_t> InChain(N, 0);
@@ -510,16 +503,12 @@ struct Translator {
       std::vector<uint32_t> Chain{B};
       uint32_t Cur = B;
       while (Chain.size() < MaxChain) {
-        const AllocInstr *I = terminalOf(Cur);
+        const DInstr *I = terminalOf(Cur);
         uint32_t Next = ixp::NoBlock;
-        if (I && I->Op == MOp::Jump && eligible(I->Target, B)) {
-          Next = I->Target;
-        } else if (I && I->Op == MOp::Branch) {
-          if (eligible(I->Target, B))
-            Next = I->Target;
-          else if (eligible(I->TargetElse, B))
-            Next = I->TargetElse;
-        }
+        if (I && (I->Op == DOp::Jump || isBranch(I->Op)) && eligible(I->X, B))
+          Next = I->X;
+        else if (I && isBranch(I->Op) && eligible(I->Y, B))
+          Next = I->Y;
         if (Next == ixp::NoBlock)
           break;
         Chain.push_back(Next);
@@ -545,6 +534,7 @@ struct Translator {
     E.Y = static_cast<uint32_t>(CumPath);
     emit(E, {});
     emitRun(Chain);
+    assert(!Slow && "a chain block's constants all have slots");
 
     T.Meta[Chain.front()].EnterOp = EntryIdx;
     ++T.Superblocks;
@@ -564,13 +554,14 @@ struct Translator {
     return Idx;
   }
 
-  Translated run() {
+  Translated run(const alloc::AllocatedProgram &P) {
     T.Code = sim::decode(P);
     T.Lat = Lat;
-    T.Meta.resize(P.Blocks.size());
-    for (uint32_t B = 0; B != P.Blocks.size(); ++B)
+    const uint32_t N = static_cast<uint32_t>(Code.Blocks.size());
+    T.Meta.resize(N);
+    for (uint32_t B = 0; B != N; ++B)
       translateBlock(B);
-    for (uint32_t B = 0; B != P.Blocks.size(); ++B)
+    for (uint32_t B = 0; B != N; ++B)
       T.Meta[B].EnterOp = T.Meta[B].FirstOp;
     if (Options.Superblocks)
       buildSuperblocks();
@@ -599,5 +590,5 @@ Translated fastpath::translate(const alloc::AllocatedProgram &P,
 Translated fastpath::translate(const alloc::AllocatedProgram &P,
                                const sim::LatencyModel &Lat,
                                const TranslateOptions &Options) {
-  return Translator(P, Lat, Options).run();
+  return Translator(Lat, Options).run(P);
 }

@@ -1,4 +1,4 @@
-//===- Decoded.h - Allocated code decoded for the interpreter ---*- C++ -*-===//
+//===- Decoded.h - Allocated code decoded for every executor ----*- C++ -*-===//
 //
 // Part of the nova-ixp project: a reproduction of "Taming the IXP Network
 // Processor" (PLDI 2003).
@@ -6,17 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The form the interpreter (detail::step, SimUtil.h) executes: an
-/// alloc::AllocatedProgram decoded once into one flat instruction array
-/// with a per-block [First, First + Count) table. Decoding resolves what
-/// the interpreter would otherwise work out again on every instruction:
+/// The form the interpreter (detail::step, SimUtil.h) executes and the
+/// fast path (fastpath::translate) translates: an alloc::AllocatedProgram
+/// decoded once into one flat instruction array with a per-block
+/// [First, First + Count) table, the one place that reads AllocInstr
+/// operands. Decoding resolves what would otherwise be worked out again
+/// on every instruction:
 ///
 ///  - the opcode is fused with its ALU operation or comparison, so one
 ///    switch selects the handler;
-///  - every operand is a frame slot (sim::frameSlot), a constant, or an
+///  - every operand is a frame slot (see FrameRegs), a constant, or an
 ///    illegal register — one that does not exist, whose read or write
 ///    latches the step's Err flag exactly where the register file lookup
-///    used to;
+///    used to (DInstr::ReadsIllegal marks an op that uses one);
 ///  - a memory op on a space outside the enum decodes to InvalidSpace,
 ///    which traps before any operand is read;
 ///  - the cycle class is the LatencyModel's rule (cycleClass); the model
@@ -72,8 +74,10 @@ struct DInstr {
   DOp Op = DOp::Halt;
   MemSpace Space = MemSpace::Sram; ///< memory ops and InvalidSpace
   CycleClass Cyc = CycleClass::None;
-  DOperand A, B; ///< sources (see DOp)
-  DOperand D;    ///< destination: a Slot or Illegal
+  bool ReadsIllegal = false; ///< an operand the op uses is Illegal
+  /// Operands (see DOp); one the op does not use is Illegal with V 0.
+  DOperand A, B; ///< sources
+  DOperand D;    ///< destination: a Slot, or Illegal
   uint32_t X = 0; ///< branch/jump target; word list start in Pool
   uint32_t Y = 0; ///< branch else-target; word list length
 };

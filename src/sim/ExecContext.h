@@ -116,7 +116,7 @@ private:
   uint32_t SpillRebase = 0;
   ixp::BlockId B = 0;
   unsigned Idx = 0;
-  uint32_t Frame[FrameRegs] = {0}; ///< register banks, see frameSlot()
+  uint32_t Frame[FrameRegs] = {0}; ///< register banks, see FrameRegs
 };
 
 } // namespace sim

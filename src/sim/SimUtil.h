@@ -211,7 +211,7 @@ inline void memJitter(RunResult &R) {
 
 /// Executes one allocated instruction: the instruction at (\p B, \p Idx)
 /// of the decoded program \p P over the register frame \p Frame
-/// (FrameRegs words, see frameSlot), accounting into \p R. \p MemT is
+/// (FrameRegs words), accounting into \p R. \p MemT is
 /// sim::Memory or fastpath::BatchMemory; \p SpillRebase is the context's
 /// spill window displacement (spillRebased). This is the interpreter
 /// (AllocContext::resume loops it) and the fast path's slow tier.

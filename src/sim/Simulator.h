@@ -162,15 +162,10 @@ struct LatencyModel {
 
   /// Cycles an instruction of class \p C charges itself. A table in
   /// CycleClass order rather than a switch: the interpreter prices every
-  /// instruction with it.
+  /// instruction with it, and the fast path's translator folds it.
   unsigned cycles(CycleClass C) const {
     const unsigned ByClass[] = {0, Alu, Imm, Imm + 1, HashOp, Branch};
     return ByClass[static_cast<unsigned>(C)];
-  }
-
-  /// Cycles \p I charges itself (the translator folds these).
-  unsigned opCycles(const alloc::AllocInstr &I) const {
-    return cycles(cycleClass(I));
   }
 
   /// Cost of an access to \p S. Invalid spaces are rejected by the
@@ -191,25 +186,10 @@ struct LatencyModel {
 /// fixed slots — A at 0 (16), B at 16 (16), L at 32 (8), S at 40 (8),
 /// LD at 48 (8), SD at 56 (8). Bank sizes are architectural: 16 GPRs
 /// per ALU bank, 8 per transfer bank (one context's quarter of the
-/// 32-register files). The interpreter and the fast path share it.
+/// 32-register files). The interpreter and the fast path share it;
+/// sim::decode (Decoded.cpp) is the one place that maps a register to
+/// its slot.
 inline constexpr unsigned FrameRegs = 64;
-
-/// Frame slot of \p L, or -1 when its bank has no register file (M, C)
-/// or its index is off the end of the bank.
-inline int frameSlot(alloc::PhysLoc L) {
-  unsigned Base;
-  switch (L.B) {
-  case ixp::Bank::A:  Base = 0; break;
-  case ixp::Bank::B:  Base = 16; break;
-  case ixp::Bank::L:  Base = 32; break;
-  case ixp::Bank::S:  Base = 40; break;
-  case ixp::Bank::LD: Base = 48; break;
-  case ixp::Bank::SD: Base = 56; break;
-  default:            return -1;
-  }
-  unsigned Size = L.B == ixp::Bank::A || L.B == ixp::Bank::B ? 16 : 8;
-  return L.Reg < Size ? static_cast<int>(Base + L.Reg) : -1;
-}
 
 /// How allocated code executes, in a soak stream and in the chip's
 /// hardware contexts alike. The two give bit-identical results; the

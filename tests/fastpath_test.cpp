@@ -18,6 +18,10 @@
 //     illegal register on a memory op traps only after the memory
 //     charge), the test also pins the absolute counts.
 //
+//     Every program of the hostile table shared with sim_test
+//     (hostile_programs.h) runs on both executors, translated with
+//     superblocks on and off, as one test per case.
+//
 //     The superinstruction tests build each fused form on purpose —
 //     every address-mode memory form's range trap, forwarded copy
 //     pairs, watchdog expiry at back-edge gates, spill rebasing of a
@@ -27,8 +31,11 @@
 //  2. Differential fuzz: the three benchmark apps (compiled once,
 //     cached in-process like soak_test) under 200+ adversarial stream
 //     seeds; every packet must match across halts, all three memory
-//     images, trap kind + message, cycles and instructions. Each app's
-//     translation shape (frame size, fused op count) is pinned.
+//     images, trap kind + message, cycles and instructions. Seeded
+//     mutants of each app's allocated program — every kind of operand,
+//     opcode and target corruption — must run identically on all three
+//     executors too. Each app's translation shape (frame size, fused op
+//     count) is pinned.
 //
 //  3. The threaded soak driver: stats bit-identical to the interpreter
 //     driver, and a negative control — an injected ALU bit flip must
@@ -39,13 +46,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/AppSources.h"
 #include "fastpath/FastPath.h"
 #include "fastpath/Segment.h"
 #include "soak/Soak.h"
 #include "sim/SimUtil.h"
 #include "support/BinIO.h"
 #include "support/FaultInjection.h"
+#include "support/Rng.h"
 #include "support/StringUtils.h"
+
+#include "hostile_programs.h"
 
 #include <gtest/gtest.h>
 
@@ -153,28 +164,59 @@ void expectSameResult(const sim::RunResult &Got, const sim::RunResult &Ref) {
   EXPECT_EQ(Got.HaltValues, Ref.HaltValues);
 }
 
-/// Runs \p P three ways from \p Base — the interpreter, the Engine, and
-/// a SegmentContext driven to completion with flat memory charges (the
-/// way runAllocated drives the interpreter) — and asserts full equality
-/// of the results and all three memory images.
-void expectSame(const AllocatedProgram &P,
-                const std::vector<uint32_t> &Args, const sim::Memory &Base,
-                const sim::RunOptions &RO, const char *Label) {
-  SCOPED_TRACE(Label);
+/// A run's result on one line, for divergence reports.
+std::string describe(const sim::RunResult &R) {
+  std::string Halts;
+  for (uint32_t V : R.HaltValues)
+    Halts += formatf(" 0x%x", V);
+  return formatf("ok=%d trap=%s ins=%llu cyc=%llu halts=[%s ] \"%s\"", R.Ok,
+                 sim::trapKindName(R.Trap), (unsigned long long)R.Instructions,
+                 (unsigned long long)R.Cycles, Halts.c_str(),
+                 R.Error.message().c_str());
+}
+
+std::map<uint32_t, uint32_t> image(const fastpath::BatchMemory &M,
+                                   MemSpace S) {
+  return M.image(S);
+}
+const WordMap &image(const sim::Memory &M, MemSpace S) {
+  return *M.space(S);
+}
+
+/// What \p Who did differently from the interpreter's run \p Ref over
+/// \p RefMem: "" when its result and all three images are identical.
+template <class MemT>
+std::string diff(const char *Who, const sim::RunResult &Got, const MemT &Mem,
+                 const sim::RunResult &Ref, const sim::Memory &RefMem) {
+  if (Got.Ok != Ref.Ok || Got.Trap != Ref.Trap ||
+      Got.Error.message() != Ref.Error.message() ||
+      Got.Instructions != Ref.Instructions || Got.Cycles != Ref.Cycles ||
+      Got.HaltValues != Ref.HaltValues)
+    return formatf("%s: %s; interpreter: %s", Who, describe(Got).c_str(),
+                   describe(Ref).c_str());
+  for (MemSpace S : {MemSpace::Sram, MemSpace::Sdram, MemSpace::Scratch})
+    if (!(image(Mem, S) == *RefMem.space(S)))
+      return formatf("%s: the %s image differs", Who,
+                     sim::detail::spaceName(S));
+  return "";
+}
+
+/// Runs \p P from \p Base three ways — the interpreter, the Engine over
+/// \p T, and a SegmentContext over \p T driven to completion with flat
+/// memory charges (the way runAllocated drives the interpreter) — and
+/// returns the first difference from the interpreter, or "".
+std::string divergence(const AllocatedProgram &P,
+                       const fastpath::Translated &T,
+                       const std::vector<uint32_t> &Args,
+                       const sim::Memory &Base, const sim::RunOptions &RO) {
   sim::Memory MI = Base;
   sim::RunResult IR = sim::runAllocated(P, Args, MI, RO);
 
-  fastpath::Translated T = fastpath::translate(P, RO.Lat);
   fastpath::Engine Eng(T);
   fastpath::BatchMemory BM(Base);
-  sim::RunResult FR = Eng.run(Args, BM, RO);
-  {
-    SCOPED_TRACE("Engine");
-    expectSameResult(FR, IR);
-    EXPECT_EQ(BM.image(MemSpace::Sram), MI.Sram);
-    EXPECT_EQ(BM.image(MemSpace::Sdram), MI.Sdram);
-    EXPECT_EQ(BM.image(MemSpace::Scratch), MI.Scratch);
-  }
+  std::string D = diff("Engine", Eng.run(Args, BM, RO), BM, IR, MI);
+  if (!D.empty())
+    return D;
 
   sim::Memory MS = Base;
   fastpath::SegmentContext Seg(&T);
@@ -184,12 +226,22 @@ void expectSame(const AllocatedProgram &P,
     if (Y.K == sim::AllocContext::Yield::Kind::Mem)
       Seg.charge(RO.Lat.memAccess(Y.Space));
   }
-  {
-    SCOPED_TRACE("SegmentContext");
-    expectSameResult(Seg.takeResult(), IR);
-    EXPECT_EQ(MS.Sram, MI.Sram);
-    EXPECT_EQ(MS.Sdram, MI.Sdram);
-    EXPECT_EQ(MS.Scratch, MI.Scratch);
+  return diff("SegmentContext", Seg.takeResult(), MS, IR, MI);
+}
+
+/// Expects \p P to run bit-identically on the interpreter and on both
+/// fast-path executors, translated with superblocks on and off.
+void expectSame(const AllocatedProgram &P,
+                const std::vector<uint32_t> &Args, const sim::Memory &Base,
+                const sim::RunOptions &RO, const char *Label) {
+  SCOPED_TRACE(Label);
+  for (bool Superblocks : {true, false}) {
+    fastpath::TranslateOptions TO;
+    TO.Superblocks = Superblocks;
+    EXPECT_EQ(divergence(P, fastpath::translate(P, RO.Lat, TO), Args, Base,
+                         RO),
+              "")
+        << (Superblocks ? "superblocks on" : "superblocks off");
   }
 }
 
@@ -992,6 +1044,24 @@ TEST(FastPathFusion, SnapshotAtFusedYieldResumesIdentically) {
   }
 }
 
+// The hostile-program table shared with sim_test, one case per test so
+// that a crash names its case.
+const std::vector<hostile::AllocCase> &hostileCases() {
+  static const std::vector<hostile::AllocCase> Cases =
+      hostile::decodeHostilePrograms();
+  return Cases;
+}
+
+class HostileProgram : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(HostileProgram, RunsAsInterpreted) {
+  const hostile::AllocCase &K = hostileCases()[GetParam()];
+  expectSame(K.P, K.Args, sim::Memory(), K.Opts, K.Label);
+}
+
+INSTANTIATE_TEST_SUITE_P(FastPath, HostileProgram,
+                         ::testing::Range<size_t>(0, hostileCases().size()));
+
 //===----------------------------------------------------------------------===//
 // 2. Differential fuzz over the benchmark apps
 //===----------------------------------------------------------------------===//
@@ -1094,6 +1164,103 @@ void fuzzApp(const std::string &Name, uint64_t Seeds, uint64_t PerSeed) {
 TEST(FastPathFuzz, Aes) { fuzzApp("aes", 210, 2); }
 TEST(FastPathFuzz, Kasumi) { fuzzApp("kasumi", 210, 2); }
 TEST(FastPathFuzz, Nat) { fuzzApp("nat", 210, 2); }
+
+/// Applies one random mutation to \p P: an opcode, ALU operation,
+/// comparison or memory space (values outside each enum included); an
+/// operand's bank, index or kind; a dropped or an added operand; or a
+/// branch target (past the last block included).
+void mutate(AllocatedProgram &P, Rng &R) {
+  AllocBlock &B = P.Blocks[R.below(P.Blocks.size())];
+  if (B.Instrs.empty())
+    return;
+  AllocInstr &I = B.Instrs[R.below(B.Instrs.size())];
+  const size_t NumOperands = I.Srcs.size() + I.Dsts.size();
+  switch (R.below(7)) {
+  case 0:
+    I.Op = static_cast<MOp>(R.below(unsigned(MOp::Halt) + 3));
+    break;
+  case 1:
+    I.Alu = static_cast<cps::PrimOp>(R.below(unsigned(cps::PrimOp::Not) + 3));
+    I.Cmp = static_cast<cps::CmpOp>(R.below(unsigned(cps::CmpOp::Ge) + 3));
+    break;
+  case 2:
+    I.Space = static_cast<MemSpace>(R.below(4));
+    break;
+  case 3: {
+    if (NumOperands == 0)
+      break;
+    size_t K = R.below(NumOperands);
+    PhysLoc &L = K < I.Srcs.size() ? I.Srcs[K].Loc : I.Dsts[K - I.Srcs.size()];
+    if (K < I.Srcs.size() && R.chance(1, 3))
+      I.Srcs[K].IsConst = !I.Srcs[K].IsConst;
+    else if (R.chance(1, 2))
+      L.B = static_cast<Bank>(R.below(NumBanks + 1));
+    else
+      L.Reg = static_cast<uint16_t>(R.below(18));
+    break;
+  }
+  case 4:
+    if (!I.Srcs.empty() && R.chance(1, 2))
+      I.Srcs.erase(I.Srcs.begin() + R.below(I.Srcs.size()));
+    else if (!I.Dsts.empty())
+      I.Dsts.erase(I.Dsts.begin() + R.below(I.Dsts.size()));
+    break;
+  case 5: {
+    PhysLoc L{static_cast<Bank>(R.below(NumBanks)),
+              static_cast<uint16_t>(R.below(17))};
+    if (R.chance(1, 2))
+      I.Dsts.push_back(L);
+    else if (R.chance(1, 2))
+      I.Srcs.push_back(AOperand::reg(L));
+    else
+      I.Srcs.push_back(AOperand::constant(static_cast<uint32_t>(R.next())));
+    break;
+  }
+  default:
+    (R.chance(1, 2) ? I.Target : I.TargetElse) =
+        static_cast<BlockId>(R.below(P.Blocks.size() + 2));
+    break;
+  }
+}
+
+/// Runs \p Mutants seeded mutants of \p Name's allocated program, each
+/// with one to three mutations, on three packets under a budget of 5000
+/// instructions, and requires the interpreter, the Engine and a
+/// SegmentContext to agree bit for bit. Odd mutants translate without
+/// superblocks. A mutant reproduces from (Seed, its index).
+void mutantFuzz(const std::string &Name, uint64_t Seed, unsigned Mutants) {
+  soak::AppHarness &App = harness(Name);
+  soak::SoakOptions SOpts;
+  sim::RunOptions RO;
+  RO.Lat = SOpts.Lat;
+  RO.MaxInstructions = 5000;
+  unsigned Divergences = 0;
+  for (unsigned M = 0; M != Mutants; ++M) {
+    Rng R((Seed << 32) + M);
+    AllocatedProgram P = App.compiled().Alloc.Prog;
+    for (uint64_t K = 0, N = 1 + R.below(3); K != N; ++K)
+      mutate(P, R);
+    fastpath::TranslateOptions TO;
+    TO.Superblocks = M % 2 == 0;
+    fastpath::Translated T = fastpath::translate(P, RO.Lat, TO);
+    for (uint64_t I = 0; I != 3; ++I) {
+      soak::SoakPacket Pkt = App.generate(I, Seed + M, SOpts.Mix);
+      sim::Memory Base = App.baseSim();
+      apps::storePacket(Base.Sdram, Pkt.Args.empty() ? 0 : Pkt.Args[0],
+                        Pkt.Words);
+      std::string D = divergence(P, T, Pkt.Args, Base, RO);
+      if (!D.empty() && ++Divergences <= 3)
+        ADD_FAILURE() << Name << " seed " << Seed << " mutant " << M
+                      << " packet " << I << ": " << D;
+    }
+  }
+  EXPECT_EQ(Divergences, 0u) << Name;
+}
+
+// 1000 mutants x 3 packets per app.
+TEST(FastPathMutants, Aes) { mutantFuzz("aes", 42, 1000); }
+TEST(FastPathMutants, Kasumi) { mutantFuzz("kasumi", 42, 1000); }
+TEST(FastPathMutants, Nat) { mutantFuzz("nat", 42, 1000); }
 
 // The translation's shape per app, with superblocks on (the soak and
 // chip default) and off. frameSize() pins the constant pool: a

@@ -12,6 +12,8 @@
 #include "support/BinIO.h"
 #include "support/FaultInjection.h"
 
+#include "hostile_programs.h"
+
 #include <gtest/gtest.h>
 
 #include <map>
@@ -20,6 +22,7 @@
 using namespace nova;
 using namespace nova::alloc;
 using namespace nova::ixp;
+using namespace nova::hostile;
 
 namespace {
 
@@ -360,49 +363,6 @@ TEST(FunctionalSim, TrapKindsAndMessagesArePinned) {
 
 namespace {
 
-PhysLoc loc(Bank B, unsigned Reg) { return {B, static_cast<uint16_t>(Reg)}; }
-
-AOperand reg(Bank B, unsigned Reg) { return AOperand::reg(loc(B, Reg)); }
-
-AllocInstr ainstr(MOp Op, std::vector<AOperand> Srcs = {},
-                  std::vector<PhysLoc> Dsts = {},
-                  MemSpace S = MemSpace::Sram) {
-  AllocInstr I;
-  I.Op = Op;
-  I.Space = S;
-  I.Srcs = std::move(Srcs);
-  I.Dsts = std::move(Dsts);
-  return I;
-}
-
-AllocInstr aluOf(cps::PrimOp Op, std::vector<AOperand> Srcs, PhysLoc Dst) {
-  AllocInstr I = ainstr(MOp::Alu, std::move(Srcs), {Dst});
-  I.Alu = Op;
-  return I;
-}
-
-AllocInstr branchOf(AOperand A, AOperand B, BlockId Then, BlockId Else) {
-  AllocInstr I = ainstr(MOp::Branch, {A, B});
-  I.Cmp = cps::CmpOp::Eq;
-  I.Target = Then;
-  I.TargetElse = Else;
-  return I;
-}
-
-AllocInstr jumpTo(BlockId T) {
-  AllocInstr I = ainstr(MOp::Jump);
-  I.Target = T;
-  return I;
-}
-
-AllocatedProgram allocBlocks(std::vector<std::vector<AllocInstr>> Blocks) {
-  AllocatedProgram P;
-  P.Entry = 0;
-  for (std::vector<AllocInstr> &B : Blocks)
-    P.Blocks.push_back({std::move(B)});
-  return P;
-}
-
 /// An AllocContext driven to completion with flat memory charges, the
 /// way runAllocated drives it, with spill window displacement \p Rebase.
 sim::RunResult runContext(const AllocatedProgram &P,
@@ -420,21 +380,15 @@ sim::RunResult runContext(const AllocatedProgram &P,
   return C.takeResult();
 }
 
-struct AllocTrapCase {
-  const char *Label;
-  AllocatedProgram P;
-  std::vector<uint32_t> Args;
-  sim::TrapKind Kind;
-  const char *Message;
-  uint64_t Instructions, Cycles;
-  sim::RunOptions Opts = {};
-};
-
-void expectPinnedTrap(const sim::RunResult &R, const AllocTrapCase &K) {
-  EXPECT_FALSE(R.Ok);
+void expectPinned(const sim::RunResult &R, const AllocCase &K) {
+  EXPECT_EQ(R.Ok, K.Kind == sim::TrapKind::None);
   EXPECT_EQ(R.Trap, K.Kind);
-  EXPECT_EQ(R.Error.code(), StatusCode::SimTrap);
-  EXPECT_EQ(R.Error.message(), K.Message);
+  if (K.Kind == sim::TrapKind::None) {
+    EXPECT_EQ(R.HaltValues, K.Halts);
+  } else {
+    EXPECT_EQ(R.Error.code(), StatusCode::SimTrap);
+    EXPECT_EQ(R.Error.message(), K.Message);
+  }
   EXPECT_EQ(R.Instructions, K.Instructions);
   EXPECT_EQ(R.Cycles, K.Cycles);
 }
@@ -449,7 +403,7 @@ TEST(AllocatedSim, TrapsArePinned) {
   const AOperand C1 = AOperand::constant(1);
   const char *IllegalB0 =
       "illegal-register: illegal register access in block b0";
-  std::vector<AllocTrapCase> Cases;
+  std::vector<AllocCase> Cases;
 
   // Illegal registers latch the error; an ALU-class op traps at the
   // bottom of its own step, after its cycle charge.
@@ -641,37 +595,37 @@ TEST(AllocatedSim, TrapsArePinned) {
   AllocatedProgram Loop = allocBlocks(
       {{aluOf(cps::PrimOp::Add, {reg(Bank::A, 0), C1}, loc(Bank::A, 0)),
         jumpTo(0)}});
-  AllocTrapCase Watchdog{"watchdog",
-                         Loop,
-                         {0},
-                         sim::TrapKind::Watchdog,
-                         "watchdog: instruction budget of 1000 exhausted",
-                         1001,
-                         1000};
+  AllocCase Watchdog{"watchdog",
+                     Loop,
+                     {0},
+                     sim::TrapKind::Watchdog,
+                     "watchdog: instruction budget of 1000 exhausted",
+                     1001,
+                     1000};
   Watchdog.Opts.MaxInstructions = 1000;
   Cases.push_back(Watchdog);
-  AllocTrapCase WatchdogOdd{"watchdog odd",
-                            Loop,
-                            {0},
-                            sim::TrapKind::Watchdog,
-                            "watchdog: instruction budget of 999 exhausted",
-                            1000,
-                            999};
+  AllocCase WatchdogOdd{"watchdog odd",
+                        Loop,
+                        {0},
+                        sim::TrapKind::Watchdog,
+                        "watchdog: instruction budget of 999 exhausted",
+                        1000,
+                        999};
   WatchdogOdd.Opts.MaxInstructions = 999;
   Cases.push_back(WatchdogOdd);
   AllocInstr Forty = ainstr(MOp::Imm, {}, {loc(Bank::A, 1)});
   Forty.Imm = 40;
-  AllocTrapCase Shift{"strict shift",
-                      allocBlocks({{Forty,
-                                    aluOf(cps::PrimOp::Shl,
-                                          {reg(Bank::A, 0), reg(Bank::A, 1)},
-                                          loc(Bank::B, 0)),
-                                    ainstr(MOp::Halt)}}),
-                      {5},
-                      sim::TrapKind::ShiftRange,
-                      "shift-range: shift count 40 in block b0",
-                      2,
-                      1};
+  AllocCase Shift{"strict shift",
+                  allocBlocks({{Forty,
+                                aluOf(cps::PrimOp::Shl,
+                                      {reg(Bank::A, 0), reg(Bank::A, 1)},
+                                      loc(Bank::B, 0)),
+                                ainstr(MOp::Halt)}}),
+                  {5},
+                  sim::TrapKind::ShiftRange,
+                  "shift-range: shift count 40 in block b0",
+                  2,
+                  1};
   Shift.Opts.TrapOnShiftRange = true;
   Cases.push_back(Shift);
 
@@ -682,7 +636,7 @@ TEST(AllocatedSim, TrapsArePinned) {
   Large.Imm = 0x12345678;
   AllocInstr Small = ainstr(MOp::Imm, {}, {loc(Bank::A, 0)});
   Small.Imm = 5;
-  AllocTrapCase Classes{
+  AllocCase Classes{
       "every cycle class",
       allocBlocks(
           {{Small, Large,
@@ -710,17 +664,17 @@ TEST(AllocatedSim, TrapsArePinned) {
   Classes.Opts.Lat.ScratchAccess = 13;
   Cases.push_back(Classes);
 
-  for (const AllocTrapCase &K : Cases) {
+  for (const AllocCase &K : Cases) {
     SCOPED_TRACE(K.Label);
     {
       SCOPED_TRACE("runAllocated");
       sim::Memory Mem;
-      expectPinnedTrap(sim::runAllocated(K.P, K.Args, Mem, K.Opts), K);
+      expectPinned(sim::runAllocated(K.P, K.Args, Mem, K.Opts), K);
     }
     {
       SCOPED_TRACE("AllocContext");
       sim::Memory Mem;
-      expectPinnedTrap(runContext(K.P, K.Args, Mem, K.Opts), K);
+      expectPinned(runContext(K.P, K.Args, Mem, K.Opts), K);
     }
   }
 
@@ -747,14 +701,14 @@ TEST(AllocatedSim, TrapsArePinned) {
                                                           {0x8101, 7}}));
   }
   {
-    AllocTrapCase K{"spill-rebased past the limit", Spill, {7},
-                    sim::TrapKind::ScratchOutOfRange,
-                    "scratch-out-of-range: scratch write of 1 words at "
-                    "0x10000 (limit 0x10000)",
-                    1, 0};
+    AllocCase K{"spill-rebased past the limit", Spill, {7},
+                sim::TrapKind::ScratchOutOfRange,
+                "scratch-out-of-range: scratch write of 1 words at "
+                "0x10000 (limit 0x10000)",
+                1, 0};
     SCOPED_TRACE(K.Label);
     sim::Memory Mem;
-    expectPinnedTrap(runContext(Spill, {7}, Mem, {}, 0x7fff), K);
+    expectPinned(runContext(Spill, {7}, Mem, {}, 0x7fff), K);
   }
 }
 
@@ -886,91 +840,15 @@ void expectWellFormed(const sim::Decoded &D, const AllocatedProgram &P) {
 } // namespace
 
 TEST(AllocatedSim, DecodeHostilePrograms) {
-  const AOperand C1 = AOperand::constant(1);
-  const char *IllegalB0 =
-      "illegal-register: illegal register access in block b0";
-  std::vector<AllocTrapCase> Cases;
-  Cases.push_back({"bank M and C operands",
-                   allocBlocks({{ainstr(MOp::MemRead, {reg(Bank::M, 2)},
-                                        {loc(Bank::C, 0), loc(Bank::M, 7)}),
-                                 ainstr(MOp::Halt, {reg(Bank::C, 3)})}}),
-                   {}, sim::TrapKind::IllegalRegister, IllegalB0, 1, 20});
-  Cases.push_back({"register index 40 in every bank",
-                   allocBlocks({{ainstr(MOp::MemWrite,
-                                        {C1, reg(Bank::A, 40), reg(Bank::B, 40),
-                                         reg(Bank::L, 40), reg(Bank::S, 40),
-                                         reg(Bank::LD, 40), reg(Bank::SD, 40)},
-                                        {}, MemSpace::Scratch),
-                                 ainstr(MOp::Halt)}}),
-                   {}, sim::TrapKind::IllegalRegister, IllegalB0, 1, 12});
-  Cases.push_back({"register index 40 at halt",
-                   allocBlocks({{ainstr(MOp::Halt, {reg(Bank::SD, 40)})}}), {},
-                   sim::TrapKind::IllegalRegister,
-                   "illegal-register: illegal register access at halt", 1, 0});
-  Cases.push_back({"an empty block after a jump",
-                   allocBlocks({{jumpTo(1)}, {}}), {},
-                   sim::TrapKind::MalformedProgram,
-                   "malformed-program: fell off the end of block b1", 2, 1});
-  AllocatedProgram PastEnd = allocBlocks({{ainstr(MOp::Halt)}, {}});
-  PastEnd.Entry = 2;
-  Cases.push_back({"entry past the end", PastEnd, {},
-                   sim::TrapKind::MalformedProgram,
-                   "malformed-program: no entry block", 0, 0});
-  AllocatedProgram NoEntry = allocBlocks({});
-  NoEntry.Entry = NoBlock;
-  Cases.push_back({"no blocks", NoEntry, {}, sim::TrapKind::MalformedProgram,
-                   "malformed-program: no entry block", 0, 0});
-  // Operands an instruction lacks decode as illegal registers.
-  Cases.push_back({"ALU op without operands",
-                   allocBlocks({{ainstr(MOp::Alu), ainstr(MOp::Halt)}}), {},
-                   sim::TrapKind::IllegalRegister, IllegalB0, 1, 1});
-  Cases.push_back({"store without an address",
-                   allocBlocks({{ainstr(MOp::MemWrite), ainstr(MOp::Halt)}}),
-                   {}, sim::TrapKind::IllegalRegister, IllegalB0, 1, 20});
-  Cases.push_back({"branch without operands",
-                   allocBlocks({{branchOf(C1, C1, 0, 0)}}), {},
-                   sim::TrapKind::IllegalRegister, IllegalB0, 1, 1});
-  Cases.back().P.Blocks[0].Instrs[0].Srcs.clear();
-  // Operations and comparisons outside their enums evaluate to 0 and
-  // false (cps::evalPrim, cps::evalCmp) and still latch an illegal
-  // operand; an opcode outside the enum retires with no effect.
-  AllocInstr BadAlu = aluOf(cps::PrimOp::Add, {C1, reg(Bank::B, 40)},
-                            loc(Bank::A, 0));
-  BadAlu.Alu = static_cast<cps::PrimOp>(12);
-  Cases.push_back({"ALU operation 12 with an illegal operand",
-                   allocBlocks({{BadAlu, ainstr(MOp::Halt)}}), {},
-                   sim::TrapKind::IllegalRegister, IllegalB0, 1, 1});
-  AllocInstr BadCmp = branchOf(reg(Bank::A, 0), reg(Bank::A, 0), 9, 1);
-  BadCmp.Cmp = static_cast<cps::CmpOp>(9);
-  Cases.push_back({"comparison 9 takes the else edge",
-                   allocBlocks({{BadCmp}, {jumpTo(4)}}), {},
-                   sim::TrapKind::MalformedProgram,
-                   "malformed-program: jump in block b1 targets b4", 2, 1});
-  AllocInstr BadOp = ainstr(static_cast<MOp>(40), {reg(Bank::A, 40)});
-  Cases.push_back({"opcode 40 retires as a no-op",
-                   allocBlocks(
-                       {{BadOp, ainstr(MOp::Imm, {}, {loc(Bank::L, 9)})}}),
-                   {}, sim::TrapKind::IllegalRegister, IllegalB0, 2, 1});
-
-  for (const AllocTrapCase &K : Cases) {
+  for (const AllocCase &K : decodeHostilePrograms()) {
     SCOPED_TRACE(K.Label);
     sim::Decoded D = sim::decode(K.P);
     expectWellFormed(D, K.P);
     sim::Memory Mem;
-    expectPinnedTrap(sim::runAllocated(D, K.Args, Mem, K.Opts), K);
+    expectPinned(sim::runAllocated(D, K.Args, Mem, K.Opts), K);
     sim::Memory MemC;
-    expectPinnedTrap(runContext(K.P, K.Args, MemC, K.Opts), K);
+    expectPinned(runContext(K.P, K.Args, MemC, K.Opts), K);
   }
-
-  // The AluXor/BranchNe stand-ins still compute 0 and false.
-  AllocInstr Zero = aluOf(cps::PrimOp::Add, {reg(Bank::A, 0), C1},
-                          loc(Bank::B, 0));
-  Zero.Alu = static_cast<cps::PrimOp>(8);
-  sim::Memory Mem;
-  sim::RunResult R = sim::runAllocated(
-      allocBlocks({{Zero, ainstr(MOp::Halt, {reg(Bank::B, 0)})}}), {7}, Mem);
-  ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_EQ(R.HaltValues, std::vector<uint32_t>{0});
 }
 
 // An AllocContext snapshot restores only into a context whose decoded
