@@ -176,8 +176,7 @@ struct BlockMeta {
                         ///< entry when this block heads a chain, else
                         ///< FirstOp
   uint32_t MaxPath = 0; ///< max instruction count a traversal can consume
-  bool ForceSlow = false; ///< illegal register operand or constant slot
-                          ///< overflow inside
+  bool ForceSlow = false; ///< runs on the slow tier (see Translate.cpp)
 };
 
 /// Translation knobs. The default — superblocks on — is what both the
@@ -208,10 +207,9 @@ struct Translated {
   }
 };
 
-/// Translates \p P for execution under \p Lat. Never fails on a program
-/// sim::decode accepts, which is every program: malformed constructs
-/// translate to trap ops with the interpreter's exact messages, or to
-/// slow-tier blocks.
+/// Translates \p P for execution under \p Lat. Never fails (nor does
+/// sim::decode): malformed constructs translate to trap ops with the
+/// interpreter's exact messages, or to slow-tier blocks.
 Translated translate(const alloc::AllocatedProgram &P,
                      const sim::LatencyModel &Lat);
 Translated translate(const alloc::AllocatedProgram &P,

@@ -441,7 +441,8 @@ struct Translator {
     emit(Entry, {});
 
     const size_t Ops = T.Ops.size(), Pool = T.Pool.size(),
-                 Messages = T.Messages.size(), NumEdges = Edges.size();
+                 Consts = T.Consts.size(), Messages = T.Messages.size(),
+                 NumEdges = Edges.size();
     const unsigned Fused = T.FusedOps;
     M.MaxPath = emitRun({B});
     if (!Slow)
@@ -449,9 +450,10 @@ struct Translator {
     // One illegal register pins the whole block to the slow path (the
     // Err latch makes per-instruction timing observable from the first
     // instruction that touches it), and so does a constant without a
-    // slot. The block's ops are taken back; constants that got a slot
-    // keep it.
+    // slot. Everything the block added is taken back.
     Slow = false;
+    for (; T.Consts.size() != Consts; T.Consts.pop_back())
+      ConstSlots.erase(T.Consts.back());
     T.Ops.resize(Ops);
     T.Cold.resize(Ops);
     T.Pool.resize(Pool);

@@ -1062,6 +1062,21 @@ TEST_P(HostileProgram, RunsAsInterpreted) {
 INSTANTIATE_TEST_SUITE_P(FastPath, HostileProgram,
                          ::testing::Range<size_t>(0, hostileCases().size()));
 
+// A block whose constants outrun the 16-bit frame slots is pinned to the
+// slow tier, and gives back every op and constant slot it took.
+TEST(FastPath, ConstantSlotOverflowRunsSlow) {
+  std::vector<AllocInstr> Instrs;
+  for (uint32_t K = 0; K != 70001; ++K)
+    Instrs.push_back(imm(0x100000 + K, loc(Bank::A, 0)));
+  Instrs.push_back(haltOf({AOperand::reg(loc(Bank::A, 0))}));
+  fastpath::Translated T =
+      fastpath::translate(oneBlock(Instrs), sim::LatencyModel());
+  EXPECT_EQ(T.SlowBlocks, 1u);
+  EXPECT_TRUE(T.Meta[0].ForceSlow);
+  EXPECT_EQ(T.Ops.size(), 1u); // its BlockEntry
+  EXPECT_EQ(T.frameSize(), sim::FrameRegs);
+}
+
 //===----------------------------------------------------------------------===//
 // 2. Differential fuzz over the benchmark apps
 //===----------------------------------------------------------------------===//
