@@ -77,9 +77,10 @@ int main(int argc, char **argv) {
               App.c_str(), (unsigned long long)Packets,
               (unsigned long long)Seed);
   std::printf("%8s | %4s | %10s %8s %8s | %10s %10s | %8s %8s | %6s | %7s "
-              "%6s\n",
+              "%8s %6s\n",
               "exec", "MEs", "cycles", "Mbps", "wall-s", "sdram-st",
-              "scr-st", "in-hw", "reord", "util0", "ev/pkt", "ns/ev");
+              "scr-st", "in-hw", "reord", "util0", "ev/pkt", "push/pkt",
+              "ns/ev");
 
   // Both execution models sweep the same ME counts. The simulated
   // schedule is identical by construction (chip_test locks whole-report
@@ -126,18 +127,24 @@ int main(int argc, char **argv) {
       unsigned MaxInHw = 0;
       for (const chip::RingStats &Rg : R.Chip.InputRings)
         MaxInHw = std::max(MaxInHw, Rg.HighWater);
-      // Event-kernel work: events per retired packet, and whole-run wall
-      // nanoseconds per event (host time, like wall_seconds).
+      // Event-kernel work: events and event-queue pushes per retired
+      // packet, and whole-run wall nanoseconds per event (host time, like
+      // wall_seconds).
       double EvPerPkt = R.Chip.eventsPerPacket();
+      double PushPerPkt =
+          R.Chip.PacketsRetired
+              ? double(R.Chip.QueuePushes) / double(R.Chip.PacketsRetired)
+              : 0;
       double NsPerEv = R.Chip.nsPerEvent(R.Base.WallSeconds);
       std::printf(
           "%8s | %4u | %10llu %8.1f %8.3f | %10llu %10llu | %8u %8u | %5.2f "
-          "| %7.1f %6.1f\n",
+          "| %7.1f %8.1f %6.1f\n",
           sim::execModeName(Exec), Mes,
           (unsigned long long)R.Chip.FinalCycles, R.GoodputMbps,
           R.Base.WallSeconds, (unsigned long long)R.Chip.Sdram.StallCycles,
           (unsigned long long)R.Chip.Scratch.StallCycles, MaxInHw,
-          R.Chip.ReorderHighWater, R.Chip.utilization(0), EvPerPkt, NsPerEv);
+          R.Chip.ReorderHighWater, R.Chip.utilization(0), EvPerPkt,
+          PushPerPkt, NsPerEv);
 
       Json.object([&] { soak::chipReportFields(Json, R); });
       if (Threaded && Mes == 6 && R.Base.WallSeconds > 0)

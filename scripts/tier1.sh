@@ -23,6 +23,21 @@ json_ok() {
   fi
 }
 
+# The 2000-packet seed-7 6-ME nat chip smoke replays one recorded event
+# sequence in both exec modes: its trace hash and its kernel event count
+# (every event processed, held ME runs included) must not move.
+chip_smoke_pinned() {
+  python3 - "$1" <<'PY'
+import json, sys
+C = json.load(open(sys.argv[1]))[0]["chip"]
+got = (C["trace_hash"], C["kernel"]["events"])
+want = ("912c8b0039ce3695", 3611999)
+if got != want:
+    sys.exit(f"chip smoke pin FAILED: {sys.argv[1]}: trace_hash, "
+             f"kernel.events = {got}, expected {want}")
+PY
+}
+
 cmake -B "$BUILD" -S "$ROOT"
 cmake --build "$BUILD" -j"$JOBS"
 (cd "$BUILD" && ctest --output-on-failure -j"$JOBS")
@@ -124,6 +139,7 @@ echo "== whole-chip soak smoke (6 MEs x 4 contexts, sampled oracle) =="
 timeout 300 "$BUILD/tools/novasoak" --chip --me-count 6 --app nat \
   --packets 2000 --seed 7 --json "$BUILD/BENCH_chip_smoke.json"
 json_ok "$BUILD/BENCH_chip_smoke.json"
+chip_smoke_pinned "$BUILD/BENCH_chip_smoke.json"
 
 # Negative control: an injected ALU bit flip in the allocated simulator
 # must be *caught* by the oracle (exit 1, with a shrunk reproducer). A
@@ -173,6 +189,7 @@ timeout 300 "$BUILD/tools/novasoak" --chip --me-count 6 --app nat \
   --exec threaded --packets 2000 --seed 7 \
   --json "$BUILD/BENCH_chip_threaded_smoke.json"
 json_ok "$BUILD/BENCH_chip_threaded_smoke.json"
+chip_smoke_pinned "$BUILD/BENCH_chip_threaded_smoke.json"
 
 # Chip-threaded negative control: arming the injector pins both the
 # chip contexts and the oracle re-runs to the interpreter-exact slow

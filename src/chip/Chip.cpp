@@ -229,11 +229,20 @@ struct HwCtx {
   }
 };
 
+/// An ME's run event held outside the event queue (see
+/// Impl::holdOrSchedRun). It owns its (Time, Order) like any scheduled
+/// event; Live until it is released into the queue or expires.
+struct HeldRun {
+  uint64_t Time = 0, Order = 0;
+  bool Live = false;
+};
+
 struct MeState {
   uint64_t FreeAt = 0;
   uint64_t Busy = 0;
   std::deque<unsigned> Ready;
   std::vector<HwCtx> Ctx;
+  HeldRun Held;
 };
 
 struct InFlightRec {
@@ -338,6 +347,9 @@ struct Chip::Impl {
   uint64_t LastTime = 0;
   bool Ran = false;
 
+  /// The (Time, Order) of the event being processed.
+  uint64_t CurTime = 0, CurOrder = 0;
+
   const Source *Src = nullptr;
   const RetireFn *Retire = nullptr;
 
@@ -424,6 +436,56 @@ struct Chip::Impl {
   void sched(uint64_t T, Ev K, unsigned Me = 0, unsigned Ctx = 0,
              uint64_t A = 0) {
     Q.push(T, ++OrderCtr, K, Me, Ctx, A);
+    ++St.QueuePushes;
+  }
+
+  //===--- Held ME runs ----------------------------------------------------===//
+  //
+  // A run event that finds its ME busy or its ready queue empty does
+  // nothing. The run an ME schedules for the end of its own burst is
+  // such a no-op unless a context becomes ready first: when the ready
+  // queue is empty at the burst, and only ctxReady can fill it. So that
+  // run is held beside the queue instead of entering it, with its Order
+  // taken as if it had. If ctxReady comes for the ME while the held run
+  // is still ahead of the event being processed, the run goes into the
+  // queue at its own (Time, Order) and pops exactly where it always
+  // would have; otherwise the kernel has already passed it, and it
+  // expires as the no-op pop it stands for. The (Time, Order) sequence
+  // of events — and every snapshot byte, which lists pending held runs
+  // among the events — is the one a kernel that queued every run has.
+
+  bool ahead(const HeldRun &H) const {
+    return H.Time > CurTime || (H.Time == CurTime && H.Order > CurOrder);
+  }
+
+  /// Counts a passed held run as the no-op MeRun pop it stands for.
+  void expire(HeldRun &H) {
+    ++St.EventsByKind[static_cast<unsigned>(Ev::MeRun)];
+    ++St.NoopMeRuns;
+    LastTime = std::max(LastTime, H.Time);
+    H.Live = false;
+  }
+
+  /// Expires every held run the kernel has passed (all of them once the
+  /// queue has drained), so the counters, LastTime and saveState's
+  /// pending list see the queue a kernel without held runs would hold.
+  void expirePassed(bool All) {
+    for (MeState &M : Mes)
+      if (M.Held.Live && (All || !ahead(M.Held)))
+        expire(M.Held);
+  }
+
+  /// Schedules ME \p Me 's next run at \p T (the end of its burst, when
+  /// the engine frees up), held while no context is ready to use it.
+  void holdOrSchedRun(unsigned Me, uint64_t T) {
+    if (!Mes[Me].Ready.empty()) {
+      sched(T, Ev::MeRun, Me);
+      return;
+    }
+    // A run that does work needs a ready context, and ctxReady settles
+    // the ME's held run before it makes one ready.
+    assert(!Mes[Me].Held.Live && "ME ran with a run still held");
+    Mes[Me].Held = {T, ++OrderCtr, true};
   }
 
   Channel &chan(MemSpace S) {
@@ -717,6 +779,15 @@ struct Chip::Impl {
 
   void ctxReady(unsigned Me, unsigned C, uint64_t T) {
     Mes[Me].Ready.push_back(C);
+    if (HeldRun &H = Mes[Me].Held; H.Live) {
+      if (ahead(H)) {
+        Q.pushLate(H.Time, H.Order, Ev::MeRun, Me, 0, 0);
+        ++St.QueuePushes;
+        H.Live = false;
+      } else {
+        expire(H);
+      }
+    }
     sched(std::max(T, Mes[Me].FreeAt), Ev::MeRun, Me);
   }
 
@@ -771,7 +842,7 @@ struct Chip::Impl {
       M.Busy += Y.Cycles;
       St.MeBusyCycles[Me] += Y.Cycles;
       M.FreeAt = End;
-      sched(End, Ev::MeRun, Me); // serve the next ready context
+      holdOrSchedRun(Me, End); // serve the next ready context
       if (Y.K == sim::AllocContext::Yield::Kind::Mem) {
         // The swap point: issue the reference, park the context until
         // the data returns, and let another context have the engine.
@@ -798,7 +869,7 @@ struct Chip::Impl {
         return;
       }
     } else {
-      sched(T, Ev::MeRun, Me); // entry trap: engine stays free
+      holdOrSchedRun(Me, T); // entry trap: engine stays free
     }
 
     // Packet finished (halt or trap): record and hand to TX.
@@ -982,7 +1053,11 @@ struct Chip::Impl {
     // its run and reports the deadlock instead of ticking forever.
     bool Busy = !RxDone || RxHave || InFlightCount != 0 || !Reorder.empty();
     bool RxParked = RxWaiting == RxWait::RingFull && RxStuck;
-    if (Busy && (!Q.empty() || StillWedged || RxParked))
+    bool Pending = !Q.empty() ||
+                   std::any_of(Mes.begin(), Mes.end(), [&](const MeState &M) {
+                     return M.Held.Live && ahead(M.Held);
+                   });
+    if (Busy && (Pending || StillWedged || RxParked))
       sched(T + C.WatchdogPeriod, Ev::SupTick);
   }
 
@@ -1089,6 +1164,12 @@ struct Chip::Impl {
 
   void saveState(BinWriter &W) const {
     std::vector<Event> Pending = Q.sorted();
+    // Between events every live held run is still ahead (runAll expires
+    // the passed ones before the retire hook): pending like any other.
+    for (unsigned M = 0; M != Mes.size(); ++M)
+      if (const HeldRun &H = Mes[M].Held; H.Live)
+        Pending.push_back({H.Time, H.Order, Ev::MeRun, M, 0, 0});
+    sortByPopOrder(Pending);
     fields(W, *this, Pending);
   }
 
@@ -1101,6 +1182,7 @@ struct Chip::Impl {
         auto It = InFlight.find(Cx.CurSeq);
         Cx.Rec = It == InFlight.end() ? nullptr : &It->second;
       }
+    St.QueuePushes += Pending.size();
     Q.assign(std::move(Pending));
     LastHookRetired = St.PacketsRetired;
     Restored = true;
@@ -1248,6 +1330,8 @@ struct Chip::Impl {
 
     while (!Q.empty()) {
       Event E = Q.pop();
+      CurTime = E.Time;
+      CurOrder = E.Order;
       LastTime = std::max(LastTime, E.Time);
       ++St.EventsByKind[static_cast<unsigned>(E.K)];
       switch (E.K) {
@@ -1278,12 +1362,14 @@ struct Chip::Impl {
       }
       if (Hook && St.PacketsRetired != LastHookRetired) {
         LastHookRetired = St.PacketsRetired;
+        expirePassed(false);
         if (Hook(St.PacketsRetired, LastTime)) {
           Stopped = true;
           return St; // partial: the caller treats this run as crashed
         }
       }
     }
+    expirePassed(true); // they pop after the queue's last event
 
     St.FinalCycles = LastTime;
     St.Deadlock =
@@ -1330,6 +1416,12 @@ sim::Memory &Chip::memory() { return I->Mem; }
 void Chip::setRetireHook(RetireHook H) { I->Hook = std::move(H); }
 
 bool Chip::stopped() const { return I->Stopped; }
+
+unsigned Chip::heldRuns() const {
+  return static_cast<unsigned>(
+      std::count_if(I->Mes.begin(), I->Mes.end(),
+                    [](const MeState &M) { return M.Held.Live; }));
+}
 
 void Chip::saveState(BinWriter &W) const { I->saveState(W); }
 

@@ -192,9 +192,15 @@ struct ChipRunStats {
   /// that found the engine busy or its ready queue empty. They measure
   /// host work, not the simulation — never serialized into snapshots
   /// (a resumed run counts only its own events) and never folded into a
-  /// trace hash.
+  /// trace hash. A held ME run (chip/Chip.cpp) that expires counts as
+  /// the no-op MeRun pop it stands for.
   std::array<uint64_t, NumEventKinds> EventsByKind{};
   uint64_t NoopMeRuns = 0;
+  /// Events that entered the event queue: scheduled, released from the
+  /// held-run slots, or re-queued by a restore. For a run that drained
+  /// its queue, events() minus this is the number of held runs that
+  /// expired without touching the queue.
+  uint64_t QueuePushes = 0;
   uint64_t events() const {
     uint64_t N = 0;
     for (uint64_t V : EventsByKind)
@@ -280,6 +286,12 @@ public:
   /// pristine base image) is NOT saved; restore into a Chip freshly
   /// constructed from the identical (params, programs, base) triple.
   void saveState(BinWriter &W) const;
+
+  /// ME run events held outside the event queue right now (pending
+  /// ones, between events): runs scheduled for the end of a burst while
+  /// no context was ready. They are pending events like any other, and
+  /// saveState() lists them.
+  unsigned heldRuns() const;
 
   /// Restores a saveState() image into this not-yet-run chip; run()
   /// then continues the interrupted event stream. The caller is

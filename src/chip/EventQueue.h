@@ -30,6 +30,18 @@
 /// within a bucket every migrated event (older Order) precedes every
 /// directly pushed one.
 ///
+/// Two short cuts keep the commonest traffic off the wheel's structures:
+///
+///  - the same-cycle slot: an event pushed for the current cycle while
+///    that cycle has no other pending event waits in a one-event slot,
+///    which pop() returns before it touches a bucket, the bitmap or the
+///    node pool. A second push for the cycle spills the slot into the
+///    cycle's bucket first, so the slot only ever holds the cycle's one
+///    pending event;
+///  - pushLate() links an event into its bucket by Order, for a caller
+///    that took the event's Order earlier and held the event back (the
+///    chip kernel's held ME runs, chip/Chip.cpp).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHIP_EVENTQUEUE_H
@@ -89,6 +101,12 @@ struct EventAfter {
   }
 };
 
+/// Sorts \p V into (Time, Order) pop order.
+inline void sortByPopOrder(std::vector<Event> &V) {
+  std::sort(V.begin(), V.end(),
+            [](const Event &X, const Event &Y) { return EventAfter()(Y, X); });
+}
+
 class EventQueue {
 public:
   /// \p HorizonBits sets the wheel to 2^HorizonBits one-cycle buckets
@@ -99,8 +117,8 @@ public:
     assert(HorizonBits <= 12 && "bitmap summary covers 64 words");
   }
 
-  bool empty() const { return NearCount == 0 && Far.empty(); }
-  size_t size() const { return NearCount + Far.size(); }
+  bool empty() const { return !HasSlot && NearCount == 0 && Far.empty(); }
+  size_t size() const { return HasSlot + NearCount + Far.size(); }
 
   /// Requires E.Time >= the last popped time, and E.Order above that of
   /// every earlier push for the same cycle (the kernel's insertion
@@ -114,17 +132,54 @@ public:
   void push(uint64_t Time, uint64_t Order, Ev K, unsigned Me, unsigned Ctx,
             uint64_t A) {
     assert(Time >= Now && "event scheduled in the past");
-    if (Time - Now <= Mask) {
-      pushNear(Time, Order, K, Me, Ctx, A);
-    } else {
-      Far.push_back({Time, Order, K, Me, Ctx, A});
-      std::push_heap(Far.begin(), Far.end(), EventAfter());
+    if (Time == Now && takeSlot(Time, Order, K, Me, Ctx, A))
+      return;
+    if (Time - Now <= Mask)
+      link(Time, newNode(Time, Order, K, Me, Ctx, A));
+    else
+      pushFar(Time, Order, K, Me, Ctx, A);
+  }
+
+  /// push() for an event whose Order may lie below that of events
+  /// already pushed for its cycle: it is linked into its bucket at its
+  /// Order position, so it pops exactly where it would have, had it been
+  /// pushed when its Order was taken. Requires Time >= the last popped
+  /// time and an Order that no pending event carries.
+  void pushLate(uint64_t Time, uint64_t Order, Ev K, unsigned Me,
+                unsigned Ctx, uint64_t A) {
+    assert(Time >= Now && "event scheduled in the past");
+    if (Time == Now && takeSlot(Time, Order, K, Me, Ctx, A))
+      return;
+    if (Time - Now > Mask) {
+      pushFar(Time, Order, K, Me, Ctx, A); // the heap orders any push
+      return;
     }
+    uint32_t N = newNode(Time, Order, K, Me, Ctx, A);
+    Bucket &B = Buckets[static_cast<unsigned>(Time) & Mask];
+    if (B.Head == Nil || Pool[B.Tail].E.Order < Order) {
+      link(Time, N);
+      return;
+    }
+    ++NearCount;
+    if (Order < Pool[B.Head].E.Order) {
+      Pool[N].Next = B.Head;
+      B.Head = N;
+      return;
+    }
+    uint32_t Prev = B.Head;
+    while (Pool[Pool[Prev].Next].E.Order < Order)
+      Prev = Pool[Prev].Next;
+    Pool[N].Next = Pool[Prev].Next;
+    Pool[Prev].Next = N;
   }
 
   /// Removes and returns the earliest (Time, Order) event.
   Event pop() {
     assert(!empty() && "pop from an empty event queue");
+    if (HasSlot) {
+      HasSlot = false;
+      return Slot;
+    }
     if (NearCount == 0)
       advance(Far.front().Time);
     unsigned Start = static_cast<unsigned>(Now) & Mask;
@@ -152,6 +207,8 @@ public:
   std::vector<Event> sorted() const {
     std::vector<Event> Out(Far);
     Out.reserve(size());
+    if (HasSlot)
+      Out.push_back(Slot);
     for (const Bucket &B : Buckets)
       for (uint32_t N = B.Head; N != Nil; N = Pool[N].Next)
         Out.push_back(Pool[N].E);
@@ -169,11 +226,6 @@ public:
   }
 
 private:
-  static void sortByPopOrder(std::vector<Event> &V) {
-    std::sort(V.begin(), V.end(),
-              [](const Event &X, const Event &Y) { return EventAfter()(Y, X); });
-  }
-
   /// Empties the queue and rewinds Now to 0.
   void clear() {
     std::fill(Buckets.begin(), Buckets.end(), Bucket());
@@ -183,6 +235,7 @@ private:
     Summary = 0;
     Far.clear();
     NearCount = 0;
+    HasSlot = false;
     Now = 0;
   }
 
@@ -197,8 +250,32 @@ private:
     uint32_t Tail = Nil;
   };
 
-  void pushNear(uint64_t Time, uint64_t Order, Ev K, unsigned Me,
+  /// For an event at the current cycle: claims the slot when the cycle
+  /// has no other pending event and returns true. Otherwise spills an
+  /// occupied slot into the cycle's bucket, where the caller then links
+  /// the new event, and returns false.
+  bool takeSlot(uint64_t Time, uint64_t Order, Ev K, unsigned Me,
                 unsigned Ctx, uint64_t A) {
+    if (HasSlot) {
+      HasSlot = false;
+      link(Slot.Time, newNode(Slot.Time, Slot.Order, Slot.K, Slot.Me,
+                              Slot.Ctx, Slot.A));
+      return false;
+    }
+    if (Buckets[static_cast<unsigned>(Time) & Mask].Head != Nil)
+      return false;
+    Slot.Time = Time;
+    Slot.Order = Order;
+    Slot.K = K;
+    Slot.Me = Me;
+    Slot.Ctx = Ctx;
+    Slot.A = A;
+    HasSlot = true;
+    return true;
+  }
+
+  uint32_t newNode(uint64_t Time, uint64_t Order, Ev K, unsigned Me,
+                   unsigned Ctx, uint64_t A) {
     // A fresh node's Next is Nil, so taking it leaves the free list empty.
     uint32_t N = FreeList != Nil ? FreeList : growPool();
     Node &Nd = Pool[N];
@@ -210,6 +287,11 @@ private:
     Nd.E.Ctx = Ctx;
     Nd.E.A = A;
     Nd.Next = Nil;
+    return N;
+  }
+
+  /// Appends node \p N to the bucket of cycle \p Time.
+  void link(uint64_t Time, uint32_t N) {
     unsigned Idx = static_cast<unsigned>(Time) & Mask;
     Bucket &B = Buckets[Idx];
     if (B.Head == Nil) {
@@ -221,6 +303,12 @@ private:
     }
     B.Tail = N;
     ++NearCount;
+  }
+
+  void pushFar(uint64_t Time, uint64_t Order, Ev K, unsigned Me,
+               unsigned Ctx, uint64_t A) {
+    Far.push_back({Time, Order, K, Me, Ctx, A});
+    std::push_heap(Far.begin(), Far.end(), EventAfter());
   }
 
   uint32_t growPool() {
@@ -235,7 +323,7 @@ private:
     while (!Far.empty() && Far.front().Time - Now <= Mask) {
       std::pop_heap(Far.begin(), Far.end(), EventAfter());
       const Event &E = Far.back();
-      pushNear(E.Time, E.Order, E.K, E.Me, E.Ctx, E.A);
+      link(E.Time, newNode(E.Time, E.Order, E.K, E.Me, E.Ctx, E.A));
       Far.pop_back();
     }
   }
@@ -261,6 +349,8 @@ private:
   std::vector<Event> Far;       ///< heap (EventAfter) beyond the horizon
   size_t NearCount = 0;         ///< events in buckets
   uint64_t Now = 0;             ///< time of the last pop (or advance)
+  Event Slot;                   ///< the current cycle's one pending event
+  bool HasSlot = false;         ///< Slot is live (its bucket is empty)
 };
 
 } // namespace chip

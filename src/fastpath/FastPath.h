@@ -253,9 +253,13 @@ struct StreamContext {
 ///  - on sim::Memory (resumable): materialize the exact counts and yield
 ///    the reference to the caller, who charges it. The context's spill
 ///    window rebasing applies.
+///
+/// Both instantiations start on a 64-byte boundary, so the dispatch
+/// loop's placement against cache lines and fetch blocks does not move
+/// with unrelated edits to code linked before it.
 template <class MemT>
-sim::AllocContext::Yield runStream(StreamContext &C, MemT &Mem,
-                                   const sim::RunOptions &Opts);
+[[gnu::aligned(64)]] sim::AllocContext::Yield
+runStream(StreamContext &C, MemT &Mem, const sim::RunOptions &Opts);
 
 /// Executes a Translated program packet by packet: a thin owner of one
 /// flat StreamContext.

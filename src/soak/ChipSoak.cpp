@@ -223,6 +223,7 @@ void soak::stabilize(ChipSoakReport &R) {
   stabilize(R.Base);
   R.Chip.EventsByKind = {};
   R.Chip.NoopMeRuns = 0;
+  R.Chip.QueuePushes = 0;
 }
 
 void soak::chipReportFields(JsonWriter &J, const ChipSoakReport &R) {
@@ -270,6 +271,11 @@ void soak::chipReportFields(JsonWriter &J, const ChipSoakReport &R) {
   J.key("events_per_packet").fixed(C.eventsPerPacket(), 2);
   J.key("ns_per_event").fixed(C.nsPerEvent(R.Base.WallSeconds), 2);
   J.field("noop_me_runs", C.NoopMeRuns);
+  // Every run pushes, so only a stabilized report has zero here; it
+  // leaves the field out and keeps the bytes of reports written before
+  // the counter existed.
+  if (C.QueuePushes)
+    J.field("queue_pushes", C.QueuePushes);
   J.key("events_by_kind").beginObject();
   for (unsigned K = 0; K != chip::NumEventKinds; ++K)
     J.field(chip::evName(static_cast<chip::Ev>(K)), C.EventsByKind[K]);
@@ -342,10 +348,11 @@ void soak::printChipReport(const ChipSoakReport &R, std::FILE *Out) {
                (unsigned long long)C.TailPackets);
   std::fprintf(Out,
                "  kernel    : %llu events (%.1f/packet, %.1f ns each), "
-               "%llu no-op MeRun pops\n",
+               "%llu no-op MeRun pops, %llu queue pushes\n",
                (unsigned long long)C.events(), C.eventsPerPacket(),
                C.nsPerEvent(R.Base.WallSeconds),
-               (unsigned long long)C.NoopMeRuns);
+               (unsigned long long)C.NoopMeRuns,
+               (unsigned long long)C.QueuePushes);
   const chip::RecoveryStats &RS = C.Recovery;
   if (RS.anyInjected()) {
     std::fprintf(Out,

@@ -92,6 +92,30 @@ AllocatedProgram heavyProgram(unsigned Reads) {
   return P;
 }
 
+/// bursty(in, out): N rounds of an SDRAM read followed by \p Alus ALU
+/// ops on the loaded word, then *out = *in — bursts long enough that an
+/// engine is often mid-burst with nothing else ready.
+AllocatedProgram burstyProgram(unsigned Reads, unsigned Alus) {
+  AllocatedProgram P;
+  P.Entry = 0;
+  P.NumEntryArgs = 2;
+  AllocInstr And;
+  And.Op = MOp::Alu;
+  And.Alu = cps::PrimOp::And;
+  And.Srcs = {AOperand::reg({Bank::S, 0}), AOperand::constant(1)};
+  And.Dsts = {{Bank::S, 1}};
+  std::vector<AllocInstr> Is;
+  for (unsigned I = 0; I != Reads; ++I) {
+    Is.push_back(sdramRead(AOperand::reg({Bank::A, 0}), {Bank::S, 0}));
+    Is.insert(Is.end(), Alus, And);
+  }
+  Is.push_back(sdramWrite(AOperand::reg({Bank::A, 1}),
+                          AOperand::reg({Bank::S, 0})));
+  Is.push_back(haltOf({AOperand::reg({Bank::S, 0})}));
+  P.Blocks.push_back({std::move(Is)});
+  return P;
+}
+
 FaultSchedule schedule(const std::string &Spec) {
   FaultSchedule S;
   std::string Error;
@@ -528,19 +552,32 @@ TEST(ChipFaultRun, ThreadedMatchesInterpUnderFaults) {
 
 namespace {
 
+/// What the stopped half of driveThroughSnapshot left: the snapshot,
+/// the ME runs held outside the event queue when it was taken, and the
+/// stopped run's partial stats.
+struct SnapshotStop {
+  std::string Bytes;
+  unsigned HeldRuns = 0;
+  chip::ChipRunStats Stats;
+};
+
 /// Runs \p N packets, stops at the first retirement >= StopAt with a
 /// snapshot, restores it into a fresh chip (which must re-save the
 /// identical bytes), and finishes the stream there. The result splices
-/// the retirements of both halves.
+/// the retirements of both halves; \p Stop, when given, receives the
+/// stopped half.
 DriveResult driveThroughSnapshot(const AllocatedProgram &Prog,
                                  const chip::ChipParams &CP, uint64_t N,
-                                 uint64_t StopAt) {
+                                 uint64_t StopAt,
+                                 SnapshotStop *Stop = nullptr) {
   std::vector<const AllocatedProgram *> Progs(CP.MP.MeCount, &Prog);
   DriveResult R;
   auto Keep = [&](chip::RetiredPacket &&RP) {
     R.Retired.push_back(std::move(RP));
   };
-  std::string Snap;
+  SnapshotStop Local;
+  SnapshotStop &First = Stop ? *Stop : Local;
+  std::string &Snap = First.Bytes;
   uint64_t Next = 0, SnapNext = 0;
   {
     chip::Chip C(CP, Progs, sim::Memory{});
@@ -551,9 +588,10 @@ DriveResult driveThroughSnapshot(const AllocatedProgram &Prog,
       C.saveState(W);
       Snap = W.take();
       SnapNext = Next;
+      First.HeldRuns = C.heldRuns();
       return true;
     });
-    C.run(packetSource(Next, N), Keep);
+    First.Stats = C.run(packetSource(Next, N), Keep);
     EXPECT_TRUE(C.stopped());
   }
   chip::Chip C(CP, Progs, sim::Memory{});
@@ -661,6 +699,20 @@ std::string stormySnapshot(sim::ExecMode Exec, uint64_t StopAt) {
   return Snap;
 }
 
+/// A fault-free 6-ME x 4-context chip for burstyProgram(6, 12): engines
+/// often end a burst with no context ready and hold their next run.
+chip::ChipParams quietParams(sim::ExecMode Exec) {
+  chip::ChipParams CP;
+  CP.MP.MeCount = 6;
+  CP.MP.ContextsPerMe = 4;
+  CP.Exec = Exec;
+  return CP;
+}
+
+/// Stop points of quietParams runs over 64 packets at which a held run
+/// is pending.
+constexpr uint64_t QuietStops[] = {2, 8, 58};
+
 } // namespace
 
 TEST(ChipSnapshot, BytesArePinned) {
@@ -680,6 +732,62 @@ TEST(ChipSnapshot, BytesArePinned) {
     EXPECT_EQ(Snap.size(), K.Bytes);
     EXPECT_EQ(fnv1a64(Snap.data(), Snap.size()), K.Hash)
         << (K.Exec == sim::ExecMode::Threaded ? "threaded" : "interp");
+  }
+  // Fault-free stop points with an ME run held outside the event queue:
+  // the snapshot lists it among the pending events at its own (Time,
+  // Order), so the bytes are those of a kernel that queues every run.
+  AllocatedProgram Prog = burstyProgram(6, 12);
+  struct QuietCase {
+    sim::ExecMode Exec;
+    uint64_t StopAt;
+    size_t Bytes;
+    uint64_t Hash;
+  };
+  for (const QuietCase &K :
+       {QuietCase{sim::ExecMode::Interp, 2, 13828, 0xa62fb4a86990b9f0ull},
+        QuietCase{sim::ExecMode::Interp, 8, 13703, 0x827f6f897a310490ull},
+        QuietCase{sim::ExecMode::Interp, 58, 11920, 0x8fe3122b99c83fb3ull},
+        QuietCase{sim::ExecMode::Threaded, 2, 15124, 0xabdde0a3fd92525full},
+        QuietCase{sim::ExecMode::Threaded, 8, 14999, 0xf68dd0c7ea012d1eull},
+        QuietCase{sim::ExecMode::Threaded, 58, 13216,
+                  0x731e01bc0ac593ebull}}) {
+    SCOPED_TRACE(::testing::Message() << sim::execModeName(K.Exec)
+                                      << " stop at " << K.StopAt);
+    SnapshotStop Stop;
+    driveThroughSnapshot(Prog, quietParams(K.Exec), 64, K.StopAt, &Stop);
+    EXPECT_GT(Stop.HeldRuns, 0u);
+    EXPECT_EQ(Stop.Bytes.size(), K.Bytes);
+    EXPECT_EQ(fnv1a64(Stop.Bytes.data(), Stop.Bytes.size()), K.Hash);
+  }
+}
+
+TEST(ChipSnapshot, HeldRunsAreListedAndResumeIdentically) {
+  // A snapshot taken while an ME's run is held lists it among the
+  // pending events; the restored chip queues it, and the resumed run
+  // must match the uninterrupted one, events by kind included: the
+  // stopped and the resumed half together pop every event once.
+  AllocatedProgram Prog = burstyProgram(6, 12);
+  for (sim::ExecMode Exec :
+       {sim::ExecMode::Interp, sim::ExecMode::Threaded}) {
+    chip::ChipParams CP = quietParams(Exec);
+    DriveResult Ref = drive(Prog, CP, 64);
+    ASSERT_EQ(Ref.Retired.size(), 64u);
+    for (uint64_t StopAt : QuietStops) {
+      SCOPED_TRACE(::testing::Message() << sim::execModeName(Exec)
+                                        << " stop at " << StopAt);
+      SnapshotStop Stop;
+      DriveResult Res = driveThroughSnapshot(Prog, CP, 64, StopAt, &Stop);
+      EXPECT_GT(Stop.HeldRuns, 0u);
+      expectSameRun(Ref, Res);
+      EXPECT_EQ(Ref.Stats.FinalCycles, Res.Stats.FinalCycles);
+      EXPECT_EQ(Ref.Stats.MeBusyCycles, Res.Stats.MeBusyCycles);
+      for (unsigned K = 0; K != chip::NumEventKinds; ++K)
+        EXPECT_EQ(Stop.Stats.EventsByKind[K] + Res.Stats.EventsByKind[K],
+                  Ref.Stats.EventsByKind[K])
+            << chip::evName(static_cast<chip::Ev>(K));
+      EXPECT_EQ(Stop.Stats.NoopMeRuns + Res.Stats.NoopMeRuns,
+                Ref.Stats.NoopMeRuns);
+    }
   }
 }
 

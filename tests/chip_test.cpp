@@ -529,6 +529,34 @@ TEST(ChipRun, KernelCountersTallyEveryEvent) {
   EXPECT_EQ(A.Stats.NoopMeRuns, B.Stats.NoopMeRuns);
 }
 
+TEST(ChipRun, KernelCountersArePinned) {
+  // The kernel's absolute work on a fault-free 6-ME x 4-context run, in
+  // both exec models: events per kind, no-op MeRun pops (held runs that
+  // expire count as such pops) and the trace hash. A kernel change that
+  // keeps the (time, order) event sequence keeps every one of them,
+  // however it stores, holds or skips events.
+  chip::ChipParams CP;
+  CP.MP.MeCount = 6;
+  CP.MP.ContextsPerMe = 4;
+  AllocatedProgram Prog = heavyProgram(12);
+  const std::array<uint64_t, chip::NumEventKinds> Want = {
+      8400, 4769, 601, 300, 0, 0, 0, 0};
+  for (sim::ExecMode Exec :
+       {sim::ExecMode::Interp, sim::ExecMode::Threaded}) {
+    SCOPED_TRACE(sim::execModeName(Exec));
+    CP.Exec = Exec;
+    DriveResult R = drive(Prog, CP, 300);
+    EXPECT_EQ(R.Stats.EventsByKind, Want);
+    EXPECT_EQ(R.Stats.NoopMeRuns, 4200u);
+    EXPECT_EQ(R.Stats.TraceHash, 0x4b6069a8ece18ad0ull);
+    EXPECT_EQ(R.Stats.FinalCycles, 8660u);
+    // Every event either entered the queue or was a held run that
+    // expired beside it; this run holds thousands.
+    EXPECT_EQ(R.Stats.QueuePushes, 9875u);
+    EXPECT_LT(R.Stats.QueuePushes + 1000, R.Stats.events());
+  }
+}
+
 namespace {
 
 /// classify(in, out): read *in, branch on its low bit through two

@@ -10,9 +10,12 @@
 // kernel's contract (monotone time, monotone insertion order) both must
 // pop the identical (Time, Order) sequence — with many same-cycle ties,
 // jumps past the wheel horizon, and an overflow heap that has to merge
-// back into buckets already holding near events. sorted() must list the
-// pending set in pop order, and assigning it to another queue (the
-// checkpoint restore path) must continue the same sequence.
+// back into buckets already holding near events. Same-cycle pushes take
+// the one-event slot and later pushes spill it; pushLate() releases held
+// events whose Order lies below events already pushed for their cycle.
+// sorted() must list the pending set in pop order, and assigning it to
+// another queue (the checkpoint restore path) must continue the same
+// sequence, whatever the slot holds.
 //
 //===----------------------------------------------------------------------===//
 
@@ -44,13 +47,17 @@ void expectSameEvent(const Event &A, const Event &B, uint64_t Step) {
 /// Drives both queues with the same random monotone workload. Each step
 /// pops one event (when any is pending) and pushes a burst of new ones
 /// at or after the popped time: a third at the same cycle, most within a
-/// few hundred cycles, some 1-3 horizons out, a few far beyond.
+/// few hundred cycles, some 1-3 horizons out, a few far beyond. Some
+/// events are held back after taking their Order, as the chip kernel
+/// holds an ME's run: a later step releases each through pushLate()
+/// while its time is not yet past, or drops it.
 void runDifferential(unsigned HorizonBits, uint64_t Seed, unsigned Steps) {
   const uint64_t Horizon = 1ull << HorizonBits;
   std::mt19937_64 Rng(Seed);
   chip::EventQueue Q(HorizonBits);
   RefQueue Ref;
-  uint64_t Now = 0, Order = 0;
+  std::vector<Event> Held;
+  uint64_t Now = 0, Order = 0, Late = 0;
 
   auto Delay = [&]() -> uint64_t {
     switch (Rng() % 10) {
@@ -69,8 +76,29 @@ void runDifferential(unsigned HorizonBits, uint64_t Seed, unsigned Steps) {
     E.Me = static_cast<unsigned>(Rng() % 8);
     E.Ctx = static_cast<unsigned>(Rng() % 8);
     E.A = Rng();
-    Q.push(E);
+    if (Rng() % 8 == 0) {
+      Held.push_back(E);
+      return;
+    }
+    Q.push(E.Time, E.Order, E.K, E.Me, E.Ctx, E.A);
     Ref.push(E);
+  };
+  auto Release = [&]() {
+    for (size_t I = 0; I < Held.size();) {
+      unsigned Roll = Rng() % 4;
+      if (Roll > 1) {
+        ++I;
+        continue;
+      }
+      const Event E = Held[I];
+      Held[I] = Held.back();
+      Held.pop_back();
+      if (Roll == 0 && E.Time >= Now) {
+        Q.pushLate(E.Time, E.Order, E.K, E.Me, E.Ctx, E.A);
+        Ref.push(E);
+        ++Late;
+      }
+    }
   };
 
   for (unsigned I = 0; I != 8; ++I)
@@ -93,12 +121,14 @@ void runDifferential(unsigned HorizonBits, uint64_t Seed, unsigned Steps) {
       Burst = 0;
     for (unsigned I = 0; I != Burst; ++I)
       Push();
+    Release();
   }
   while (!Ref.empty()) {
     expectSameEvent(Q.pop(), Ref.top(), Steps);
     Ref.pop();
   }
   EXPECT_TRUE(Q.empty());
+  EXPECT_GT(Late, Steps / 100) << "too few late pushes to test them";
 }
 
 } // namespace
@@ -172,4 +202,83 @@ TEST(EventQueue, SortedSnapshotRestoresTheSameSequence) {
   ASSERT_EQ(A.size(), B.size());
   for (size_t I = 0; I != A.size(); ++I)
     expectSameEvent(A[I], B[I], I);
+}
+
+TEST(EventQueue, SameCyclePushesTakeAndSpillTheSlot) {
+  chip::EventQueue Q(3); // horizon 8
+  Q.push({0, 1, chip::Ev::RxStep, 0, 0, 0}); // cycle 0 is empty: the slot
+  EXPECT_EQ(Q.size(), 1u);
+  EXPECT_EQ(Q.pop().Order, 1u);
+  Q.push({0, 2, chip::Ev::MeRun, 0, 0, 0});  // slot again
+  Q.push({0, 3, chip::Ev::MeRun, 1, 0, 0});  // spills 2 into the bucket
+  Q.push({4, 4, chip::Ev::MeRun, 2, 0, 0});
+  EXPECT_EQ(Q.size(), 3u);
+  EXPECT_EQ(Q.pop().Order, 2u);
+  Q.push({0, 5, chip::Ev::CtxResume, 0, 0, 0}); // behind 3 in the bucket
+  EXPECT_EQ(Q.pop().Order, 3u);
+  EXPECT_EQ(Q.pop().Order, 5u);
+  EXPECT_EQ(Q.pop().Order, 4u); // Now = 4
+  Q.push({4, 6, chip::Ev::MeRun, 0, 0, 0}); // slot at the new cycle
+  Q.push({5, 7, chip::Ev::MeRun, 0, 0, 0});
+  EXPECT_EQ(Q.pop().Order, 6u);
+  EXPECT_EQ(Q.pop().Order, 7u);
+  EXPECT_TRUE(Q.empty());
+}
+
+TEST(EventQueue, LatePushesLinkByOrderInsideACycle) {
+  // Orders 10, 12, 14 and 17 were taken and held while the others went
+  // in; each released event must pop at its Order position: bucket
+  // head, middle and tail, below the slot's event, and past the horizon.
+  chip::EventQueue Q(3); // horizon 8
+  Q.push({0, 0, chip::Ev::RxStep, 0, 0, 0});
+  EXPECT_EQ(Q.pop().Order, 0u); // Now = 0
+  for (uint64_t O : {11u, 13u, 15u, 16u})
+    Q.push({2, O, chip::Ev::CtxResume, 0, 0, 0});
+  Q.push({0, 19, chip::Ev::MeRun, 0, 0, 0}); // takes the slot at cycle 0
+  Q.pushLate(2, 14, chip::Ev::MeRun, 1, 0, 0);
+  Q.pushLate(2, 10, chip::Ev::MeRun, 2, 0, 0);
+  Q.pushLate(2, 17, chip::Ev::MeRun, 3, 0, 0);
+  Q.pushLate(0, 12, chip::Ev::MeRun, 4, 0, 0); // spills the slot's 19
+  Q.pushLate(30, 18, chip::Ev::MeRun, 5, 0, 0);
+  const std::vector<uint64_t> Want = {12, 19, 10, 11, 13, 14,
+                                      15, 16, 17, 18};
+  std::vector<uint64_t> Listed;
+  for (const Event &E : Q.sorted())
+    Listed.push_back(E.Order);
+  EXPECT_EQ(Listed, Want);
+  std::vector<uint64_t> Got;
+  while (!Q.empty())
+    Got.push_back(Q.pop().Order);
+  EXPECT_EQ(Got, Want);
+}
+
+TEST(EventQueue, SlotSurvivesSortedAndAssign) {
+  // A snapshot taken while the slot holds the current cycle's event
+  // lists it first; a queue restored from that list continues the same
+  // sequence, including a same-cycle push made after the restore.
+  chip::EventQueue Q(4);
+  Q.push({10, 1, chip::Ev::RxStep, 0, 0, 0});
+  EXPECT_EQ(Q.pop().Order, 1u); // Now = 10
+  Q.push({40, 2, chip::Ev::SupTick, 0, 0, 0}); // far
+  Q.push({12, 3, chip::Ev::MeRun, 0, 0, 0});
+  Q.push({10, 4, chip::Ev::MeRun, 1, 0, 0}); // the slot
+  std::vector<Event> Snap = Q.sorted();
+  ASSERT_EQ(Snap.size(), 3u);
+  EXPECT_EQ(Snap[0].Order, 4u);
+  EXPECT_EQ(Snap[1].Order, 3u);
+  EXPECT_EQ(Snap[2].Order, 2u);
+
+  chip::EventQueue Restored(4);
+  Restored.assign(Snap);
+  EXPECT_EQ(Restored.size(), 3u);
+  for (chip::EventQueue *X : {&Q, &Restored}) {
+    EXPECT_EQ(X->pop().Order, 4u);
+    X->push({10, 5, chip::Ev::CtxResume, 0, 0, 0});
+    X->push({10, 6, chip::Ev::CtxResume, 1, 0, 0});
+    X->pushLate(12, 0, chip::Ev::MeRun, 2, 0, 0);
+    std::vector<uint64_t> Got;
+    while (!X->empty())
+      Got.push_back(X->pop().Order);
+    EXPECT_EQ(Got, (std::vector<uint64_t>{5, 6, 0, 3, 2}));
+  }
 }
