@@ -781,7 +781,7 @@ struct Chip::Impl {
     Mes[Me].Ready.push_back(C);
     if (HeldRun &H = Mes[Me].Held; H.Live) {
       if (ahead(H)) {
-        Q.pushLate(H.Time, H.Order, Ev::MeRun, Me, 0, 0);
+        Q.push(H.Time, H.Order, Ev::MeRun, Me, 0, 0);
         ++St.QueuePushes;
         H.Live = false;
       } else {
@@ -1053,11 +1053,20 @@ struct Chip::Impl {
     // its run and reports the deadlock instead of ticking forever.
     bool Busy = !RxDone || RxHave || InFlightCount != 0 || !Reorder.empty();
     bool RxParked = RxWaiting == RxWait::RingFull && RxStuck;
-    bool Pending = !Q.empty() ||
-                   std::any_of(Mes.begin(), Mes.end(), [&](const MeState &M) {
-                     return M.Held.Live && ahead(M.Held);
-                   });
-    if (Busy && (Pending || StillWedged || RxParked))
+    // A held run ahead counts as pending, as it would in the queue. It
+    // can be the only pending event only once the chip has deadlocked:
+    // busy, with nothing queued, wedged or parked. A run from a fresh
+    // start never gets there (runChipSoak reports a deadlock as a
+    // divergence), but a restored image that passed runnable() can
+    // encode one.
+    bool HeldAhead =
+        std::any_of(Mes.begin(), Mes.end(), [&](const MeState &M) {
+          return M.Held.Live && ahead(M.Held);
+        });
+    assert((Restored || !Busy || !Q.empty() || !HeldAhead || StillWedged ||
+            RxParked) &&
+           "a chip run from a fresh start deadlocked");
+    if (Busy && (!Q.empty() || HeldAhead || StillWedged || RxParked))
       sched(T + C.WatchdogPeriod, Ev::SupTick);
   }
 

@@ -21,8 +21,12 @@
 ///
 ///  - time is monotone: nothing is ever scheduled before the time of the
 ///    event being processed, so Now (the last popped time) only grows;
-///  - Order is monotone: every push carries a larger Order than any
-///    earlier push, so appending to a bucket keeps it sorted by Order.
+///  - Order is almost monotone: a push nearly always carries a larger
+///    Order than any earlier push, so push() appends to the bucket. An
+///    event whose Order was taken earlier and held back (the chip
+///    kernel's held ME runs, chip/Chip.cpp) is linked into its bucket at
+///    its Order position instead, so it pops exactly where it would
+///    have, had it been pushed when its Order was taken.
 ///
 /// Ties between a far event and a near one are safe because overflow
 /// events migrate into their buckets as soon as Now advances far enough
@@ -30,17 +34,12 @@
 /// within a bucket every migrated event (older Order) precedes every
 /// directly pushed one.
 ///
-/// Two short cuts keep the commonest traffic off the wheel's structures:
-///
-///  - the same-cycle slot: an event pushed for the current cycle while
-///    that cycle has no other pending event waits in a one-event slot,
-///    which pop() returns before it touches a bucket, the bitmap or the
-///    node pool. A second push for the cycle spills the slot into the
-///    cycle's bucket first, so the slot only ever holds the cycle's one
-///    pending event;
-///  - pushLate() links an event into its bucket by Order, for a caller
-///    that took the event's Order earlier and held the event back (the
-///    chip kernel's held ME runs, chip/Chip.cpp).
+/// The same-cycle slot keeps the commonest traffic off the wheel's
+/// structures: an event pushed for the current cycle while that cycle
+/// has no other pending event waits in a one-event slot, which pop()
+/// returns before it touches a bucket, the bitmap or the node pool. A
+/// second push for the cycle spills the slot into the cycle's bucket
+/// first, so the slot only ever holds the cycle's one pending event.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -120,9 +119,8 @@ public:
   bool empty() const { return !HasSlot && NearCount == 0 && Far.empty(); }
   size_t size() const { return HasSlot + NearCount + Far.size(); }
 
-  /// Requires E.Time >= the last popped time, and E.Order above that of
-  /// every earlier push for the same cycle (the kernel's insertion
-  /// counter gives both).
+  /// Requires E.Time >= the last popped time and an E.Order that no
+  /// pending event carries (the kernel's insertion counter gives both).
   void push(const Event &E) { push(E.Time, E.Order, E.K, E.Me, E.Ctx, E.A); }
 
   /// push() by fields. The kernel schedules through this form: the
@@ -134,22 +132,6 @@ public:
     assert(Time >= Now && "event scheduled in the past");
     if (Time == Now && takeSlot(Time, Order, K, Me, Ctx, A))
       return;
-    if (Time - Now <= Mask)
-      link(Time, newNode(Time, Order, K, Me, Ctx, A));
-    else
-      pushFar(Time, Order, K, Me, Ctx, A);
-  }
-
-  /// push() for an event whose Order may lie below that of events
-  /// already pushed for its cycle: it is linked into its bucket at its
-  /// Order position, so it pops exactly where it would have, had it been
-  /// pushed when its Order was taken. Requires Time >= the last popped
-  /// time and an Order that no pending event carries.
-  void pushLate(uint64_t Time, uint64_t Order, Ev K, unsigned Me,
-                unsigned Ctx, uint64_t A) {
-    assert(Time >= Now && "event scheduled in the past");
-    if (Time == Now && takeSlot(Time, Order, K, Me, Ctx, A))
-      return;
     if (Time - Now > Mask) {
       pushFar(Time, Order, K, Me, Ctx, A); // the heap orders any push
       return;
@@ -157,7 +139,7 @@ public:
     uint32_t N = newNode(Time, Order, K, Me, Ctx, A);
     Bucket &B = Buckets[static_cast<unsigned>(Time) & Mask];
     if (B.Head == Nil || Pool[B.Tail].E.Order < Order) {
-      link(Time, N);
+      link(Time, N); // the common case: the newest Order of its cycle
       return;
     }
     ++NearCount;

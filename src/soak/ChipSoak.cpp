@@ -224,6 +224,7 @@ void soak::stabilize(ChipSoakReport &R) {
   R.Chip.EventsByKind = {};
   R.Chip.NoopMeRuns = 0;
   R.Chip.QueuePushes = 0;
+  R.Stable = true;
 }
 
 void soak::chipReportFields(JsonWriter &J, const ChipSoakReport &R) {
@@ -271,10 +272,7 @@ void soak::chipReportFields(JsonWriter &J, const ChipSoakReport &R) {
   J.key("events_per_packet").fixed(C.eventsPerPacket(), 2);
   J.key("ns_per_event").fixed(C.nsPerEvent(R.Base.WallSeconds), 2);
   J.field("noop_me_runs", C.NoopMeRuns);
-  // Every run pushes, so only a stabilized report has zero here; it
-  // leaves the field out and keeps the bytes of reports written before
-  // the counter existed.
-  if (C.QueuePushes)
+  if (!R.Stable)
     J.field("queue_pushes", C.QueuePushes);
   J.key("events_by_kind").beginObject();
   for (unsigned K = 0; K != chip::NumEventKinds; ++K)

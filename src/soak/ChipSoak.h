@@ -63,6 +63,10 @@ struct ChipSoakReport {
   /// Sampled packets whose chip execution outcome differed from the
   /// standalone allocated run (also counted in Base.Divergences).
   uint64_t ChipOutcomeMismatches = 0;
+  /// Set by stabilize(). A stable report leaves `kernel.queue_pushes`
+  /// out, so its bytes match stable reports written before that counter
+  /// existed; every other report carries the key.
+  bool Stable = false;
 };
 
 /// Streams Opts.Base.Packets packets through a chip built from \p App's
@@ -74,6 +78,7 @@ ChipSoakReport runChipSoak(const AppHarness &App,
 /// the kernel's host-work counters (a restored chip counts only the
 /// events it processed itself). What remains is byte-comparable between
 /// an uninterrupted run and a killed-and-resumed one (--stable-json).
+/// Also marks the report Stable.
 void stabilize(ChipSoakReport &R);
 
 /// The base report's members extended with a "chip" object: per-ME

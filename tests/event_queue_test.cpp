@@ -11,8 +11,9 @@
 // pop the identical (Time, Order) sequence — with many same-cycle ties,
 // jumps past the wheel horizon, and an overflow heap that has to merge
 // back into buckets already holding near events. Same-cycle pushes take
-// the one-event slot and later pushes spill it; pushLate() releases held
-// events whose Order lies below events already pushed for their cycle.
+// the one-event slot and later pushes spill it; push() links a held
+// event whose Order lies below events already pushed for its cycle at
+// its Order position.
 // sorted() must list the pending set in pop order, and assigning it to
 // another queue (the checkpoint restore path) must continue the same
 // sequence, whatever the slot holds.
@@ -49,8 +50,8 @@ void expectSameEvent(const Event &A, const Event &B, uint64_t Step) {
 /// at or after the popped time: a third at the same cycle, most within a
 /// few hundred cycles, some 1-3 horizons out, a few far beyond. Some
 /// events are held back after taking their Order, as the chip kernel
-/// holds an ME's run: a later step releases each through pushLate()
-/// while its time is not yet past, or drops it.
+/// holds an ME's run: a later step pushes each while its time is not
+/// yet past, or drops it.
 void runDifferential(unsigned HorizonBits, uint64_t Seed, unsigned Steps) {
   const uint64_t Horizon = 1ull << HorizonBits;
   std::mt19937_64 Rng(Seed);
@@ -94,7 +95,7 @@ void runDifferential(unsigned HorizonBits, uint64_t Seed, unsigned Steps) {
       Held[I] = Held.back();
       Held.pop_back();
       if (Roll == 0 && E.Time >= Now) {
-        Q.pushLate(E.Time, E.Order, E.K, E.Me, E.Ctx, E.A);
+        Q.push(E.Time, E.Order, E.K, E.Me, E.Ctx, E.A);
         Ref.push(E);
         ++Late;
       }
@@ -235,11 +236,11 @@ TEST(EventQueue, LatePushesLinkByOrderInsideACycle) {
   for (uint64_t O : {11u, 13u, 15u, 16u})
     Q.push({2, O, chip::Ev::CtxResume, 0, 0, 0});
   Q.push({0, 19, chip::Ev::MeRun, 0, 0, 0}); // takes the slot at cycle 0
-  Q.pushLate(2, 14, chip::Ev::MeRun, 1, 0, 0);
-  Q.pushLate(2, 10, chip::Ev::MeRun, 2, 0, 0);
-  Q.pushLate(2, 17, chip::Ev::MeRun, 3, 0, 0);
-  Q.pushLate(0, 12, chip::Ev::MeRun, 4, 0, 0); // spills the slot's 19
-  Q.pushLate(30, 18, chip::Ev::MeRun, 5, 0, 0);
+  Q.push(2, 14, chip::Ev::MeRun, 1, 0, 0);
+  Q.push(2, 10, chip::Ev::MeRun, 2, 0, 0);
+  Q.push(2, 17, chip::Ev::MeRun, 3, 0, 0);
+  Q.push(0, 12, chip::Ev::MeRun, 4, 0, 0); // spills the slot's 19
+  Q.push(30, 18, chip::Ev::MeRun, 5, 0, 0);
   const std::vector<uint64_t> Want = {12, 19, 10, 11, 13, 14,
                                       15, 16, 17, 18};
   std::vector<uint64_t> Listed;
@@ -275,7 +276,7 @@ TEST(EventQueue, SlotSurvivesSortedAndAssign) {
     EXPECT_EQ(X->pop().Order, 4u);
     X->push({10, 5, chip::Ev::CtxResume, 0, 0, 0});
     X->push({10, 6, chip::Ev::CtxResume, 1, 0, 0});
-    X->pushLate(12, 0, chip::Ev::MeRun, 2, 0, 0);
+    X->push(12, 0, chip::Ev::MeRun, 2, 0, 0);
     std::vector<uint64_t> Got;
     while (!X->empty())
       Got.push_back(X->pop().Order);

@@ -620,6 +620,16 @@ TEST(ChipSoak, JsonHasStableChipKeys) {
         "\"input_ring_high_water\"", "\"stall_cycles\"", "\"trace_hash\"",
         "\"image_hash\"", "\"deadlock\":false"})
     EXPECT_NE(J.find(Key), std::string::npos) << Key << " in " << J;
+  // The kernel's host-work counters: a stable report zeroes them and
+  // leaves queue_pushes out; every other report carries it.
+  std::string Pushes =
+      "\"queue_pushes\":" + std::to_string(R.Chip.QueuePushes) + ",";
+  EXPECT_GT(R.Chip.QueuePushes, 0u);
+  EXPECT_NE(J.find(Pushes), std::string::npos) << J;
+  soak::stabilize(R);
+  J = soak::chipReportJson(R);
+  EXPECT_EQ(J.find("queue_pushes"), std::string::npos) << J;
+  EXPECT_NE(J.find("\"noop_me_runs\":0,"), std::string::npos) << J;
 }
 
 TEST(ChipSoak, FaultScheduleRecoversWithZeroDivergences) {
