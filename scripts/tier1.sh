@@ -123,6 +123,29 @@ if [ "$BENCH_RC" -eq 0 ] || [ -n "$(ls -A "$FLAG_DIR")" ]; then
   exit 1
 fi
 
+# Fault specs are checked against the one fault-kind table
+# (support/FaultInjection): a kind outside the flag's domain, or a
+# magnitude outside the kind's range, is a usage error (exit 2) before
+# any compile or packet, never a silent no-op. "No work" means nothing
+# on stdout and no --json file.
+echo "== fault-spec negative controls (bad specs must exit 2, no work) =="
+expect_usage_error() { # expect_usage_error <json> <cmd...>
+  local JSON="$1" RC=0 OUT
+  shift
+  OUT="$("$@" --json "$JSON" 2>/dev/null)" || RC=$?
+  if [ "$RC" -ne 2 ] || [ -n "$OUT" ] || [ -e "$JSON" ]; then
+    echo "fault-spec negative control FAILED: '$*' exited $RC" \
+         "(expected 2), printed ${#OUT} bytes, json left: $([ -e "$JSON" ] &&
+         echo yes || echo no)" >&2
+    exit 1
+  fi
+}
+expect_usage_error "$FLAG_DIR/novac.json" \
+  "$BUILD/src/driver/novac" --inject-fault mem-jitter "$ROOT/apps/nat.nova"
+expect_usage_error "$FLAG_DIR/novasoak.json" \
+  "$BUILD/tools/novasoak" --chip --app nat --packets 100 \
+  --fault-schedule 'ctx-lockup@5~1e30'
+
 # Adversarial soak smoke: fixed seed, all three apps, the differential
 # oracle (allocated vs functional vs CPS evaluator) on every packet. Any
 # divergence exits 1 and fails the run. Time-boxed well above the ~10s
@@ -401,4 +424,31 @@ timeout 300 "$TSAN_BUILD/tests/chip_fault_test"
 echo "== TSan threaded soak (batched generator path) =="
 timeout 300 "$TSAN_BUILD/tools/novasoak" --app nat --packets 500 \
   --exec threaded --oracle-rate 10 --quiet
+
+# Assertion stage: every build above defines NDEBUG, so this one (Debug
+# with -O2) is the only stage that checks the asserts in src/ -- the
+# event wheel's, the chip's phase and held-run checks, the supervisor's
+# fresh-start deadlock check, the fault-kind table's range checks. It
+# runs the whole suite, then every chip fault kind the supervisor can
+# see (sdram-bitflip has its negative control above) on a 6-ME chip in
+# both exec modes: exit 0, every fault recovered or typed, the ledger
+# balanced, the oracle clean.
+ASSERT_BUILD="${ASSERT_BUILD_DIR:-$ROOT/build-assert}"
+echo "== assertion build: ctest + chip fault sweep with asserts on =="
+cmake -B "$ASSERT_BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=Debug \
+  -DCMAKE_CXX_FLAGS_DEBUG="-O2 -g"
+cmake --build "$ASSERT_BUILD" -j"$JOBS"
+(cd "$ASSERT_BUILD" && ctest --output-on-failure -j"$JOBS")
+SWEEP='ctx-lockup@150~2,ring-stall@200~400,chan-brownout@300~4,dma-drop@170~2'
+for EXEC in interp threaded; do
+  timeout 300 "$ASSERT_BUILD/tools/novasoak" --chip --me-count 6 --app nat \
+    --exec "$EXEC" --packets 1000 --seed 42 --quiet --fault-schedule "$SWEEP" \
+    --json "$ASSERT_BUILD/BENCH_chip_fault_sweep_${EXEC}.json"
+  json_ok "$ASSERT_BUILD/BENCH_chip_fault_sweep_${EXEC}.json"
+  if ! grep -q '"all_accounted":true' \
+      "$ASSERT_BUILD/BENCH_chip_fault_sweep_${EXEC}.json"; then
+    echo "assertion-build fault sweep FAILED ($EXEC): ledger unbalanced" >&2
+    exit 1
+  fi
+done
 echo "tier-1 verify: OK"

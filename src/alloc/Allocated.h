@@ -62,12 +62,16 @@ struct AllocBlock {
   std::vector<AllocInstr> Instrs;
 };
 
+/// Scratch word address of the first spill slot: every allocator places
+/// its spill area here.
+constexpr uint32_t SpillAreaBase = 0x8000;
+
 struct AllocatedProgram {
   std::vector<AllocBlock> Blocks;
   ixp::BlockId Entry = ixp::NoBlock;
   unsigned NumEntryArgs = 0; ///< arrive in A0..A(n-1)
   /// Scratch base address of the spill area (slots are words from here).
-  uint32_t SpillBase = 0x8000;
+  uint32_t SpillBase = SpillAreaBase;
   unsigned NumSpillSlots = 0;
 
   unsigned numInstructions() const {

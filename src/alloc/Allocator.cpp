@@ -583,16 +583,16 @@ bool Extractor::materializeUnit(PointId P, MoveUnit &U, std::string &Error) {
     AllocInstr I;
     I.Inserted = true;
     if (Next == Bank::M) {
-      // Spill store: scratch[SpillBase + slot] <- Cur (an S/SD register).
+      // Spill store: scratch[SpillAreaBase + slot] <- Cur (an S/SD register).
       I.Op = MOp::MemWrite;
       I.Space = MemSpace::Scratch;
-      I.Srcs = {AOperand::constant(Opts.SpillBase + Dst.Reg),
+      I.Srcs = {AOperand::constant(SpillAreaBase + Dst.Reg),
                 AOperand::reg(Cur)};
     } else if (Cur.B == Bank::M) {
-      // Reload: L/LD register <- scratch[SpillBase + slot].
+      // Reload: L/LD register <- scratch[SpillAreaBase + slot].
       I.Op = MOp::MemRead;
       I.Space = MemSpace::Scratch;
-      I.Srcs = {AOperand::constant(Opts.SpillBase + Cur.Reg)};
+      I.Srcs = {AOperand::constant(SpillAreaBase + Cur.Reg)};
       I.Dsts = {Dst};
     } else {
       I.Op = MOp::Move;
@@ -790,7 +790,6 @@ bool Extractor::run(AllocatedProgram &Out, std::string &Error) {
   Out.Blocks.resize(M.Blocks.size());
   Out.Entry = M.Entry;
   Out.NumEntryArgs = M.EntryParams.size();
-  Out.SpillBase = Opts.SpillBase;
   for (const Block &Blk : M.Blocks) {
     AllocBlock &OB = Out.Blocks[Blk.Id];
     for (unsigned Idx = 0; Idx != Blk.Instrs.size(); ++Idx) {
@@ -810,15 +809,6 @@ bool Extractor::run(AllocatedProgram &Out, std::string &Error) {
 //===----------------------------------------------------------------------===//
 // Driver
 //===----------------------------------------------------------------------===//
-
-const char *alloc::onIlpFailureName(OnIlpFailure P) {
-  switch (P) {
-  case OnIlpFailure::Error:     return "error";
-  case OnIlpFailure::Incumbent: return "incumbent";
-  case OnIlpFailure::Baseline:  return "baseline";
-  }
-  return "unknown";
-}
 
 const char *alloc::rungName(AllocRung R) {
   switch (R) {
@@ -1020,7 +1010,7 @@ AllocationResult alloc::allocate(const MachineProgram &M,
   ++Attempts;
   AllocationResult Fallback;
   Fallback.Stats = SpillResult.Stats; // keep the failed solve's telemetry
-  BaselineResult B = allocateBaseline(M, Opts.SpillBase);
+  BaselineResult B = allocateBaseline(M);
   if (!B.Ok) {
     Fallback.Error =
         Status::error(StatusCode::BaselineFailed, Phase::Baseline,

@@ -50,7 +50,6 @@ enum class AllocRung : uint8_t {
   Baseline    ///< heuristic memory-home allocation (correct, but slow code)
 };
 
-const char *onIlpFailureName(OnIlpFailure P);
 const char *rungName(AllocRung R);
 
 /// Parses "error" / "incumbent" / "baseline"; false on anything else.
@@ -59,7 +58,6 @@ bool parseOnIlpFailure(const std::string &Text, OnIlpFailure &Out);
 struct AllocOptions {
   ModelOptions Model;
   ilp::MipOptions Mip;
-  uint32_t SpillBase = 0x8000;
   /// Skip the spill-free fast path and always build the full spill-aware
   /// model (ablation).
   bool ForceSpillModel = false;

@@ -25,14 +25,12 @@ constexpr PhysLoc StageS{Bank::S, 0};  ///< store staging
 
 class Baseline {
 public:
-  Baseline(const MachineProgram &M, uint32_t SpillBase)
-      : M(M), SpillBase(SpillBase) {}
+  explicit Baseline(const MachineProgram &M) : M(M) {}
 
   BaselineResult run() {
     BaselineResult R;
     R.Prog.Entry = M.Entry;
     R.Prog.NumEntryArgs = M.EntryParams.size();
-    R.Prog.SpillBase = SpillBase;
     R.Prog.Blocks.resize(M.Blocks.size());
     if (M.EntryParams.size() > 15) {
       R.Error = Status::error(StatusCode::InvalidArgument, Phase::Baseline,
@@ -57,7 +55,6 @@ public:
 
 private:
   const MachineProgram &M;
-  uint32_t SpillBase;
   AllocBlock *Out = nullptr;
   std::map<Temp, unsigned> Slot;
   unsigned NextSlot = 0;
@@ -66,7 +63,7 @@ private:
     auto It = Slot.find(T);
     if (It == Slot.end())
       It = Slot.emplace(T, NextSlot++).first;
-    return SpillBase + It->second;
+    return SpillAreaBase + It->second;
   }
 
   void emit(AllocInstr I) {
@@ -261,7 +258,6 @@ private:
 
 } // namespace
 
-BaselineResult alloc::allocateBaseline(const MachineProgram &M,
-                                       uint32_t SpillBase) {
-  return Baseline(M, SpillBase).run();
+BaselineResult alloc::allocateBaseline(const MachineProgram &M) {
+  return Baseline(M).run();
 }

@@ -34,10 +34,9 @@ struct BaselineResult {
   AllocatedProgram Prog;
 };
 
-/// Allocates \p M with the memory-home strategy. \p SpillBase is the
-/// scratch word address of the first slot.
-BaselineResult allocateBaseline(const ixp::MachineProgram &M,
-                                uint32_t SpillBase = 0x8000);
+/// Allocates \p M with the memory-home strategy; its slots are scratch
+/// words from SpillAreaBase.
+BaselineResult allocateBaseline(const ixp::MachineProgram &M);
 
 } // namespace alloc
 } // namespace nova

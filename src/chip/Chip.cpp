@@ -76,12 +76,16 @@ Status ChipParams::validate() const {
   if (!(MP.ClockHz > 0))
     return configError("clock must be positive");
   for (const FaultScheduleEntry &E : Faults) {
-    if (faultKindDomain(E.Kind) != FaultDomain::Chip)
+    const FaultKindInfo &K = faultKindInfo(E.Kind);
+    if (K.Domain != FaultDomain::Chip)
       return configError(
-          formatf("fault kind '%s' is not chip-domain", faultKindName(E.Kind)));
+          formatf("fault kind '%s' is not chip-domain", K.Name));
     if (E.Rate < 1)
-      return configError(
-          formatf("fault rate for '%s' must be >= 1", faultKindName(E.Kind)));
+      return configError(formatf("fault rate for '%s' must be >= 1", K.Name));
+    if (!faultMagnitudeValid(E.Kind, E.Magnitude))
+      return configError(formatf("fault magnitude %g for '%s' is not %s",
+                                 E.Magnitude, K.Name,
+                                 faultMagnitudeRange(E.Kind).c_str()));
   }
   if (!Faults.empty() &&
       (Sup.WatchdogPeriod == 0 || Sup.LockupThreshold == 0 ||
@@ -1207,10 +1211,13 @@ struct Chip::Impl {
   /// waiting for a slot) unless nothing is outstanding, and the retired
   /// and dispatched counters agree with the cursors. RX waits only in
   /// the phase that parks it, and once its source ran dry it holds no
-  /// packet, waits for nothing and has no step pending. Channel timings are the configured ones,
-  /// and no pending event or busy-until time lies in the past or further
-  /// ahead than maxLead(): the supervisor's watchdog ticks through every
-  /// idle gap, so a far-future time would make a run take forever.
+  /// packet, waits for nothing and has no step pending. A wedged
+  /// context's WedgeTime is no later than its ME's FreeAt (the watchdog
+  /// measures the wedge from it). Channel timings are the configured
+  /// ones, and no pending event or busy-until time lies in the past or
+  /// further ahead than maxLead(): the supervisor's watchdog ticks
+  /// through every idle gap, so a far-future time would make a run take
+  /// forever.
   /// Anything else would index past a vector, dereference a missing
   /// record, retire a packet twice, or wait forever on a packet that
   /// does not exist.
@@ -1293,6 +1300,10 @@ struct Chip::Impl {
       for (unsigned C = 0; C != NumCtx; ++C) {
         CtxPh Ph = Mes[M].Ctx[C].Ph;
         Ok = Ok && Seen[M * NumCtx + C] == WaitOf[static_cast<unsigned>(Ph)];
+        // A context wedges at the end of its burst: maybe after LastTime,
+        // never after its ME's FreeAt, which only grows.
+        Ok = Ok && (Ph != CtxPh::Wedged ||
+                    Mes[M].Ctx[C].WedgeTime <= Mes[M].FreeAt);
         if (holdsPacket(Ph))
           Holds(Mes[M].Ctx[C].CurSeq);
       }

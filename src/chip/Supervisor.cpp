@@ -10,19 +10,10 @@
 #include "chip/Ring.h"
 
 #include <algorithm>
+#include <cassert>
 
 using namespace nova;
 using namespace nova::chip;
-
-const char *chip::dropReasonName(DropReason R) {
-  switch (R) {
-  case DropReason::None:         return "none";
-  case DropReason::Lockup:       return "lockup";
-  case DropReason::Backpressure: return "backpressure";
-  case DropReason::DmaDrop:      return "dma-drop";
-  }
-  return "unknown";
-}
 
 /// SplitMix64 finalizer: the same mixing the FaultInjector's seeded
 /// streams use, applied statelessly so per-packet draws are pure in Seq.
@@ -35,11 +26,17 @@ static uint64_t mix(uint64_t X) {
 
 Supervisor::Supervisor(const FaultSchedule &Sched, const SupervisorConfig &C)
     : Cfg(C) {
+  for (unsigned K = 0; K != NumFaultKinds; ++K)
+    Entries[K].Magnitude =
+        static_cast<uint64_t>(faultKindInfo(static_cast<FaultKind>(K)).Default);
   for (const FaultScheduleEntry &E : Sched) {
+    assert(faultMagnitudeValid(E.Kind, E.Magnitude) &&
+           "ChipParams::validate admits only table magnitudes");
     Entry &Slot = Entries[static_cast<unsigned>(E.Kind)];
     Slot.Armed = true;
     Slot.Rate = E.Rate;
-    Slot.Magnitude = E.Magnitude;
+    if (E.Magnitude != 0.0)
+      Slot.Magnitude = static_cast<uint64_t>(E.Magnitude);
     Enabled = true;
   }
 }
@@ -48,14 +45,10 @@ Supervisor::PacketPlan Supervisor::planPacket(uint64_t Seq) const {
   PacketPlan Plan;
   const Entry &Lock = entry(FaultKind::CtxLockup);
   if (Lock.Armed && (Seq + 1) % Lock.Rate == 0)
-    Plan.LockupAttempts = Lock.Magnitude > 0
-                              ? static_cast<unsigned>(Lock.Magnitude)
-                              : Cfg.DefaultLockupAttempts;
+    Plan.LockupAttempts = static_cast<unsigned>(Lock.Magnitude);
   const Entry &Dma = entry(FaultKind::DmaDrop);
   if (Dma.Armed && (Seq + 1) % Dma.Rate == 0)
-    Plan.DmaFailures = Dma.Magnitude > 0
-                           ? static_cast<unsigned>(Dma.Magnitude)
-                           : Cfg.DefaultDmaFailures;
+    Plan.DmaFailures = static_cast<unsigned>(Dma.Magnitude);
   const Entry &Flip = entry(FaultKind::SdramBitFlip);
   if (Flip.Armed && (Seq + 1) % Flip.Rate == 0)
     Plan.SdramFlip = true;
@@ -78,8 +71,7 @@ uint64_t Supervisor::ringStallCycles() {
     return 0;
   if (++RingPushCtr % E.Rate != 0)
     return 0;
-  return E.Magnitude > 0 ? static_cast<uint64_t>(E.Magnitude)
-                         : Cfg.DefaultRingStallCycles;
+  return E.Magnitude;
 }
 
 unsigned Supervisor::brownoutFactor() {
@@ -95,17 +87,12 @@ unsigned Supervisor::brownoutMultiplier() const {
   const Entry &E = entry(FaultKind::ChanBrownout);
   if (!E.Armed)
     return 0;
-  return E.Magnitude > 1 ? static_cast<unsigned>(E.Magnitude)
-                         : Cfg.DefaultBrownoutFactor;
+  return static_cast<unsigned>(E.Magnitude);
 }
 
 uint64_t Supervisor::maxDelay() const {
-  const Entry &Stall = entry(FaultKind::RingStall);
-  uint64_t StallCycles = Stall.Magnitude > 0
-                             ? static_cast<uint64_t>(Stall.Magnitude)
-                             : Cfg.DefaultRingStallCycles;
   return std::max({Cfg.WatchdogPeriod, backoff(Cfg.MaxRetries + 1),
-                   Cfg.BrownoutWindow, StallCycles});
+                   Cfg.BrownoutWindow, entry(FaultKind::RingStall).Magnitude});
 }
 
 namespace {

@@ -55,8 +55,6 @@ constexpr unsigned enumCount(DropReason) {
   return static_cast<unsigned>(DropReason::DmaDrop) + 1;
 }
 
-const char *dropReasonName(DropReason R);
-
 /// Detection/recovery policy knobs. Defaults suit the production-shape
 /// soak configs; tests shrink the thresholds to fire quickly.
 struct SupervisorConfig {
@@ -80,11 +78,6 @@ struct SupervisorConfig {
   unsigned DmaRetryLimit = 2;
   /// Cycles an injected brownout window degrades the SDRAM channel.
   uint64_t BrownoutWindow = 2048;
-  /// Kind defaults when the schedule entry omits ~magnitude.
-  uint64_t DefaultRingStallCycles = 500; ///< ring-stall NAK window
-  unsigned DefaultBrownoutFactor = 4;    ///< issue-interval multiplier
-  unsigned DefaultLockupAttempts = 1;    ///< attempts that wedge
-  unsigned DefaultDmaFailures = 1;       ///< bursts lost per faulted packet
 };
 
 /// Typed accounting of everything the fault model injected and the
@@ -206,17 +199,18 @@ public:
 private:
   template <class Ar, class Self> static void fields(Ar &A, Self &S);
 
+  /// A kind's schedule entry; a magnitude left 0 resolves to the default.
   struct Entry {
     bool Armed = false;
     uint64_t Rate = 0;
-    double Magnitude = 0.0;
+    uint64_t Magnitude = 0;
   };
   const Entry &entry(FaultKind K) const {
     return Entries[static_cast<unsigned>(K)];
   }
 
   SupervisorConfig Cfg;
-  Entry Entries[12];
+  Entry Entries[NumFaultKinds];
   bool Enabled = false;
   uint64_t RingPushCtr = 0;
   uint64_t SdramRefCtr = 0;

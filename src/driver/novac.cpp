@@ -41,12 +41,13 @@ static void usage() {
       "                    the ILP fails (default incumbent): stop with an\n"
       "                    error, accept the best timed-out incumbent, or\n"
       "                    fall back to the heuristic allocator\n"
-      "  --inject-fault <kind>[@<after>][x<times>][~<mag>]\n"
-      "                    arm a solver fault (testing): singular-basis,\n"
-      "                    eta-drift, lp-infeasible, mip-timeout, or\n"
-      "                    worker-stall (the search sleeps once per node)\n"
+      "  --inject-fault <kind>[@<after>][x<times>][~<m>]\n"
+      "                    arm a solver fault (testing); after and times\n"
+      "                    are integers in 0..4294967295. Kinds:\n"
+      "%s"
       "exit codes: 0 success, 1 compile/allocation failure, 2 usage error,\n"
-      "  3 verifier violation, 4 cannot write the --json file\n");
+      "  3 verifier violation, 4 cannot write the --json file\n",
+      faultKindUsage(FaultDomain::Solver, "                      ").c_str());
 }
 
 namespace {
@@ -121,7 +122,7 @@ int main(int argc, char **argv) {
       if (!P.Failed) {
         FaultSpec Spec;
         std::string Error;
-        if (!parseFaultSpec(V, Spec, Error))
+        if (!parseFaultSpec(V, FaultDomain::Solver, Spec, Error))
           P.fail("--inject-fault: %s", Error.c_str());
         else
           Faults.push_back(Spec);

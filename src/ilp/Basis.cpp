@@ -437,7 +437,7 @@ void Basis::update(const IndexedVector &W, uint32_t PivotSlot) {
     // Corrupt this eta's pivot so FTRAN/BTRAN through the file silently
     // drift; Simplex's post-optimal primal-residual check must catch it
     // and refactorize from scratch.
-    Pv *= 1.0 + FaultInjector::instance().magnitude(FaultKind::EtaDrift, 1e-3);
+    Pv *= 1.0 + FaultInjector::instance().magnitude(FaultKind::EtaDrift);
   }
   EtaHdr.push_back({PivotSlot, static_cast<uint32_t>(EtaEnt.size()), Pv});
   for (uint32_t I : W.indices())

@@ -30,6 +30,10 @@ using namespace nova::ilp;
 
 namespace {
 constexpr double IntTol = 1e-6;
+/// Relative optimality gap; the paper stopped "within 0.01% of optimal".
+constexpr double RelGap = 1e-4;
+/// Number of LP re-solves the root diving heuristic may spend.
+constexpr unsigned DiveLpLimit = 400;
 
 enum class FracPick { Most, Least };
 
@@ -159,7 +163,7 @@ struct Search {
   double cutoff() const {
     if (!std::isfinite(Incumbent))
       return Inf;
-    return Incumbent - std::max(1e-9, Opts.RelGap * std::fabs(Incumbent));
+    return Incumbent - std::max(1e-9, RelGap * std::fabs(Incumbent));
   }
 
   void offerIncumbent(std::vector<double> X, double Obj) {
@@ -256,7 +260,7 @@ struct Search {
         FaultInjector &FI = FaultInjector::instance();
         if (FI.shouldFire(FaultKind::WorkerStall))
           std::this_thread::sleep_for(std::chrono::duration<double>(
-              FI.magnitude(FaultKind::WorkerStall, 0.02)));
+              FI.magnitude(FaultKind::WorkerStall)));
         // Behaves exactly as a tripped wall clock: the caller salvages
         // whatever incumbent exists.
         if (FI.shouldFire(FaultKind::MipTimeout)) {
@@ -284,7 +288,7 @@ void dive(Search &S, MipStats &Stats) {
   };
   Simplex &Lp = S.Lp;
   std::vector<Saved> Trail;
-  unsigned LpBudget = S.Opts.DiveLpLimit;
+  unsigned LpBudget = DiveLpLimit;
   while (LpBudget-- && !S.timedOut()) {
     std::vector<double> X = Lp.values();
     unsigned Pick = findFractional(S.RM, X, FracPick::Least);

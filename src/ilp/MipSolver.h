@@ -33,12 +33,8 @@ enum class MipStatus {
 
 /// Knobs for the branch & bound search.
 struct MipOptions {
-  /// Relative optimality gap; the paper stopped "within 0.01% of optimal".
-  double RelGap = 1e-4;
   unsigned NodeLimit = 2'000'000;
   double TimeLimitSeconds = 600.0;
-  /// Number of LP re-solves the root diving heuristic may spend.
-  unsigned DiveLpLimit = 400;
   bool EnablePresolve = true;
   /// Ignored: the tree search is serial. Kept only so existing callers
   /// that still assign it compile unchanged.

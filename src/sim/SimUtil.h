@@ -206,7 +206,7 @@ inline void writeOperand(const DOperand &O, uint32_t V, uint32_t *Frame,
 inline void memJitter(RunResult &R) {
   if (FaultInjector::armed() &&
       FaultInjector::instance().shouldFire(FaultKind::MemJitter))
-    R.Cycles += FaultInjector::instance().drawCycles(FaultKind::MemJitter, 16);
+    R.Cycles += FaultInjector::instance().drawCycles(FaultKind::MemJitter);
 }
 
 /// Executes one allocated instruction: the instruction at (\p B, \p Idx)

@@ -21,7 +21,6 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -79,12 +78,11 @@ struct ArgParser {
     std::string V;
     if (!valueFlag(Name, V))
       return false;
-    char *End = nullptr;
-    double X = std::strtod(V.c_str(), &End);
-    if (!Failed && (End == V.c_str() || *End != '\0' || !Ok(X)))
+    std::optional<double> X = parseReal(V);
+    if (!Failed && (!X || !Ok(*X)))
       fail("%s expects %s, got '%s'", Name, What, V.c_str());
     else if (!Failed)
-      Out = X;
+      Out = *X;
     return true;
   }
 

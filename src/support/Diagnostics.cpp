@@ -20,18 +20,12 @@ void DiagnosticEngine::warning(SourceLoc Loc, std::string Message) {
   Diags.push_back({DiagKind::Warning, Loc, std::move(Message)});
 }
 
-void DiagnosticEngine::note(SourceLoc Loc, std::string Message) {
-  Diags.push_back({DiagKind::Note, Loc, std::move(Message)});
-}
-
 static const char *kindName(DiagKind Kind) {
   switch (Kind) {
   case DiagKind::Error:
     return "error";
   case DiagKind::Warning:
     return "warning";
-  case DiagKind::Note:
-    return "note";
   }
   return "diag";
 }

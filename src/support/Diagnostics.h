@@ -22,7 +22,7 @@
 
 namespace nova {
 
-enum class DiagKind { Error, Warning, Note };
+enum class DiagKind { Error, Warning };
 
 /// A single diagnostic message anchored at a source location.
 struct Diagnostic {
@@ -39,7 +39,6 @@ public:
 
   void error(SourceLoc Loc, std::string Message);
   void warning(SourceLoc Loc, std::string Message);
-  void note(SourceLoc Loc, std::string Message);
 
   bool hasErrors() const { return NumErrors != 0; }
   unsigned errorCount() const { return NumErrors; }

@@ -7,58 +7,84 @@
 
 #include "support/FaultInjection.h"
 
-#include <cstdlib>
+#include "support/StringUtils.h"
+
+#include <cassert>
+#include <cmath>
+#include <utility>
 
 using namespace nova;
 
 bool FaultInjector::Armed = false;
 
-const char *nova::faultKindName(FaultKind K) {
-  switch (K) {
-  case FaultKind::SingularBasis: return "singular-basis";
-  case FaultKind::EtaDrift:      return "eta-drift";
-  case FaultKind::LpInfeasible:  return "lp-infeasible";
-  case FaultKind::MipTimeout:    return "mip-timeout";
-  case FaultKind::WorkerStall:   return "worker-stall";
-  case FaultKind::MemJitter:     return "mem-jitter";
-  case FaultKind::SimBitFlip:    return "sim-bitflip";
-  case FaultKind::CtxLockup:     return "ctx-lockup";
-  case FaultKind::RingStall:     return "ring-stall";
-  case FaultKind::ChanBrownout:  return "chan-brownout";
-  case FaultKind::SdramBitFlip:  return "sdram-bitflip";
-  case FaultKind::DmaDrop:       return "dma-drop";
-  }
-  return "unknown";
-}
+using enum FaultDomain;
+using enum FaultMagnitude;
 
-FaultDomain nova::faultKindDomain(FaultKind K) {
-  switch (K) {
-  case FaultKind::SingularBasis:
-  case FaultKind::EtaDrift:
-  case FaultKind::LpInfeasible:
-  case FaultKind::MipTimeout:
-  case FaultKind::WorkerStall:
-    return FaultDomain::Solver;
-  case FaultKind::MemJitter:
-  case FaultKind::SimBitFlip:
-    return FaultDomain::Sim;
-  case FaultKind::CtxLockup:
-  case FaultKind::RingStall:
-  case FaultKind::ChanBrownout:
-  case FaultKind::SdramBitFlip:
-  case FaultKind::DmaDrop:
-    return FaultDomain::Chip;
-  }
-  return FaultDomain::Solver;
+/// The fault-kind table, one row per FaultKind in enum order.
+static const FaultKindInfo KindTable[NumFaultKinds] = {
+    // Name, Domain, Mag, Min, Max, Default, what the magnitude is
+    {"singular-basis", Solver, None, 0, 0, 0, nullptr},
+    {"eta-drift", Solver, Real, 1e-9, 1, 1e-3, "relative pivot perturbation"},
+    {"lp-infeasible", Solver, None, 0, 0, 0, nullptr},
+    {"mip-timeout", Solver, None, 0, 0, 0, nullptr},
+    {"worker-stall", Solver, Real, 1e-6, 1, 0.02, "seconds slept per node"},
+    {"mem-jitter", Sim, Integer, 1, 65536, 16, "most extra cycles per access"},
+    {"sim-bitflip", Sim, None, 0, 0, 0, nullptr},
+    {"ctx-lockup", Chip, Integer, 1, 1024, 1, "attempts that wedge"},
+    {"ring-stall", Chip, Integer, 1, 1000000, 500, "cycles of NAKed pushes"},
+    {"chan-brownout", Chip, Integer, 2, 1024, 4, "SDRAM issue-interval factor"},
+    {"sdram-bitflip", Chip, None, 0, 0, 0, nullptr},
+    {"dma-drop", Chip, Integer, 1, 1024, 1, "DMA bursts lost per packet"},
+};
+
+const FaultKindInfo &nova::faultKindInfo(FaultKind K) {
+  return KindTable[static_cast<unsigned>(K)];
 }
 
 const char *nova::faultDomainName(FaultDomain D) {
-  switch (D) {
-  case FaultDomain::Solver: return "solver";
-  case FaultDomain::Sim:    return "sim";
-  case FaultDomain::Chip:   return "chip";
+  static const char *const Names[] = {"solver", "sim", "chip"};
+  return Names[static_cast<unsigned>(D)];
+}
+
+bool nova::faultMagnitudeValid(FaultKind K, double M) {
+  const FaultKindInfo &I = faultKindInfo(K);
+  return M == 0.0 || (I.Mag != None && M >= I.Min && M <= I.Max &&
+                      (I.Mag == Real || M == std::floor(M)));
+}
+
+std::string nova::faultMagnitudeRange(FaultKind K) {
+  const FaultKindInfo &I = faultKindInfo(K);
+  if (I.Mag == None)
+    return "no magnitude";
+  return I.Mag == Integer ? formatf("an integer in %.0f..%.0f (default %.0f)",
+                                    I.Min, I.Max, I.Default)
+                          : formatf("a real in [%g, %g] (default %g)", I.Min,
+                                    I.Max, I.Default);
+}
+
+std::string nova::faultKindUsage(FaultDomain D, const char *Indent) {
+  std::string Out;
+  for (unsigned K = 0; K != NumFaultKinds; ++K) {
+    const FaultKindInfo &I = KindTable[K];
+    if (I.Domain != D)
+      continue;
+    std::string Range = faultMagnitudeRange(static_cast<FaultKind>(K));
+    if (I.Means)
+      Out += formatf("%s%-14s ~m: %s,\n%s%-18s %s\n", Indent, I.Name, I.Means,
+                     Indent, "", Range.c_str());
+    else
+      Out += formatf("%s%-14s %s\n", Indent, I.Name, Range.c_str());
   }
-  return "unknown";
+  return Out;
+}
+
+/// The kinds of domain \p D, comma-separated, for error messages.
+static std::string kindList(FaultDomain D) {
+  std::vector<std::string> Names;
+  for (const FaultKindInfo &I : KindTable)
+    if (I.Domain == D)
+      Names.push_back(I.Name);
+  return join(Names, ", ");
 }
 
 /// SplitMix64 starting state of every draw stream. Constant, so a
@@ -74,6 +100,7 @@ void FaultInjector::arm(std::vector<FaultSpec> Specs) {
   for (Slot &S : Slots)
     S = Slot();
   for (const FaultSpec &Spec : Specs) {
+    assert(faultMagnitudeValid(Spec.Kind, Spec.Magnitude) && "see KindTable");
     Slot &S = Slots[static_cast<unsigned>(Spec.Kind)];
     S.Spec = Spec;
     S.Active = true;
@@ -124,18 +151,16 @@ bool FaultInjector::shouldFire(FaultKind K) {
   return true;
 }
 
-double FaultInjector::magnitude(FaultKind K, double Default) const {
+double FaultInjector::magnitude(FaultKind K) const {
   const Slot &S = Slots[static_cast<unsigned>(K)];
   if (!S.Active || S.Spec.Magnitude == 0.0)
-    return Default;
+    return faultKindInfo(K).Default;
   return S.Spec.Magnitude;
 }
 
-unsigned FaultInjector::drawCycles(FaultKind K, double Default) {
+unsigned FaultInjector::drawCycles(FaultKind K) {
+  unsigned Max = static_cast<unsigned>(magnitude(K));
   Slot &S = Slots[static_cast<unsigned>(K)];
-  double Mag = (!S.Active || S.Spec.Magnitude == 0.0) ? Default
-                                                      : S.Spec.Magnitude;
-  unsigned Max = Mag < 1.0 ? 1u : static_cast<unsigned>(Mag);
   return 1u + static_cast<unsigned>(nextUnit(S.RngState) * Max) % Max;
 }
 
@@ -147,16 +172,63 @@ unsigned FaultInjector::opportunities(FaultKind K) const {
   return Slots[static_cast<unsigned>(K)].Opportunities;
 }
 
-/// Maps a CLI spelling to its FaultKind; returns false on unknown names.
-static bool lookupFaultKind(const std::string &Name, FaultKind &Out) {
-  for (unsigned K = 0; K < 12; ++K) {
-    FaultKind Kind = static_cast<FaultKind>(K);
-    if (Name == faultKindName(Kind)) {
-      Out = Kind;
+/// Maps a CLI spelling of a \p Domain kind to its FaultKind; any other
+/// name is an error that lists the kinds \p Domain takes.
+static bool lookupFaultKind(std::string_view Name, FaultDomain Domain,
+                            FaultKind &Out, std::string &Error) {
+  std::string Quoted = "'" + std::string(Name) + "'";
+  Error = "unknown fault kind " + Quoted;
+  for (unsigned K = 0; K != NumFaultKinds; ++K) {
+    if (Name != KindTable[K].Name)
+      continue;
+    if (KindTable[K].Domain == Domain) {
+      Out = static_cast<FaultKind>(K);
       return true;
     }
+    Error = "fault kind " + Quoted + " is " +
+            faultDomainName(KindTable[K].Domain) + "-domain";
   }
+  Error += formatf("; expected a %s kind: ", faultDomainName(Domain)) +
+           kindList(Domain);
   return false;
+}
+
+/// Parses \p Text as a count in [\p Lo, \p Hi] into \p Out; \p What names
+/// the field ("@after") in the error, which also names the kind.
+template <class T>
+static bool parseCount(FaultKind K, const char *What, std::string_view Text,
+                       uint64_t Lo, uint64_t Hi, T &Out, std::string &Error) {
+  std::optional<uint64_t> V = parseInteger(Text);
+  if (!V || *V < Lo || *V > Hi) {
+    Error = formatf("%s: %s expects an integer in %llu..%llu, got '%.*s'",
+                    faultKindName(K), What, (unsigned long long)Lo,
+                    (unsigned long long)Hi, int(Text.size()), Text.data());
+    return false;
+  }
+  Out = static_cast<T>(*V);
+  return true;
+}
+
+/// Parses \p Text as a magnitude that \p K accepts (never 0: omitting
+/// `~` is how a spec asks for the default).
+static bool parseMagnitude(FaultKind K, std::string_view Text, double &Out,
+                           std::string &Error) {
+  const FaultKindInfo &I = faultKindInfo(K);
+  std::optional<double> V;
+  if (I.Mag == Integer) {
+    if (std::optional<uint64_t> N = parseInteger(Text))
+      V = static_cast<double>(*N);
+  } else if (I.Mag == Real) {
+    V = parseReal(Text);
+  }
+  if (!V || *V == 0.0 || !faultMagnitudeValid(K, *V)) {
+    Error = formatf("%s: ~magnitude expects %s, got '%.*s'", I.Name,
+                    faultMagnitudeRange(K).c_str(), int(Text.size()),
+                    Text.data());
+    return false;
+  }
+  Out = *V;
+  return true;
 }
 
 /// Finds the next spec separator at or after \p From. 'x' only counts
@@ -174,60 +246,28 @@ static size_t findSpecSep(const std::string &Text, size_t From) {
   return std::string::npos;
 }
 
-bool nova::parseFaultSpec(const std::string &Text, FaultSpec &Out,
-                          std::string &Error) {
+bool nova::parseFaultSpec(const std::string &Text, FaultDomain Domain,
+                          FaultSpec &Out, std::string &Error) {
   // Grammar: kind[@after][xTimes][~magnitude]; suffixes in that order.
   size_t End = findSpecSep(Text, 0);
-  std::string Kind = Text.substr(0, End);
   FaultSpec Spec;
-  if (!lookupFaultKind(Kind, Spec.Kind)) {
-    Error = "unknown fault kind '" + Kind +
-            "' (expected singular-basis, eta-drift, lp-infeasible, "
-            "mip-timeout, worker-stall, mem-jitter, sim-bitflip, "
-            "ctx-lockup, ring-stall, chan-brownout, sdram-bitflip, or "
-            "dma-drop)";
+  if (!lookupFaultKind(std::string_view(Text).substr(0, End), Domain,
+                       Spec.Kind, Error))
     return false;
-  }
-  if (faultKindDomain(Spec.Kind) == FaultDomain::Chip) {
-    Error = "fault kind '" + Kind +
-            "' is chip-domain: use --fault-schedule (with --chip), not "
-            "--inject-fault";
-    return false;
-  }
 
   size_t Pos = (End == std::string::npos) ? Text.size() : End;
   while (Pos < Text.size()) {
     char Tag = Text[Pos++];
     size_t Next = findSpecSep(Text, Pos);
-    std::string Field =
-        Text.substr(Pos, Next == std::string::npos ? Next : Next - Pos);
-    if (Field.empty()) {
-      Error = std::string("empty value after '") + Tag + "' in fault spec '" +
-              Text + "'";
+    std::string_view Field = std::string_view(Text).substr(Pos, Next - Pos);
+    bool Ok = Tag == '@'   ? parseCount(Spec.Kind, "@after", Field, 0,
+                                        UINT32_MAX, Spec.After, Error)
+              : Tag == 'x' ? parseCount(Spec.Kind, "xtimes", Field, 0,
+                                        UINT32_MAX, Spec.Times, Error)
+                           : parseMagnitude(Spec.Kind, Field, Spec.Magnitude,
+                                            Error);
+    if (!Ok)
       return false;
-    }
-    const char *Begin = Field.c_str();
-    char *Parsed = nullptr;
-    if (Tag == '@' || Tag == 'x') {
-      unsigned long V = std::strtoul(Begin, &Parsed, 10);
-      if (Parsed == Begin || *Parsed != '\0') {
-        Error = std::string("malformed count '") + Field + "' in fault spec '" +
-                Text + "'";
-        return false;
-      }
-      if (Tag == '@')
-        Spec.After = static_cast<unsigned>(V);
-      else
-        Spec.Times = static_cast<unsigned>(V);
-    } else { // '~'
-      double V = std::strtod(Begin, &Parsed);
-      if (Parsed == Begin || *Parsed != '\0') {
-        Error = std::string("malformed magnitude '") + Field +
-                "' in fault spec '" + Text + "'";
-        return false;
-      }
-      Spec.Magnitude = V;
-    }
     Pos = (Next == std::string::npos) ? Text.size() : Next;
   }
 
@@ -238,12 +278,8 @@ bool nova::parseFaultSpec(const std::string &Text, FaultSpec &Out,
 bool nova::parseFaultSchedule(const std::string &Text, FaultSchedule &Out,
                               std::string &Error) {
   FaultSchedule Sched;
-  bool Seen[12] = {};
-  size_t Pos = 0;
-  while (Pos <= Text.size()) {
-    size_t Comma = Text.find(',', Pos);
-    std::string Item =
-        Text.substr(Pos, Comma == std::string::npos ? Comma : Comma - Pos);
+  bool Seen[NumFaultKinds] = {};
+  for (std::string_view Item : split(Text, ',')) {
     if (Item.empty()) {
       Error = "empty entry in fault schedule '" + Text + "'";
       return false;
@@ -252,68 +288,29 @@ bool nova::parseFaultSchedule(const std::string &Text, FaultSchedule &Out,
     // Grammar per entry: kind@rate[~magnitude]. Rate is mandatory: a
     // schedule without a rate has no deterministic firing rule.
     size_t At = Item.find('@');
-    if (At == std::string::npos) {
-      Error = "missing '@rate' in fault schedule entry '" + Item + "'";
+    if (At == std::string_view::npos) {
+      Error = "missing '@rate' in fault schedule entry '" + std::string(Item) +
+              "'";
       return false;
     }
     FaultScheduleEntry E;
-    std::string Kind = Item.substr(0, At);
-    if (!lookupFaultKind(Kind, E.Kind)) {
-      Error = "unknown fault kind '" + Kind +
-              "' in fault schedule (expected ctx-lockup, ring-stall, "
-              "chan-brownout, sdram-bitflip, or dma-drop)";
+    if (!lookupFaultKind(Item.substr(0, At), Chip, E.Kind, Error))
+      return false;
+    if (std::exchange(Seen[static_cast<unsigned>(E.Kind)], true)) {
+      Error = formatf("duplicate fault kind '%s' in schedule '%s'",
+                      faultKindName(E.Kind), Text.c_str());
       return false;
     }
-    if (faultKindDomain(E.Kind) != FaultDomain::Chip) {
-      Error = "fault kind '" + Kind + "' is " +
-              faultDomainName(faultKindDomain(E.Kind)) +
-              "-domain: --fault-schedule only takes chip kinds "
-              "(ctx-lockup, ring-stall, chan-brownout, sdram-bitflip, "
-              "dma-drop)";
-      return false;
-    }
-    if (Seen[static_cast<unsigned>(E.Kind)]) {
-      Error = "duplicate fault kind '" + Kind + "' in schedule '" + Text + "'";
-      return false;
-    }
-    Seen[static_cast<unsigned>(E.Kind)] = true;
 
     size_t Tilde = Item.find('~', At + 1);
-    std::string RateText = Item.substr(
-        At + 1, Tilde == std::string::npos ? Tilde : Tilde - (At + 1));
-    const char *Begin = RateText.c_str();
-    char *Parsed = nullptr;
-    unsigned long long Rate = std::strtoull(Begin, &Parsed, 10);
-    if (RateText.empty() || Parsed == Begin || *Parsed != '\0' || Rate < 1) {
-      Error = "malformed rate '" + RateText + "' in fault schedule entry '" +
-              Item + "' (need an integer >= 1)";
+    std::string_view RateText = Item.substr(At + 1, Tilde - (At + 1));
+    if (!parseCount(E.Kind, "@rate", RateText, 1, UINT64_MAX, E.Rate, Error))
       return false;
-    }
-    E.Rate = Rate;
-
-    if (Tilde != std::string::npos) {
-      std::string MagText = Item.substr(Tilde + 1);
-      Begin = MagText.c_str();
-      Parsed = nullptr;
-      double Mag = std::strtod(Begin, &Parsed);
-      if (MagText.empty() || Parsed == Begin || *Parsed != '\0' ||
-          Mag <= 0.0) {
-        Error = "malformed magnitude '" + MagText +
-                "' in fault schedule entry '" + Item + "' (need a number > 0)";
-        return false;
-      }
-      E.Magnitude = Mag;
-    }
+    if (Tilde != std::string_view::npos &&
+        !parseMagnitude(E.Kind, Item.substr(Tilde + 1), E.Magnitude, Error))
+      return false;
 
     Sched.push_back(E);
-    if (Comma == std::string::npos)
-      break;
-    Pos = Comma + 1;
-  }
-
-  if (Sched.empty()) {
-    Error = "empty fault schedule";
-    return false;
   }
   Out = Sched;
   return true;

@@ -1,4 +1,4 @@
-//===- FaultInjection.h - Deterministic solver fault injection --*- C++ -*-===//
+//===- FaultInjection.h - Fault kinds and injection -------------*- C++ -*-===//
 //
 // Part of the nova-ixp project: a reproduction of "Taming the IXP Network
 // Processor" (PLDI 2003).
@@ -6,20 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A seedable fault-injection harness for the solver stack. Hooks in
-/// Simplex, Basis, and MipSolver consult an armed FaultInjector and, when
-/// a spec fires, force the failure modes a production compiler must
-/// survive: singular bases (LU repair), eta-file drift (refactorize on
-/// drift), spurious LP infeasibility (spill retry / baseline fallback),
-/// branch-and-bound timeouts at chosen node counts (incumbent salvage),
-/// and search stalls (watchdog deadlines).
+/// The fault kinds and their one table, the two CLI spec grammars, and a
+/// seedable injector. Hooks in Simplex, Basis, and MipSolver consult an
+/// armed FaultInjector and, when a spec fires, force the failure modes a
+/// production compiler must survive: singular bases (LU repair), eta-file
+/// drift (refactorize on drift), spurious LP infeasibility (spill retry /
+/// baseline fallback), branch-and-bound timeouts at chosen node counts
+/// (incumbent salvage), and search stalls (watchdog deadlines).
 ///
 /// Firing is deterministic: each spec counts *opportunities* (times its
 /// hook site was reached) and fires from opportunity `After` on, at most
-/// `Times` times. Tests arm
-/// a plan with ScopedFaultInjection, run the pipeline, and assert both
-/// the recovery rung taken and that the emitted code still runs packets
-/// correctly.
+/// `Times` times. Tests arm a plan with ScopedFaultInjection, run the
+/// pipeline, and assert both the recovery rung taken and that the
+/// emitted code still runs packets correctly.
 ///
 /// The disarmed fast path is one load of a plain flag, so the hooks are
 /// free in production use. No code in the project starts a thread, so
@@ -36,52 +35,82 @@
 
 namespace nova {
 
+/// The fault kinds. faultKindInfo() holds everything else about each:
+/// name, domain, and what its magnitude means, accepts and defaults to.
 enum class FaultKind : uint8_t {
   SingularBasis, ///< Basis factorization reports a fabricated deficiency
-  EtaDrift,      ///< an eta-file pivot value is perturbed by Magnitude
+  EtaDrift,      ///< an eta-file pivot value is perturbed
   LpInfeasible,  ///< Simplex::solve reports Infeasible without solving
   MipTimeout,    ///< branch & bound behaves as if the time limit tripped
-  WorkerStall,   ///< the branch & bound search sleeps Magnitude seconds
-                 ///< once per node
-  MemJitter,     ///< SRAM/SDRAM access latency inflated by up to Magnitude
-                 ///< extra cycles in sim::runAllocated (timing only; never
-                 ///< changes values)
-  SimBitFlip,    ///< an ALU result bit is flipped in sim::runAllocated —
-                 ///< a seeded "hardware" miscomputation the differential
-                 ///< oracle must catch and the soak shrinker must minimize
-  //===--- Chip-grade kinds (consumed by chip::Supervisor via a
-  //===--- FaultSchedule, never by the global injector) ------------------===//
-  CtxLockup,     ///< a hardware context stops retiring: its outstanding
-                 ///< memory reference never completes, the supervisor's
-                 ///< retire-progress watchdog must recover it
-  RingStall,     ///< a scratch ring refuses pushes for Magnitude cycles
-  ChanBrownout,  ///< the SDRAM channel's issue bandwidth degrades by a
-                 ///< factor of Magnitude for a bounded window
-  SdramBitFlip,  ///< post-DMA word corruption in a packet's SDRAM slot —
-                 ///< invisible to the supervisor, the sampled retire-time
-                 ///< oracle must catch it
-  DmaDrop        ///< an RX DMA burst is lost in flight; the RX engine's
-                 ///< completion count check detects it and redoes the DMA
-                 ///< (bounded retries, then a typed ingress drop)
+  WorkerStall,   ///< the branch & bound search sleeps once per node
+  MemJitter,     ///< SRAM/SDRAM latency noise (timing only, never values)
+  SimBitFlip,    ///< an ALU result bit flips; the oracle must catch it
+  CtxLockup,     ///< a context's memory completion is lost; the
+                 ///< supervisor's retire-progress watchdog recovers it
+  RingStall,     ///< a scratch ring refuses pushes for a window
+  ChanBrownout,  ///< the SDRAM issue interval degrades for a window
+  SdramBitFlip,  ///< post-DMA word corruption the supervisor cannot see;
+                 ///< the sampled retire-time oracle must catch it
+  DmaDrop        ///< an RX DMA burst is lost; RX redoes it (bounded
+                 ///< retries, then a typed ingress drop)
 };
 
 constexpr unsigned enumCount(FaultKind) {
   return static_cast<unsigned>(FaultKind::DmaDrop) + 1;
 }
-const char *faultKindName(FaultKind K);
+constexpr unsigned NumFaultKinds = enumCount(FaultKind{});
 
-/// Which layer a fault kind perturbs — the basis for strict CLI
-/// validation: novac accepts Solver kinds, novasoak --inject-fault
-/// accepts Sim kinds, and novasoak --chip --fault-schedule accepts Chip
-/// kinds; everything else is a usage error, never a silent no-op.
+/// Which layer a fault kind perturbs, and so which front door arms it:
+/// novac --inject-fault takes Solver kinds, novasoak --inject-fault Sim
+/// kinds, and a --fault-schedule (novasoak --chip, chip_scaling) Chip
+/// kinds. Any other kind is a usage error there, never a silent no-op.
 enum class FaultDomain : uint8_t {
   Solver, ///< fires inside Simplex/Basis/MipSolver hooks
   Sim,    ///< fires inside the micro-engine runtime (both exec modes)
   Chip    ///< fires inside the whole-chip scheduler (chip::Supervisor)
 };
 
-FaultDomain faultKindDomain(FaultKind K);
 const char *faultDomainName(FaultDomain D);
+
+/// How a kind reads its `~magnitude`.
+enum class FaultMagnitude : uint8_t {
+  None,    ///< the kind has no magnitude; `~` is a usage error
+  Integer, ///< a whole count or number of cycles
+  Real     ///< a finite real
+};
+
+/// Everything the code knows about one fault kind; faultKindInfo() is
+/// the one table of these. A magnitude of 0 in a FaultSpec or schedule
+/// entry means Default; any other must lie in [Min, Max] (and be whole
+/// for an Integer kind). The bounds keep every use finite: no stall can
+/// hang a tool, and the chip's products (issue interval x brownout
+/// factor, time + stall cycles) stay far inside 64 bits.
+struct FaultKindInfo {
+  const char *Name;   ///< CLI spelling
+  FaultDomain Domain;
+  FaultMagnitude Mag;
+  double Min, Max;    ///< accepted magnitudes (0 and 0 for None)
+  double Default;     ///< the magnitude of a spec that leaves it 0
+  const char *Means;  ///< what the magnitude measures (usage text)
+};
+
+const FaultKindInfo &faultKindInfo(FaultKind K);
+inline const char *faultKindName(FaultKind K) { return faultKindInfo(K).Name; }
+inline FaultDomain faultKindDomain(FaultKind K) {
+  return faultKindInfo(K).Domain;
+}
+
+/// True when \p M is 0 (the kind's default) or an accepted magnitude.
+bool faultMagnitudeValid(FaultKind K, double M);
+
+/// "an integer in 1..1024 (default 1)", "a real in [1e-09, 1] (default
+/// 0.001)" or "no magnitude": \p K's accepted magnitudes, as error
+/// messages and usage texts print them.
+std::string faultMagnitudeRange(FaultKind K);
+
+/// Usage text for the kinds of domain \p D: one line per kind, its name
+/// and what its `~magnitude` accepts, each line starting with \p Indent.
+std::string faultKindUsage(FaultDomain D, const char *Indent);
 
 /// One injection rule. At most one spec per kind is active at a time
 /// (arming replaces the whole plan).
@@ -92,17 +121,17 @@ struct FaultSpec {
   unsigned After = 0;
   /// Maximum number of fires; ~0u = unlimited.
   unsigned Times = ~0u;
-  /// Kind-specific knob: relative pivot perturbation for EtaDrift
-  /// (default 1e-3), stall seconds for WorkerStall (default 0.02).
+  /// Kind-specific knob (see faultKindInfo); 0 = the kind's default.
   double Magnitude = 0.0;
 };
 
 /// Parses a CLI fault spec: `kind[@after][xTimes][~magnitude]`, e.g.
-/// "mip-timeout@5", "eta-drift@100x3~1e-3". Returns false (with a
-/// message) on malformed input. Kinds: singular-basis, eta-drift,
-/// lp-infeasible, mip-timeout, worker-stall, mem-jitter, sim-bitflip.
-bool parseFaultSpec(const std::string &Text, FaultSpec &Out,
-                    std::string &Error);
+/// "mip-timeout@5", "eta-drift@100x3~1e-3". The kind must belong to
+/// \p Domain (the caller's front door); after and times are 32-bit
+/// counts, and the magnitude must be one faultKindInfo accepts. Returns
+/// false with a message naming the kind and its accepted range.
+bool parseFaultSpec(const std::string &Text, FaultDomain Domain,
+                    FaultSpec &Out, std::string &Error);
 
 /// One entry of a chip fault schedule: kind fires every `Rate`th
 /// opportunity (packet for CtxLockup/SdramBitFlip/DmaDrop, channel
@@ -114,9 +143,7 @@ struct FaultScheduleEntry {
   FaultKind Kind = FaultKind::CtxLockup;
   /// Fire on every Rate-th opportunity (1 = every one). Must be >= 1.
   uint64_t Rate = 1;
-  /// Kind-specific knob, 0 = kind default: wedge attempts for
-  /// CtxLockup, stall cycles for RingStall, bandwidth divisor for
-  /// ChanBrownout, dropped bursts for DmaDrop; unused for SdramBitFlip.
+  /// Kind-specific knob (see faultKindInfo); 0 = the kind's default.
   double Magnitude = 0.0;
 };
 
@@ -124,8 +151,9 @@ using FaultSchedule = std::vector<FaultScheduleEntry>;
 
 /// Parses `kind@rate[~magnitude],...` (e.g.
 /// "ctx-lockup@5000,chan-brownout@10000~4") into a chip fault
-/// schedule. Rejects non-chip-domain kinds, rate < 1, duplicate kinds,
-/// and malformed numbers — returning false with a message.
+/// schedule. Rejects non-chip kinds, a rate that is not a 64-bit integer
+/// >= 1, duplicate kinds, and magnitudes faultKindInfo does not accept,
+/// returning false with a message.
 bool parseFaultSchedule(const std::string &Text, FaultSchedule &Out,
                         std::string &Error);
 
@@ -154,14 +182,13 @@ public:
   /// Records an opportunity for \p K and decides whether it fires.
   bool shouldFire(FaultKind K);
 
-  /// Magnitude of the active spec for \p K, or \p Default when the kind
-  /// is not armed / the spec left it 0.
-  double magnitude(FaultKind K, double Default) const;
+  /// Magnitude of the active spec for \p K, or the kind's default when
+  /// it is not armed or the spec left it 0.
+  double magnitude(FaultKind K) const;
 
-  /// Deterministic draw in [1, max(1, magnitude(K, Default))] from the
-  /// kind's fixed-seed stream; the per-fire extra-cycle count for
-  /// MemJitter.
-  unsigned drawCycles(FaultKind K, double Default);
+  /// Deterministic draw in [1, magnitude(K)] from the kind's fixed-seed
+  /// stream; the per-fire extra-cycle count for MemJitter.
+  unsigned drawCycles(FaultKind K);
 
   /// Total fires of \p K since the last arm() — test observability.
   unsigned fired(FaultKind K) const;
@@ -180,10 +207,9 @@ private:
     uint64_t RngState = 0;
   };
 
-  static constexpr unsigned NumKinds = 12;
   static bool Armed;
 
-  Slot Slots[NumKinds];
+  Slot Slots[NumFaultKinds];
 };
 
 /// RAII plan installer for tests: arms on construction, disarms on

@@ -10,6 +10,7 @@
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 using namespace nova;
 
@@ -70,12 +71,21 @@ std::optional<uint64_t> nova::parseInteger(std::string_view Text) {
   for (char C : Text) {
     if (C < '0' || C > '9')
       return std::nullopt;
-    uint64_t Next = Value * 10 + (C - '0');
-    if (Next < Value)
+    unsigned Digit = C - '0';
+    if (Value > (UINT64_MAX - Digit) / 10)
       return std::nullopt;
-    Value = Next;
+    Value = Value * 10 + Digit;
   }
   return Value;
+}
+
+std::optional<double> nova::parseReal(std::string_view Text) {
+  std::string Buf(Text); // strtod needs a terminator
+  char *End = nullptr;
+  double X = std::strtod(Buf.c_str(), &End);
+  if (Buf.empty() || End != Buf.c_str() + Buf.size())
+    return std::nullopt;
+  return X;
 }
 
 std::string nova::formatf(const char *Fmt, ...) {

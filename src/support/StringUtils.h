@@ -31,6 +31,10 @@ std::string_view trim(std::string_view Text);
 /// nullopt on malformed input or overflow of uint64_t.
 std::optional<uint64_t> parseInteger(std::string_view Text);
 
+/// Parses a real number as strtod spells one, all of \p Text or nullopt;
+/// range checks (finite, positive, ...) are the caller's.
+std::optional<double> parseReal(std::string_view Text);
+
 /// printf-style formatting into a std::string.
 std::string formatf(const char *Fmt, ...) __attribute__((format(printf, 1, 2)));
 

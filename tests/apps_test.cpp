@@ -22,6 +22,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+
 using namespace nova;
 
 namespace {
@@ -326,6 +329,28 @@ TEST(AppNat, ErrorPathsRaise) {
     apps::storePacket(Mem.Sdram, 0x100, Pkt);
     auto [Halt, Out] = runApp(App, {0x100, 0x800}, Mem);
     EXPECT_EQ(Halt, 0xFFFFFFFEu);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The checked-in sources
+//===----------------------------------------------------------------------===//
+
+// apps/*.nova are generated from apps::*NovaSource() (apps/README.md);
+// the novac smokes compile the files and the tests the strings, so the
+// two must stay byte-identical.
+TEST(AppSources, CheckedInFilesMatchGenerators) {
+  std::string Tests = __FILE__;
+  std::string Apps = Tests.substr(0, Tests.rfind('/')) + "/../apps/";
+  for (const auto &[File, Source] :
+       {std::pair{"aes.nova", apps::aesNovaSource()},
+        std::pair{"kasumi.nova", apps::kasumiNovaSource()},
+        std::pair{"nat.nova", apps::natNovaSource()}}) {
+    std::ifstream In(Apps + File, std::ios::binary);
+    ASSERT_TRUE(In) << Apps + File;
+    std::string Text((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+    EXPECT_TRUE(Text == Source) << File << " differs from its generator";
   }
 }
 

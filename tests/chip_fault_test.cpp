@@ -215,6 +215,27 @@ TEST(ChipFaultParams, ValidateRejectsBadSchedules) {
   EXPECT_TRUE(Bad.validate().ok());
 }
 
+TEST(ChipFaultParams, ValidateRejectsMagnitudesOutsideTheKindTable) {
+  // A schedule built in code passes the range checks the parser applies:
+  // 0 still means the kind's default.
+  chip::ChipParams P;
+  P.Faults = schedule("ctx-lockup@100,chan-brownout@50,sdram-bitflip@9");
+  ASSERT_TRUE(P.validate().ok());
+  for (auto [Entry, Mag] : {std::pair{0, 1e30}, std::pair{0, 1.5},
+                            std::pair{0, -1.0}, std::pair{1, 1.0},
+                            std::pair{1, 1025.0}, std::pair{2, 1.0}}) {
+    chip::ChipParams Bad = P;
+    Bad.Faults[Entry].Magnitude = Mag;
+    Status S = Bad.validate();
+    EXPECT_FALSE(S.ok()) << Entry << " ~" << Mag;
+    EXPECT_NE(S.message().find(faultKindName(Bad.Faults[Entry].Kind)),
+              std::string::npos)
+        << S.message();
+  }
+  P.Faults[1].Magnitude = 2;
+  EXPECT_TRUE(P.validate().ok());
+}
+
 TEST(ChipFaultPolicy, PacketPlansArePureAndPeriodic) {
   chip::Supervisor S(schedule("ctx-lockup@4~2,sdram-bitflip@6,dma-drop@10~3"),
                      chip::SupervisorConfig{});
@@ -231,7 +252,7 @@ TEST(ChipFaultPolicy, PacketPlansArePureAndPeriodic) {
   // Omitted magnitude falls back to the kind default.
   chip::Supervisor D(schedule("ctx-lockup@1"), chip::SupervisorConfig{});
   EXPECT_EQ(D.planPacket(0).LockupAttempts,
-            chip::SupervisorConfig{}.DefaultLockupAttempts);
+            faultKindInfo(FaultKind::CtxLockup).Default);
 }
 
 TEST(ChipFaultPolicy, BackoffDoublesAndSaturates) {
@@ -867,4 +888,75 @@ TEST(ChipSnapshot, HostileSnapshotsAreRejectedOrRun) {
 // as a deadlock instead of ticking the watchdog forever.
 TEST(ChipSnapshot, HostileSnapshotsRejectedOrRunUnderFaults) {
   hostileSnapshotSweep(schedule("ctx-lockup@7,chan-brownout@11~4"));
+}
+
+TEST(ChipSnapshot, FutureWedgeTimeIsRejected) {
+  // A wedged context's WedgeTime is the end of the burst that issued its
+  // lost reference, so it never lies past its ME's FreeAt. An image whose
+  // WedgeTime is further ahead must fail the restore: the watchdog
+  // computes T - WedgeTime unsigned, and a restored future time would
+  // wrap it and declare the context locked up at the first tick.
+  AllocatedProgram Prog = heavyProgram(8);
+  chip::ChipParams CP = stormyParams();
+  std::vector<const AllocatedProgram *> Progs(CP.MP.MeCount, &Prog);
+  auto Get = [](const std::string &S, size_t At) {
+    uint64_t V = 0;
+    for (unsigned B = 0; B != 8; ++B)
+      V |= uint64_t(uint8_t(S[At + B])) << (8 * B);
+    return V;
+  };
+  auto Put = [](std::string &S, size_t At, uint64_t V) {
+    for (unsigned B = 0; B != 8; ++B)
+      S[At + B] = static_cast<char>(V >> (8 * B));
+  };
+  auto Restores = [&](const std::string &Image) {
+    chip::Chip C(CP, Progs, sim::Memory{});
+    BinReader R(Image);
+    C.restoreState(R);
+    return !R.failed();
+  };
+  constexpr char WedgedPhase = 9; // CtxPh::Wedged's byte
+  for (sim::ExecMode Exec :
+       {sim::ExecMode::Interp, sim::ExecMode::Threaded}) {
+    SCOPED_TRACE(sim::execModeName(Exec));
+    CP.Exec = Exec;
+    unsigned Wedged = 0;
+    for (uint64_t StopAt : {4u, 8u, 12u, 16u, 20u, 24u}) {
+      std::string Snap;
+      uint64_t SnapTime = 0;
+      {
+        chip::Chip C(CP, Progs, sim::Memory{});
+        C.setRetireHook([&](uint64_t Retired, uint64_t T) {
+          if (Retired < StopAt)
+            return false;
+          BinWriter W;
+          C.saveState(W);
+          Snap = W.take();
+          SnapTime = T;
+          return true;
+        });
+        uint64_t Next = 0;
+        C.run(packetSource(Next, 64), [](chip::RetiredPacket &&) {});
+        ASSERT_TRUE(C.stopped());
+      }
+      ASSERT_TRUE(Restores(Snap));
+      // A wedged context serializes as its phase byte, the sequence
+      // number of a packet of the stream and a time near the snapshot's.
+      for (size_t I = 0; I + 17 <= Snap.size(); ++I) {
+        uint64_t Seq = Get(Snap, I + 1), When = Get(Snap, I + 9);
+        if (Snap[I] != WedgedPhase || Seq >= 64 || When == 0 ||
+            When > SnapTime + 4096)
+          continue;
+        SCOPED_TRACE(::testing::Message() << "stop " << StopAt << " byte "
+                                          << I);
+        ++Wedged;
+        std::string Bad = Snap;
+        Put(Bad, I + 9, When - 1);
+        EXPECT_TRUE(Restores(Bad)); // an earlier wedge is a reachable state
+        Put(Bad, I + 9, SnapTime + (1ull << 32));
+        EXPECT_FALSE(Restores(Bad));
+      }
+    }
+    EXPECT_GT(Wedged, 0u);
+  }
 }

@@ -506,7 +506,8 @@ TEST(SoakOracle, InjectedBitFlipIsCaughtAndShrunk) {
   // diverges stand-alone.
   FaultSpec Spec;
   std::string Error;
-  ASSERT_TRUE(parseFaultSpec("sim-bitflip@40", Spec, Error)) << Error;
+  ASSERT_TRUE(parseFaultSpec("sim-bitflip@40", FaultDomain::Sim, Spec, Error))
+      << Error;
   ScopedFaultInjection Armed({Spec});
 
   soak::SoakOptions Opts;
@@ -532,7 +533,8 @@ TEST(SoakOracle, MemJitterNeverDiverges) {
   // divergences by construction.
   FaultSpec Spec;
   std::string Error;
-  ASSERT_TRUE(parseFaultSpec("mem-jitter~16", Spec, Error)) << Error;
+  ASSERT_TRUE(parseFaultSpec("mem-jitter~16", FaultDomain::Sim, Spec, Error))
+      << Error;
   ScopedFaultInjection Armed({Spec});
   soak::SoakOptions Opts;
   Opts.Packets = 500;
@@ -900,7 +902,8 @@ TEST(SoakReportPin, NatThreadedOracleRateTen) {
 TEST(SoakReportPin, BitFlipDivergenceInterp) {
   FaultSpec Spec;
   std::string Error;
-  ASSERT_TRUE(parseFaultSpec("sim-bitflip@40", Spec, Error)) << Error;
+  ASSERT_TRUE(parseFaultSpec("sim-bitflip@40", FaultDomain::Sim, Spec, Error))
+      << Error;
   ScopedFaultInjection Armed({Spec});
   std::string J = stableNatReport(bitFlipOptions(sim::ExecMode::Interp));
   EXPECT_NE(J.find("\"shrunk_words\":["), std::string::npos) << J;
@@ -910,7 +913,8 @@ TEST(SoakReportPin, BitFlipDivergenceInterp) {
 TEST(SoakReportPin, BitFlipDivergenceThreaded) {
   FaultSpec Spec;
   std::string Error;
-  ASSERT_TRUE(parseFaultSpec("sim-bitflip@40", Spec, Error)) << Error;
+  ASSERT_TRUE(parseFaultSpec("sim-bitflip@40", FaultDomain::Sim, Spec, Error))
+      << Error;
   ScopedFaultInjection Armed({Spec});
   std::string J =
       stableNatReport(bitFlipOptions(sim::ExecMode::Threaded));

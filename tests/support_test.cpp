@@ -112,8 +112,26 @@ TEST(StringUtils, ParseInteger) {
   EXPECT_FALSE(parseInteger("").has_value());
   EXPECT_FALSE(parseInteger("12a").has_value());
   EXPECT_FALSE(parseInteger("0xZZ").has_value());
-  // Overflow of uint64_t.
+  // Overflow of uint64_t, including values whose wrapped product
+  // lands above the previous partial value.
+  EXPECT_EQ(parseInteger("18446744073709551615"), UINT64_MAX);
+  EXPECT_FALSE(parseInteger("18446744073709551616").has_value());
+  EXPECT_FALSE(parseInteger("105000000000000000000").has_value());
   EXPECT_FALSE(parseInteger("99999999999999999999999").has_value());
+  EXPECT_FALSE(parseInteger("-1").has_value());
+  EXPECT_FALSE(parseInteger("+1").has_value());
+}
+
+TEST(StringUtils, ParseReal) {
+  EXPECT_EQ(parseReal("0.25"), 0.25);
+  EXPECT_EQ(parseReal("1e-3"), 1e-3);
+  EXPECT_EQ(parseReal("-2"), -2.0);
+  EXPECT_TRUE(std::isnan(*parseReal("nan")));
+  EXPECT_TRUE(std::isinf(*parseReal("inf")));
+  EXPECT_FALSE(parseReal("").has_value());
+  EXPECT_FALSE(parseReal("1.5x").has_value());
+  EXPECT_FALSE(parseReal("zzz").has_value());
+  EXPECT_FALSE(parseReal("1 ").has_value());
 }
 
 TEST(StringUtils, Formatf) {
@@ -343,44 +361,48 @@ TEST(FaultInjection, MagnitudeFallsBackToDefault) {
   Spec.Magnitude = 0.25;
   ScopedFaultInjection Armed({Spec});
   FaultInjector &FI = FaultInjector::instance();
-  EXPECT_EQ(FI.magnitude(FaultKind::WorkerStall, 0.02), 0.25);
-  EXPECT_EQ(FI.magnitude(FaultKind::EtaDrift, 1e-3), 1e-3); // not armed
+  EXPECT_EQ(FI.magnitude(FaultKind::WorkerStall), 0.25);
+  EXPECT_EQ(FI.magnitude(FaultKind::EtaDrift), 1e-3); // not armed
 }
 
 TEST(FaultInjection, ParsesCliSpecs) {
+  using FD = FaultDomain;
   FaultSpec S;
   std::string Err;
-  ASSERT_TRUE(parseFaultSpec("mip-timeout@5", S, Err)) << Err;
+  ASSERT_TRUE(parseFaultSpec("mip-timeout@5", FD::Solver, S, Err)) << Err;
   EXPECT_EQ(S.Kind, FaultKind::MipTimeout);
   EXPECT_EQ(S.After, 5u);
   EXPECT_EQ(S.Times, ~0u);
 
-  ASSERT_TRUE(parseFaultSpec("eta-drift@100x3~1e-3", S, Err)) << Err;
+  ASSERT_TRUE(parseFaultSpec("eta-drift@100x3~1e-3", FD::Solver, S, Err))
+      << Err;
   EXPECT_EQ(S.Kind, FaultKind::EtaDrift);
   EXPECT_EQ(S.After, 100u);
   EXPECT_EQ(S.Times, 3u);
   EXPECT_DOUBLE_EQ(S.Magnitude, 1e-3);
 
-  ASSERT_TRUE(parseFaultSpec("singular-basis", S, Err)) << Err;
+  ASSERT_TRUE(parseFaultSpec("singular-basis", FD::Solver, S, Err)) << Err;
   EXPECT_EQ(S.Kind, FaultKind::SingularBasis);
 
-  EXPECT_FALSE(parseFaultSpec("bad-kind", S, Err));
+  EXPECT_FALSE(parseFaultSpec("bad-kind", FD::Solver, S, Err));
   EXPECT_NE(Err.find("unknown fault kind"), std::string::npos);
-  EXPECT_FALSE(parseFaultSpec("mip-timeout@", S, Err));
-  EXPECT_FALSE(parseFaultSpec("mip-timeout@abc", S, Err));
-  EXPECT_FALSE(parseFaultSpec("eta-drift~zzz", S, Err));
+  EXPECT_FALSE(parseFaultSpec("mip-timeout@", FD::Solver, S, Err));
+  EXPECT_FALSE(parseFaultSpec("mip-timeout@abc", FD::Solver, S, Err));
+  EXPECT_FALSE(parseFaultSpec("eta-drift~zzz", FD::Solver, S, Err));
 }
 
 TEST(FaultInjection, SpecParserRejectsChipDomainKinds) {
   // Chip-grade kinds only fire inside the whole-chip scheduler; a spec
-  // naming one is a usage error pointing at --fault-schedule, never a
-  // silently-ignored no-op.
+  // naming one at either --inject-fault is a usage error that names its
+  // domain, never a silently-ignored no-op.
+  using FD = FaultDomain;
   FaultSpec S;
   std::string Err;
-  EXPECT_FALSE(parseFaultSpec("ctx-lockup", S, Err));
-  EXPECT_NE(Err.find("chip-domain"), std::string::npos);
-  EXPECT_FALSE(parseFaultSpec("dma-drop@5", S, Err));
-  EXPECT_FALSE(parseFaultSpec("sdram-bitflip", S, Err));
+  for (const char *Spec : {"ctx-lockup", "dma-drop@5", "sdram-bitflip"})
+    for (FD D : {FD::Solver, FD::Sim}) {
+      EXPECT_FALSE(parseFaultSpec(Spec, D, S, Err));
+      EXPECT_NE(Err.find("chip-domain"), std::string::npos) << Err;
+    }
 }
 
 TEST(FaultInjection, KindDomainsPartitionTheEnum) {
@@ -445,6 +467,146 @@ TEST(FaultInjection, ScheduleParserRejectsMalformedInput) {
   EXPECT_FALSE(parseFaultSchedule("", S, Err));
   EXPECT_FALSE(parseFaultSchedule(",", S, Err));
   EXPECT_FALSE(parseFaultSchedule("ctx-lockup@5,", S, Err));
+}
+
+TEST(FaultInjection, KindTableIsConsistent) {
+  // Every kind parses back from its own name at its own front door, its
+  // default is one of its accepted magnitudes, and its range is what the
+  // usage text of its domain prints.
+  for (unsigned K = 0; K != NumFaultKinds; ++K) {
+    FaultKind Kind = static_cast<FaultKind>(K);
+    const FaultKindInfo &I = faultKindInfo(Kind);
+    SCOPED_TRACE(I.Name);
+    std::string Err;
+    if (I.Domain == FaultDomain::Chip) {
+      FaultSchedule S;
+      ASSERT_TRUE(parseFaultSchedule(std::string(I.Name) + "@1", S, Err));
+      EXPECT_EQ(S[0].Kind, Kind);
+    } else {
+      FaultSpec S;
+      ASSERT_TRUE(parseFaultSpec(I.Name, I.Domain, S, Err)) << Err;
+      EXPECT_EQ(S.Kind, Kind);
+    }
+    if (I.Mag == FaultMagnitude::None) {
+      EXPECT_EQ(I.Means, nullptr);
+      EXPECT_FALSE(faultMagnitudeValid(Kind, 1.0));
+    } else {
+      EXPECT_NE(I.Means, nullptr);
+      EXPECT_GT(I.Min, 0.0);
+      EXPECT_TRUE(faultMagnitudeValid(Kind, I.Default));
+      EXPECT_TRUE(faultMagnitudeValid(Kind, I.Min));
+      EXPECT_TRUE(faultMagnitudeValid(Kind, I.Max));
+      EXPECT_FALSE(faultMagnitudeValid(Kind, I.Max * 2));
+    }
+    EXPECT_TRUE(faultMagnitudeValid(Kind, 0.0)); // "use the default"
+    EXPECT_NE(faultKindUsage(I.Domain, "").find(faultMagnitudeRange(Kind)),
+              std::string::npos);
+  }
+}
+
+TEST(FaultInjection, SpecParserRejectsEveryBadInputClass) {
+  using FD = FaultDomain;
+  struct Bad {
+    const char *Spec;
+    FD Domain;
+    const char *Says; ///< the kind or range the message must name
+  };
+  for (const Bad &B : std::initializer_list<Bad>{
+           // Sign, overflow past the 32-bit field, trailing characters.
+           {"mip-timeout@-1", FD::Solver, "0..4294967295"},
+           {"mip-timeout@+1", FD::Solver, "mip-timeout"},
+           {"sim-bitflip@4294967296", FD::Sim, "0..4294967295"},
+           {"sim-bitflip@4294967297", FD::Sim, "sim-bitflip"},
+           {"sim-bitflip@18446744073709551616", FD::Sim, "sim-bitflip"},
+           {"lp-infeasible x-3", FD::Solver, "lp-infeasible x-3"},
+           {"lp-infeasible@5 ", FD::Solver, "0..4294967295"},
+           {"mem-jitter@1.5", FD::Sim, "mem-jitter"},
+           // NaN, infinity, zero, negative, out of range, fractional.
+           {"eta-drift~nan", FD::Solver, "a real in [1e-09, 1]"},
+           {"eta-drift~inf", FD::Solver, "eta-drift"},
+           {"eta-drift~0", FD::Solver, "eta-drift"},
+           {"eta-drift~-1e-3", FD::Solver, "eta-drift"},
+           {"eta-drift~2", FD::Solver, "eta-drift"},
+           {"worker-stall~1e9", FD::Solver, "a real in [1e-06, 1]"},
+           {"mem-jitter~0", FD::Sim, "an integer in 1..65536"},
+           {"mem-jitter~65537", FD::Sim, "mem-jitter"},
+           {"mem-jitter~1.5", FD::Sim, "mem-jitter"},
+           {"mem-jitter~1e3", FD::Sim, "mem-jitter"},
+           {"mem-jitter~", FD::Sim, "mem-jitter"},
+           // `~` on a kind without a magnitude.
+           {"sim-bitflip~3", FD::Sim, "no magnitude"},
+           {"singular-basis~1", FD::Solver, "singular-basis"},
+           // The wrong domain at each front door.
+           {"mem-jitter", FD::Solver, "mem-jitter"},
+           {"sim-bitflip", FD::Solver, "sim-bitflip"},
+           {"mip-timeout@5", FD::Sim, "mip-timeout"},
+           {"eta-drift", FD::Sim, "eta-drift"},
+           {"ring-stall", FD::Solver, "ring-stall"},
+           {"chan-brownout", FD::Sim, "chan-brownout"},
+       }) {
+    SCOPED_TRACE(B.Spec);
+    FaultSpec S;
+    std::string Err;
+    EXPECT_FALSE(parseFaultSpec(B.Spec, B.Domain, S, Err));
+    EXPECT_NE(Err.find(B.Says), std::string::npos) << Err;
+  }
+  // A wrong-domain message lists the kinds the front door does take.
+  FaultSpec S;
+  std::string Err;
+  EXPECT_FALSE(parseFaultSpec("mem-jitter", FD::Solver, S, Err));
+  EXPECT_NE(Err.find("sim-domain"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("worker-stall"), std::string::npos) << Err;
+  // The bounds themselves are accepted.
+  ASSERT_TRUE(parseFaultSpec("mip-timeout@4294967295x4294967295", FD::Solver,
+                             S, Err))
+      << Err;
+  EXPECT_EQ(S.After, UINT32_MAX);
+  EXPECT_EQ(S.Times, UINT32_MAX);
+  ASSERT_TRUE(parseFaultSpec("mem-jitter~65536", FD::Sim, S, Err)) << Err;
+  EXPECT_EQ(S.Magnitude, 65536.0);
+  ASSERT_TRUE(parseFaultSpec("worker-stall~1e-6", FD::Solver, S, Err)) << Err;
+  ASSERT_TRUE(parseFaultSpec("eta-drift~1", FD::Solver, S, Err)) << Err;
+}
+
+TEST(FaultInjection, ScheduleParserRejectsEveryBadInputClass) {
+  struct Bad {
+    const char *Sched;
+    const char *Says; ///< the kind or range the message must name
+  };
+  for (const Bad &B : std::initializer_list<Bad>{
+           {"ctx-lockup@-1", "1..18446744073709551615"},
+           {"ctx-lockup@18446744073709551616", "ctx-lockup"},
+           {"ctx-lockup@5x", "ctx-lockup"},
+           {"ctx-lockup@0x", "ctx-lockup"},
+           {"ctx-lockup@5~1e30", "an integer in 1..1024"},
+           {"ctx-lockup@5~nan", "ctx-lockup"},
+           {"ctx-lockup@5~inf", "ctx-lockup"},
+           {"ctx-lockup@5~1.5", "ctx-lockup"},
+           {"ctx-lockup@5~0", "ctx-lockup"},
+           {"ctx-lockup@5~", "ctx-lockup"},
+           {"chan-brownout@5~1", "an integer in 2..1024"},
+           {"ring-stall@5~1000001", "an integer in 1..1000000"},
+           {"dma-drop@5~1025", "dma-drop"},
+           {"sdram-bitflip@5~2", "no magnitude"},
+           {"worker-stall@5", "worker-stall"},
+           {"sim-bitflip@5", "sim-bitflip"},
+       }) {
+    SCOPED_TRACE(B.Sched);
+    FaultSchedule S;
+    std::string Err;
+    EXPECT_FALSE(parseFaultSchedule(B.Sched, S, Err));
+    EXPECT_NE(Err.find(B.Says), std::string::npos) << Err;
+  }
+  FaultSchedule S;
+  std::string Err;
+  ASSERT_TRUE(parseFaultSchedule(
+      "ctx-lockup@18446744073709551615~1024,chan-brownout@1~2,"
+      "ring-stall@0x10~1000000",
+      S, Err))
+      << Err;
+  EXPECT_EQ(S[0].Rate, UINT64_MAX);
+  EXPECT_EQ(S[1].Magnitude, 2.0);
+  EXPECT_EQ(S[2].Rate, 16u);
 }
 
 namespace {

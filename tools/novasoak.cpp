@@ -51,23 +51,16 @@ static void usage() {
       "  --no-shrink         keep the first diverging packet as-is\n"
       "  --fail-fast         stop a stream at its first divergence\n"
       "  --time-limit <s>    ILP budget per app compile (default 60)\n"
-      "  --inject-fault <kind>[@<after>][x<times>][~<mag>]\n"
-      "                      arm a sim-domain runtime fault: mem-jitter\n"
-      "                      (latency noise) or sim-bitflip (ALU\n"
-      "                      corruption the oracle must catch). Solver\n"
-      "                      kinds belong to novac and chip kinds to\n"
-      "                      --fault-schedule; both are usage errors "
-      "here\n"
-      "  --fault-schedule <kind>@<rate>[~<mag>][,...]\n"
-      "                      chip-domain fault schedule (requires "
-      "--chip):\n"
-      "                      ctx-lockup, ring-stall, chan-brownout,\n"
-      "                      sdram-bitflip, dma-drop; each kind fires\n"
-      "                      every rate-th opportunity. The supervisor\n"
-      "                      recovers (watchdog + bounded retries) and\n"
-      "                      accounts every fault in the --json "
-      "recovery\n"
-      "                      object\n"
+      "  --inject-fault <kind>[@<after>][x<times>][~<m>]\n"
+      "                      arm a sim-domain fault (after and times are\n"
+      "                      integers in 0..4294967295). Kinds:\n"
+      "%s"
+      "  --fault-schedule <kind>@<rate>[~<m>][,...]\n"
+      "                      chip-domain faults (requires --chip): each\n"
+      "                      fires every rate-th opportunity (rate >= 1);\n"
+      "                      the supervisor recovers and accounts each in\n"
+      "                      the --json recovery object. Kinds:\n"
+      "%s"
       "  --json <file>       write per-app reports as a JSON array\n"
       "  --quiet             suppress the per-app summary tables\n"
       "  --chip              run the whole-chip simulator: RX sharding\n"
@@ -98,7 +91,9 @@ static void usage() {
       "  --stable-json       zero wall-clock fields (and, with --chip,\n"
       "                      the event-kernel work counters) in --json\n"
       "                      output so resumed and uninterrupted runs\n"
-      "                      compare byte-for-byte\n");
+      "                      compare byte-for-byte\n",
+      faultKindUsage(FaultDomain::Sim, "                        ").c_str(),
+      faultKindUsage(FaultDomain::Chip, "                        ").c_str());
 }
 
 namespace {
@@ -182,14 +177,8 @@ int main(int argc, char **argv) {
       if (!P.Failed) {
         FaultSpec Spec;
         std::string Error;
-        if (!parseFaultSpec(V, Spec, Error))
+        if (!parseFaultSpec(V, FaultDomain::Sim, Spec, Error))
           P.fail("--inject-fault: %s", Error.c_str());
-        else if (faultKindDomain(Spec.Kind) != FaultDomain::Sim)
-          // Strict rejection instead of the old silent no-op: a
-          // solver-domain kind never reaches a packet runtime hook.
-          P.fail("--inject-fault: fault kind '%s' is solver-domain (use "
-                 "novac --inject-fault)",
-                 faultKindName(Spec.Kind));
         else
           Faults.push_back(Spec);
       }
