@@ -4,18 +4,25 @@
 // Processor" (PLDI 2003).
 //
 // Micro benchmarks of the substrates: LP solves, presolve, compilation
-// front end, bitfield planning, and the simulator's execution rate.
+// front end, bitfield planning, and the execution rates of the simulator
+// and the CPS reference evaluator.
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/AppSources.h"
 #include "cps/Convert.h"
 #include "cps/Opt.h"
 #include "driver/Compiler.h"
 #include "ilp/MipSolver.h"
 #include "nova/Layout.h"
 #include "sim/Simulator.h"
+#include "soak/Soak.h"
 
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <map>
 
 using namespace nova;
 
@@ -104,6 +111,54 @@ void BM_IlpAllocationSmall(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_IlpAllocationSmall)->Unit(benchmark::kMillisecond);
+
+/// One app's harness and its first 64 valid packets of stream seed 42.
+struct EvalInputs {
+  std::unique_ptr<soak::AppHarness> H;
+  std::vector<soak::SoakPacket> Packets;
+};
+
+const EvalInputs &evalInputs(const std::string &App) {
+  static std::map<std::string, EvalInputs> Cache;
+  EvalInputs &In = Cache[App];
+  if (!In.H) {
+    std::string Error;
+    In.H = soak::AppHarness::create(App, Error);
+    if (!In.H) {
+      fprintf(stderr, "micro_bench: %s: %s\n", App.c_str(), Error.c_str());
+      exit(1);
+    }
+    soak::ClassMix Valid{100, 0, 0, 0, 0};
+    for (uint64_t I = 0; I != 64; ++I)
+      In.Packets.push_back(In.H->generate(I, 42, Valid));
+  }
+  return In;
+}
+
+/// The CPS evaluator on one packet per iteration, per-call (lowering
+/// included); the image copy is not timed.
+void BM_CpsEvaluate(benchmark::State &State, const char *App) {
+  const EvalInputs &In = evalInputs(App);
+  uint64_t Steps = 0;
+  size_t I = 0;
+  for (auto _ : State) {
+    const soak::SoakPacket &P = In.Packets[I++ % In.Packets.size()];
+    State.PauseTiming();
+    cps::EvalMemory Mem = In.H->baseEval();
+    apps::storePacket(Mem.Sdram, P.Args[0], P.Words);
+    State.ResumeTiming();
+    cps::EvalResult R = cps::evaluate(In.H->compiled().Cps, P.Args, Mem);
+    if (!R.Ok)
+      State.SkipWithError(R.Error.c_str());
+    Steps += R.Steps;
+  }
+  State.counters["steps_per_s"] =
+      benchmark::Counter(static_cast<double>(Steps),
+                         benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_CpsEvaluate, aes, "aes");
+BENCHMARK_CAPTURE(BM_CpsEvaluate, kasumi, "kasumi");
+BENCHMARK_CAPTURE(BM_CpsEvaluate, nat, "nat");
 
 } // namespace
 

@@ -9,11 +9,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "apps/AppSources.h"
 #include "cps/Convert.h"
 #include "cps/Eval.h"
 #include "cps/Opt.h"
 #include "nova/Parser.h"
 #include "nova/Sema.h"
+#include "soak/Soak.h"
+#include "support/BinIO.h"
 
 #include <gtest/gtest.h>
 
@@ -545,6 +548,249 @@ TEST(CpsEval, LiveActivationsCaptureTheirOwnValues) {
   EvalResult R = run(P, {});
   ASSERT_TRUE(R.Ok) << R.Error << "\n" << P.print();
   EXPECT_EQ(R.HaltValues, (std::vector<uint32_t>{1, 2}));
+}
+
+TEST(CpsEvalErrors, UnboundOperandIsReportedAtTheNextStep) {
+  // sram(x) <- (late); halt(): the store runs with 0 for the unbound
+  // operand, and the error stops the run at the start of the next step,
+  // after that step's limit check.
+  auto Build = [](CpsProgram &P) {
+    FuncId Main = defineMain(P);
+    ValueId Late = P.newValue();
+    Exp *W = P.newExp(ExpKind::MemWrite);
+    W->Space = MemSpace::Sram;
+    W->Args = {param(P, Main, 0), Atom::temp(Late)};
+    W->Cont = haltExp(P, {});
+    P.func(Main).Body = W;
+    return Late;
+  };
+  CpsProgram P;
+  ValueId Late = Build(P);
+  EvalMemory Mem;
+  EvalResult R = evaluate(P, {9}, Mem, /*MaxSteps=*/2);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "use of unbound value v" + std::to_string(Late));
+  EXPECT_EQ(R.Steps, 2u);
+  EXPECT_TRUE(R.HaltValues.empty());
+  EXPECT_EQ(Mem.Sram, (std::map<uint32_t, uint32_t>{{9, 0}}));
+
+  // One step fewer: the limit check of step 2 comes first.
+  EvalMemory Mem1;
+  R = evaluate(P, {9}, Mem1, /*MaxSteps=*/1);
+  EXPECT_EQ(R.Error, "step limit exceeded (diverging program?)");
+  EXPECT_EQ(R.Steps, 2u);
+  EXPECT_EQ(Mem1.Sram, (std::map<uint32_t, uint32_t>{{9, 0}}));
+
+  // An unbound halt operand halts with 0 in its place, not Ok.
+  CpsProgram Q;
+  defineMain(Q);
+  ValueId Gone = Q.newValue();
+  Q.func(Q.Entry).Body =
+      haltExp(Q, {param(Q, Q.Entry, 0), Atom::temp(Gone)});
+  R = run(Q, {7});
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "use of unbound value v" + std::to_string(Gone));
+  EXPECT_EQ(R.HaltValues, (std::vector<uint32_t>{7, 0}));
+  EXPECT_EQ(R.Steps, 1u);
+}
+
+TEST(CpsEvalErrors, UnboundCallee) {
+  // The unbound read's error is replaced by the jump's own.
+  CpsProgram P;
+  FuncId Main = defineMain(P);
+  P.func(Main).Body =
+      appExp(P, Atom::temp(P.newValue()), {param(P, Main, 0)});
+  EvalResult R = run(P, {5});
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "indirect jump to a non-label value");
+  EXPECT_EQ(R.Steps, 1u);
+}
+
+TEST(CpsEval, FixReachedTwiceInOneScope) {
+  // main(x) { if (x == 0) { a = x + 10; T } else { a = x + 20; T } } with
+  // the shared tail T = fix k(p) { halt(p, c) } in c = a + 1; jump k(c).
+  // Both arms bind `a` (one slot of main's scope) and reach the same Fix
+  // node in the same scope.
+  CpsProgram P;
+  FuncId Main = defineMain(P);
+  FuncId K = defineFunc(P, "k", 1, FuncKind::Join);
+  ValueId A = P.newValue();
+  ValueId C = P.newValue();
+  P.func(K).Body = haltExp(P, {param(P, K, 0), Atom::temp(C)});
+  Exp *Add = primExp(P, PrimOp::Add, C, Atom::temp(A), Atom::constant(1));
+  Add->Cont = appExp(P, Atom::label(K), {Atom::temp(C)});
+  Exp *Tail = fixExp(P, {K}, Add);
+  Exp *Then =
+      primExp(P, PrimOp::Add, A, param(P, Main, 0), Atom::constant(10));
+  Exp *Else =
+      primExp(P, PrimOp::Add, A, param(P, Main, 0), Atom::constant(20));
+  Then->Cont = Else->Cont = Tail;
+  Exp *If = P.newExp(ExpKind::Branch);
+  If->Cmp = CmpOp::Eq;
+  If->Args = {param(P, Main, 0), Atom::constant(0)};
+  If->Then = Then;
+  If->Else = Else;
+  P.func(Main).Body = If;
+  EvalResult R = run(P, {0});
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.HaltValues, (std::vector<uint32_t>{11, 11}));
+  EXPECT_EQ(R.Steps, 6u);
+  R = run(P, {5});
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.HaltValues, (std::vector<uint32_t>{26, 26}));
+}
+
+TEST(CpsEval, ValueBoundInTwoScopes) {
+  // main(x) { v = x + 1; fix f(p) { y = v + 0; v = p + 100; halt(v + y) }
+  // in jump f(v) }: f's first read of v finds its own slot unbound and
+  // takes main's v; after f binds v, reads take f's.
+  CpsProgram P;
+  FuncId Main = defineMain(P);
+  FuncId F = defineFunc(P, "f", 1);
+  ValueId V = P.newValue();
+  ValueId Y = P.newValue();
+  ValueId Z = P.newValue();
+  Exp *ReadOuter = primExp(P, PrimOp::Add, Y, Atom::temp(V),
+                           Atom::constant(0));
+  ReadOuter->Cont = primExp(P, PrimOp::Add, V, param(P, F, 0),
+                            Atom::constant(100));
+  ReadOuter->Cont->Cont =
+      primExp(P, PrimOp::Add, Z, Atom::temp(V), Atom::temp(Y));
+  ReadOuter->Cont->Cont->Cont = haltExp(P, {Atom::temp(Z)});
+  P.func(F).Body = ReadOuter;
+  Exp *Bind = primExp(P, PrimOp::Add, V, param(P, Main, 0),
+                      Atom::constant(1));
+  Bind->Cont = fixExp(P, {F}, appExp(P, Atom::label(F), {Atom::temp(V)}));
+  P.func(Main).Body = Bind;
+  EvalResult R = run(P, {5});
+  ASSERT_TRUE(R.Ok) << R.Error;
+  // y = 6, f's v = 106, halt(112).
+  EXPECT_EQ(R.HaltValues, std::vector<uint32_t>{112});
+  EXPECT_EQ(R.Steps, 7u);
+}
+
+TEST(CpsEvalErrors, LabelNoFixOnTheChainDeclares) {
+  // h(q) { w = q + 1; fix f(p) { halt(p + w) } in halt() } is never run,
+  // and main jumps to f's label directly: f is entered closed, so its
+  // read of h's w is unbound.
+  CpsProgram P;
+  FuncId Main = defineMain(P);
+  FuncId H = defineFunc(P, "h", 1);
+  FuncId F = defineFunc(P, "f", 1);
+  ValueId W = P.newValue();
+  ValueId S = P.newValue();
+  Exp *Sum = primExp(P, PrimOp::Add, S, param(P, F, 0), Atom::temp(W));
+  Sum->Cont = haltExp(P, {Atom::temp(S)});
+  P.func(F).Body = Sum;
+  Exp *HBody =
+      primExp(P, PrimOp::Add, W, param(P, H, 0), Atom::constant(1));
+  HBody->Cont = fixExp(P, {F}, haltExp(P, {}));
+  P.func(H).Body = HBody;
+  P.func(Main).Body = appExp(P, Atom::label(F), {param(P, Main, 0)});
+  EvalResult R = run(P, {5});
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "use of unbound value v" + std::to_string(W));
+  EXPECT_EQ(R.Steps, 3u);
+
+  // Entered through h's Fix, the same label is a closure over h's frame.
+  P.func(Main).Body = appExp(P, Atom::label(H), {param(P, Main, 0)});
+  HBody->Cont = fixExp(P, {F}, appExp(P, Atom::label(F), {Atom::constant(3)}));
+  R = run(P, {5});
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.HaltValues, std::vector<uint32_t>{9});
+}
+
+namespace {
+
+/// FNV-1a-64 of one evaluation: verdict, error text, step count, halt
+/// values and the final SDRAM image, field by field.
+void foldEval(uint64_t &H, const EvalResult &R, const EvalMemory &Mem) {
+  auto Fold = [&H](uint64_t V) { H = fnv1a64(&V, sizeof V, H); };
+  Fold(R.Ok);
+  Fold(R.Error.size());
+  H = fnv1a64(R.Error.data(), R.Error.size(), H);
+  Fold(R.Steps);
+  Fold(R.HaltValues.size());
+  for (uint32_t V : R.HaltValues)
+    Fold(V);
+  Fold(Mem.Sdram.size());
+  for (const auto &[Addr, V] : Mem.Sdram) {
+    Fold(Addr);
+    Fold(V);
+  }
+}
+
+/// The evaluator on the first 40 packets of the seed-42 stream drawn
+/// from \p Mix, each from the app's base image with the soak runner's
+/// step budget.
+uint64_t evalRunsHash(const CpsProgram &P, const soak::AppHarness &App,
+                      const soak::ClassMix &Mix) {
+  const unsigned MaxSteps = soak::SoakOptions().Budget * 64;
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (uint64_t I = 0; I != 40; ++I) {
+    soak::SoakPacket Pkt = App.generate(I, 42, Mix);
+    EvalMemory Mem = App.baseEval();
+    apps::storePacket(Mem.Sdram, Pkt.Args.empty() ? 0 : Pkt.Args[0],
+                      Pkt.Words);
+    foldEval(H, evaluate(P, Pkt.Args, Mem, MaxSteps), Mem);
+  }
+  return H;
+}
+
+} // namespace
+
+// The evaluator's observables on the three benchmark apps at each stage
+// the pipeline hands it: converted, optimized, and after SSU, over 40
+// valid and 40 adversarial seed-42 packets.
+TEST(CpsEval, AppObservablesArePinned) {
+  soak::ClassMix Valid;
+  Valid.Truncated = Valid.Oversized = Valid.Corrupt = Valid.Fuzz = 0;
+  soak::ClassMix Adversarial;
+  Adversarial.Valid = 0;
+  struct Case {
+    const char *App;
+    std::string Source;
+    uint64_t Pins[3][2]; ///< by stage: valid, adversarial
+  };
+  const Case Cases[] = {
+      {"aes",
+       apps::aesNovaSource(),
+       {{0xeb9524ca8c1751d7ull, 0x851826124f60e2aeull},
+        {0x2dfde14cc20b38efull, 0xd913a1ccd8065978ull},
+        {0x3986c69d32d4d00full, 0x852e136759bbb057ull}}},
+      {"kasumi",
+       apps::kasumiNovaSource(),
+       {{0xffd0e070bb525f86ull, 0x10c672b3ccfcb11eull},
+        {0xbf936dbcc1544a42ull, 0x5c4fb5b5fb570d4eull},
+        {0xedcdae789ae504c6ull, 0xe73b4bc0881900beull}}},
+      {"nat",
+       apps::natNovaSource(),
+       {{0xe3284deb9d5f2541ull, 0x4152b7326c55d613ull},
+        {0x5361bbabceb24176ull, 0xea684c5d56711b1eull},
+        {0x2b8647bb24b49fa9ull, 0xd660d1de5b21814cull}}},
+  };
+  for (const Case &K : Cases) {
+    SCOPED_TRACE(K.App);
+    // The harness supplies packets and the base image; the front end is
+    // all it needs to compile.
+    driver::CompileOptions Opts;
+    Opts.Allocate = false;
+    std::string Error;
+    std::unique_ptr<soak::AppHarness> App =
+        soak::AppHarness::create(K.App, Error, Opts);
+    ASSERT_TRUE(App) << Error;
+    Pipeline P;
+    ASSERT_TRUE(P.compile(K.Source)) << P.errors();
+    for (unsigned Stage = 0; Stage != 3; ++Stage) {
+      SCOPED_TRACE(Stage);
+      if (Stage == 1)
+        optimize(P.Cps);
+      if (Stage == 2)
+        makeStaticSingleUse(P.Cps);
+      EXPECT_EQ(evalRunsHash(P.Cps, *App, Valid), K.Pins[Stage][0]);
+      EXPECT_EQ(evalRunsHash(P.Cps, *App, Adversarial), K.Pins[Stage][1]);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
