@@ -135,10 +135,10 @@ const EvalInputs &evalInputs(const std::string &App) {
   return In;
 }
 
-/// The CPS evaluator on one packet per iteration, per-call (lowering
-/// included); the image copy is not timed.
-void BM_CpsEvaluate(benchmark::State &State, const char *App) {
-  const EvalInputs &In = evalInputs(App);
+/// The CPS evaluator on one packet per iteration; the image copy is not
+/// timed. \p Run evaluates one packet.
+template <typename RunFn>
+void evalPackets(benchmark::State &State, const EvalInputs &In, RunFn Run) {
   uint64_t Steps = 0;
   size_t I = 0;
   for (auto _ : State) {
@@ -147,7 +147,7 @@ void BM_CpsEvaluate(benchmark::State &State, const char *App) {
     cps::EvalMemory Mem = In.H->baseEval();
     apps::storePacket(Mem.Sdram, P.Args[0], P.Words);
     State.ResumeTiming();
-    cps::EvalResult R = cps::evaluate(In.H->compiled().Cps, P.Args, Mem);
+    cps::EvalResult R = Run(P, Mem);
     if (!R.Ok)
       State.SkipWithError(R.Error.c_str());
     Steps += R.Steps;
@@ -156,9 +156,38 @@ void BM_CpsEvaluate(benchmark::State &State, const char *App) {
       benchmark::Counter(static_cast<double>(Steps),
                          benchmark::Counter::kIsRate);
 }
+
+/// Per-call evaluate: lowers the program for every packet.
+void BM_CpsEvaluate(benchmark::State &State, const char *App) {
+  const EvalInputs &In = evalInputs(App);
+  evalPackets(State, In, [&](const soak::SoakPacket &P, cps::EvalMemory &M) {
+    return cps::evaluate(In.H->compiled().Cps, P.Args, M);
+  });
+}
 BENCHMARK_CAPTURE(BM_CpsEvaluate, aes, "aes");
 BENCHMARK_CAPTURE(BM_CpsEvaluate, kasumi, "kasumi");
 BENCHMARK_CAPTURE(BM_CpsEvaluate, nat, "nat");
+
+/// The soak harness's path: the program lowered once at create.
+void BM_CpsEvaluateLowered(benchmark::State &State, const char *App) {
+  const EvalInputs &In = evalInputs(App);
+  evalPackets(State, In, [&](const soak::SoakPacket &P, cps::EvalMemory &M) {
+    return cps::evaluate(In.H->lowered(), P.Args, M);
+  });
+}
+BENCHMARK_CAPTURE(BM_CpsEvaluateLowered, aes, "aes");
+BENCHMARK_CAPTURE(BM_CpsEvaluateLowered, kasumi, "kasumi");
+BENCHMARK_CAPTURE(BM_CpsEvaluateLowered, nat, "nat");
+
+/// Lowering alone, the per-call cost evaluate adds to a lowered run.
+void BM_CpsLower(benchmark::State &State, const char *App) {
+  const EvalInputs &In = evalInputs(App);
+  for (auto _ : State)
+    benchmark::DoNotOptimize(cps::LoweredProgram(In.H->compiled().Cps));
+}
+BENCHMARK_CAPTURE(BM_CpsLower, aes, "aes");
+BENCHMARK_CAPTURE(BM_CpsLower, kasumi, "kasumi");
+BENCHMARK_CAPTURE(BM_CpsLower, nat, "nat");
 
 } // namespace
 

@@ -991,7 +991,9 @@ struct Chip::Impl {
         HwCtx &Cx = Mes[M].Ctx[Cn];
         if (Cx.Ph != CtxPh::Wedged)
           continue;
-        if (T - Cx.WedgeTime < C.LockupThreshold) {
+        // WedgeTime is the end of the burst that lost the completion, so
+        // a tick inside that burst comes before it: not yet elapsed.
+        if (T < Cx.WedgeTime || T - Cx.WedgeTime < C.LockupThreshold) {
           StillWedged = true;
           continue;
         }

@@ -6,10 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A direct interpreter for CPS programs. It defines the language's
+/// The reference interpreter for CPS programs. It defines the language's
 /// observable semantics and serves as the oracle against which the
 /// optimizer, the allocator, and the micro-engine simulator are tested:
-/// source -> CPS -> evaluate must equal source -> ... -> simulate.
+/// source -> CPS -> evaluate must equal source -> ... -> simulate. A
+/// program is lowered once into flat, lexically addressed code
+/// (LoweredProgram) and then run per input.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +22,7 @@
 #include "support/MemImage.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,8 +40,31 @@ struct EvalResult {
   unsigned Steps = 0;
 };
 
+/// A program lowered for evaluation (see Eval.cpp). It reads the
+/// program's functions for error messages, so the program must outlive
+/// it unchanged. An empty one (default-constructed) reports "program has
+/// no entry".
+class LoweredProgram {
+public:
+  LoweredProgram();
+  explicit LoweredProgram(const CpsProgram &P);
+  LoweredProgram(LoweredProgram &&) noexcept;
+  LoweredProgram &operator=(LoweredProgram &&) noexcept;
+  ~LoweredProgram();
+
+  struct Code;
+  const Code *code() const { return C.get(); }
+
+private:
+  std::unique_ptr<Code> C;
+};
+
 /// Runs the program entry with \p Args (one word per entry parameter).
 /// Memory is read and mutated in place. \p MaxSteps bounds execution.
+EvalResult evaluate(const LoweredProgram &L, const std::vector<uint32_t> &Args,
+                    EvalMemory &Mem, unsigned MaxSteps = 1'000'000);
+
+/// Lowers \p P and runs it once.
 EvalResult evaluate(const CpsProgram &P, const std::vector<uint32_t> &Args,
                     EvalMemory &Mem, unsigned MaxSteps = 1'000'000);
 

@@ -59,6 +59,7 @@ AppHarness::create(const std::string &Name, std::string &Error,
     return nullptr;
   }
   H->Code = sim::decode(H->App->Alloc.Prog);
+  H->Lowered = cps::LoweredProgram(H->App->Cps);
   switch (H->Id) {
   case AppId::Aes:
     apps::loadAesEnvironment(H->Base);
@@ -216,8 +217,7 @@ PacketOutcome soak::runPacket(const AppHarness &App, const SoakPacket &P,
       std::min<uint64_t>(Steps64, UINT_MAX));
   cps::EvalMemory ME = App.baseEval();
   apps::storePacket(ME.Sdram, P.Args.empty() ? 0 : P.Args[0], P.Words);
-  cps::EvalResult E =
-      cps::evaluate(App.compiled().Cps, P.Args, ME, MaxSteps);
+  cps::EvalResult E = cps::evaluate(App.lowered(), P.Args, ME, MaxSteps);
   if (!E.Ok) {
     if (E.Error.find("step limit") != std::string::npos) {
       O.OracleBudgetMiss = true;

@@ -220,6 +220,8 @@ public:
   const driver::CompileResult &compiled() const { return *App; }
   /// The allocated program, decoded once for the interpreter.
   const sim::Decoded &decoded() const { return Code; }
+  /// The CPS program, lowered once for the reference evaluator.
+  const cps::LoweredProgram &lowered() const { return Lowered; }
   /// The base image with the simulators' limits, and the same image as
   /// the CPS evaluator's memory.
   const sim::Memory &baseSim() const { return Base; }
@@ -261,6 +263,7 @@ private:
   AppId Id = AppId::Aes;
   std::unique_ptr<driver::CompileResult> App;
   sim::Decoded Code;
+  cps::LoweredProgram Lowered;
   sim::Memory Base;
 };
 

@@ -116,6 +116,26 @@ AllocatedProgram burstyProgram(unsigned Reads, unsigned Alus) {
   return P;
 }
 
+/// aluFirst(in, out): \p Alus ALU ops, then *out = *in — one long burst
+/// ends in the packet's first SDRAM read.
+AllocatedProgram aluFirstProgram(unsigned Alus) {
+  AllocatedProgram P;
+  P.Entry = 0;
+  P.NumEntryArgs = 2;
+  AllocInstr And;
+  And.Op = MOp::Alu;
+  And.Alu = cps::PrimOp::And;
+  And.Srcs = {AOperand::reg({Bank::A, 0}), AOperand::constant(1)};
+  And.Dsts = {{Bank::S, 1}};
+  std::vector<AllocInstr> Is(Alus, And);
+  Is.push_back(sdramRead(AOperand::reg({Bank::A, 0}), {Bank::S, 0}));
+  Is.push_back(sdramWrite(AOperand::reg({Bank::A, 1}),
+                          AOperand::reg({Bank::S, 0})));
+  Is.push_back(haltOf({AOperand::reg({Bank::S, 0})}));
+  P.Blocks.push_back({std::move(Is)});
+  return P;
+}
+
 FaultSchedule schedule(const std::string &Spec) {
   FaultSchedule S;
   std::string Error;
@@ -309,6 +329,36 @@ TEST(ChipFaultRun, LockupRecoveredWithCorrectResults) {
   EXPECT_EQ(RS.PacketRequeues, 16u);
   EXPECT_GE(RS.MaxBackoffCycles, 2 * CP.Sup.BackoffBase);
   EXPECT_TRUE(RS.allAccounted());
+}
+
+TEST(ChipFaultRun, LockupIsNotDetectedBeforeItsThreshold) {
+  // A context wedges at the end of a 200-op burst, and watchdog ticks
+  // fall inside that burst. A tick earlier than the wedge must not count
+  // as elapsed time: the lockup is declared LockupThreshold cycles after
+  // the wedge at the earliest. With no retries each detection retires
+  // the packet as a typed drop at the tick that declared it, after at
+  // least its 200 ALU cycles.
+  chip::ChipParams CP;
+  CP.MP.MeCount = 3;
+  CP.MP.ContextsPerMe = 4;
+  CP.Faults = schedule("ctx-lockup@3");
+  CP.Sup = quickSup();
+  CP.Sup.MaxRetries = 0;
+  DriveResult R = drive(aluFirstProgram(200), CP, 36);
+
+  ASSERT_EQ(R.Retired.size(), 36u);
+  expectInOrder(R.Retired);
+  unsigned Drops = 0;
+  for (const chip::RetiredPacket &RP : R.Retired) {
+    if (RP.Drop != chip::DropReason::Lockup)
+      continue;
+    ++Drops;
+    EXPECT_GE(RP.CompleteTime,
+              RP.DispatchTime + 200 + CP.Sup.LockupThreshold)
+        << "seq " << RP.Pkt.Seq;
+  }
+  EXPECT_EQ(Drops, 12u);
+  EXPECT_EQ(R.Stats.Recovery.LockupsDetected, 12u);
 }
 
 TEST(ChipFaultRun, RetryExhaustionBecomesTypedLockupDrop) {

@@ -700,6 +700,95 @@ TEST(CpsEvalErrors, LabelNoFixOnTheChainDeclares) {
   EXPECT_EQ(R.HaltValues, std::vector<uint32_t>{9});
 }
 
+TEST(CpsEval, FunctionDeclaredByTwoFixes) {
+  // main(x) { if (x == 0) { fix f() { halt(w) } in w = x + 10; jump f() }
+  //           else { fix f() { ... } in w = x + 20; jump f() } }: two Fix
+  // nodes declare f, and each arm's w lives in its own Fix scope.
+  CpsProgram P;
+  FuncId Main = defineMain(P);
+  FuncId F = defineFunc(P, "f", 0);
+  ValueId W = P.newValue();
+  P.func(F).Body = haltExp(P, {Atom::temp(W)});
+  auto Arm = [&](uint32_t Add) {
+    Exp *Bind =
+        primExp(P, PrimOp::Add, W, param(P, Main, 0), Atom::constant(Add));
+    Bind->Cont = appExp(P, Atom::label(F), {});
+    return fixExp(P, {F}, Bind);
+  };
+  Exp *If = P.newExp(ExpKind::Branch);
+  If->Cmp = CmpOp::Eq;
+  If->Args = {param(P, Main, 0), Atom::constant(0)};
+  If->Then = Arm(10);
+  If->Else = Arm(20);
+  P.func(Main).Body = If;
+  EvalResult R = run(P, {0});
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.HaltValues, std::vector<uint32_t>{10});
+  EXPECT_EQ(R.Steps, 5u);
+  R = run(P, {5});
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.HaltValues, std::vector<uint32_t>{25});
+}
+
+TEST(CpsEval, FunctionDeclaredInsideItself) {
+  // f(n) { fix f in if (n == 0) halt(n) else jump f(n - 1) }, entered
+  // closed from main: f's only declaring Fix is in its own body.
+  CpsProgram P;
+  FuncId Main = defineMain(P);
+  FuncId F = defineFunc(P, "f", 1, FuncKind::Loop);
+  ValueId N1 = P.newValue();
+  Exp *Dec =
+      primExp(P, PrimOp::Sub, N1, param(P, F, 0), Atom::constant(1));
+  Dec->Cont = appExp(P, Atom::label(F), {Atom::temp(N1)});
+  Exp *If = P.newExp(ExpKind::Branch);
+  If->Cmp = CmpOp::Eq;
+  If->Args = {param(P, F, 0), Atom::constant(0)};
+  If->Then = haltExp(P, {param(P, F, 0)});
+  If->Else = Dec;
+  P.func(F).Body = fixExp(P, {F}, If);
+  P.func(Main).Body = appExp(P, Atom::label(F), {param(P, Main, 0)});
+  EvalResult R = run(P, {3});
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.HaltValues, std::vector<uint32_t>{0});
+  EXPECT_EQ(R.Steps, 1u + 4 * 3 + 3);
+}
+
+TEST(CpsEval, SlotTakesAClosureAndAWord) {
+  // g(p), declared in main's Fix with f, binds v twice in its own scope:
+  // once to a closure over main's Fix frame and once to a word, in either
+  // order. The word overwrites or precedes the closure, whose frame must
+  // still be released (the assertion build checks the frame count).
+  for (bool ClosureFirst : {true, false}) {
+    SCOPED_TRACE(ClosureFirst);
+    CpsProgram P;
+    FuncId Main = defineMain(P);
+    FuncId F = defineFunc(P, "f", 1);
+    FuncId G = defineFunc(P, "g", 1);
+    P.func(F).Body = haltExp(P, {param(P, F, 0)});
+    ValueId V = P.newValue();
+    Exp *Clone = P.newExp(ExpKind::Clone);
+    Clone->Args = {Atom::label(F)};
+    Clone->Results = {V};
+    Exp *Word =
+        primExp(P, PrimOp::Add, V, param(P, G, 0), Atom::constant(1));
+    if (ClosureFirst) {
+      Clone->Cont = Word;
+      Word->Cont = haltExp(P, {Atom::temp(V)});
+      P.func(G).Body = Clone;
+    } else {
+      Word->Cont = Clone;
+      Clone->Cont = appExp(P, Atom::temp(V), {param(P, G, 0)});
+      P.func(G).Body = Word;
+    }
+    P.func(Main).Body =
+        fixExp(P, {F, G}, appExp(P, Atom::label(G), {param(P, Main, 0)}));
+    EvalResult R = run(P, {7});
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.HaltValues,
+              std::vector<uint32_t>{ClosureFirst ? 8u : 7u});
+  }
+}
+
 namespace {
 
 /// FNV-1a-64 of one evaluation: verdict, error text, step count, halt
