@@ -358,10 +358,12 @@ cmake --build "$SAN_BUILD" -j"$JOBS" --target degradation_test support_test \
   sim_test apps_test
 timeout 900 "$SAN_BUILD/tests/degradation_test"
 timeout 120 "$SAN_BUILD/tests/support_test"
-# The CPS evaluator's frames are reference counted and recycled per
-# scope, and its slots are indexed through the static resolution: the
-# leak checker covers frame lifetimes (closures captured by live
-# activations, Fix frames) and ASan the slot indexing.
+# The CPS evaluator lowers each program to flat code whose operands are
+# (hops, slot) addresses and indexes its own tables with them: ASan and
+# UBSan cover the lowering and those tables on the apps and the hostile
+# programs. Its frames come from a per-run arena that ASan cannot see
+# inside, so slot bounds and frame counts are the evaluator's own
+# assertions, live in the build-assert stage below.
 timeout 300 "$SAN_BUILD/tests/cps_test"
 # The LU keeps its active-submatrix workspace across rebuilds, finds
 # pivot-row entries through position hints, and walks step bitmaps and

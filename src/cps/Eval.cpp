@@ -21,11 +21,15 @@
 // emitted once, and gives every binding site a slot in its scope. A
 // scope's static parent is the scope its Fix was reached in, or for an
 // entry the one Fix scope that declares the function (none if no Fix
-// does). Once the walk is done every operand is resolved along that
-// static chain into a constant, a (hops, slot) address, or a label with
-// the hop count to its declaring Fix frame (or closed); every result is a
-// slot, every Fix its child scope, and every function its parameter
-// slots.
+// does). Every operand is resolved along that static chain into a
+// constant, a (hops, slot) address, or a label with the hop count to its
+// declaring Fix frame (or closed): a value bound earlier in the operand's
+// own scope as the walk emits it, the rest once every static parent is
+// known. Every result is a slot, every Fix its child scope, and every
+// function its parameter slots. An op whose operands are slots or
+// constants and whose results never take a closure also gets a handler
+// specialized on its operator, and each handler dispatches its successor
+// itself.
 //
 // A runtime frame is one activation of a scope: a header and its slots,
 // each slot with a bound mark, chained to the frame it was entered from
@@ -75,8 +79,9 @@ enum class OperandKind : uint8_t {
   Search, ///< value Id, found by searching the frame chain
 };
 
-/// One operand. The walk stores a temporary as Search and a label as
-/// Closed; resolution rewrites them once every scope is known.
+/// One operand. A temporary the walk cannot place in its own scope starts
+/// as Search and a label as Closed; resolution rewrites them once every
+/// scope is known.
 struct Operand {
   uint32_t X = 0;
   ValueId Id = 0;
@@ -101,7 +106,7 @@ constexpr bool inlineOperands(ExpKind K) {
   return K != ExpKind::MemWrite && K != ExpKind::App && K != ExpKind::Halt;
 }
 
-/// One expression lowered in one scope: one cache line.
+/// One expression lowered in one scope, in 64 bytes.
 struct Op {
   ExpKind K = ExpKind::Halt;
   Handler H = Handler::Halt;
@@ -284,7 +289,7 @@ private:
     return static_cast<uint32_t>(C.Scopes.size() - 1);
   }
 
-  uint32_t newSlot(uint32_t S, bool Closure) {
+  [[gnu::always_inline]] uint32_t newSlot(uint32_t S, bool Closure) {
     uint32_t B = static_cast<uint32_t>(C.Bindings.size());
     C.Bindings.push_back({S, C.Scopes[S].NumSlots++});
     if (Closure)
@@ -302,11 +307,12 @@ private:
   }
 
   /// The binding of \p V in scope \p S; a second site in one scope
-  /// rebinds the same slot.
+  /// rebinds the same slot. An id the program never allocated names no
+  /// value: its sites write slots that every read finds unbound.
   [[gnu::always_inline]] uint32_t bind(ValueId V, uint32_t S,
                                        bool Closure) {
     if (V >= C.FirstBinding.size())
-      C.FirstBinding.resize(V + 1, None);
+      return newSlot(S, Closure);
     uint32_t B = C.FirstBinding[V];
     if (B == None) {
       C.FirstBinding[V] = static_cast<uint32_t>(C.Bindings.size());
@@ -331,7 +337,7 @@ private:
 
   /// The result slot of \p O; a malformed node without results writes a
   /// slot no value owns.
-  void result(const Exp *E, uint32_t S, Op &O) {
+  [[gnu::always_inline]] void result(const Exp *E, uint32_t S, Op &O) {
     const Binding &B = C.Bindings[E->Results.empty()
                                       ? newSlot(S, false)
                                       : bind(E->Results[0], S, false)];
@@ -381,7 +387,8 @@ private:
 
   /// Lowers operand \p I of \p E into op \p Op, which holds it; one a
   /// malformed node lacks reads as 0.
-  void arg(const Exp *E, unsigned I, uint32_t S, uint32_t Op) {
+  [[gnu::always_inline]] void arg(const Exp *E, unsigned I, uint32_t S,
+                                  uint32_t Op) {
     operand(I < E->Args.size() ? E->Args[I] : Atom::constant(0), S,
             C.Ops[Op].In[I], InlineRef | Op << 1 | I);
   }
@@ -415,9 +422,10 @@ private:
   }
 
   /// Emits the chain from \p E in scope \p S, Branch arms to the work
-  /// list, and records its first op at \p L.
+  /// list, and records its first op at \p L. A node of no known kind
+  /// ends the chain: the run falls off there.
   void lowerChain(const Exp *E, uint32_t S, Link L) {
-    while (E) {
+    while (E && E->Kind <= ExpKind::Halt) {
       if (uint32_t Shared = memo(E, S); Shared != None) {
         patch(L, Shared); // a tail already lowered in this scope
         return;
@@ -558,7 +566,8 @@ private:
     if (O.K == ExpKind::MemRead && SlotX &&
         O.Sub <= static_cast<uint8_t>(MemSpace::Scratch))
       return Handler::MemReadS;
-    if (O.K != ExpKind::Prim || !SlotX)
+    if (O.K != ExpKind::Prim || !SlotX ||
+        O.Sub > static_cast<uint8_t>(PrimOp::Not))
       return static_cast<Handler>(O.K);
     const Operand &Y = O.In[1];
     if (Y.K == OperandKind::Slot)
@@ -738,13 +747,13 @@ private:
   /// its scope's free list. Iterative, so a long chain of captured
   /// activations cannot exhaust the stack.
   [[gnu::noinline]] void free(Frame *F) {
-    // The parent chain is followed in place; frames that captured
-    // closures release wait on Dying.
+    // The parent chain is followed in place; a frame whose last
+    // reference was a closure in a freed slot waits on Dying.
     for (Frame *D = F; D;) {
       Frame *Next = D->Parent && !--D->Parent->Refs ? D->Parent : nullptr;
       for (uint32_t B = C.Scopes[D->Scope].Closures; B != None;
            B = C.Bindings[B].NextClosure) {
-        const Slot &Sl = D->slots()[C.Bindings[B].Slot];
+        const Slot &Sl = slot(D, C.Bindings[B].Slot);
         if (Sl.Mark == D->Mark && Sl.V.Env && Sl.V.Env != D &&
             !--Sl.V.Env->Refs)
           Dying.push_back(Sl.V.Env);
@@ -768,7 +777,7 @@ private:
   /// one is not counted, since the slot dies with its frame. Counting
   /// therefore frees every frame no longer reachable.
   [[gnu::always_inline]] void store(Frame *F, uint32_t I, Value X) {
-    Slot &S = F->slots()[I];
+    Slot &S = slot(F, I);
     if (X.Env && X.Env != F)
       retain(X.Env);
     Frame *Old = S.Mark == F->Mark && S.V.Env != F ? S.V.Env : nullptr;
@@ -778,7 +787,7 @@ private:
   }
 
   [[gnu::always_inline]] void bindWord(Frame *F, uint32_t I, uint32_t Data) {
-    Slot &S = F->slots()[I];
+    Slot &S = slot(F, I);
     Frame *Old =
         S.V.Env && S.Mark == F->Mark && S.V.Env != F ? S.V.Env : nullptr;
     S.V = {Data};
@@ -787,11 +796,17 @@ private:
   }
 
   /// Binds slot \p I, which never takes a closure, of frame \p F.
-  [[gnu::always_inline]] static void setWord(Frame *F, uint32_t I,
-                                             uint32_t Data) {
-    Slot &S = F->slots()[I];
+  [[gnu::always_inline]] void setWord(Frame *F, uint32_t I, uint32_t Data) {
+    Slot &S = slot(F, I);
     S.V.Data = Data;
     S.Mark = F->Mark;
+  }
+
+  /// Slot \p I of frame \p F. ASan cannot see an overrun inside the
+  /// arena, so the bound is asserted.
+  [[gnu::always_inline]] Slot &slot(Frame *F, uint32_t I) const {
+    assert(I < C.Scopes[F->Scope].NumSlots && "slot outside its frame");
+    return F->slots()[I];
   }
 
   static Frame *up(Frame *F, uint32_t Hops) {
@@ -802,12 +817,12 @@ private:
 
   /// The first frame on the chain whose scope binds \p V with the slot
   /// bound, as an unresolved read has always been found.
-  Value search(ValueId V) {
+  Value searchValue(ValueId V) {
     uint32_t First = V < C.FirstBinding.size() ? C.FirstBinding[V] : None;
     for (Frame *F = Env; F && First != None; F = F->Parent)
       for (uint32_t B = First; B != None; B = C.Bindings[B].Next)
         if (C.Bindings[B].Scope == F->Scope) {
-          const Slot &Sl = F->slots()[C.Bindings[B].Slot];
+          const Slot &Sl = slot(F, C.Bindings[B].Slot);
           if (Sl.Mark == F->Mark)
             return Sl.V;
           break;
@@ -817,7 +832,7 @@ private:
   }
 
   /// The nearest frame whose Fix declares \p Fn, or null.
-  Frame *declaringFrame(FuncId Fn) const {
+  Frame *searchLabel(FuncId Fn) const {
     if (Fn >= C.Funcs.size())
       return nullptr;
     for (Frame *F = Env; F; F = F->Parent)
@@ -835,17 +850,17 @@ private:
     case OperandKind::Slot:
       if (!Dynamic) {
         Frame *F = up(Env, A.Hops);
-        const Slot &S = F->slots()[A.X];
+        const Slot &S = slot(F, A.X);
         if (S.Mark == F->Mark)
           return S.V;
       }
-      return search(A.Id);
+      return searchValue(A.Id);
     case OperandKind::Search:
-      return search(A.Id);
+      return searchValue(A.Id);
     case OperandKind::Label:
-      return {0, A.X, Dynamic ? declaringFrame(A.X) : up(Env, A.Hops)};
+      return {0, A.X, Dynamic ? searchLabel(A.X) : up(Env, A.Hops)};
     case OperandKind::Closed:
-      return {0, A.X, Dynamic ? declaringFrame(A.X) : nullptr};
+      return {0, A.X, Dynamic ? searchLabel(A.X) : nullptr};
     }
     return {};
   }
@@ -856,7 +871,7 @@ private:
       return A.X;
     if (!Dynamic && A.K == OperandKind::Slot) {
       Frame *F = up(Env, A.Hops);
-      const Slot &S = F->slots()[A.X];
+      const Slot &S = slot(F, A.X);
       if (S.Mark == F->Mark)
         return S.V.Data;
     }
@@ -877,7 +892,7 @@ private:
   /// The word in the slot \p A names, if it is bound.
   [[gnu::always_inline]] bool boundWord(const Operand &A, uint32_t &Data) {
     Frame *F = up(Env, A.Hops);
-    const Slot &S = F->slots()[A.X];
+    const Slot &S = slot(F, A.X);
     Data = S.V.Data;
     return S.Mark == F->Mark;
   }

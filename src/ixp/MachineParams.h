@@ -9,8 +9,8 @@
 /// The one definition of the IXP1200's chip-level parameters, shared by
 /// the micro-engine simulator (sim::LatencyModel defaults), the chip
 /// contention model (src/chip channel queues), and the ILP cost model
-/// (ixp::CostModel spill costs). Kugelblitz-style design-space sweeps
-/// (ROADMAP item 5) vary these fields and re-solve.
+/// (ixp::CostModel spill costs). A Kugelblitz-style design-space sweep
+/// would vary these fields and re-solve (ROADMAP, "Deferred").
 ///
 /// Latency magnitudes are the IXP1200's (233 MHz, paper Sections 2 and
 /// 11): SRAM ~20 cycles, SDRAM ~33, scratch ~12. Issue intervals model

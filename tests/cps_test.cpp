@@ -594,6 +594,52 @@ TEST(CpsEvalErrors, UnboundOperandIsReportedAtTheNextStep) {
   EXPECT_EQ(R.Steps, 1u);
 }
 
+TEST(CpsEvalErrors, ValueIdOutsideTheProgram) {
+  // A result id the program never allocated (here the largest one) is
+  // written but names no value, so reading it back is unbound.
+  CpsProgram P;
+  FuncId Main = defineMain(P);
+  const ValueId Forged = ~0u;
+  Exp *E = primExp(P, PrimOp::Add, Forged, param(P, Main, 0),
+                   Atom::constant(1));
+  E->Cont = haltExp(P, {Atom::temp(Forged)});
+  P.func(Main).Body = E;
+  EvalResult R = run(P, {5});
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "use of unbound value v4294967295");
+  EXPECT_EQ(R.HaltValues, std::vector<uint32_t>{0});
+  EXPECT_EQ(R.Steps, 2u);
+}
+
+TEST(CpsEval, PrimOperatorOutsideTheEnum) {
+  // evalPrim yields 0 for an operator it does not know.
+  CpsProgram P;
+  FuncId Main = defineMain(P);
+  ValueId A = P.newValue(), B = P.newValue();
+  Exp *E = primExp(P, PrimOp::Add, A, param(P, Main, 0), Atom::constant(1));
+  E->Cont = primExp(P, static_cast<PrimOp>(9), B, Atom::temp(A),
+                    Atom::temp(A));
+  E->Cont->Cont = haltExp(P, {Atom::temp(A), Atom::temp(B)});
+  P.func(Main).Body = E;
+  EvalResult R = run(P, {5});
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.HaltValues, (std::vector<uint32_t>{6, 0}));
+}
+
+TEST(CpsEvalErrors, ExpressionKindOutsideTheEnum) {
+  CpsProgram P;
+  FuncId Main = defineMain(P);
+  ValueId A = P.newValue();
+  Exp *E = primExp(P, PrimOp::Add, A, param(P, Main, 0), Atom::constant(1));
+  E->Cont = P.newExp(static_cast<ExpKind>(42));
+  E->Cont->Cont = haltExp(P, {Atom::temp(A)});
+  P.func(Main).Body = E;
+  EvalResult R = run(P, {5});
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "fell off the end of an expression chain");
+  EXPECT_EQ(R.Steps, 1u);
+}
+
 TEST(CpsEvalErrors, UnboundCallee) {
   // The unbound read's error is replaced by the jump's own.
   CpsProgram P;
