@@ -554,18 +554,14 @@ TEST(CpsEvalErrors, UnboundOperandIsReportedAtTheNextStep) {
   // sram(x) <- (late); halt(): the store runs with 0 for the unbound
   // operand, and the error stops the run at the start of the next step,
   // after that step's limit check.
-  auto Build = [](CpsProgram &P) {
-    FuncId Main = defineMain(P);
-    ValueId Late = P.newValue();
-    Exp *W = P.newExp(ExpKind::MemWrite);
-    W->Space = MemSpace::Sram;
-    W->Args = {param(P, Main, 0), Atom::temp(Late)};
-    W->Cont = haltExp(P, {});
-    P.func(Main).Body = W;
-    return Late;
-  };
   CpsProgram P;
-  ValueId Late = Build(P);
+  FuncId Main = defineMain(P);
+  ValueId Late = P.newValue();
+  Exp *W = P.newExp(ExpKind::MemWrite);
+  W->Space = MemSpace::Sram;
+  W->Args = {param(P, Main, 0), Atom::temp(Late)};
+  W->Cont = haltExp(P, {});
+  P.func(Main).Body = W;
   EvalMemory Mem;
   EvalResult R = evaluate(P, {9}, Mem, /*MaxSteps=*/2);
   EXPECT_FALSE(R.Ok);
